@@ -147,7 +147,7 @@ def cached_series(op, params, compute, directory):
         try:
             with open(path) as fh:
                 return deserialize_series(fh.read())
-        except (ValueError, KeyError, IndexError):
+        except ValueError:
             print(f"warning: corrupt cache entry {os.path.basename(path)}; "
                   "recomputing", file=sys.stderr)
     series = compute()
@@ -196,10 +196,17 @@ def cmd_eta(cfg, out):
 
 def cmd_expand_xy(cfg, out):
     d = cache_dir(cfg.cache_dir)
+    solved = []  # (x, y) once either cache entry has missed
+
+    def solve(i):
+        if not solved:
+            solved.extend(expand_xy(cfg.truncation))
+        return solved[i]
+
     x = cached_series("expand-xy-x", f"T={cfg.truncation}",
-                      lambda: expand_xy(cfg.truncation)[0], d)
+                      lambda: solve(0), d)
     y = cached_series("expand-xy-y", f"T={cfg.truncation}",
-                      lambda: expand_xy(cfg.truncation)[1], d)
+                      lambda: solve(1), d)
     rep = expansion_report(min(cfg.truncation, 50))
     out.write(f"# kappa {_fmt(rep['kappa'])}\n")
     out.write(serialize_series(x))
@@ -241,6 +248,13 @@ def _verdict_lines(v, fmt):
     return [head]
 
 
+def _warn_if_short(v, requested):
+    """A scan that covers fewer coefficients than asked for says so."""
+    if v.truncation_used < requested:
+        print(f"warning: scanned {v.truncation_used} of the {requested} "
+              "requested coefficients (series too short)", file=sys.stderr)
+
+
 def cmd_detect(cfg, out):
     d = cache_dir(cfg.cache_dir)
     if cfg.entry:
@@ -260,6 +274,7 @@ def cmd_detect(cfg, out):
         v = detect(series, cfg.root_degree, cfg.prime, cfg.truncation, label=label)
     except ValueError as exc:
         raise ValidationError(str(exc))
+    _warn_if_short(v, cfg.truncation)
     for line in _verdict_lines(v, cfg.output_format):
         out.write(line + "\n")
     return 3 if v.status == "Inconclusive" else 0
@@ -284,14 +299,18 @@ def cmd_census(cfg, out):
 def cmd_report(cfg, out):
     entries = build_catalog(cfg.index)
     d = cache_dir(cfg.cache_dir)
-    for e in entries:
+    expansions = (
         cached_series("entry-expansion", f"label={e.label},T={cfg.truncation + 2}",
                       lambda e=e: e.expansion(cfg.truncation + 2), d)
+        for e in entries)
     try:
         rep = analyze_catalog(entries, T=cfg.truncation,
-                              prime_p=cfg.prime if cfg.prime else None)
+                              prime_p=cfg.prime if cfg.prime else None,
+                              expansions=expansions)
     except ValueError as exc:
         raise ValidationError(str(exc))
+    for v in rep.verdicts:
+        _warn_if_short(v, cfg.truncation)
     if cfg.output_format == "records":
         for v in rep.verdicts:
             for line in _verdict_lines(v, "records"):

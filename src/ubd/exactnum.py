@@ -15,18 +15,40 @@ import sympy
 INFINITY = math.inf  # valuation of 0
 
 
+# Miller-Rabin with the first 13 primes as bases is proven correct for every
+# n below this bound (Sorenson & Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(p):
+    """Deterministic primality test; raises ValueError for p at or above
+    _MR_BOUND, where no fixed set of bases is proven and a guess could make
+    a certificate unsound."""
     if p < 2:
         return False
-    if p < 4:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    if p < 43 * 43:
         return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _MR_BOUND:
+        raise ValueError(f"{p} is too large for a proven primality test "
+                         f"(the bound is {_MR_BOUND})")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -402,6 +424,12 @@ class AlgebraicNumber:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational scalar scales the coordinates; no convolution needed
+            r = Fraction(other)
+            return AlgebraicNumber(self.field,
+                                   tuple(x * r.numerator for x in self.num),
+                                   self.den * r.denominator)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -444,6 +472,13 @@ class AlgebraicNumber:
         return self.field.from_coords(inv)
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("division by zero in number field")
+            r = Fraction(other)
+            return AlgebraicNumber(self.field,
+                                   tuple(x * r.denominator for x in self.num),
+                                   self.den * r.numerator)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented

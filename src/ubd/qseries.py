@@ -1,5 +1,6 @@
 """Truncated Laurent series in w = e^{2*pi*i*z/N} over exact coefficients,
-with the w*d/dw derivation, formal n-th roots of unit series, and
+with the w*d/dw derivation, formal n-th roots of unit series (computed
+coefficient by coefficient on demand, by Miller's power recurrence), and
 Dedekind-eta quotient expansion via the pentagonal-number theorem."""
 
 from fractions import Fraction
@@ -227,32 +228,50 @@ def derivation_wdw(f):
     return LaurentSeries(f.width, f.lead, out, f.field, f.prec)
 
 
-def nth_root_normalized(f, n):
-    """Formal n-th root of f = 1 + c_1 w + ... with leading coefficient 1.
+def root_coefficients(f, n):
+    """Iterator over b_1, b_2, ..., b_(prec-1) of the formal n-th root
+    g = 1 + sum b_k w^k of f = 1 + sum a_j w^j, computed one at a time.
 
-    Returns g = 1 + sum b_m w^m with g^n = f to precision; the recursion
-    n*f*Dg = g*Df keeps every b_m inside the coefficient field of f.
+    J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7), read off
+    n*f*Dg = g*Df with D = w*d/dw:
+
+        n*k*b_k = sum_{j=1..k} ((n+1)*j - n*k) * a_j * b_(k-j).
+
+    One sum over the nonzero a_j, one field product per term, and every b_k
+    stays inside the coefficient field of f.  A caller that stops at the
+    first coefficient it needs pays for no more than that.
     """
     if n < 1:
         raise ValueError("root degree must be a positive integer")
     if f.lead != 0 or f.is_zero() or f.coeffs[0] != 1:
         raise ValueError("nth root requires a normalized unit series 1 + O(w)")
-    field = f.field
-    T = f.prec
-    c = f.coefficients(0, T)
-    b = [_zero(field)] * T
-    one = Fraction(1) if field is None else field.one()
-    b[0] = one
-    for k in range(1, T):
-        acc = _zero(field)
-        for j in range(1, k + 1):
-            if c[j] and b[k - j]:
-                acc = acc + (j * c[j]) * b[k - j]
-        for j in range(1, k):
-            if b[j] and c[k - j]:
-                acc = acc - (n * j) * (b[j] * c[k - j])
-        b[k] = acc / (n * k) if field is None else acc / field.from_rational(n * k)
-    return LaurentSeries(f.width, 0, b, field, T)
+    return _miller_root(f.coeffs, n, _zero(f.field), f.prec)
+
+
+def _miller_root(a, n, zero, prec):
+    support = [j for j in range(1, len(a)) if a[j]]
+    b = [a[0]]
+    for k in range(1, prec):
+        acc = zero
+        for j in support:
+            if j > k:
+                break
+            if b[k - j]:
+                acc = acc + ((n + 1) * j - n * k) * (a[j] * b[k - j])
+        bk = acc / (n * k)
+        b.append(bk)
+        yield bk
+
+
+def nth_root_normalized(f, n):
+    """Formal n-th root of f = 1 + c_1 w + ... with leading coefficient 1.
+
+    Returns g = 1 + sum b_m w^m with g^n = f to precision, built from
+    root_coefficients; callers that scan the b_m and may stop early should
+    iterate root_coefficients instead.
+    """
+    b = root_coefficients(f, n)  # checks that f = 1 + O(w)
+    return LaurentSeries(f.width, 0, [f.coeffs[0], *b], f.field, f.prec)
 
 
 # ----------------------------------------------------------------------
@@ -416,6 +435,16 @@ def serialize_series(f):
 
 
 def deserialize_series(text):
+    """Parse a record written by serialize_series; a malformed record raises
+    ValueError, whatever is wrong with it."""
+    try:
+        return _parse_series(text)
+    except (KeyError, IndexError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad series record: {type(exc).__name__}: {exc}") \
+            from exc
+
+
+def _parse_series(text):
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].split() != ["series", "1"]:
         raise ValueError("bad series record header")

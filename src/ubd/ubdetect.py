@@ -8,6 +8,11 @@ satisfies -ord(b_m/b_0) > tau = (ord(a_0) - v_min)/n.  A bounded root forces
 convolution dominates), so a certificate is sound; BoundedSoFar never claims
 boundedness beyond the scanned range.
 
+The scan is online: the root coefficients b_1, b_2, ... come one at a time
+from qseries.root_coefficients (Miller's one-sum power recurrence), and
+detect stops at the first witness, so a certificate at m costs O(m^2) field
+products, not the O(T^2) of the whole root.
+
 Valuation policy ladder per coefficient field: exact val_p on Q; the norm
 formula when a unique prime above p is certified; otherwise the full Newton
 polygon profile, certifying only when every slope witnesses.
@@ -25,7 +30,7 @@ from .exactnum import (
     ord_at_unique_prime,
     val_p,
 )
-from .qseries import nth_root_normalized
+from .qseries import root_coefficients
 
 RATIONAL = 'rational'
 UNIQUE_PRIME = 'unique-prime-norm'
@@ -101,33 +106,46 @@ def _threshold(unit, n, p, mode, T):
     return -vmin / n
 
 
-def detect(f, root_degree, prime_p, T=300, label=""):
-    """Scan the formal root_degree-th root of f for a certified witness.
-
-    The ratios b_m/b_0 come from nth_root_normalized on the unit part, so
-    everything stays in the coefficient field of f.
-    """
+def _unit_part(f, prime_p, T):
+    """(valuation mode, unit part of f truncated to the scanned range, M):
+    the root coefficients b_1..b_M are scanned, M = min(T, what f knows)."""
     if not is_prime(prime_p):
         raise ValueError(f"{prime_p} is not prime")
-    if root_degree < 2:
-        raise ValueError("root degree must be at least 2")
     if f.is_zero():
         raise ValueError("cannot analyze a series that is 0 to precision")
     mode = choose_mode(f.field, prime_p)
     unit, _, _ = f.unit_normalized()
     M = min(T, unit.prec - 1)
-    unit = unit.truncate(M + 1)
+    return mode, unit.truncate(M + 1), M
+
+
+def _root_neg_ords(unit, n, p, mode):
+    """For m = 1, 2, ..., M: (m, the values -ord(b_m/b_0) at the primes
+    above p), with no values when b_m = 0.  The root coefficients come one
+    at a time, so a caller that stops early never computes the rest."""
+    for m, b in enumerate(root_coefficients(unit, n), 1):
+        vals = _ord_values(b, p, mode)
+        yield m, [] if vals == [INFINITY] else [-v for v in vals]
+
+
+def detect(f, root_degree, prime_p, T=300, label=""):
+    """Scan the formal root_degree-th root of f for a certified witness.
+
+    The ratios b_m/b_0 are the coefficients of the root of the unit part of
+    f, so everything stays in the coefficient field of f.  They are computed
+    on demand and the scan stops at the first witness; only a BoundedSoFar
+    or an Inconclusive verdict costs the full range.
+    """
+    if root_degree < 2:
+        raise ValueError("root degree must be at least 2")
+    mode, unit, M = _unit_part(f, prime_p, T)
     tau = _threshold(unit, root_degree, prime_p, mode, M)
-    root = nth_root_normalized(unit, root_degree)
     note = (f"a_m verified p-integral (after the v_min offset) for m <= {M}; "
             "the lemma's precondition beyond the truncation is assumed")
     partial = None
-    for m in range(1, M + 1):
-        b = root.coefficient(m)
-        vals = _ord_values(b, prime_p, mode)
-        if vals == [INFINITY]:
+    for m, neg_ords in _root_neg_ords(unit, root_degree, prime_p, mode):
+        if not neg_ords:
             continue
-        neg_ords = [-v for v in vals]
         if min(neg_ords) > tau:
             return UbdVerdict('UnboundedCertified', m, min(neg_ords), tau, M,
                               mode, note, label)
@@ -143,23 +161,12 @@ def detect(f, root_degree, prime_p, T=300, label=""):
 def growth_profile(f, root_degree, prime_p, T=300):
     """Running maxima of -ord(b_m/b_0); in conjugate-profile mode the sound
     lower bound (minimum over slopes) is tracked."""
-    if not is_prime(prime_p):
-        raise ValueError(f"{prime_p} is not prime")
-    if f.is_zero():
-        raise ValueError("cannot analyze a series that is 0 to precision")
-    mode = choose_mode(f.field, prime_p)
-    unit, _, _ = f.unit_normalized()
-    M = min(T, unit.prec - 1)
-    root = nth_root_normalized(unit.truncate(M + 1), root_degree)
+    mode, unit, _ = _unit_part(f, prime_p, T)
     entries = []
     best = Fraction(0)
-    for m in range(1, M + 1):
-        b = root.coefficient(m)
-        vals = _ord_values(b, prime_p, mode)
-        if vals != [INFINITY]:
-            neg = min(-v for v in vals)
-            if neg > best:
-                best = neg
+    for m, neg_ords in _root_neg_ords(unit, root_degree, prime_p, mode):
+        if neg_ords and min(neg_ords) > best:
+            best = min(neg_ords)
         entries.append((m, best))
     return GrowthProfile(tuple(entries), mode)
 
@@ -184,17 +191,21 @@ class CatalogReport:
         return out
 
 
-def analyze_catalog(entries, T=300, prime_p=None):
+def analyze_catalog(entries, T=300, prime_p=None, expansions=None):
     """Run the detector over catalog entries at their root degrees.
 
+    expansions, when given, yields each entry's series in turn, known to at
+    least T + 2 terms (say, read from a cache); otherwise every entry is
+    expanded here.
     The main theorem's index-p hypothesis is confirmed when every
     expected-noncongruence entry is certified and no known-congruence entry
     is (falsely) certified.
     """
+    if expansions is None:
+        expansions = (e.expansion(T + 2) for e in entries)
     verdicts = []
-    for e in entries:
+    for e, series in zip(entries, expansions):
         p = prime_p if prime_p is not None else e.root_degree
-        series = e.expansion(T + 2)
         verdicts.append(detect(series, e.root_degree, p, T, label=e.label))
     certified = sum(1 for v in verdicts if v.status == 'UnboundedCertified')
     bounded = sum(1 for v in verdicts if v.status == 'BoundedSoFar')

@@ -127,6 +127,9 @@ def test_validation_exit_codes(tmp_path):
         ["census", "--xmax", "1"],
         ["census", "--xmax", "30", "--b", "2,9,2"],
         ["detect", "--prime", "5", "--root", "5"],
+        # a Mersenne prime above the bound of the proven primality test
+        ["detect", "--entry", "fP", "--prime", str(2 ** 89 - 1), "--root", "5",
+         "--terms", "10"],
     ]
     for args in cases:
         p = run_cli(args, tmp_path, check=False)
@@ -135,11 +138,23 @@ def test_validation_exit_codes(tmp_path):
 
 
 def test_detect_garbage_series_file(tmp_path):
-    f = tmp_path / "bad.series"
-    f.write_text("garbage\n")
-    p = run_cli(["detect", "--series-file", str(f), "--prime", "3",
-                 "--root", "3"], tmp_path, check=False)
-    assert p.returncode == 2
+    # a bad header, a 1/0 coefficient, a record with no field line, and bytes
+    # that are not UTF-8: each is bad input, so exit 2 with a message, never
+    # a traceback
+    bad = {
+        "bad.series": b"garbage\n",
+        "zero-den.series": b"series 1\nwidth 1\nlead 0\ntruncation 1\n"
+                           b"field rational\n1/1\n1/0\n",
+        "no-field.series": b"series 1\nwidth 1\nlead 0\ntruncation 0\n1/1\n",
+        "latin1.series": "series 1\nwidth 1\n\xe9\n".encode("latin-1"),
+    }
+    for name, data in bad.items():
+        f = tmp_path / name
+        f.write_bytes(data)
+        p = run_cli(["detect", "--series-file", str(f), "--prime", "3",
+                     "--root", "3"], tmp_path, check=False)
+        assert p.returncode == 2, (name, p.stderr.decode())
+        assert p.stderr.startswith(b"error: cannot read series file:"), name
 
 
 def test_detect_inconclusive_exit_code(tmp_path):
@@ -168,9 +183,73 @@ def test_cache_roundtrip_and_corruption(tmp_path):
     first = run_cli(args, tmp_path)
     files = [f for f in os.listdir(tmp_path) if f.endswith(".series")]
     assert files
-    # corrupt every cache record; the run must warn and recompute identically
-    for f in files:
-        (tmp_path / f).write_text("series 1\nwidth nonsense\n")
-    second = run_cli(args, tmp_path)
-    assert b"recomputing" in second.stderr or second.stdout == first.stdout
-    assert second.stdout == first.stdout
+    good = {f: (tmp_path / f).read_text() for f in files}
+    # corrupt every cache record, with a bad header or with a 1/0
+    # coefficient; the run must warn and recompute identically
+    for corrupt in (lambda text: "series 1\nwidth nonsense\n",
+                    lambda text: text.rsplit("\n", 2)[0] + "\n1/0,0/1,0/1\n"):
+        for f in files:
+            (tmp_path / f).write_text(corrupt(good[f]))
+        second = run_cli(args, tmp_path)
+        assert b"corrupt cache entry" in second.stderr
+        assert second.stdout == first.stdout
+
+
+def test_short_series_scan_warns_on_stderr(tmp_path):
+    f = tmp_path / "short.series"
+    f.write_text("series 1\nwidth 1\nlead 0\ntruncation 1\nfield rational\n"
+                 "0/1\n3/1\n")
+    p = run_cli(["detect", "--series-file", str(f), "--prime", "5",
+                 "--root", "5", "--terms", "300"], tmp_path)
+    assert p.stdout == (b"short.series BoundedSoFar          "
+                        b"[tau=0/1, T=0, mode=rational]\n")
+    assert p.stderr == (b"warning: scanned 0 of the 300 requested coefficients "
+                        b"(series too short)\n")
+    # a scan that covers what was asked stays quiet
+    eta = run_cli(["eta", "1:2,13:-2", "--width", "1", "--terms", "30"],
+                  tmp_path)
+    g = tmp_path / "zeta.series"
+    g.write_bytes(eta.stdout)
+    p = run_cli(["detect", "--series-file", str(g), "--prime", "3",
+                 "--root", "3", "--terms", "20"], tmp_path)
+    assert p.stderr == b""
+
+
+def test_report_warm_cache_expands_nothing(tmp_path, monkeypatch, capsys):
+    from ubd import cli, x011
+
+    args = ["--cache-dir", str(tmp_path), "report", "--index", "2",
+            "--terms", "20"]
+    assert cli.main(args) == 0
+    cold = capsys.readouterr().out
+    calls = []
+    original = x011.expand_on_curve
+
+    def counted(*a):
+        calls.append(a)
+        return original(*a)
+
+    monkeypatch.setattr(x011, "expand_on_curve", counted)
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == cold
+    assert calls == []
+
+
+def test_expand_xy_solves_once_per_cold_run(tmp_path, monkeypatch, capsys):
+    from ubd import cli
+
+    calls = []
+    original = cli.expand_xy
+
+    def counted(T):
+        calls.append(T)
+        return original(T)
+
+    monkeypatch.setattr(cli, "expand_xy", counted)
+    args = ["--cache-dir", str(tmp_path), "expand-xy", "--terms", "30"]
+    assert cli.main(args) == 0
+    cold = capsys.readouterr().out
+    assert calls == [30]
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == cold
+    assert calls == [30]

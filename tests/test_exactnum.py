@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from ubd.exactnum import (
     NumberField,
     field_has_unique_prime_above,
     field_norm,
+    is_prime,
     min_poly,
     newton_polygon_valuations,
     nf_arith,
@@ -257,3 +259,37 @@ def test_qp_helpers():
     assert qp_gcd([-1, 0, 1], [1, 1]) == [1, 1]
     assert qp_shift([0, 0, 1], 1) == [1, 2, 1]
     assert qp_mul([1, 1], [-1, 1]) == [-1, 0, 1]
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert all(is_prime(n) == _trial_division(n) for n in range(-3, 10 ** 5))
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # the least strong pseudoprimes to the bases 2..7, 2..31 and 2..37
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+
+
+def test_is_prime_is_fast_on_large_primes():
+    start = time.perf_counter()
+    assert is_prime(10 ** 17 + 3)
+    assert is_prime(10 ** 15 + 37)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_is_prime_refuses_beyond_the_proven_bound():
+    assert not is_prime(2 ** 100)  # a small factor is still found
+    with pytest.raises(ValueError):
+        is_prime(2 ** 89 - 1)
