@@ -11,7 +11,6 @@ from .exactnum import (
     AlgebraicNumber,
     ValuationProfile,
     val_p,
-    nf_arith,
     min_poly,
     newton_polygon_valuations,
     ord_at_unique_prime,
@@ -24,16 +23,13 @@ from .qseries import (
     eta_quotient_expand,
     nth_root_normalized,
     serialize_series,
-    series_invert,
     series_pow,
-    series_ring_ops,
 )
 from .ellcurve import (
     CurveFunction,
     CurvePoint,
     WeierstrassCurve,
     function_with_divisor,
-    point_op,
     point_order,
     torsion_x_locus,
     verify_divisor,

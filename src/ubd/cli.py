@@ -10,7 +10,7 @@ import argparse
 import hashlib
 import os
 import sys
-import time
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -110,35 +110,6 @@ def _cache_key(op, params):
     return hashlib.sha256(tag.encode()).hexdigest()[:24]
 
 
-class _Lock:
-    """Single-writer lock file with a stale-lock timeout."""
-
-    def __init__(self, path, timeout=30.0):
-        self.path = path + ".lock"
-        self.timeout = timeout
-        self.fd = None
-
-    def __enter__(self):
-        deadline = time.time() + self.timeout
-        while True:
-            try:
-                self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                return self
-            except FileExistsError:
-                if time.time() > deadline:
-                    os.unlink(self.path)  # stale lock
-                else:
-                    time.sleep(0.05)
-
-    def __exit__(self, *exc):
-        if self.fd is not None:
-            os.close(self.fd)
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
-
-
 def cached_series(op, params, compute, directory):
     """Load a series from the cache or compute and store it; a corrupt cache
     entry is recomputed with a warning."""
@@ -151,11 +122,16 @@ def cached_series(op, params, compute, directory):
             print(f"warning: corrupt cache entry {os.path.basename(path)}; "
                   "recomputing", file=sys.stderr)
     series = compute()
-    with _Lock(path):
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
+    # each writer has a temporary file of its own, and the rename is atomic:
+    # a reader sees a whole record or none, and the last writer wins
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
             fh.write(serialize_series(series))
         os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return series
 
 

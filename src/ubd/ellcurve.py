@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import (
-    common_field,
     domain_one,
     domain_zero,
     dp_add,
@@ -20,7 +19,7 @@ from .exactnum import (
     lift,
     lower_hull_slopes,
     newton_polygon_points,
-    qp_trim,
+    trunc_mul,
 )
 
 
@@ -152,19 +151,6 @@ class CurvePoint:
         return acc
 
     __rmul__ = __mul__
-
-
-def point_op(a, b, op, k=None):
-    """Group-law dispatcher: op in {add, negate, double, scalar_mul}."""
-    if op == 'add':
-        return a + b
-    if op == 'negate':
-        return -a
-    if op == 'double':
-        return a + a
-    if op == 'scalar_mul':
-        return a * k
-    raise ValueError(f"unknown op {op!r}")
 
 
 def point_order(p, bound):
@@ -469,23 +455,14 @@ class DivisorCheck:
     detail: str
 
 
-def _tseries_mul(a, b, L, zero):
-    out = [zero] * L
-    for i, ai in enumerate(a[:L]):
-        if ai:
-            for j, bj in enumerate(b[:L - i]):
-                if bj:
-                    out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _tseries_eval_poly(poly, xs, L, zero, one):
-    acc = [zero] * L
+def _tseries_eval_poly(poly, xs, L, field):
+    """poly(x(t)) to order t^(L-1), by Horner's rule."""
+    acc = [domain_zero(field)] * L
     if not poly:
         return acc
     acc[0] = poly[-1]
     for c in reversed(poly[:-1]):
-        acc = _tseries_mul(acc, xs, L, zero)
+        acc = trunc_mul(acc, xs, L, field)
         acc[0] = acc[0] + c
     return acc
 
@@ -502,9 +479,9 @@ def local_parameterization(curve, p, L):
     ex = a1 * p.y - (3 * p.x * p.x + 2 * a2 * p.x + a4)
 
     def residual(xs, ys):
-        yy = _tseries_mul(ys, ys, L, zero)
-        xy = _tseries_mul(xs, ys, L, zero)
-        rhs = _tseries_eval_poly([a6, a4, a2, one], xs, L, zero, one)
+        yy = trunc_mul(ys, ys, L, curve.field)
+        xy = trunc_mul(xs, ys, L, curve.field)
+        rhs = _tseries_eval_poly([a6, a4, a2, one], xs, L, curve.field)
         out = [yy[k] + a1 * xy[k] + a3 * ys[k] - rhs[k] for k in range(L)]
         return out
 
@@ -541,8 +518,6 @@ def verify_divisor(f, n, p, local_t=None):
     if local_t is None:
         local_t = n + 5
     curve = f.curve
-    zero = domain_zero(curve.field)
-    one = domain_one(curve.field)
     pole = f.pole_order_at_O()
     try:
         val = f.evaluate(p)
@@ -550,11 +525,11 @@ def verify_divisor(f, n, p, local_t=None):
         return DivisorCheck(False, pole, None, None, "P is a pole of F")
     L = local_t + 1
     xs, ys = local_parameterization(curve, p, L)
-    num = _tseries_eval_poly(list(f.u), xs, L, zero, one)
-    vxs = _tseries_eval_poly(list(f.v), xs, L, zero, one)
-    vy = _tseries_mul(vxs, ys, L, zero)
+    num = _tseries_eval_poly(list(f.u), xs, L, curve.field)
+    vy = trunc_mul(_tseries_eval_poly(list(f.v), xs, L, curve.field), ys, L,
+                   curve.field)
     num = [num[k] + vy[k] for k in range(L)]
-    den = _tseries_eval_poly(list(f.den), xs, L, zero, one)
+    den = _tseries_eval_poly(list(f.den), xs, L, curve.field)
     onum = next((k for k, c in enumerate(num) if c), None)
     oden = next((k for k, c in enumerate(den) if c), None)
     if onum is None or oden is None:

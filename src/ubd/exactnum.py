@@ -106,15 +106,7 @@ def qp_scale(a, s):
 
 
 def qp_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return qp_trim(out)
+    return qp_trim(trunc_mul(a, b, len(a) + len(b) - 1))
 
 
 def qp_divmod(a, b):
@@ -139,10 +131,6 @@ def qp_eval(c, x):
     for ci in reversed(c):
         acc = acc * x + ci
     return acc
-
-
-def qp_derivative(c):
-    return qp_trim([i * ci for i, ci in enumerate(c)][1:])
 
 
 def qp_monic(c):
@@ -302,6 +290,16 @@ class NumberField:
         self._red_rows = rows
         self._unique_prime_cache = {}
 
+    def _reduce(self, conv):
+        """Power-basis coordinates of sum conv[j]*t^j for j < 2*degree - 1:
+        each power t^d and above is replaced by its reduction row."""
+        out = conv[:self.degree]
+        for c, row in zip(conv[self.degree:], self._red_rows):
+            if c:
+                for k, r in enumerate(row):
+                    out[k] += c * r
+        return out
+
     def __repr__(self):
         terms = []
         for i, c in enumerate(self.defining_poly):
@@ -440,15 +438,8 @@ class AlgebraicNumber:
                 for j, y in enumerate(o.num):
                     if y:
                         conv[i + j] += x * y
-        rows = self.field._red_rows
-        out = conv[:d]
-        for j in range(d, 2 * d - 1):
-            c = conv[j]
-            if c:
-                row = rows[j - d]
-                for k in range(d):
-                    out[k] += c * row[k]
-        return AlgebraicNumber(self.field, tuple(out), self.den * o.den)
+        return AlgebraicNumber(self.field, tuple(self.field._reduce(conv)),
+                               self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -550,6 +541,123 @@ def common_field(f1, f2):
     raise ValueError("mixed number fields")
 
 
+# ----------------------------------------------------------------------
+# The product kernel: truncated products of coefficient lists by Kronecker
+# substitution (Harvey, J. Symb. Comput. 44, 2009) and inverses by Newton
+# iteration (Brent & Kung, JACM 25, 1978).  Every series and polynomial
+# product goes through kron_mul, so the work is one big-int multiply.
+# ----------------------------------------------------------------------
+
+def _pack(vals, d, D, w):
+    """The int sum of vals[k*d + i] * 2^(8w*(k*D + i)): coefficient k of an
+    operand with d integer coordinates fills slots k*D .. k*D + d - 1."""
+    to_bytes = int.to_bytes
+    pad = bytes(w * (D - d))
+
+    def joined(chunks):
+        if d < D:
+            chunks = [b"".join(chunks[k:k + d]) + pad
+                      for k in range(0, len(chunks), d)]
+        return int.from_bytes(b"".join(chunks), "little")
+
+    x = joined([to_bytes(v, w, "little", signed=True) for v in vals])
+    if min(vals) < 0:
+        # a negative v went in as v + 2^(8w); take the 2^(8w) back out of
+        # the next slot up
+        one, zero = b"\x01" + bytes(w - 1), bytes(w)
+        x -= joined([one if v < 0 else zero for v in vals]) << (8 * w)
+    return x
+
+
+def kron_mul(a, b, n, da=1, db=1):
+    """First n coefficients of the product of two integer operands.
+
+    a holds coefficients of da integer coordinates each, flat and
+    coefficient-major (coordinate i of coefficient k is a[k*da + i]); b
+    likewise with db.  Coordinates are multiplied as polynomials, so each
+    output coefficient has da + db - 1 coordinates, flat in the same order.
+    Both operands go into one int each, with byte-aligned slots indexed
+    k*(da + db - 1) + i, wide enough that no slot of the product overflows;
+    the product is read back with a bias of half a slot per kept slot, and
+    the mask drops the slots past n whatever their sign.
+    """
+    D = da + db - 1
+    if n <= 0:
+        return []
+    a, b = a[:n * da], b[:n * db]
+    la, lb = len(a) // da, len(b) // db
+    ma = max(map(abs, a), default=0)
+    mb = max(map(abs, b), default=0)
+    if not ma or not mb:
+        return [0] * (n * D)
+    bits = (ma.bit_length() + mb.bit_length()
+            + (min(la, lb) * min(da, db)).bit_length() + 2)
+    w = (bits + 7) // 8
+    prod = _pack(a, da, D, w) * _pack(b, db, D, w)
+    nbytes = n * D * w
+    half = 1 << (8 * w - 1)
+    bias = int.from_bytes(half.to_bytes(w, "little") * (n * D), "little")
+    raw = ((prod + bias) & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes, "little")
+    from_bytes = int.from_bytes
+    return [from_bytes(raw[i:i + w], "little") - half
+            for i in range(0, nbytes, w)]
+
+
+def _operand(coeffs, field):
+    """(den, coordinates per coefficient, flat integer coordinates) with one
+    positive denominator shared by every coefficient: a list of rationals is
+    one coordinate each, a list over a number field has degree coordinates."""
+    if field is None or not any(isinstance(c, AlgebraicNumber) for c in coeffs):
+        den = math.lcm(*(c.denominator for c in coeffs))
+        if den == 1:
+            return 1, 1, [c.numerator for c in coeffs]
+        return den, 1, [c.numerator * (den // c.denominator) for c in coeffs]
+    coeffs = [field.element(c) for c in coeffs]
+    den = math.lcm(*(c.den for c in coeffs))
+    return den, field.degree, [x * (den // c.den) for c in coeffs for x in c.num]
+
+
+def trunc_mul(a, b, n, field=None):
+    """First n coefficients of the product of two coefficient lists over Q
+    (field None) or over a number field, where either list may be rational.
+    A rational list times a field list multiplies 1 coordinate by degree
+    coordinates, with no lift; powers t^d and above are reduced once per
+    output coefficient."""
+    if n <= 0:
+        return []
+    dena, da, fa = _operand(a[:n], field)
+    denb, db, fb = _operand(b[:n], field)
+    flat = kron_mul(fa, fb, n, da, db)
+    den = dena * denb
+    D = da + db - 1
+    if field is None:
+        return [Fraction(v, den) for v in flat]
+    d = field.degree
+    out = []
+    for k in range(0, n * D, D):
+        c = flat[k:k + D]
+        if D > d:
+            c = field._reduce(c)
+        elif D < d:
+            c += [0] * (d - D)
+        out.append(AlgebraicNumber(field, c, den))
+    return out
+
+
+def newton_inverse(f, n, inv0, mul):
+    """First n coefficients of 1/f, given inv0 = 1/f[0] and a truncated
+    product mul(a, b, m): Newton's iteration g <- g*(2 - f*g), doubling the
+    number of correct coefficients each step."""
+    g = [inv0]
+    m = 1
+    while m < n:
+        m = min(2 * m, n)
+        e = [-c for c in mul(f[:m], g, m)]
+        e[0] += 2
+        g = mul(g, e, m)
+    return g
+
+
 # dense polynomials over an arbitrary exact domain (Q or a number field)
 
 def dp_trim(c):
@@ -570,15 +678,8 @@ def dp_neg(a):
 
 
 def dp_mul(a, b, zero):
-    if not a or not b:
-        return []
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = out[i + j] + ai * bj
-    return dp_trim(out)
+    field = zero.field if isinstance(zero, AlgebraicNumber) else None
+    return dp_trim(trunc_mul(a, b, len(a) + len(b) - 1, field))
 
 
 def dp_divmod(a, b, zero):
@@ -611,25 +712,6 @@ def dp_eval(c, x, zero):
     for ci in reversed(c):
         acc = acc * x + ci
     return acc
-
-
-def nf_arith(a, b, op):
-    """Field arithmetic on two elements of the same number field."""
-    if isinstance(a, AlgebraicNumber):
-        b = a._coerce(b)
-    elif isinstance(b, AlgebraicNumber):
-        a = b._coerce(a)
-    else:
-        a, b = Fraction(a), Fraction(b)
-    if op == 'add':
-        return a + b
-    if op == 'sub':
-        return a - b
-    if op == 'mul':
-        return a * b
-    if op == 'div':
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 # ----------------------------------------------------------------------
@@ -832,8 +914,8 @@ def _fp_gcd_deg(a, b, p):
 def field_has_unique_prime_above(field, p):
     """Certify that val_p extends uniquely to the field.
 
-    Tries the defining polynomial and its small integer shifts; a failure to
-    certify returns False (it never guesses).
+    Tries the defining polynomial and its shifts by 0, 1, ..., 15 (fewer
+    when p < 16); a failure to certify returns False (it never guesses).
     """
     key = p
     cached = field._unique_prime_cache.get(key)
@@ -841,7 +923,7 @@ def field_has_unique_prime_above(field, p):
         return cached
     ok = False
     coeffs = list(field.defining_poly)
-    for a in range(p):
+    for a in range(min(p, 16)):
         if _polygon_certifies_unique(qp_shift(coeffs, a), p):
             ok = True
             break

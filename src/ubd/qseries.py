@@ -10,7 +10,10 @@ from .exactnum import (
     NumberField,
     common_field as _common_field,
     domain_zero as _zero,
+    kron_mul,
     lift as _lift,
+    newton_inverse,
+    trunc_mul,
 )
 
 
@@ -123,17 +126,7 @@ class LaurentSeries:
             return LaurentSeries(self.width, prec, [], field, prec)
         lead = self.lead + other.lead
         prec = min(self.prec + other.lead, other.prec + self.lead)
-        n = prec - lead
-        a = [_lift(field, c) for c in self.coeffs]
-        b = [_lift(field, c) for c in other.coeffs]
-        out = [_zero(field)] * n
-        for i, ai in enumerate(a):
-            if not ai or i >= n:
-                continue
-            jmax = min(len(b), n - i)
-            for j in range(jmax):
-                if b[j]:
-                    out[i + j] = out[i + j] + ai * b[j]
+        out = trunc_mul(self.coeffs, other.coeffs, prec - lead, field)
         return LaurentSeries(self.width, lead, out, field, prec)
 
     def scalar_mul(self, s):
@@ -158,23 +151,14 @@ class LaurentSeries:
         return LaurentSeries(self.width, self.lead, self.coeffs, self.field, prec)
 
     def invert(self):
-        """Reciprocal; the leading coefficient must be invertible (nonzero)."""
+        """Reciprocal, by Newton iteration; the leading coefficient must be
+        invertible (nonzero)."""
         if self.is_zero():
             raise ZeroDivisionError("cannot invert a series that is 0 to precision")
         field = self.field
         n = self.prec - self.lead
-        c0 = self.coeffs[0]
-        u = [_lift(field, c) / c0 for c in self.coefficients(self.lead, self.prec)]
-        v = [_zero(field)] * n
-        one = Fraction(1) if field is None else field.one()
-        v[0] = one
-        for k in range(1, n):
-            acc = _zero(field)
-            for j in range(1, min(k, len(u) - 1) + 1):
-                if u[j] and v[k - j]:
-                    acc = acc + u[j] * v[k - j]
-            v[k] = -acc
-        inv = [x / c0 for x in v]
+        inv = newton_inverse(self.coeffs, n, 1 / self.coeffs[0],
+                             lambda a, b, m: trunc_mul(a, b, m, field))
         return LaurentSeries(self.width, -self.lead, inv, field,
                              -self.lead + n)
 
@@ -192,20 +176,6 @@ class LaurentSeries:
                              [_lift(self.field, c) / c0 for c in self.coeffs],
                              self.field, self.prec - self.lead)
         return unit, self.lead, c0
-
-
-def series_ring_ops(f, g, op):
-    if op == 'add':
-        return f + g
-    if op == 'sub':
-        return f - g
-    if op == 'mul':
-        return f * g
-    raise ValueError(f"unknown op {op!r}")
-
-
-def series_invert(f):
-    return f.invert()
 
 
 def series_pow(f, k):
@@ -331,45 +301,6 @@ def _pentagonal_coeffs(length, step):
     return c
 
 
-def _imul_trunc(a, b, length):
-    out = [0] * length
-    for i, ai in enumerate(a):
-        if not ai or i >= length:
-            continue
-        jmax = min(len(b), length - i)
-        for j in range(jmax):
-            if b[j]:
-                out[i + j] += ai * b[j]
-    return out
-
-
-def _iinv_trunc(u, length):
-    assert u[0] == 1
-    v = [0] * length
-    v[0] = 1
-    for k in range(1, length):
-        acc = 0
-        for j in range(1, min(k, len(u) - 1) + 1):
-            if u[j] and v[k - j]:
-                acc += u[j] * v[k - j]
-        v[k] = -acc
-    return v
-
-
-def _ipow_trunc(u, r, length):
-    if r < 0:
-        return _ipow_trunc(_iinv_trunc(u, length), -r, length)
-    acc = [0] * length
-    acc[0] = 1
-    base = list(u[:length]) + [0] * max(0, length - len(u))
-    while r:
-        if r & 1:
-            acc = _imul_trunc(acc, base, length)
-        base = _imul_trunc(base, base, length)
-        r >>= 1
-    return acc
-
-
 def eta_unit_product(eq, width, T):
     """The product part prod_delta prod_n (1 - w^(N*delta*n))^(r_delta) and the
     (possibly fractional) exponent of the stripped w^(N*sum r*delta/24)
@@ -385,11 +316,17 @@ def eta_unit_product(eq, width, T):
         steps.append((int(nd), r))
     lead = sum(Fraction(r) * d * width for d, r in eq.terms) / 24
     length = T + 1
-    unit = [0] * length
-    unit[0] = 1
+    unit = [1]
     for step, r in steps:
-        pent = _pentagonal_coeffs(length, step)
-        unit = _imul_trunc(unit, _ipow_trunc(pent, r, length), length)
+        base = _pentagonal_coeffs(length, step)
+        if r < 0:
+            base, r = newton_inverse(base, length, 1, kron_mul), -r
+        while r:  # unit *= base^r by binary powering
+            if r & 1:
+                unit = kron_mul(unit, base, length)
+            r >>= 1
+            if r:
+                base = kron_mul(base, base, length)
     return lead, LaurentSeries(width, 0, unit, None, length)
 
 

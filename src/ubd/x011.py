@@ -13,6 +13,7 @@ x = w^-2 + ..., y = w^-3 + ... .
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .exactnum import (
     NumberField,
@@ -51,6 +52,7 @@ def x11_curve(field=None):
 # ----------------------------------------------------------------------
 
 _XY_CACHE = {"T": -1, "xs": None, "ys": None, "kappa": None}
+KAPPA = Fraction(-1)
 
 
 def weight2_eta_product(T):
@@ -60,97 +62,60 @@ def weight2_eta_product(T):
 
 
 def _compute_xy(T):
-    """Coefficient arrays for x (exponents -2..T-2) and y (-3..T-3)."""
+    """Coefficient arrays for x (exponents -2..T-2) and y (-3..T-3).
+
+    x, y and S are integral and kappa = -1, so the solve runs on Python ints:
+    X[i] = x_(i-2), Y[i] = y_(i-3) and X2[i] = (x^2)_(i-4).  At order m the
+    unknowns y_(m+3) and x_(m+4) enter the curve relation at w^m as
+    2*y - 3*x and the derivation relation at w^(m+4) as (m+4)*x + 2*y, so
+    each is one exact integer division; a remainder means the relations
+    are inconsistent.
+    """
     s_series = weight2_eta_product(T + 8)
-    smax = T + 7
-    S = [Fraction(0)] * (smax + 1)
-    for e in range(1, smax + 1):
-        S[e] = Fraction(s_series.coefficient(e))
+    S = [s_series.coefficient(e).numerator for e in range(T + 8)]
+    # kappa = KAPPA from matching the forced leads on D(x) = kappa*(2y+1)*S:
+    # -2*x_{-2} = kappa * 2*y_{-3} * S_1 with S_1 = 1
     if S[1] != 1:
         raise RuntimeError("eta product does not start with w^1")
-    # kappa from matching the forced leads on D(x) = kappa*(2y+1)*S:
-    # -2*x_{-2} = kappa * 2*y_{-3} * S_1
-    kappa = Fraction(-1) / S[1]
 
-    xs = {-2: Fraction(1)}
-    ys = {-3: Fraction(1)}
-    x2 = {-4: Fraction(1)}  # x^2, finalized as x becomes known
+    def exact(num, den, what, m):
+        q, r = divmod(num, den)
+        if r:
+            raise RuntimeError(
+                f"{what} is not integral at order {m}: inconsistency between "
+                "the two defining relations (implementation bug)")
+        return q
 
-    def r1(m, x2prov):
-        """[w^m] of (y^2 + y - x^3 + x^2 + 10x + 20), unknowns treated as 0."""
-        acc = Fraction(0)
-        for i in range(-3, m + 3):  # y_i * y_{m-i}, both known (<= m+2)
-            j = m - i
-            if j < i:
-                break
-            yi, yj = ys.get(i), ys.get(j)
-            if yi is None or yj is None:
-                continue
-            acc += yi * yj if i == j else 2 * yi * yj
-        acc += ys.get(m, 0)
-        # x^3 = x2 * x, with the provisional top x2 entry passed in
-        for i in range(-4, m + 3):
-            x2i = x2prov if i == m + 2 else x2.get(i)
-            xj = xs.get(m - i)
-            if x2i is None or xj is None or not x2i or not xj:
-                continue
-            acc -= x2i * xj
-        acc += x2.get(m, 0)
-        acc += 10 * xs.get(m, 0)
-        if m == 0:
-            acc += 20
-        return acc
-
-    def r2(e):
-        """[w^e] of (D(x) - kappa*(2y+1)*S), unknowns treated as 0."""
-        acc = Fraction(0)
-        xe = xs.get(e)
-        if xe is not None:
-            acc += e * xe
-        conv = Fraction(0)
-        for j in range(-3, e):  # y_j * S_{e-j}; S starts at exponent 1
-            yj = ys.get(j)
-            if yj is None or not yj:
-                continue
-            se = S[e - j] if e - j <= smax else None
-            if se is None:
-                raise RuntimeError("eta product truncation too short")
-            conv += yj * se
-        se = S[e] if 0 < e <= smax else Fraction(0)
-        acc -= kappa * (2 * conv + se)
-        return acc
-
-    # seed consistency at m = -6: y_{-3}^2 = x_{-2}^3
-    assert ys[-3] ** 2 == xs[-2] ** 3
-
+    X, Y, X2 = [1], [1], [1]
     for m in range(-5, T - 5):
-        # provisional (x^2)_{m+2} over the known window
-        x2prov = Fraction(0)
-        for a in range(-2, m + 4):
-            b = m + 2 - a
-            if b < a:
-                break
-            xa, xb = xs.get(a), xs.get(b)
-            if xa is None or xb is None:
-                continue
-            x2prov += xa * xb if a == b else 2 * xa * xb
-        v1 = r1(m, x2prov)
-        v2 = r2(m + 4)
+        # provisional (x^2)_{m+2}: every term but 2*x_{-2}*x_{m+4}
+        x2prov = sum(map(mul, X[1:], reversed(X[1:])))
+        # [w^m] of y^2 + y - x^3 + x^2 + 10x + 20 without the unknowns
+        v1 = (sum(map(mul, Y[1:], reversed(Y[1:])))
+              - sum(map(mul, X2[1:] + [x2prov], reversed(X))))
+        if m >= -4:
+            v1 += X2[m + 4]
+        if m >= -3:
+            v1 += Y[m + 3]
+        if m >= -2:
+            v1 += 10 * X[m + 2]
+        if m == 0:
+            v1 += 20
+        # [w^(m+4)] of D(x) + (2y+1)*S without the unknowns
+        v2 = 2 * sum(map(mul, Y, reversed(S[2:m + 8])))
+        if m >= -3:
+            v2 += S[m + 4]
         if m == -4:
             # exponent 0 in the derivation relation: x_0 drops out
-            y_new = v2 / (2 * kappa * S[1])
-            x_new = (2 * y_new + v1) / 3
+            y_new = exact(-v2, 2, "y", m)
+            x_new = exact(2 * y_new + v1, 3, "x", m)
         else:
-            denom = 2 - Fraction(6) * kappa * S[1] / (m + 4)
-            y_new = -(v1 + Fraction(3) * v2 / (m + 4)) / denom
-            x_new = (2 * kappa * S[1] * y_new - v2) / (m + 4)
-        ys[m + 3] = y_new
-        xs[m + 4] = x_new
-        x2[m + 2] = x2prov + 2 * x_new
-
-    x_coeffs = [xs[k] for k in range(-2, T - 1)]
-    y_coeffs = [ys[k] for k in range(-3, T - 2)]
-    return x_coeffs, y_coeffs, kappa
+            y_new = exact(-((m + 4) * v1 + 3 * v2), 2 * m + 14, "y", m)
+            x_new = exact(-2 * y_new - v2, m + 4, "x", m)
+        Y.append(y_new)
+        X.append(x_new)
+        X2.append(x2prov + 2 * x_new)
+    return X, Y, KAPPA
 
 
 def _xy_arrays(T):
@@ -220,14 +185,13 @@ def expand_on_curve(F, T):
     margin = 2 * degs + F.pole_order_at_O() + 10
     x, y = expand_xy(T + margin, verify=False)
     field = F.curve.field
-    if field is not None:
-        x = x.scalar_mul(field.one())
-        y = y.scalar_mul(field.one())
 
     def poly_at_x(coeffs):
         if not coeffs:
             return LaurentSeries(WIDTH, 0, [], field, prec=x.prec)
-        acc = LaurentSeries(WIDTH, 0, [coeffs[-1]], field, prec=x.prec + 100)
+        # a constant is exact: give it the relative precision of x, so that
+        # the first product keeps the precision of x
+        acc = LaurentSeries(WIDTH, 0, [coeffs[-1]], field, prec=x.prec - x.lead)
         for c in reversed(coeffs[:-1]):
             acc = acc * x
             acc = acc + LaurentSeries(WIDTH, 0, [c], field, prec=acc.prec)

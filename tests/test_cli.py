@@ -253,3 +253,49 @@ def test_expand_xy_solves_once_per_cold_run(tmp_path, monkeypatch, capsys):
     assert cli.main(args) == 0
     assert capsys.readouterr().out == cold
     assert calls == [30]
+
+
+def test_report_with_a_large_prime_finishes(tmp_path):
+    # the prime-shift search of field_has_unique_prime_above is bounded, so a
+    # large valid prime on a number-field catalog does not hang
+    proc = subprocess.run(
+        [sys.executable, "-m", "ubd", "report", "--index", "2", "--terms", "20",
+         "--prime", "100000000000000003"],
+        capture_output=True, env=dict(os.environ, UBD_CACHE_DIR=str(tmp_path)),
+        timeout=10)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert b"index-2 catalog at T=20" in proc.stdout
+
+
+def test_cache_concurrent_writers_leave_one_whole_record(tmp_path):
+    import threading
+
+    from ubd import cli
+    from ubd.qseries import LaurentSeries
+
+    writers = 6  # more than the cores of a small machine
+    series = LaurentSeries(11, -2, list(range(1, 400)), None)
+    all_computed = threading.Barrier(writers)
+
+    def compute():
+        all_computed.wait(timeout=10)
+        return series
+
+    results = []
+    threads = [threading.Thread(target=lambda: results.append(
+        cli.cached_series("op", "same-key", compute, str(tmp_path))))
+        for _ in range(writers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [series] * writers
+    names = os.listdir(tmp_path)
+    assert len(names) == 1 and names[0].endswith(".series")
+    assert deserialize_series((tmp_path / names[0]).read_text()) == series

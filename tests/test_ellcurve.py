@@ -9,7 +9,6 @@ from ubd.ellcurve import (
     WeierstrassCurve,
     five_torsion_factors,
     function_with_divisor,
-    point_op,
     point_order,
     torsion_x_locus,
     verify_divisor,
@@ -38,11 +37,11 @@ def test_point_validation(x11):
 def test_point_op_examples(x11):
     p = x11.point(5, 5)
     o = x11.infinity()
-    assert point_op(p, o, 'add') == p
-    assert point_op(p, None, 'scalar_mul', 3) == x11.point(16, 60)
-    assert point_op(p, None, 'scalar_mul', 5).is_infinity()
-    assert point_op(p, None, 'negate') == x11.point(5, -6)
-    assert point_op(p, p, 'add') == point_op(p, None, 'double')
+    assert p + o == p
+    assert p * 3 == x11.point(16, 60)
+    assert (p * 5).is_infinity()
+    assert -p == x11.point(5, -6)
+    assert p + p == p * 2
 
 
 def test_point_order_examples(x11):

@@ -1,0 +1,32 @@
+"""Pinned stdout of three commands whose output carries exact coefficients.
+
+The hashes were taken from the element-wise series arithmetic that the
+product kernel replaced; a kernel fault that changes any printed coefficient
+or verdict changes a hash.  Each command runs on an empty cache and again on
+the cache it filled.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+GOLDEN = [
+    (["--format", "records", "report", "--index", "2", "--terms", "60"],
+     "35b2eb8ad2f7d142d05390583a5f514b762972f244d0bd752189eb241f93da94"),
+    (["expand-xy", "--terms", "80"],
+     "6b80087cd861a1819437e3bd3190f4c3e941ab279aa55de8b7e08635d3fc0e9c"),
+    (["eta", "1/11:12,1:-12", "--width", "11", "--terms", "400"],
+     "31f366d9a158aba7400c557eff8efac7840e5abbaa4bc67ed1facdcbc7fbf073"),
+]
+
+
+@pytest.mark.parametrize("args,digest", GOLDEN, ids=["report", "expand-xy", "eta"])
+def test_golden_stdout(tmp_path, args, digest):
+    for _ in ("cold", "warm"):
+        proc = subprocess.run([sys.executable, "-m", "ubd", *args],
+                              capture_output=True, check=True,
+                              env=dict(os.environ, UBD_CACHE_DIR=str(tmp_path)))
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest

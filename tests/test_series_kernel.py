@@ -1,0 +1,281 @@
+"""The product kernel against the element-wise loops it replaced.
+
+kron_mul multiplies two integer operands by Kronecker substitution;
+LaurentSeries.__mul__, LaurentSeries.invert (Newton), dp_mul, the eta
+products and the integer x/y solve are built on it.  The references below
+are the element-wise loops those call sites used before, kept here only.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from ubd.exactnum import NumberField, dp_mul, kron_mul
+from ubd.qseries import EtaQuotient, LaurentSeries, eta_unit_product
+from ubd.x011 import _compute_xy, weight2_eta_product
+
+QUARTIC = NumberField([869405, 19255, 1360, 20, 1], 's')  # index-5 catalog
+CUBIC = NumberField([-158, -40, -2, 1], 'u')              # index-2 catalog
+FIELDS = {"Q": None, "quartic": QUARTIC, "cubic": CUBIC}
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+# ----------------------------------------------------------------------
+# References: the element-wise loops.
+# ----------------------------------------------------------------------
+
+def _zero(field):
+    return Fraction(0) if field is None else field.zero()
+
+
+def _lift(field, c):
+    return Fraction(c) if field is None else field.element(c)
+
+
+def _reference_kron(a, b, n, da, db):
+    D = da + db - 1
+    out = [0] * (n * D)
+    for k1 in range(len(a) // da):
+        for k2 in range(len(b) // db):
+            if k1 + k2 < n:
+                for i in range(da):
+                    for j in range(db):
+                        out[(k1 + k2) * D + i + j] += a[k1 * da + i] * b[k2 * db + j]
+    return out
+
+
+def _reference_mul(f, g):
+    """LaurentSeries product, one field product per pair of coefficients."""
+    field = f._check_compat(g)
+    if f.is_zero() or g.is_zero():
+        return f * g  # no coefficient arithmetic on this path
+    lead = f.lead + g.lead
+    prec = min(f.prec + g.lead, g.prec + f.lead)
+    n = prec - lead
+    a = [_lift(field, c) for c in f.coeffs]
+    b = [_lift(field, c) for c in g.coeffs]
+    out = [_zero(field)] * n
+    for i, ai in enumerate(a):
+        if not ai or i >= n:
+            continue
+        for j in range(min(len(b), n - i)):
+            if b[j]:
+                out[i + j] = out[i + j] + ai * b[j]
+    return LaurentSeries(f.width, lead, out, field, prec)
+
+
+def _reference_invert(f):
+    """Reciprocal by the order-by-order recursion."""
+    field = f.field
+    n = f.prec - f.lead
+    c0 = f.coeffs[0]
+    u = [_lift(field, c) / c0 for c in f.coefficients(f.lead, f.prec)]
+    v = [_zero(field)] * n
+    v[0] = _lift(field, 1)
+    for k in range(1, n):
+        acc = _zero(field)
+        for j in range(1, min(k, len(u) - 1) + 1):
+            if u[j] and v[k - j]:
+                acc = acc + u[j] * v[k - j]
+        v[k] = -acc
+    return LaurentSeries(f.width, -f.lead, [x / c0 for x in v], field,
+                         -f.lead + n)
+
+
+def _imul_trunc(a, b, length):
+    out = [0] * length
+    for i, ai in enumerate(a[:length]):
+        if ai:
+            for j in range(min(len(b), length - i)):
+                out[i + j] += ai * b[j]
+    return out
+
+
+def _iinv_trunc(u, length):
+    v = [1] + [0] * (length - 1)
+    for k in range(1, length):
+        v[k] = -sum(u[j] * v[k - j] for j in range(1, min(k, len(u) - 1) + 1))
+    return v
+
+
+def _reference_eta_unit(eq, width, T):
+    length = T + 1
+    unit = [1] + [0] * T
+    for d, r in eq.terms:
+        step = int(width * d)
+        pent = [0] * length
+        pent[0] = 1
+        for k in range(1, length):
+            for g in (k * (3 * k - 1) // 2 * step, k * (3 * k + 1) // 2 * step):
+                if g < length:
+                    pent[g] += -1 if k % 2 else 1
+        if r < 0:
+            pent, r = _iinv_trunc(pent, length), -r
+        for _ in range(r):
+            unit = _imul_trunc(unit, pent, length)
+    return unit
+
+
+def _reference_compute_xy(T):
+    """The x/y solve over Fractions, with the unknowns held in dicts."""
+    s_series = weight2_eta_product(T + 8)
+    smax = T + 7
+    S = [Fraction(0)] + [Fraction(s_series.coefficient(e))
+                         for e in range(1, smax + 1)]
+    kappa = Fraction(-1) / S[1]
+    xs, ys, x2 = {-2: Fraction(1)}, {-3: Fraction(1)}, {-4: Fraction(1)}
+
+    def r1(m, x2prov):
+        acc = Fraction(0)
+        for i in range(-3, m + 3):
+            j = m - i
+            if j < i:
+                break
+            yi, yj = ys.get(i), ys.get(j)
+            if yi is not None and yj is not None:
+                acc += yi * yj if i == j else 2 * yi * yj
+        acc += ys.get(m, 0)
+        for i in range(-4, m + 3):
+            x2i = x2prov if i == m + 2 else x2.get(i)
+            xj = xs.get(m - i)
+            if x2i is not None and xj is not None:
+                acc -= x2i * xj
+        acc += x2.get(m, 0) + 10 * xs.get(m, 0)
+        return acc + 20 if m == 0 else acc
+
+    def r2(e):
+        conv = sum(ys[j] * S[e - j] for j in range(-3, e) if j in ys)
+        se = S[e] if 0 < e <= smax else Fraction(0)
+        return -kappa * (2 * conv + se)
+
+    for m in range(-5, T - 5):
+        x2prov = Fraction(0)
+        for a in range(-2, m + 4):
+            b = m + 2 - a
+            if b < a:
+                break
+            if a in xs and b in xs:
+                x2prov += xs[a] * xs[b] if a == b else 2 * xs[a] * xs[b]
+        v1, v2 = r1(m, x2prov), r2(m + 4)
+        if m == -4:
+            y_new = v2 / (2 * kappa * S[1])
+            x_new = (2 * y_new + v1) / 3
+        else:
+            denom = 2 - Fraction(6) * kappa * S[1] / (m + 4)
+            y_new = -(v1 + Fraction(3) * v2 / (m + 4)) / denom
+            x_new = (2 * kappa * S[1] * y_new - v2) / (m + 4)
+        ys[m + 3], xs[m + 4] = y_new, x_new
+        x2[m + 2] = x2prov + 2 * x_new
+    return ([xs[k] for k in range(-2, T - 1)], [ys[k] for k in range(-3, T - 2)],
+            kappa)
+
+
+# ----------------------------------------------------------------------
+# Strategies.
+# ----------------------------------------------------------------------
+
+def rationals(big=False):
+    top = 10 ** 40 if big else 10 ** 4
+    return st.builds(Fraction, st.integers(-top, top), st.integers(1, 60))
+
+
+def coefficients(field):
+    q = st.one_of(rationals(), rationals(big=True), st.just(Fraction(0)))
+    if field is None:
+        return q
+    return st.lists(q, min_size=field.degree, max_size=field.degree).map(
+        field.from_coords)
+
+
+@st.composite
+def series(draw, field, min_len=0):
+    coeffs = draw(st.lists(coefficients(field), min_size=min_len, max_size=14))
+    lead = draw(st.integers(-4, 4))
+    prec = lead + len(coeffs) + draw(st.integers(0, 6))
+    return LaurentSeries(11, lead, coeffs, field, prec)
+
+
+@st.composite
+def unit_series(draw, field):
+    """A series whose leading coefficient is nonzero, so it inverts."""
+    f = draw(series(field, min_len=1))
+    if f.is_zero():
+        return LaurentSeries(11, f.lead, [_lift(field, 3)], field, f.lead + 4)
+    return f
+
+
+field_names = st.sampled_from(sorted(FIELDS))
+
+
+# ----------------------------------------------------------------------
+# Tests.
+# ----------------------------------------------------------------------
+
+@SETTINGS
+@given(st.data())
+def test_kron_mul_matches_the_convolution(data):
+    da, db = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    ints = st.one_of(st.integers(-9, 9), st.integers(-2 ** 300, 2 ** 300))
+    la, lb = data.draw(st.integers(0, 9)), data.draw(st.integers(0, 9))
+    a = data.draw(st.lists(ints, min_size=la * da, max_size=la * da))
+    b = data.draw(st.lists(ints, min_size=lb * db, max_size=lb * db))
+    n = data.draw(st.integers(0, la + lb + 2))
+    assert kron_mul(a, b, n, da, db) == _reference_kron(a, b, n, da, db)
+
+
+def test_kron_mul_drops_negative_high_slots():
+    # the kept slots are nonnegative and every dropped one is negative
+    assert kron_mul([1, 0, -5], [1, 0, 7], 2) == [1, 0]
+    assert kron_mul([2, 1, 0, 0, -9, -9], [3, 1, 0, 0, 9, 9], 2, 2, 2) == [
+        6, 5, 1, 0, 0, 0]
+    assert kron_mul([-1, -1], [1, 1], 3) == [-1, -2, -1]
+
+
+@SETTINGS
+@given(st.data(), field_names, field_names)
+def test_series_product_matches_reference(data, name_f, name_g):
+    """Over Q, the quartic, the cubic and mixed Q x K, with zero series,
+    unequal leads and precisions and negative coefficients."""
+    kf, kg = FIELDS[name_f], FIELDS[name_g]
+    if kf is not None and kg is not None and kf != kg:
+        kg = kf  # two different number fields do not multiply
+    f, g = data.draw(series(kf)), data.draw(series(kg))
+    assert f * g == _reference_mul(f, g)
+    assert g * f == _reference_mul(g, f)
+
+
+@SETTINGS
+@given(st.data(), field_names)
+def test_newton_invert_matches_reference(data, name):
+    f = data.draw(unit_series(FIELDS[name]))
+    assert f.invert() == _reference_invert(f)
+
+
+def test_dp_mul_matches_reference_with_mixed_entries():
+    t = QUARTIC.gen()
+    a = [t, Fraction(-3, 2), QUARTIC.zero(), t * t - 7]
+    b = [Fraction(5), t / 3]
+    expected = [QUARTIC.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            expected[i + j] = expected[i + j] + x * y
+    assert dp_mul(a, b, QUARTIC.zero()) == expected
+    assert dp_mul([Fraction(1, 2), 1], [Fraction(-1, 2), 1], Fraction(0)) == [
+        Fraction(-1, 4), 0, 1]
+
+
+def test_integer_xy_solve_matches_the_fraction_reference():
+    for T in (50, 310):
+        xs, ys, kappa = _compute_xy(T)
+        assert all(type(c) is int for c in xs + ys)
+        assert (xs, ys, kappa) == _reference_compute_xy(T)
+
+
+def test_eta_products_match_reference_at_500_terms():
+    for terms, width in (([(Fraction(1, 11), 12), (1, -12)], 11),
+                         ([(1, 2), (13, -2)], 1),
+                         ([(1, 2), (Fraction(1, 11), 2)], 11)):
+        eq = EtaQuotient(terms)
+        _, unit = eta_unit_product(eq, width, 500)
+        assert unit.coefficients(0, 501) == _reference_eta_unit(eq, width, 500)

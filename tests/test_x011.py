@@ -194,3 +194,23 @@ def test_catalog_export_format():
     assert text.count("entry fP") == 3
     assert "field -158,-40,-2,1" in text
     assert "series 1" in text
+
+
+def test_xy_solve_stops_on_a_non_integral_order(monkeypatch, tmp_path):
+    from ubd import cli, x011
+    from ubd.qseries import LaurentSeries
+
+    real = x011.weight2_eta_product
+
+    def perturbed(T):
+        s = real(T)
+        coeffs = list(s.coeffs)
+        coeffs[1] += 1  # S_2 = -2 becomes -1: y_(-2) = -3*S_2/2 is not integral
+        return LaurentSeries(s.width, s.lead, coeffs, None, s.prec)
+
+    monkeypatch.setattr(x011, "weight2_eta_product", perturbed)
+    with pytest.raises(RuntimeError, match="not integral at order -5"):
+        x011._compute_xy(20)
+    monkeypatch.setattr(x011, "_XY_CACHE", {"T": -1})
+    assert cli.main(["--cache-dir", str(tmp_path), "expand-xy",
+                     "--terms", "20"]) == 4
