@@ -2,9 +2,9 @@
 
 A finite-index sublattice of Z^2 has a unique basis <l*a + n*b, m*b> with
 l > 0, 0 <= n < m, so groups of index < X correspond to triples (l, n, m)
-with l*m < X.  The census evaluates the closed double sum, checks the
-gcd criterion for a join with a fixed sublattice to be everything, and runs
-the lower-bound experiment behind the quadratic growth of certified groups.
+with l*m < X.  The closed double sum takes O(sqrt(X)) steps, the lower-bound
+experiment O(X log X) time and O(1) memory; enumeration and the gcd and SNF
+criteria for a full join are kept as reference oracles.
 """
 
 from dataclasses import dataclass
@@ -42,23 +42,21 @@ def enumerate_triples(X):
     """All triples with l*m < X, each exactly once (strict inequality)."""
     if X < 2:
         raise ValueError("X must be at least 2")
-    out = []
-    for l in range(1, X):
-        for m in range(1, (X - 1) // l + 1):
-            for n in range(m):
-                out.append(LatticeTriple(l, n, m))
-    return out
+    return [LatticeTriple(l, n, m) for l in range(1, X)
+            for m in range(1, (X - 1) // l + 1) for n in range(m)]
 
 
 def s_count(X):
-    """S(X) = sum_{l=1}^{X-1} ceil(X/l)(ceil(X/l)-1)/2, the closed form of the
-    triple count; agrees with enumerate_triples for integer X."""
+    """S(X) = sum_{l=1}^{X-1} c(c-1)/2, c = ceil(X/l) = (X-1)//l + 1, the triple
+    count, summed over the blocks of l on which c is constant."""
     if X < 2:
         raise ValueError("X must be at least 2")
-    total = 0
-    for l in range(1, X):
-        c = -(-X // l)  # ceil(X/l)
-        total += c * (c - 1) // 2
+    total, l = 0, 1
+    while l < X:
+        c = (X - 1) // l + 1
+        last = (X - 1) // (c - 1)
+        total += (last - l + 1) * (c * (c - 1) // 2)
+        l = last + 1
     return CensusResult(X, total)
 
 
@@ -82,18 +80,22 @@ def join_is_full_snf(gamma, b):
     return g == 1
 
 
-def euler_phi(n):
-    out = n
-    f = 2
+def _prime_factors(n):
+    """The distinct primes dividing n >= 1, by trial division."""
+    out, f = [], 2
     while f * f <= n:
         if n % f == 0:
+            out.append(f)
             while n % f == 0:
                 n //= f
-            out -= out // f
         f += 1
-    if n > 1:
-        out -= out // n
-    return out
+    return out + [n] if n > 1 else out
+
+
+def euler_phi(n):
+    for q in _prime_factors(n):
+        n -= n // q
+    return n
 
 
 @dataclass
@@ -111,29 +113,27 @@ class LowerBoundExperiment:
 
 def ubd_lower_bound_experiment(b, X):
     """Count triples joining fully with b, plus the restricted family l = 1,
-    X/2 < m < X, gcd(s, m) = 1 that drives the quadratic lower bound.
+    X/2 < m < X, gcd(s, m) = 1, of at least phi_bound triples: each s
+    consecutive m hold phi(s) admissible ones, each with m > X/2 choices of n.
 
-    Every block of s consecutive integers inside (X/2, X) holds exactly
-    phi(s) admissible m, and each admissible m contributes m >= floor(X/2)+1
-    choices of n, so the restricted count is provably at least
-    floor(L/s)*phi(s)*(floor(X/2)+1) with L the number of integers in the
-    interval -- the phi(s)/(2s) * X^2/2 shape of the lemma.
-    """
+    For gcd(s, l) = 1 and each prime q | gcd(v, m), s*n = u*l mod q holds for
+    one n mod q if q !| s, else for all or none as q | u*l or not; by CRT
+    m * prod_q (q !| s ? 1 - 1/q : [q !| u*l]) of the n in [0, m) join fully."""
     if X < 4:
         raise ValueError("X must be at least 4")
-    s = b.l
+    s, u, primes = b.l, b.n, _prime_factors(b.m)
     full = 0
-    restricted = 0
-    for gamma in enumerate_triples(X):
-        if join_is_full(gamma, b):
-            full += 1
-        if (gamma.l == 1 and 2 * gamma.m > X and gamma.m < X
-                and gcd(s, gamma.m) == 1):
-            restricted += 1
-    interval_len = (X - 1) - (X // 2)
-    phi_bound = (interval_len // s) * euler_phi(s) * (X // 2 + 1)
+    for l in (l for l in range(1, X) if gcd(s, l) == 1):
+        for m in range(1, (X - 1) // l + 1):
+            count = m
+            for q in primes:
+                if m % q == 0:
+                    count = (count // q * (q - 1) if s % q
+                             else count if u * l % q else 0)
+            full += count
+    restricted = sum(m for m in range(X // 2 + 1, X) if gcd(s, m) == 1)
+    phi_bound = ((X - 1 - X // 2) // s) * euler_phi(s) * (X // 2 + 1)
     if restricted < phi_bound:
-        raise AssertionError(
-            f"restricted count {restricted} fell below the phi(s)/(2s) bound "
-            f"{phi_bound} at X={X}")
+        raise RuntimeError(f"restricted count {restricted} fell below the "
+                           f"phi(s)/(2s) bound {phi_bound} at X={X}")
     return LowerBoundExperiment(X, b, full, restricted, phi_bound)

@@ -257,7 +257,6 @@ def cmd_detect(cfg, out):
 
 
 def cmd_census(cfg, out):
-    res = s_count(cfg.xmax)
     if cfg.b_triple:
         try:
             b = LatticeTriple(*cfg.b_triple)
@@ -268,6 +267,7 @@ def cmd_census(cfg, out):
                   f"b={b.l},{b.n},{b.m}\trestricted={exp.restricted_count}\t"
                   f"phi_bound={exp.phi_bound}\n")
     else:
+        res = s_count(cfg.xmax)
         out.write(f"{res.X}\t{res.count}\t{_fmt(res.ratio)}\n")
     return 0
 

@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ubd.census import (
     CensusResult,
@@ -116,3 +122,73 @@ def test_sorted_prefix_matches_enumeration():
     idx = sorted(t.index for t in triples)
     for X in range(2, 121):
         assert bisect_left(idx, X) == s_count(X).count
+
+
+# ----------------------------------------------------------------------
+# The per-(l, m) counts against enumeration, which they replaced.
+# ----------------------------------------------------------------------
+
+def _reference_s_count(X):
+    """The O(X) loop over l that s_count's quotient blocks replaced."""
+    total = 0
+    for l in range(1, X):
+        c = -(-X // l)
+        total += c * (c - 1) // 2
+    return total
+
+
+@st.composite
+def census_inputs(draw):
+    v = draw(st.integers(1, 30))
+    b = LatticeTriple(draw(st.integers(1, 30)), draw(st.integers(0, v - 1)), v)
+    return b, draw(st.integers(4, 60))
+
+
+@settings(max_examples=150, deadline=None)
+@given(census_inputs())
+def test_full_count_equals_both_join_oracles(case):
+    b, X = case
+    triples = enumerate_triples(X)
+    full = ubd_lower_bound_experiment(b, X).full_count
+    assert full == sum(join_is_full(g, b) for g in triples)
+    assert full == sum(join_is_full_snf(g, b) for g in triples)
+
+
+@settings(max_examples=150, deadline=None)
+@given(census_inputs())
+def test_restricted_count_equals_enumeration_filter(case):
+    b, X = case
+    assert ubd_lower_bound_experiment(b, X).restricted_count == sum(
+        1 for g in enumerate_triples(X)
+        if g.l == 1 and 2 * g.m > X and g.m < X and gcd(b.l, g.m) == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5000))
+def test_s_count_equals_the_loop_over_l(X):
+    assert s_count(X) == CensusResult(X, _reference_s_count(X))
+
+
+def test_s_count_at_a_million_equals_the_divisor_sum():
+    # S(X) counts the pairs l*m <= X-1 weighted by m: sum_d d*floor((X-1)/d)
+    X = 10 ** 6
+    assert s_count(X).count == sum(d * ((X - 1) // d) for d in range(1, X))
+
+
+def test_experiment_memory_stays_bounded():
+    tracemalloc.start()
+    try:
+        ubd_lower_bound_experiment(LatticeTriple(11, 3, 12), 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_census_at_ten_billion_finishes(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "ubd", "census", "--xmax", "10000000000"],
+        capture_output=True, timeout=10,
+        env=dict(os.environ, UBD_CACHE_DIR=str(tmp_path)))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.startswith(b"10000000000\t")

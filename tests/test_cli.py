@@ -72,6 +72,18 @@ def test_census_examples(tmp_path):
     assert fields[1] == str(len_100_count())
 
 
+def test_census_phi_bound_failure_exits_4(monkeypatch, capsys):
+    import ubd.census
+    from ubd import cli
+
+    monkeypatch.setattr(ubd.census, "euler_phi", lambda n: 10 ** 12)
+    assert cli.main(["census", "--xmax", "100", "--b", "2,1,2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal inconsistency: ")
+    assert "Traceback" not in captured.err
+
+
 def len_100_count():
     from ubd.census import s_count
     return s_count(100).count

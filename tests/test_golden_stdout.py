@@ -1,9 +1,10 @@
-"""Pinned stdout of three commands whose output carries exact coefficients.
+"""Pinned stdout of commands whose output carries exact coefficients or counts.
 
-The hashes were taken from the element-wise series arithmetic that the
-product kernel replaced; a kernel fault that changes any printed coefficient
-or verdict changes a hash.  Each command runs on an empty cache and again on
-the cache it filled.
+The series hashes were taken from the element-wise series arithmetic that the
+product kernel replaced, and the census hashes from the census that enumerated
+every triple; a fault that changes any printed coefficient, verdict or count
+changes a hash.  Each command runs on an empty cache and again on the cache it
+filled.
 """
 
 import hashlib
@@ -20,10 +21,18 @@ GOLDEN = [
      "6b80087cd861a1819437e3bd3190f4c3e941ab279aa55de8b7e08635d3fc0e9c"),
     (["eta", "1/11:12,1:-12", "--width", "11", "--terms", "400"],
      "31f366d9a158aba7400c557eff8efac7840e5abbaa4bc67ed1facdcbc7fbf073"),
+    (["census", "--xmax", "1400", "--b", "11,3,12"],
+     "aa136a4013064fcedcc7087ddc458edb9aa6f68028478f016d1f945765772af9"),
+    (["census", "--xmax", "100", "--b", "2,1,2"],
+     "1e9138bc58ea4c4cfa26acd167be8f14a5ca499ce3aeb3fa15f888e6be47a028"),
+    (["census", "--xmax", "1000000"],
+     "121ee0e09ee75ea25ae098944448abaf93a691fae6836651d740512fe661c4cd"),
 ]
 
 
-@pytest.mark.parametrize("args,digest", GOLDEN, ids=["report", "expand-xy", "eta"])
+@pytest.mark.parametrize("args,digest", GOLDEN,
+                         ids=["report", "expand-xy", "eta", "census-b-1400",
+                              "census-b-100", "census-1e6"])
 def test_golden_stdout(tmp_path, args, digest):
     for _ in ("cold", "warm"):
         proc = subprocess.run([sys.executable, "-m", "ubd", *args],
