@@ -281,7 +281,7 @@ def cmd_report(cfg, out):
         for e in entries)
     try:
         rep = analyze_catalog(entries, T=cfg.truncation,
-                              prime_p=cfg.prime if cfg.prime else None,
+                              prime_p=cfg.prime,
                               expansions=expansions)
     except ValueError as exc:
         raise ValidationError(str(exc))

@@ -91,20 +91,6 @@ def qp_add(a, b):
                     for i in range(n)])
 
 
-def qp_neg(a):
-    return [-x for x in a]
-
-
-def qp_sub(a, b):
-    return qp_add(a, qp_neg(b))
-
-
-def qp_scale(a, s):
-    if s == 0:
-        return []
-    return [x * s for x in a]
-
-
 def qp_mul(a, b):
     return qp_trim(trunc_mul(a, b, len(a) + len(b) - 1))
 
@@ -444,23 +430,17 @@ class AlgebraicNumber:
     __rmul__ = __mul__
 
     def inverse(self):
+        """den/num, solving num*x = den by fraction-free elimination."""
         if not self:
             raise ZeroDivisionError("division by zero in number field")
-        # extended Euclid in Q[t] against the defining polynomial
-        f = [Fraction(c) for c in self.field.defining_poly]
-        g = list(self.coords())
-        s0, s1 = [], [Fraction(1)]
-        a, b = f, qp_trim(g)
-        while qp_deg(qp_trim(b)) > 0:
-            q, r = qp_divmod(a, b)
-            a, b = b, r
-            s0, s1 = s1, qp_sub(s0, qp_mul(q, s1))
-            if not b:
-                raise ZeroDivisionError("element is a zero divisor (reducible field?)")
-        c = b[0]  # nonzero constant
-        inv = qp_scale(s1, Fraction(1) / c)
-        inv = (inv + [Fraction(0)] * self.field.degree)[:self.field.degree]
-        return self.field.from_coords(inv)
+        det, rows = _eliminate(self, self.den)
+        d = len(rows)
+        x = [0] * d
+        for i in range(d - 1, -1, -1):  # back substitution, each step exact
+            row = rows[i]
+            x[i] = (det * row[d] - sum(row[j] * x[j] for j in range(i + 1, d))) \
+                // row[i]
+        return AlgebraicNumber(self.field, x, det)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -773,14 +753,41 @@ def min_poly(a):
     raise RuntimeError("no linear dependence found (broken field arithmetic)")
 
 
+def _eliminate(a, rhs=0):
+    """Bareiss's fraction-free elimination (Cohen, GTM 138, 2.2) of [M | e],
+    M the integer matrix of multiplication by a.num (column j holds the
+    coordinates of a.num*t^j) and e = (rhs, 0, ..., 0).  Returns det M and
+    the rows, upper triangular in M with every division exact."""
+    field = a.field
+    cols = [list(a.num)]
+    for _ in range(field.degree - 1):  # a.num*t^j from a.num*t^(j-1)
+        cols.append(field._reduce([0] + cols[-1]))
+    rows = [list(r) + [0] for r in zip(*cols)]
+    rows[0][-1] = rhs
+    d, sign, prev = len(rows), 1, 1
+    for k in range(d - 1):
+        if not rows[k][k]:
+            swap = next((i for i in range(k + 1, d) if rows[i][k]), None)
+            if swap is None:
+                return 0, rows
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        rk = rows[k]
+        p = rk[k]
+        for ri in rows[k + 1:]:
+            f = ri[k]
+            for j in range(k + 1, d + 1):
+                ri[j] = (p * ri[j] - f * rk[j]) // prev
+        prev = p
+    return sign * rows[-1][d - 1], rows
+
+
 def field_norm(a):
-    """Norm from the field of a down to Q, as the resultant of the defining
-    polynomial with the coordinate polynomial of a."""
+    """Norm from the field of a down to Q: det(multiplication by a.num),
+    by fraction-free elimination, over den^degree."""
     if isinstance(a, (int, Fraction)):
         return Fraction(a)
-    f = [Fraction(c) for c in a.field.defining_poly]
-    g = list(a.coords())
-    return qp_resultant(f, g)
+    return Fraction(_eliminate(a)[0], a.den ** a.field.degree)
 
 
 # ----------------------------------------------------------------------

@@ -4,10 +4,13 @@ coefficient by coefficient on demand, by Miller's power recurrence), and
 Dedekind-eta quotient expansion via the pentagonal-number theorem."""
 
 from fractions import Fraction
+import math
+from operator import mul
 
 from .exactnum import (
     AlgebraicNumber,
     NumberField,
+    _operand,
     common_field as _common_field,
     domain_zero as _zero,
     kron_mul,
@@ -173,7 +176,8 @@ class LaurentSeries:
             raise ValueError("zero series has no unit normalization")
         c0 = self.coeffs[0]
         unit = LaurentSeries(self.width, 0,
-                             [_lift(self.field, c) / c0 for c in self.coeffs],
+                             trunc_mul(self.coeffs, [1 / c0], len(self.coeffs),
+                                       self.field),
                              self.field, self.prec - self.lead)
         return unit, self.lead, c0
 
@@ -207,29 +211,43 @@ def root_coefficients(f, n):
 
         n*k*b_k = sum_{j=1..k} ((n+1)*j - n*k) * a_j * b_(k-j).
 
-    One sum over the nonzero a_j, one field product per term, and every b_k
-    stays inside the coefficient field of f.  A caller that stops at the
-    first coefficient it needs pays for no more than that.
+    The sum runs on integer coordinates (one for Q, degree for a number
+    field): the a_j share one denominator, each b_(k-j) is scaled to the lcm
+    of the denominators the sum uses, the raw convolutions are added up and
+    reduced once, and b_k is normalised once.  Every b_k stays inside the
+    coefficient field of f, and a caller that stops at the first coefficient
+    it needs pays for no more than that.
     """
     if n < 1:
         raise ValueError("root degree must be a positive integer")
     if f.lead != 0 or f.is_zero() or f.coeffs[0] != 1:
         raise ValueError("nth root requires a normalized unit series 1 + O(w)")
-    return _miller_root(f.coeffs, n, _zero(f.field), f.prec)
+    return _miller_root(f.coeffs, n, f.field, f.prec)
 
 
-def _miller_root(a, n, zero, prec):
+def _miller_root(a, n, field, prec):
+    den_a, d, flat = _operand(a, field)
+    A = [flat[i::d] for i in range(d)]  # A[i][j]: coordinate i of den_a*a_j
     support = [j for j in range(1, len(a)) if a[j]]
-    b = [a[0]]
+    B = [[1]] + [[0] for _ in range(d - 1)]  # B[i][m]: coordinate i of E[m]*b_m
+    E = [1]
     for k in range(1, prec):
-        acc = zero
-        for j in support:
-            if j > k:
-                break
-            if b[k - j]:
-                acc = acc + ((n + 1) * j - n * k) * (a[j] * b[k - j])
-        bk = acc / (n * k)
-        b.append(bk)
+        m = min(k, len(a) - 1)
+        L = math.lcm(*[E[k - j] for j in support if j <= k])
+        w = [((n + 1) * j - n * k) * (L // E[k - j]) for j in range(1, m + 1)]
+        Ak = [Ai[1:m + 1] for Ai in A]
+        conv = [0] * (2 * d - 1)
+        for i2, Bi2 in enumerate(B):
+            wb = list(map(mul, w, Bi2[k - 1::-1]))
+            for i, Ai in enumerate(Ak):
+                conv[i + i2] += sum(map(mul, Ai, wb))
+        den = den_a * L * n * k
+        bk = (Fraction(conv[0], den) if field is None
+              else AlgebraicNumber(field, field._reduce(conv), den))
+        den, _, coords = _operand([bk], field)
+        for Bi, x in zip(B, coords):
+            Bi.append(x)
+        E.append(den)
         yield bk
 
 

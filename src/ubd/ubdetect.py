@@ -9,13 +9,15 @@ convolution dominates), so a certificate is sound; BoundedSoFar never claims
 boundedness beyond the scanned range.
 
 The scan is online: the root coefficients b_1, b_2, ... come one at a time
-from qseries.root_coefficients (Miller's one-sum power recurrence), and
-detect stops at the first witness, so a certificate at m costs O(m^2) field
+from qseries.root_coefficients (Miller's one-sum power recurrence on integer
+coordinates, one normalised coefficient per step), and detect stops at the
+first witness, so a certificate at m costs O(m^2) integer coordinate
 products, not the O(T^2) of the whole root.
 
 Valuation policy ladder per coefficient field: exact val_p on Q; the norm
-formula when a unique prime above p is certified; otherwise the full Newton
-polygon profile, certifying only when every slope witnesses.
+formula, with the norm a fraction-free integer determinant, when a unique
+prime above p is certified; otherwise the full Newton polygon profile,
+certifying only when every slope witnesses.
 """
 
 from dataclasses import dataclass

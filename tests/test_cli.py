@@ -135,6 +135,7 @@ def test_validation_exit_codes(tmp_path):
         ["eta", "1:x", "--width", "1", "--terms", "3"],
         ["expand-xy", "--terms", "3"],
         ["report", "--index", "2", "--terms", "15", "--prime", "4"],
+        ["report", "--index", "5", "--terms", "15", "--prime", "0"],
         ["report", "--index", "3", "--terms", "15"],
         ["census", "--xmax", "1"],
         ["census", "--xmax", "30", "--b", "2,9,2"],

@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ubd.exactnum import (
     INFINITY,
@@ -14,11 +15,15 @@ from ubd.exactnum import (
     min_poly,
     newton_polygon_valuations,
     ord_at_unique_prime,
+    qp_add,
+    qp_deg,
+    qp_divmod,
     qp_gcd,
     qp_integerize_monic,
     qp_mul,
     qp_resultant,
     qp_shift,
+    qp_trim,
     val_p,
 )
 
@@ -250,6 +255,66 @@ def test_field_norm_multiplicative(cbrt2):
         b = cbrt2.from_coords([rng.randint(-4, 4) for _ in range(3)])
         assert field_norm(a * b) == field_norm(a) * field_norm(b)
     assert field_norm(cbrt2.gen()) == 2
+
+
+def _euclid_inverse(a):
+    """1/a by the extended Euclidean algorithm in Q[t] against the defining
+    polynomial: the Fraction inverse the elimination replaced."""
+    f = [Fraction(c) for c in a.field.defining_poly]
+    s0, s1 = [], [Fraction(1)]
+    r0, r1 = f, qp_trim(a.coords())
+    while qp_deg(r1) > 0:
+        q, r = qp_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, qp_add(s0, [-x for x in qp_mul(q, s1)])
+    inv = [x / r1[0] for x in s1]
+    return a.field.from_coords((inv + [0] * a.field.degree)[:a.field.degree])
+
+
+def _field_or_none(coeffs):
+    try:
+        return NumberField(coeffs + [1])
+    except ValueError:  # reducible
+        return None
+
+
+QUARTIC = NumberField([869405, 19255, 1360, 20, 1], 's')  # index-5 catalog
+CUBIC = NumberField([-158, -40, -2, 1], 'u')              # index-2 catalog
+fields = st.one_of(
+    st.sampled_from([QUARTIC, CUBIC]),
+    st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.integers(-30, 30), min_size=d, max_size=d))
+    .map(_field_or_none).filter(bool))
+
+
+def elements(field):
+    # small coordinates give zeros, so the elimination must swap rows
+    big = st.one_of(st.integers(-2, 2), st.integers(-2 ** 300, 2 ** 300))
+    return st.builds(lambda num, den: AlgebraicNumber(field, num, den),
+                     st.lists(big, min_size=field.degree,
+                              max_size=field.degree),
+                     st.integers(1, 2 ** 64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields.flatmap(lambda k: st.tuples(elements(k), elements(k))))
+def test_field_norm_is_the_resultant_norm(ab):
+    a, b = ab
+    f = a.field.defining_poly
+    assert field_norm(a) == qp_resultant(f, a.coords())
+    assert field_norm(a * b) == field_norm(a) * field_norm(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields.flatmap(elements))
+def test_inverse_is_the_euclid_inverse(a):
+    with pytest.raises(ZeroDivisionError):
+        a.field.zero().inverse()
+    if a:
+        inv = a.inverse()
+        assert inv == _euclid_inverse(a)
+        assert a * inv == 1
+        assert 1 / a == inv
 
 
 def test_qp_helpers():

@@ -10,14 +10,17 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from ubd import ubdetect
-from ubd.exactnum import INFINITY, NumberField
+import pytest
+
+from ubd import exactnum, ubdetect
+from ubd.exactnum import INFINITY, AlgebraicNumber, NumberField
 from ubd.qseries import (
     LaurentSeries,
     nth_root_normalized,
     root_coefficients,
     series_pow,
 )
+from ubd.x011 import build_catalog
 from ubd.ubdetect import (
     CONJUGATE,
     _ord_values,
@@ -86,8 +89,15 @@ def rationals(dens=(1, 2, 3, 4, 5, 9, 25)):
     return st.builds(Fraction, st.integers(-12, 12), st.sampled_from(dens))
 
 
-def elements(field, dens=(1, 2, 3, 5)):
-    return st.lists(rationals(dens), min_size=field.degree,
+# non-integral coefficients with large, unequal denominators
+wide_rationals = st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80),
+                           st.integers(1, 2 ** 64))
+
+
+def elements(field, dens=(1, 2, 3, 5), coords=None):
+    if coords is None:
+        coords = rationals(dens)
+    return st.lists(coords, min_size=field.degree,
                     max_size=field.degree).map(field.from_coords)
 
 
@@ -105,7 +115,7 @@ def series(coeff, field=None, max_len=14):
 
 
 @SETTINGS
-@given(unit_series(rationals()), st.integers(1, 7))
+@given(unit_series(st.one_of(rationals(), wide_rationals)), st.integers(1, 7))
 def test_root_coefficients_match_reference_over_q(f, n):
     assert list(root_coefficients(f, n)) == \
         _reference_root(f, n).coefficients(1, f.prec)
@@ -113,10 +123,49 @@ def test_root_coefficients_match_reference_over_q(f, n):
 
 @SETTINGS
 @given(st.sampled_from([QUARTIC, CUBIC]).flatmap(
-           lambda k: unit_series(elements(k), k, max_len=6)),
+           lambda k: unit_series(
+               elements(k, coords=st.one_of(rationals(), wide_rationals)),
+               k, max_len=6)),
        st.integers(2, 5))
 def test_root_coefficients_match_reference_over_catalog_fields(f, n):
     assert nth_root_normalized(f, n) == _reference_root(f, n)
+
+
+@pytest.fixture(scope="module")
+def index5():
+    return {e.label: e for e in build_catalog(5)}
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_full_root_of_fq_makes_no_field_products(index5, monkeypatch):
+    # the BoundedSoFar scan of fQ takes all 300 root coefficients; they come
+    # from integer coordinates, not from AlgebraicNumber products
+    e = index5["fQ"]
+    unit, _, _ = e.expansion(302).unit_normalized()
+    unit = unit.truncate(301)
+    calls = _count_calls(monkeypatch, AlgebraicNumber, "__mul__")
+    root = list(root_coefficients(unit, e.root_degree))
+    assert len(root) == 300 and not calls
+
+
+def test_detect_takes_no_resultant(index5, monkeypatch):
+    e = index5["fQ+1P"]
+    f = e.expansion(302)
+    calls = _count_calls(monkeypatch, exactnum, "qp_resultant")
+    v = detect(f, e.root_degree, e.root_degree, 300)
+    assert v.certified() and v.valuation_mode == ubdetect.UNIQUE_PRIME
+    assert not calls
 
 
 @SETTINGS
