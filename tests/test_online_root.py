@@ -8,9 +8,8 @@ must agree with both.
 
 from fractions import Fraction
 
-from hypothesis import example, given, settings, strategies as st
-
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ubd import exactnum, ubdetect
 from ubd.exactnum import INFINITY, AlgebraicNumber, NumberField
@@ -20,7 +19,6 @@ from ubd.qseries import (
     root_coefficients,
     series_pow,
 )
-from ubd.x011 import build_catalog
 from ubd.ubdetect import (
     CONJUGATE,
     _ord_values,
@@ -29,6 +27,7 @@ from ubd.ubdetect import (
     detect,
     growth_profile,
 )
+from ubd.x011 import build_catalog
 
 QUARTIC = NumberField([869405, 19255, 1360, 20, 1], 's')  # index-5 catalog
 CUBIC = NumberField([-158, -40, -2, 1], 'u')              # index-2 catalog
