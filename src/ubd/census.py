@@ -2,9 +2,9 @@
 
 A finite-index sublattice of Z^2 has a unique basis <l*a + n*b, m*b> with
 l > 0, 0 <= n < m, so groups of index < X correspond to triples (l, n, m)
-with l*m < X.  The closed double sum takes O(sqrt(X)) steps, the lower-bound
-experiment O(X log X) time and O(1) memory; enumeration and the gcd and SNF
-criteria for a full join are kept as reference oracles.
+with l*m < X.  The closed double sum and the lower-bound experiment each take
+O(sqrt(X)) steps and O(1) memory; enumeration and the gcd and SNF criteria
+for a full join are kept as reference oracles.
 """
 
 from dataclasses import dataclass
@@ -117,21 +117,32 @@ def ubd_lower_bound_experiment(b, X):
     consecutive m hold phi(s) admissible ones, each with m > X/2 choices of n.
 
     For gcd(s, l) = 1 and each prime q | gcd(v, m), s*n = u*l mod q holds for
-    one n mod q if q !| s, else for all or none as q | u*l or not; by CRT
-    m * prod_q (q !| s ? 1 - 1/q : [q !| u*l]) of the n in [0, m) join fully."""
+    one n mod q if q !| s, else for all or none as q | u or not; by CRT
+    w(m) = m * prod_{q | gcd(v, m)} c_q of the n in [0, m) join fully, with
+    c_q = 1 - 1/q or [q !| u] whatever l is.  So the count is the sum of
+    H((X-1)//l) over l coprime to s, H(M) = sum_{d | rad v} d*w(d)*T(M//d),
+    T(k) = k(k+1)/2, taken over the blocks of l with one quotient, each
+    block's l counted by inclusion-exclusion over rad s: O(sqrt(X)) steps."""
     if X < 4:
         raise ValueError("X must be at least 4")
-    s, u, primes = b.l, b.n, _prime_factors(b.m)
-    full = 0
-    for l in (l for l in range(1, X) if gcd(s, l) == 1):
-        for m in range(1, (X - 1) // l + 1):
-            count = m
-            for q in primes:
-                if m % q == 0:
-                    count = (count // q * (q - 1) if s % q
-                             else count if u * l % q else 0)
-            full += count
-    restricted = sum(m for m in range(X // 2 + 1, X) if gcd(s, m) == 1)
+    s, u = b.l, b.n
+    mobius, dw = [(1, 1)], [(1, 1)]  # (e, mu(e)) and (d, d*w(d)) as above
+    for q in _prime_factors(s):
+        mobius += [(e * q, -mu) for e, mu in mobius]
+    for q in _prime_factors(b.m):
+        c = -1 if s % q else -q if u % q == 0 else 0
+        dw += [(d * q, w * c) for d, w in dw]
+    full, l = 0, 1
+    while l < X:
+        M = (X - 1) // l
+        last = (X - 1) // M
+        H = sum(w * (M // d) * (M // d + 1) // 2 for d, w in dw)
+        # times the number of l' in [l, last] with gcd(s, l') = 1
+        full += H * sum(mu * (last // e - (l - 1) // e) for e, mu in mobius)
+        l = last + 1
+    restricted = sum(mu * e * ((X - 1) // e * ((X - 1) // e + 1)
+                               - X // 2 // e * (X // 2 // e + 1)) // 2
+                     for e, mu in mobius)
     phi_bound = ((X - 1 - X // 2) // s) * euler_phi(s) * (X // 2 + 1)
     if restricted < phi_bound:
         raise RuntimeError(f"restricted count {restricted} fell below the "

@@ -1,16 +1,16 @@
 """Exact coefficient arithmetic: rationals, number fields, p-adic valuations.
 
-Number fields are presented by a single monic irreducible integer polynomial.
-Valuations above a rational prime p are read off Newton polygons of minimal
-polynomials; a single coherent valuation is only used when the extension of
-val_p to the field is provably unique (totally ramified segment, or a one
-segment polygon with irreducible residual polynomial).
+Number fields are presented by a single monic irreducible integer polynomial,
+checked by the pure-Python factorization below.  Valuations above a rational
+prime p are read off Newton polygons of minimal polynomials; a single coherent
+valuation is only used when the extension of val_p to the field is provably
+unique (totally ramified segment, or a one segment polygon with irreducible
+residual polynomial).
 """
 
 from fractions import Fraction
+from itertools import combinations
 import math
-
-import sympy
 
 INFINITY = math.inf  # valuation of 0
 
@@ -112,13 +112,6 @@ def qp_divmod(a, b):
     return qp_trim(q), qp_trim(a)
 
 
-def qp_eval(c, x):
-    acc = Fraction(0) if not isinstance(x, AlgebraicNumber) else x.field.zero()
-    for ci in reversed(c):
-        acc = acc * x + ci
-    return acc
-
-
 def qp_monic(c):
     c = qp_trim(c)
     if not c:
@@ -161,16 +154,12 @@ def qp_resultant(f, g):
 
 
 def qp_content_primitive(c):
-    """Split an integer polynomial into content and primitive part."""
-    c = qp_trim(c)
-    if not c:
-        return 0, []
-    g = 0
-    for x in c:
-        g = math.gcd(g, abs(int(x)))
-    sign = 1 if c[-1] > 0 else -1
-    g *= sign
-    return g, [int(x) // g for x in c]
+    """(content, primitive integer part with a positive leading coefficient)
+    of a nonzero rational polynomial."""
+    den = math.lcm(*(Fraction(x).denominator for x in c))
+    c = [int(x * den) for x in qp_trim(c)]
+    g = math.gcd(*c) * (1 if c[-1] > 0 else -1)
+    return Fraction(g, den), [x // g for x in c]
 
 
 def qp_integerize_monic(c):
@@ -201,45 +190,235 @@ def qp_integerize_monic(c):
     return [int(x) for x in out], d
 
 
-def _to_sympy_poly(c, modulus=None):
-    x = sympy.Symbol('x')
-    coeffs = [sympy.Rational(Fraction(v).numerator, Fraction(v).denominator)
-              for v in reversed(qp_trim(c))]
-    if modulus is None:
-        return sympy.Poly(coeffs, x, domain='QQ')
-    return sympy.Poly([int(v) for v in coeffs], x, modulus=modulus)
-
-
 def factor_poly_q(c):
     """Irreducible factorization over Q of a rational polynomial.
 
-    Returns (rational content, [(primitive integer factor, multiplicity)]).
-    """
-    poly = _to_sympy_poly(c)
-    cont, factors = poly.factor_list()
-    out = []
-    for fac, mult in factors:
-        fc = [Fraction(int(v.numerator), int(v.denominator))
-              for v in reversed(fac.all_coeffs())]
-        g, prim = qp_content_primitive([int(v) for v in fc])
-        cont *= sympy.Integer(g) ** mult
-        out.append((prim, mult))
-    return Fraction(int(sympy.fraction(cont)[0]), int(sympy.fraction(cont)[1])), out
+    Returns (rational content, [(primitive integer factor, multiplicity)]),
+    each factor with a positive leading coefficient, ordered by degree, then
+    multiplicity, then coefficients from the top."""
+    c = qp_trim(c)
+    if not c:
+        return Fraction(0), []
+    cont, f = qp_content_primitive(c)
+    out = [(g, mult) for a, mult in (_squarefree(f) if len(f) > 1 else [])
+           for g in _factor_squarefree(a)]
+    out.sort(key=lambda gm: (len(gm[0]), gm[1], gm[0][::-1]))
+    return cont, out
 
 
 def poly_is_irreducible_q(c):
-    c = qp_trim(c)
-    if qp_deg(c) < 1:
-        return False
-    _, factors = factor_poly_q(c)
+    factors = factor_poly_q(c)[1]
     return len(factors) == 1 and factors[0][1] == 1
 
 
 def poly_is_irreducible_modp(c, p):
-    c = [int(x) % p for x in c]
-    if qp_deg(qp_trim(c)) < 1:
+    """Rabin's test: f of degree n is irreducible over F_p iff
+    x^(p^n) = x mod f and gcd(x^(p^(n/q)) - x, f) = 1 for each prime q | n."""
+    f = _fp_monic([int(x) for x in c], p)
+    n = len(f) - 1
+    if n < 1:
         return False
-    return _to_sympy_poly(c, modulus=p).is_irreducible
+    h = [_zm_divmod([0, 1], f, p)[1]]  # h[i] = x^(p^i) mod f
+    for _ in range(n):
+        h.append(_zm_powmod(h[-1], p, f, p))
+    return h[n] == h[0] and all(
+        len(_fp_gcd(f, _zm_sub(h[n // q], h[0], p), p)) == 1
+        for q in range(2, n + 1) if n % q == 0 and is_prime(q))
+
+
+# ----------------------------------------------------------------------
+# Factorization over Q (von zur Gathen & Gerhard, Modern Computer Algebra,
+# ch. 14-15): Yun's squarefree decomposition, distinct- and equal-degree
+# factorization modulo a small prime, Hensel lifting and recombination.
+# Polynomials modulo m are int lists in [0, m), low degree first, trimmed;
+# a divisor's leading coefficient is a unit mod m.
+# ----------------------------------------------------------------------
+
+def _zm(a, m):
+    return qp_trim([x % m for x in a])
+
+
+def _zm_mul(a, b, m):
+    return _zm(kron_mul(a, b, len(a) + len(b) - 1), m) if a and b else []
+
+
+def _zm_prod(c, polys, m):
+    out = [c % m]
+    for a in polys:
+        out = _zm_mul(out, a, m)
+    return out
+
+
+def _zm_sub(a, b, m):
+    return _zm(qp_add(a, [-x for x in b]), m)
+
+
+def _zm_divmod(a, b, m):
+    inv, nb = pow(b[-1], -1, m), len(b)
+    a, q = list(a), [0] * max(0, len(a) - nb + 1)
+    for k in range(len(a) - nb, -1, -1):
+        q[k] = a[k + nb - 1] * inv % m
+        for i, bi in enumerate(b):
+            a[k + i] -= q[k] * bi
+    return _zm(q, m), _zm(a[:nb - 1], m)
+
+
+def _zm_powmod(a, e, f, m):
+    r = [1]
+    for bit in bin(e)[2:]:
+        r = _zm_divmod(_zm_mul(r, r, m), f, m)[1]
+        if bit == "1":
+            r = _zm_divmod(_zm_mul(r, a, m), f, m)[1]
+    return r
+
+
+def _fp_monic(a, p):
+    a = _zm(a, p)
+    return _zm_prod(pow(a[-1], -1, p), [a], p) if a else a
+
+
+def _fp_gcd(a, b, p):
+    a, b = _zm(a, p), _zm(b, p)
+    while b:
+        a, b = b, _zm_divmod(a, b, p)[1]
+    return _fp_monic(a, p)
+
+
+def _fp_xgcd(a, b, p):
+    """(s, t) with s*a + t*b = 1 over F_p, deg s < deg b and deg t < deg a,
+    for coprime a and b of positive degree."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _zm_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _zm_sub(s0, _zm_mul(q, s1, p), p)
+        t0, t1 = t1, _zm_sub(t0, _zm_mul(q, t1, p), p)
+    inv = pow(r0[0], -1, p)
+    return _zm_prod(inv, [s0], p), _zm_prod(inv, [t0], p)
+
+
+def _fp_ddf(f, p):
+    """Distinct-degree factorization of a monic squarefree f over F_p:
+    [(g, d)], g the product of the irreducible factors of f of degree d."""
+    out, h, d = [], [0, 1], 0
+    while 2 * (d + 1) < len(f):
+        d += 1
+        h = _zm_powmod(h, p, f, p)  # x^(p^d) mod f
+        g = _fp_gcd(f, _zm_sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _zm_divmod(f, g, p)[0]
+            h = _zm_divmod(h, f, p)[1]
+    return out + [(f, len(f) - 1)] if len(f) > 1 else out
+
+
+def _fp_edf(g, d, p):
+    """The irreducible factors, all of degree d, of a monic squarefree g over
+    F_p, p odd (Cantor-Zassenhaus).  The splitting polynomials a are x, x + 1,
+    ..., x^2, ... (base-p digits of p, p + 1, ...): one splits g below deg g."""
+    i = p
+    while len(g) - 1 > d:
+        a = [i // p ** j % p for j in range(len(g)) if p ** j <= i]
+        b = _zm_powmod(a, (p ** d - 1) // 2, g, p)
+        s = _fp_gcd(g, _zm_sub(b, [1], p), p)
+        if 1 < len(s) < len(g):
+            return _fp_edf(s, d, p) + _fp_edf(_zm_divmod(g, s, p)[0], d, p)
+        i += 1
+    return [g]
+
+
+def _hensel(f, mods, p, steps):
+    """Monic lifts modulo p^(2^steps) of the monic factors mods of f = lc(f) *
+    prod(mods) mod p, lc(f) a unit: the two halves of the product are lifted
+    by quadratic Hensel steps (GG, Alg. 15.10), then each half on its own."""
+    if len(mods) == 1:
+        M = p ** (2 ** steps)
+        return [_zm_prod(pow(f[-1], -1, M), [f], M)]
+    k = len(mods) // 2
+    g, h = _zm_prod(f[-1], mods[k:], p), _zm_prod(1, mods[:k], p)
+    s, t = _fp_xgcd(g, h, p)
+    m = p
+    for step in range(steps):
+        m *= m
+        e = _zm_sub(f, _zm_mul(g, h, m), m)
+        q, r = _zm_divmod(_zm_mul(s, e, m), h, m)
+        g = _zm(qp_add(g, qp_add(_zm_mul(t, e, m), _zm_mul(q, g, m))), m)
+        h = _zm(qp_add(h, r), m)
+        if step < steps - 1:
+            b = _zm_sub(qp_add(_zm_mul(s, g, m), _zm_mul(t, h, m)), [1], m)
+            c, d = _zm_divmod(_zm_mul(s, b, m), h, m)
+            s = _zm_sub(s, d, m)
+            t = _zm_sub(t, qp_add(_zm_mul(t, b, m), _zm_mul(c, g, m)), m)
+    return _hensel(h, mods[:k], p, steps) + _hensel(g, mods[k:], p, steps)
+
+
+def _deriv(c):
+    return [i * x for i, x in enumerate(c)][1:]
+
+
+def _squarefree(f):
+    """Yun's squarefree decomposition of a primitive integer polynomial with
+    positive leading coefficient: [(a_i, i)] with f = prod a_i^i, the a_i
+    primitive, squarefree and coprime; f alone when it is squarefree modulo
+    a small prime that does not divide lc(f)."""
+    if any(f[-1] % p and len(_fp_gcd(f, _deriv(f), p)) == 1
+           for p in (3, 5, 7, 11, 13)):
+        return [(f, 1)]
+    a = qp_gcd(f, _deriv(f))
+    b, c = qp_divmod(f, a)[0], qp_divmod(_deriv(f), a)[0]
+    out, i = [], 1
+    while len(b) > 1:
+        d = qp_add(c, [-x for x in _deriv(b)])
+        a = qp_gcd(b, d)
+        if len(a) > 1:
+            out.append((qp_content_primitive(a)[1], i))
+        b, c, i = qp_divmod(b, a)[0], qp_divmod(d, a)[0], i + 1
+    return out
+
+
+def _factor_squarefree(f):
+    """The irreducible factors of a primitive squarefree integer polynomial
+    with positive leading coefficient (Zassenhaus).  Of the first three odd
+    primes p not dividing lc(f)*disc(f), the one with the fewest factors
+    modulo p is used; they are lifted to p^k > 2*B, B = lc(f) times the
+    Mignotte bound, and recombined by trial division over subsets of
+    growing size."""
+    n, lc = len(f) - 1, f[-1]
+    best, p, tried = None, 2, 0
+    while n > 1 and tried < 3 and (best is None or best[0] > 1):
+        p += 1
+        if not is_prime(p) or lc % p == 0:
+            continue
+        fp = _fp_monic(f, p)
+        if len(_fp_gcd(fp, _deriv(fp), p)) > 1:
+            continue
+        ddf = _fp_ddf(fp, p)
+        r = sum((len(g) - 1) // d for g, d in ddf)
+        best, tried = min(best or (r, p, ddf), (r, p, ddf)), tried + 1
+    if best is None or best[0] == 1:
+        return [f]
+    _, p, ddf = best
+    bound = 2 * (math.isqrt(n + 1) + 1) * 2 ** n * max(map(abs, f)) * lc
+    M, steps = p, 0
+    while M <= bound:
+        M, steps = M * M, steps + 1
+    lifted = _hensel(f, [g for gd in ddf for g in _fp_edf(*gd, p)], p, steps)
+    out, size = [], 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            g = _zm_prod(f[-1], [lifted[i] for i in subset], M)
+            g = qp_content_primitive([x - M if 2 * x > M else x for x in g])[1]
+            if g[0] and f[0] % g[0]:
+                continue  # the constant terms rule g out
+            q, r = qp_divmod(f, g)
+            if not r:  # g is primitive, so q is integral (Gauss)
+                out.append(g)
+                f = [int(x) for x in q]
+                lifted = [a for i, a in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    return out + [f]
 
 
 # ----------------------------------------------------------------------
@@ -294,7 +473,7 @@ class NumberField:
         return f"NumberField({' + '.join(terms)})"
 
     def __eq__(self, other):
-        return (isinstance(other, NumberField)
+        return self is other or (isinstance(other, NumberField)
                 and self.defining_poly == other.defining_poly)
 
     def __hash__(self):
@@ -895,27 +1074,9 @@ def _polygon_certifies_unique(coeffs, p):
         return False
     # residual must be separable for the factor count to be read off
     dres = qp_trim([(i * c) % p for i, c in enumerate(res)][1:])
-    if _fp_gcd_deg(res, dres, p) != 0:
+    if len(_fp_gcd(res, dres, p)) != 1:
         return False
     return poly_is_irreducible_modp(res, p)
-
-
-def _fp_gcd_deg(a, b, p):
-    a = [x % p for x in qp_trim(a)]
-    b = [x % p for x in qp_trim(b)]
-    while any(b):
-        # reduce a mod b over F_p
-        while len(a) >= len(b) and any(a):
-            f = (a[-1] * pow(b[-1], -1, p)) % p
-            k = len(a) - len(b)
-            for i, bi in enumerate(b):
-                a[k + i] = (a[k + i] - f * bi) % p
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    while a and a[-1] == 0:
-        a.pop()
-    return len(a) - 1 if a else -1
 
 
 def field_has_unique_prime_above(field, p):

@@ -26,17 +26,19 @@ class LaurentSeries:
 
     __slots__ = ('width', 'lead', 'coeffs', 'field', 'prec')
 
-    def __init__(self, width, lead, coeffs, field=None, prec=None):
+    def __init__(self, width, lead, coeffs, field=None, prec=None,
+                 lifted=False):
+        """lifted=True: the coefficients are Fractions or elements of field."""
         if width < 1:
             raise ValueError("width must be a positive integer")
-        coeffs = [_lift(field, c) for c in coeffs]
+        coeffs = list(coeffs) if lifted else [_lift(field, c) for c in coeffs]
         if prec is None:
             prec = lead + len(coeffs)
         if prec < lead + len(coeffs):
             coeffs = coeffs[:max(0, prec - lead)]
-        while coeffs and not coeffs[0]:
-            coeffs.pop(0)
-            lead += 1
+        i = next((i for i, c in enumerate(coeffs) if c), len(coeffs))
+        if i:
+            coeffs, lead = coeffs[i:], lead + i
         while coeffs and not coeffs[-1]:
             # trailing zeros are kept implicitly by prec
             coeffs.pop()
@@ -105,13 +107,13 @@ class LaurentSeries:
         lead = min(self.lead, other.lead, prec)
         a = self.coefficients(lead, prec) if lead < prec else []
         b = other.coefficients(lead, prec) if lead < prec else []
-        return LaurentSeries(self.width, lead,
-                             [_lift(field, x) + _lift(field, y)
-                              for x, y in zip(a, b)], field, prec)
+        # a coefficient of a series over field keeps x + y in field
+        return LaurentSeries(self.width, lead, [x + y for x, y in zip(a, b)],
+                             field, prec, lifted=True)
 
     def __neg__(self):
         return LaurentSeries(self.width, self.lead, [-c for c in self.coeffs],
-                             self.field, self.prec)
+                             self.field, self.prec, lifted=True)
 
     def __sub__(self, other):
         return self + (-other)
@@ -130,7 +132,7 @@ class LaurentSeries:
         lead = self.lead + other.lead
         prec = min(self.prec + other.lead, other.prec + self.lead)
         out = trunc_mul(self.coeffs, other.coeffs, prec - lead, field)
-        return LaurentSeries(self.width, lead, out, field, prec)
+        return LaurentSeries(self.width, lead, out, field, prec, lifted=True)
 
     def scalar_mul(self, s):
         field = self.field
@@ -146,12 +148,13 @@ class LaurentSeries:
     def shift(self, k):
         """Multiply by w^k."""
         return LaurentSeries(self.width, self.lead + k, self.coeffs,
-                             self.field, self.prec + k)
+                             self.field, self.prec + k, lifted=True)
 
     def truncate(self, prec):
         if prec > self.prec:
             raise ValueError("cannot extend precision by truncation")
-        return LaurentSeries(self.width, self.lead, self.coeffs, self.field, prec)
+        return LaurentSeries(self.width, self.lead, self.coeffs, self.field,
+                             prec, lifted=True)
 
     def invert(self):
         """Reciprocal, by Newton iteration; the leading coefficient must be
@@ -163,7 +166,7 @@ class LaurentSeries:
         inv = newton_inverse(self.coeffs, n, 1 / self.coeffs[0],
                              lambda a, b, m: trunc_mul(a, b, m, field))
         return LaurentSeries(self.width, -self.lead, inv, field,
-                             -self.lead + n)
+                             -self.lead + n, lifted=True)
 
     def unit_normalized(self):
         """Strip to the form 1 + ... ; returns (unit, lead, leading_coeff).
@@ -178,7 +181,7 @@ class LaurentSeries:
         unit = LaurentSeries(self.width, 0,
                              trunc_mul(self.coeffs, [1 / c0], len(self.coeffs),
                                        self.field),
-                             self.field, self.prec - self.lead)
+                             self.field, self.prec - self.lead, lifted=True)
         return unit, self.lead, c0
 
 
@@ -423,4 +426,5 @@ def _parse_series(text):
             coeffs.append(field.from_coords([Fraction(x) for x in ln.split(",")]))
     if len(coeffs) != trunc + 1:
         raise ValueError("series record length mismatch")
-    return LaurentSeries(width, lead, coeffs, field, lead + trunc + 1)
+    return LaurentSeries(width, lead, coeffs, field, lead + trunc + 1,
+                         lifted=True)

@@ -137,6 +137,28 @@ def _reference_s_count(X):
     return total
 
 
+def _prime_divisors(n):
+    return [q for q in range(2, n + 1) if n % q == 0
+            and all(q % r for r in range(2, q))]
+
+
+def _reference_experiment(b, X):
+    """The O(X log X) loop over the pairs (l, m) that the quotient blocks
+    replaced: (full count, restricted count)."""
+    s, u, primes = b.l, b.n, _prime_divisors(b.m)
+    full = 0
+    for l in (l for l in range(1, X) if gcd(s, l) == 1):
+        for m in range(1, (X - 1) // l + 1):
+            count = m
+            for q in primes:
+                if m % q == 0:
+                    count = (count // q * (q - 1) if s % q
+                             else count if u * l % q else 0)
+            full += count
+    restricted = sum(m for m in range(X // 2 + 1, X) if gcd(s, m) == 1)
+    return full, restricted
+
+
 @st.composite
 def census_inputs(draw):
     v = draw(st.integers(1, 30))
@@ -161,6 +183,25 @@ def test_restricted_count_equals_enumeration_filter(case):
     assert ubd_lower_bound_experiment(b, X).restricted_count == sum(
         1 for g in enumerate_triples(X)
         if g.l == 1 and 2 * g.m > X and g.m < X and gcd(b.l, g.m) == 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2310), st.integers(0, 2309), st.integers(1, 2310),
+       st.integers(4, 10 ** 4))
+def test_experiment_equals_the_loop_over_pairs(s, u, v, X):
+    # s and v up to 2310 = 2*3*5*7*11 reach four and five distinct primes
+    b = LatticeTriple(s, u % v, v)
+    exp = ubd_lower_bound_experiment(b, X)
+    assert (exp.full_count, exp.restricted_count) == _reference_experiment(b, X)
+
+
+def test_experiment_equals_the_loop_at_the_benchmark_triples():
+    for b in (LatticeTriple(11, 3, 12), LatticeTriple(13, 5, 30),
+              LatticeTriple(6, 2, 30), LatticeTriple(2, 1, 2)):
+        for X in (4, 5, 800, 1101):
+            exp = ubd_lower_bound_experiment(b, X)
+            assert (exp.full_count, exp.restricted_count) == \
+                _reference_experiment(b, X)
 
 
 @settings(max_examples=200, deadline=None)

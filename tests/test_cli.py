@@ -312,3 +312,41 @@ def test_cache_concurrent_writers_leave_one_whole_record(tmp_path):
     names = os.listdir(tmp_path)
     assert len(names) == 1 and names[0].endswith(".series")
     assert deserialize_series((tmp_path / names[0]).read_text()) == series
+
+
+def test_no_command_imports_sympy(tmp_path):
+    # sympy is a test oracle only: no command may load it, on any path
+    from ubd.exactnum import NumberField
+    from ubd.qseries import LaurentSeries, serialize_series
+
+    rational = tmp_path / "rational.series"
+    rational.write_text(serialize_series(
+        LaurentSeries(1, 0, [1, -2, -1, 2, 1, 2, -2, 0, -2, -2])))
+    cubic = NumberField([-158, -40, -2, 1])
+    u = cubic.gen()
+    field = tmp_path / "field.series"
+    field.write_text(serialize_series(
+        LaurentSeries(1, 0, [cubic.one(), u / 2, u * u / 4, 3 * u], cubic)))
+    commands = [
+        ["eta", "1:2,13:-2", "--width", "1", "--terms", "10"],
+        ["census", "--xmax", "100", "--b", "2,1,2"],
+        ["detect", "--series-file", str(rational), "--prime", "3",
+         "--root", "3", "--terms", "9"],
+        ["detect", "--series-file", str(field), "--prime", "2",
+         "--root", "2", "--terms", "3"],
+        ["report", "--index", "2", "--terms", "20"],
+        ["report", "--index", "5", "--terms", "20"],
+    ]
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import ubd.cli",
+        f"for argv in {commands!r}:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        rc = ubd.cli.main(argv)",
+        "    assert rc in (0, 3), (argv, rc)",
+        "    assert 'sympy' not in sys.modules, argv",
+    ])
+    env = dict(os.environ, UBD_CACHE_DIR=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr.decode()

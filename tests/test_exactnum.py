@@ -108,13 +108,13 @@ def test_min_poly_examples(cbrt2):
 
 def test_min_poly_annihilates_and_degree_divides(cbrt2):
     rng = random.Random(3)
-    from ubd.exactnum import qp_eval
+    from ubd.exactnum import dp_eval
     for _ in range(20):
         a = cbrt2.from_coords([rng.randint(-5, 5) for _ in range(3)])
         if not a:
             continue
         mp = min_poly(a)
-        assert not qp_eval(mp, a)
+        assert not dp_eval(mp, a, cbrt2.zero())
         assert cbrt2.degree % (len(mp) - 1) == 0
 
 

@@ -1,0 +1,120 @@
+"""The pure-Python factorization over Z[x] and the irreducibility tests
+against sympy, which the tests keep as an oracle only."""
+
+import math
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from ubd.ellcurve import five_division_polynomial
+from ubd.exactnum import (
+    NumberField,
+    factor_poly_q,
+    poly_is_irreducible_modp,
+    poly_is_irreducible_q,
+    qp_mul,
+)
+from ubd.x011 import x11_curve
+
+X = sympy.Symbol("x")
+
+
+def _sympy_factor_list(c):
+    """(content, sorted [(primitive factor, multiplicity)]) from sympy, with
+    each factor's sign moved into the content."""
+    poly = sympy.Poly([sympy.Rational(v.numerator, v.denominator)
+                       for v in reversed(c)], X, domain="QQ")
+    cont, factors = poly.factor_list()
+    cont = Fraction(int(sympy.fraction(cont)[0]), int(sympy.fraction(cont)[1]))
+    out = []
+    for fac, mult in factors:
+        coeffs = [int(v) for v in reversed(fac.all_coeffs())]
+        g = math.gcd(*coeffs) * (1 if coeffs[-1] > 0 else -1)
+        cont *= g ** mult
+        out.append(([v // g for v in coeffs], mult))
+    return cont, sorted(out)
+
+
+small_poly = st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.lists(st.integers(-12, 12), min_size=d, max_size=d),
+    st.sampled_from([1, 1, 2, 3, -1, -4])).map(lambda t: t[0] + [t[1]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(small_poly, st.integers(1, 3)), min_size=1, max_size=4),
+       st.fractions(min_value=-20, max_value=20, max_denominator=12)
+       .filter(lambda r: r != 0))
+def test_factor_list_matches_sympy(parts, content):
+    c = [content]
+    for f, mult in parts:
+        for _ in range(mult):
+            if len(c) - 1 + len(f) - 1 <= 12:
+                c = qp_mul(c, f)
+    cont, factors = factor_poly_q(c)
+    assert (cont, sorted(factors)) == _sympy_factor_list(c)
+    assert all(f[-1] > 0 and math.gcd(*f) == 1 for f, _ in factors)
+    # the order is deterministic: degree, multiplicity, coefficients from the top
+    assert factors == sorted(factors, key=lambda fm: (len(fm[0]), fm[1], fm[0][::-1]))
+
+
+def test_factor_constants_and_zero():
+    assert factor_poly_q([]) == (0, [])
+    assert factor_poly_q([Fraction(-3, 7)]) == (Fraction(-3, 7), [])
+    assert factor_poly_q([Fraction(-3, 2), 0, Fraction(3, 2)]) == \
+        (Fraction(3, 2), [([-1, 1], 1), ([1, 1], 1)])
+
+
+def test_psi5_factor_degrees():
+    psi5 = five_division_polynomial(x11_curve())
+    cont, factors = factor_poly_q(psi5)
+    assert cont == 1
+    assert [len(f) - 1 for f, _ in factors] == [1, 1, 2, 4, 4]
+    assert all(m == 1 for _, m in factors)
+
+
+def test_swinnerton_dyer_quartic_is_irreducible():
+    # x^4 - 10x^2 + 1 splits modulo every prime, so only recombination
+    # shows it irreducible
+    assert poly_is_irreducible_q([1, 0, -10, 0, 1])
+    assert factor_poly_q([1, 0, -10, 0, 1]) == (1, [([1, 0, -10, 0, 1], 1)])
+    assert all(not poly_is_irreducible_modp([1, 0, -10, 0, 1], p)
+               for p in (2, 3, 5, 7, 11, 13, 101))
+    # the degree-8 one for sqrt 2, 3, 5 has at least four factors modulo
+    # every prime, so pairs of lifted factors are tried as well
+    s8 = [576, 0, -960, 0, 352, 0, -40, 0, 1]
+    assert factor_poly_q(qp_mul(s8, [1, 0, -10, 0, 1])) == \
+        (1, [([1, 0, -10, 0, 1], 1), (s8, 1)])
+
+
+def test_x4_plus_4_is_reducible():
+    assert not poly_is_irreducible_q([4, 0, 0, 0, 1])
+    assert factor_poly_q([4, 0, 0, 0, 1])[1] == [([2, -2, 1], 1), ([2, 2, 1], 1)]
+
+
+def test_irreducible_q_examples():
+    assert not poly_is_irreducible_q([5])
+    assert not poly_is_irreducible_q([1, 2, 1])   # (x + 1)^2
+    assert poly_is_irreducible_q([Fraction(1, 2), 3])
+    assert poly_is_irreducible_q([869405, 19255, 1360, 20, 1])
+    assert poly_is_irreducible_q([-158, -40, -2, 1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 10 ** 18 + 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_irreducible_modp_matches_sympy(p, data):
+    n = data.draw(st.integers(1, 8))
+    c = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    c.append(data.draw(st.integers(1, p - 1)))
+    expect = sympy.Poly(list(reversed(c)), X, modulus=p).is_irreducible
+    assert poly_is_irreducible_modp(c, p) == expect
+
+
+def test_number_field_rejects_reducible_polynomials():
+    for coeffs in ([4, 0, 0, 0, 1], [-4, 0, 0, 0, 1],
+                   [1, 2, 1], [6, -5, 1], [-1, 0, 0, 0, 0, 0, 1]):
+        with pytest.raises(ValueError):
+            NumberField(coeffs)
+    NumberField([1, 0, -10, 0, 1])
