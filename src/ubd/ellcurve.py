@@ -215,19 +215,18 @@ def _all_unit_slopes_at(fac, p):
     return all(s == 0 for s, _ in segs)
 
 
-def torsion_x_locus(n, curve, psi5_factors=None):
+def torsion_x_locus(n, curve):
     """x-locus of the nonzero n-torsion (or its relevant Galois orbit).
 
     n=2: the monic cubic from eliminating y along 2y + a1*x + a3 = 0.
     n=5: the quartic factor of psi_5 whose roots are 5-adic units; for a curve
     with a rational 5-torsion point and ordinary reduction at 5 this is the
     orbit of x-coordinates of generators reducing to nonzero points.
-    psi5_factors is five_torsion_factors(curve), when the caller has it.
     """
     if n == 2:
         return two_torsion_cubic(curve)
     if n == 5:
-        _, irrational = psi5_factors or five_torsion_factors(curve)
+        _, irrational = five_torsion_factors(curve)
         quartics = [f for f in irrational if len(f) == 5]
         unit_quartics = [f for f in quartics if f[-1] == 1
                          and _all_unit_slopes_at(f, 5)]

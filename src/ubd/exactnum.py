@@ -200,8 +200,9 @@ def factor_poly_q(c):
     if not c:
         return Fraction(0), []
     cont, f = qp_content_primitive(c)
-    out = [(g, mult) for a, mult in (_squarefree(f) if len(f) > 1 else [])
-           for g in _factor_squarefree(a)]
+    out = []
+    for a, mult in _squarefree(f):
+        out += [(g, mult) for g in _factor_squarefree(a)]
     out.sort(key=lambda gm: (len(gm[0]), gm[1], gm[0][::-1]))
     return cont, out
 
@@ -359,11 +360,7 @@ def _deriv(c):
 def _squarefree(f):
     """Yun's squarefree decomposition of a primitive integer polynomial with
     positive leading coefficient: [(a_i, i)] with f = prod a_i^i, the a_i
-    primitive, squarefree and coprime; f alone when it is squarefree modulo
-    a small prime that does not divide lc(f)."""
-    if any(f[-1] % p and len(_fp_gcd(f, _deriv(f), p)) == 1
-           for p in (3, 5, 7, 11, 13)):
-        return [(f, 1)]
+    primitive, squarefree and coprime."""
     a = qp_gcd(f, _deriv(f))
     b, c = qp_divmod(f, a)[0], qp_divmod(_deriv(f), a)[0]
     out, i = [], 1
@@ -384,19 +381,23 @@ def _factor_squarefree(f):
     Mignotte bound, and recombined by trial division over subsets of
     growing size."""
     n, lc = len(f) - 1, f[-1]
+    if n < 2:
+        return [f]
     best, p, tried = None, 2, 0
-    while n > 1 and tried < 3 and (best is None or best[0] > 1):
+    while tried < 3:
         p += 1
         if not is_prime(p) or lc % p == 0:
             continue
         fp = _fp_monic(f, p)
         if len(_fp_gcd(fp, _deriv(fp), p)) > 1:
-            continue
+            continue  # p divides the discriminant
+        tried += 1
         ddf = _fp_ddf(fp, p)
         r = sum((len(g) - 1) // d for g, d in ddf)
-        best, tried = min(best or (r, p, ddf), (r, p, ddf)), tried + 1
-    if best is None or best[0] == 1:
-        return [f]
+        if r == 1:
+            return [f]  # irreducible modulo p
+        if best is None or r < best[0]:
+            best = r, p, ddf
     _, p, ddf = best
     bound = 2 * (math.isqrt(n + 1) + 1) * 2 ** n * max(map(abs, f)) * lc
     M, steps = p, 0
@@ -674,11 +675,13 @@ class AlgebraicNumber:
 def lift(field, v):
     """Coerce v into the coefficient domain (Q when field is None)."""
     if field is None:
+        if type(v) is Fraction:
+            return v
         if isinstance(v, AlgebraicNumber):
             return v.as_fraction()
         return Fraction(v)
     if isinstance(v, AlgebraicNumber):
-        if v.field != field:
+        if v.field is not field and v.field != field:
             raise ValueError("coefficient from a different number field")
         return v
     return field.from_rational(v)

@@ -26,12 +26,10 @@ class LaurentSeries:
 
     __slots__ = ('width', 'lead', 'coeffs', 'field', 'prec')
 
-    def __init__(self, width, lead, coeffs, field=None, prec=None,
-                 lifted=False):
-        """lifted=True: the coefficients are Fractions or elements of field."""
+    def __init__(self, width, lead, coeffs, field=None, prec=None):
         if width < 1:
             raise ValueError("width must be a positive integer")
-        coeffs = list(coeffs) if lifted else [_lift(field, c) for c in coeffs]
+        coeffs = [_lift(field, c) for c in coeffs]
         if prec is None:
             prec = lead + len(coeffs)
         if prec < lead + len(coeffs):
@@ -107,13 +105,12 @@ class LaurentSeries:
         lead = min(self.lead, other.lead, prec)
         a = self.coefficients(lead, prec) if lead < prec else []
         b = other.coefficients(lead, prec) if lead < prec else []
-        # a coefficient of a series over field keeps x + y in field
         return LaurentSeries(self.width, lead, [x + y for x, y in zip(a, b)],
-                             field, prec, lifted=True)
+                             field, prec)
 
     def __neg__(self):
         return LaurentSeries(self.width, self.lead, [-c for c in self.coeffs],
-                             self.field, self.prec, lifted=True)
+                             self.field, self.prec)
 
     def __sub__(self, other):
         return self + (-other)
@@ -132,7 +129,7 @@ class LaurentSeries:
         lead = self.lead + other.lead
         prec = min(self.prec + other.lead, other.prec + self.lead)
         out = trunc_mul(self.coeffs, other.coeffs, prec - lead, field)
-        return LaurentSeries(self.width, lead, out, field, prec, lifted=True)
+        return LaurentSeries(self.width, lead, out, field, prec)
 
     def scalar_mul(self, s):
         field = self.field
@@ -148,13 +145,12 @@ class LaurentSeries:
     def shift(self, k):
         """Multiply by w^k."""
         return LaurentSeries(self.width, self.lead + k, self.coeffs,
-                             self.field, self.prec + k, lifted=True)
+                             self.field, self.prec + k)
 
     def truncate(self, prec):
         if prec > self.prec:
             raise ValueError("cannot extend precision by truncation")
-        return LaurentSeries(self.width, self.lead, self.coeffs, self.field,
-                             prec, lifted=True)
+        return LaurentSeries(self.width, self.lead, self.coeffs, self.field, prec)
 
     def invert(self):
         """Reciprocal, by Newton iteration; the leading coefficient must be
@@ -166,7 +162,7 @@ class LaurentSeries:
         inv = newton_inverse(self.coeffs, n, 1 / self.coeffs[0],
                              lambda a, b, m: trunc_mul(a, b, m, field))
         return LaurentSeries(self.width, -self.lead, inv, field,
-                             -self.lead + n, lifted=True)
+                             -self.lead + n)
 
     def unit_normalized(self):
         """Strip to the form 1 + ... ; returns (unit, lead, leading_coeff).
@@ -181,7 +177,7 @@ class LaurentSeries:
         unit = LaurentSeries(self.width, 0,
                              trunc_mul(self.coeffs, [1 / c0], len(self.coeffs),
                                        self.field),
-                             self.field, self.prec - self.lead, lifted=True)
+                             self.field, self.prec - self.lead)
         return unit, self.lead, c0
 
 
@@ -426,5 +422,4 @@ def _parse_series(text):
             coeffs.append(field.from_coords([Fraction(x) for x in ln.split(",")]))
     if len(coeffs) != trunc + 1:
         raise ValueError("series record length mismatch")
-    return LaurentSeries(width, lead, coeffs, field, lead + trunc + 1,
-                         lifted=True)
+    return LaurentSeries(width, lead, coeffs, field, lead + trunc + 1)

@@ -252,11 +252,10 @@ def _interpolate(points):
 
 class QPointData:
     """The 5-torsion point Q outside <P>, over the flattened field
-    K = Q(x_Q + c*y_Q), constructed from the quadratic factor of psi_5;
-    psi5_factors is five_torsion_factors(curve), when the caller has it."""
+    K = Q(x_Q + c*y_Q), constructed from the quadratic factor of psi_5."""
 
-    def __init__(self, curve, psi5_factors=None):
-        _, irrational = psi5_factors or five_torsion_factors(curve)
+    def __init__(self, curve):
+        _, irrational = five_torsion_factors(curve)
         quad = next(f for f in irrational if len(f) == 3)
         q2 = qp_monic([Fraction(c) for c in quad])
         g = [Fraction(-20), Fraction(-10), Fraction(-1), Fraction(1)]
@@ -346,8 +345,7 @@ def build_catalog(index):
             label="fP", index=5, generator_function=f_p, root_degree=5,
             coefficient_field=None, congruence_flag='expected-noncongruence',
             point=p))
-        psi5 = five_torsion_factors(curve)  # one factorization for both uses
-        qd = QPointData(curve, psi5)
+        qd = QPointData(curve)
         pk = qd.curve.point(5, 5)
         f_q = function_with_divisor(5, qd.q_point)
         chk = verify_divisor(f_q, 5, qd.q_point)
@@ -357,7 +355,7 @@ def build_catalog(index):
             label="fQ", index=5, generator_function=f_q, root_degree=5,
             coefficient_field=qd.field, congruence_flag='known-congruence',
             point=qd.q_point))
-        quartic = torsion_x_locus(5, curve, psi5)
+        quartic = torsion_x_locus(5, curve)
         xsum = None
         for i in (1, 2, 3, 4):
             r = qd.q_point + i * pk
