@@ -4,6 +4,7 @@ functions with divisor n(P) - n(O) by double-and-add line accumulation."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactnum import (
     domain_one,
@@ -192,9 +193,12 @@ def five_division_polynomial(curve):
     return dp_add(term1, dp_neg(term2), zero)
 
 
+@lru_cache(maxsize=None)
 def five_torsion_factors(curve):
     """Irreducible factorization data of psi_5 for a rational model:
-    (rational x-coordinates, list of (primitive integer factor, degree))."""
+    (sorted rational x-coordinates, the other irreducible factors as
+    primitive integer coefficient lists).  Computed once per curve; the
+    lists are shared, so callers copy them before changing them."""
     if curve.field is not None:
         raise ValueError("five_torsion_factors expects a rational model")
     psi5 = five_division_polynomial(curve)

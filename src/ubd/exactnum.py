@@ -331,7 +331,8 @@ def _fp_edf(g, d, p):
 def _hensel(f, mods, p, steps):
     """Monic lifts modulo p^(2^steps) of the monic factors mods of f = lc(f) *
     prod(mods) mod p, lc(f) a unit: the two halves of the product are lifted
-    by quadratic Hensel steps (GG, Alg. 15.10), then each half on its own."""
+    by quadratic Hensel steps (GG, Alg. 15.10), then each lifted half is split
+    the same way, so each node of the factor tree is lifted once."""
     if len(mods) == 1:
         M = p ** (2 ** steps)
         return [_zm_prod(pow(f[-1], -1, M), [f], M)]
