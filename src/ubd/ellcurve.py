@@ -5,6 +5,7 @@ functions with divisor n(P) - n(O) by double-and-add line accumulation."""
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .exactnum import (
     domain_one,
@@ -474,43 +475,36 @@ def _tseries_eval_poly(poly, xs, L, field):
 def local_parameterization(curve, p, L):
     """Formal branch (x(t), y(t)) of the curve at an affine point P to order
     t^(L-1): x = x_P + t when the curve is smooth in y there, otherwise
-    y = y_P + t (2-torsion) with x solved by the same undetermined-coefficient
-    lift."""
+    y = y_P + t (2-torsion) with x solved the same way.  The unknown's
+    coefficient k enters coefficient k of the residual linearly, with factor
+    ey or ex, so each step needs only coefficient k of y^2, x*y, x^2 and x^3
+    (x^2 kept as a running list): O(k) products."""
     zero = domain_zero(curve.field)
     one = domain_one(curve.field)
-    a1, a2, a3, a4, a6 = curve.coefficients()
+    a1, a2, a3, a4, _ = curve.coefficients()
     ey = 2 * p.y + a1 * p.x + a3
     ex = a1 * p.y - (3 * p.x * p.x + 2 * a2 * p.x + a4)
-
-    def residual(xs, ys):
-        yy = trunc_mul(ys, ys, L, curve.field)
-        xy = trunc_mul(xs, ys, L, curve.field)
-        rhs = _tseries_eval_poly([a6, a4, a2, one], xs, L, curve.field)
-        out = [yy[k] + a1 * xy[k] + a3 * ys[k] - rhs[k] for k in range(L)]
-        return out
-
-    if ey:
-        xs = [zero] * L
-        xs[0] = p.x
-        if L > 1:
-            xs[1] = one
-        ys = [zero] * L
-        ys[0] = p.y
-        for k in range(1, L):
-            r = residual(xs, ys)
-            ys[k] = ys[k] - r[k] / ey
-        return xs, ys
-    if not ex:
+    xs = [p.x] + [zero] * (L - 1)
+    ys = [p.y] + [zero] * (L - 1)
+    if not ey and not ex:
         raise ValueError("singular point (cannot happen on a nonsingular curve)")
-    ys = [zero] * L
-    ys[0] = p.y
+    known, unknown, e = (xs, ys, ey) if ey else (ys, xs, ex)
     if L > 1:
-        ys[1] = one
-    xs = [zero] * L
-    xs[0] = p.x
+        known[1] = one
+    x2 = [p.x * p.x] + [zero] * (L - 1)
+    minus_inv = -1 / e
+
+    def coeff(a, b, k):
+        return sum(map(mul, a[:k + 1], reversed(b[:k + 1])), zero)
+
     for k in range(1, L):
-        r = residual(xs, ys)
-        xs[k] = xs[k] - r[k] / ex
+        # coefficient k of the residual, with unknown[k] still zero
+        x2[k] = coeff(xs, xs, k)
+        r = (coeff(ys, ys, k) + a1 * coeff(xs, ys, k) + a3 * ys[k]
+             - coeff(x2, xs, k) - a2 * x2[k] - a4 * xs[k])
+        unknown[k] = r * minus_inv
+        if unknown is xs:
+            x2[k] += 2 * p.x * xs[k]
     return xs, ys
 
 

@@ -16,8 +16,11 @@ from fractions import Fraction
 from operator import mul
 
 from .exactnum import (
+    AlgebraicNumber,
     NumberField,
+    _operand,
     dp_gcd_monic,
+    kron_mul,
     min_poly,
     qp_gcd,
     qp_integerize_monic,
@@ -25,8 +28,8 @@ from .exactnum import (
     qp_resultant,
     qp_trim,
 )
-from .qseries import (EtaQuotient, LaurentSeries, eta_quotient_expand,
-                      eta_unit_product)
+from .qseries import (EtaQuotient, LaurentSeries, derivation_wdw,
+                      eta_quotient_expand, eta_unit_product, serialize_series)
 from .ellcurve import (
     CurveFunction,
     WeierstrassCurve,
@@ -124,21 +127,14 @@ def _xy_arrays(T):
     return _XY_CACHE["xs"], _XY_CACHE["ys"], _XY_CACHE["kappa"]
 
 
-def expand_xy(T, verify=True):
-    """w-expansions of x and y at width 11, with T terms beyond the lead."""
+def expand_xy(T):
+    """w-expansions of x and y at width 11, with T terms beyond the lead;
+    aborts if either defining relation fails at any computed order."""
     if T < 10:
         raise ValueError("T must be at least 10")
     xs, ys, kappa = _xy_arrays(T)
     x = LaurentSeries(WIDTH, -2, xs[:T + 1], None, T - 1)
     y = LaurentSeries(WIDTH, -3, ys[:T + 1], None, T - 2)
-    if verify:
-        _verify_relations(x, y, kappa, T)
-    return x, y
-
-
-def _verify_relations(x, y, kappa, T):
-    """Abort if either defining relation fails at any computed order."""
-    from .qseries import derivation_wdw
     lhs = y * y + y
     rhs = x * x * x - x * x - x.scalar_mul(10)
     diff = lhs - rhs
@@ -159,6 +155,7 @@ def _verify_relations(x, y, kappa, T):
             raise RuntimeError(
                 f"derivation relation fails at order {k}: inconsistency between "
                 "the two defining relations (implementation bug)")
+    return x, y
 
 
 def expansion_report(T=50):
@@ -178,35 +175,41 @@ def expansion_report(T=50):
 # ----------------------------------------------------------------------
 
 def expand_on_curve(F, T):
-    """Substitute x(w), y(w) into a CurveFunction; exact coefficients with at
-    least T terms beyond the leading exponent."""
+    """Substitute x(w), y(w) into a CurveFunction; exact coefficients from the
+    leading exponent -n (n the pole order at O) through w^(T-n).
+
+    x and y are integral, so u(x) + v(x)*y is a field-linear combination of
+    the integer series x^i and x^i*y, summed in integer coordinates over one
+    denominator.  A den(x) other than 1 costs one inverse and one product.
+    """
     degs = max(len(F.u), len(F.v) + 1, len(F.den))
-    margin = 2 * degs + F.pole_order_at_O() + 10
-    x, y = expand_xy(T + margin, verify=False)
-    field = F.curve.field
+    xs, ys, _ = _xy_arrays(T + 2 * degs + F.pole_order_at_O() + 10)
+    field, N = F.curve.field, T + 1
+    powers = [[1] + [0] * T]  # x^i * w^(2i), N ints each
+    while len(powers) < max(len(F.u), len(F.v), len(F.den)):
+        powers.append(kron_mul(powers[-1], xs, N))
 
-    def poly_at_x(coeffs):
-        if not coeffs:
-            return LaurentSeries(WIDTH, 0, [], field, prec=x.prec)
-        # a constant is exact: give it the relative precision of x, so that
-        # the first product keeps the precision of x
-        acc = LaurentSeries(WIDTH, 0, [coeffs[-1]], field, prec=x.prec - x.lead)
-        for c in reversed(coeffs[:-1]):
-            acc = acc * x
-            acc = acc + LaurentSeries(WIDTH, 0, [c], field, prec=acc.prec)
-        return acc
+    def combination(u, v):
+        # (coefficient, integer series, pole order) of each term
+        terms = [(c, powers[i], 2 * i) for i, c in enumerate(u) if c]
+        terms += [(c, kron_mul(powers[i], ys, N), 2 * i + 3)
+                  for i, c in enumerate(v) if c]
+        top = max(n for _, _, n in terms)
+        den, d, flat = _operand([c for c, _, _ in terms], field)
+        coords = [[0] * N for _ in range(d)]
+        for t, (_, s, n) in enumerate(terms):
+            for col, a in zip(coords, flat[t * d:(t + 1) * d]):
+                col[top - n:] = [c + a * sk for c, sk in zip(col[top - n:], s)]
+        if field is None:
+            coeffs = [Fraction(c, den) for c in coords[0]]
+        else:
+            coeffs = [AlgebraicNumber(field, c, den) for c in zip(*coords)]
+        return LaurentSeries(WIDTH, -top, coeffs, field, N - top)
 
-    num = poly_at_x(list(F.u))
-    if F.v:
-        num = num + poly_at_x(list(F.v)) * y
-    den = poly_at_x(list(F.den))
-    result = num * den.invert()
-    n = F.pole_order_at_O()
-    want = -n + T + 1
-    if result.prec < want:
-        raise ValueError(f"truncation shortfall: have prec {result.prec}, "
-                         f"need {want}; increase the expansion margin")
-    return result.truncate(want)
+    result = combination(F.u, F.v)
+    if len(F.den) > 1:
+        result = result * combination(F.den, ()).invert()
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +385,6 @@ def build_catalog(index):
 def catalog_export(entries, T=20):
     """Text records: label, index, field, function coefficients, and the first
     T expansion coefficients in the series serialization format."""
-    from .qseries import serialize_series
     blocks = []
     for e in entries:
         lines = [f"entry {e.label}",

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from ubd.exactnum import NumberField, min_poly
+from ubd.exactnum import NumberField, domain_one, domain_zero, min_poly, trunc_mul
 from ubd.ellcurve import (
     CurveFunction,
     WeierstrassCurve,
     five_torsion_factors,
     function_with_divisor,
+    local_parameterization,
     point_order,
     torsion_x_locus,
     verify_divisor,
@@ -189,3 +190,65 @@ def test_pole_order_parity_rule(x11):
     assert CurveFunction(x11, [0, 1], [], [0, 1]).pole_order_at_O() == 0
     f = CurveFunction(x11, [-55, 30, -4], [-4, 1])
     assert f.leading_coeff_at_O() == 1
+
+
+def _cubic_at(xs, L, curve):
+    """x^3 + a2*x^2 + a4*x + a6 along the branch, to order t^(L-1)."""
+    x2 = trunc_mul(xs, xs, L, curve.field)
+    x3 = trunc_mul(x2, xs, L, curve.field)
+    out = [x3[k] + curve.a2 * x2[k] + curve.a4 * xs[k] for k in range(L)]
+    out[0] = out[0] + curve.a6
+    return out
+
+
+def _curve_residual(curve, xs, ys, L):
+    yy = trunc_mul(ys, ys, L, curve.field)
+    xy = trunc_mul(xs, ys, L, curve.field)
+    rhs = _cubic_at(xs, L, curve)
+    return [yy[k] + curve.a1 * xy[k] + curve.a3 * ys[k] - rhs[k]
+            for k in range(L)]
+
+
+def _reference_local_parameterization(curve, p, L):
+    """The branch at P by recomputing the whole truncated residual at every
+    step and correcting coefficient k by residual[k] / (dR/dy or dR/dx)."""
+    zero, one = domain_zero(curve.field), domain_one(curve.field)
+    ey = 2 * p.y + curve.a1 * p.x + curve.a3
+    ex = curve.a1 * p.y - (3 * p.x * p.x + 2 * curve.a2 * p.x + curve.a4)
+    xs, ys = [zero] * L, [zero] * L
+    xs[0], ys[0] = p.x, p.y
+    known, unknown, e = (xs, ys, ey) if ey else (ys, xs, ex)
+    if L > 1:
+        known[1] = one
+    for k in range(1, L):
+        unknown[k] = unknown[k] - _curve_residual(curve, xs, ys, L)[k] / e
+    return xs, ys
+
+
+def _branch_points():
+    from ubd.x011 import build_catalog
+    x11 = WeierstrassCurve(0, -1, 1, -10, -20)
+    points = [e.point for e in build_catalog(5) + build_catalog(2)]
+    points += [x11.point(5, 5), x11.point(5, -6), x11.point(16, 60),
+               x11.point(16, -61)]
+    return points
+
+
+@pytest.mark.parametrize("L", [1, 2, 8, 12])
+def test_local_parameterization_matches_reference(L):
+    for p in _branch_points():
+        got = local_parameterization(p.curve, p, L)
+        assert got == _reference_local_parameterization(p.curve, p, L), p
+        xs, ys = got
+        assert xs[0] == p.x and ys[0] == p.y
+        assert all(not r for r in _curve_residual(p.curve, xs, ys, L)), p
+
+
+def test_local_parameterization_takes_the_x_branch_at_two_torsion():
+    # at the index-2 point 2y + a1*x + a3 = 0, so y = y_P + t and x is solved
+    from ubd.x011 import build_catalog
+    p = build_catalog(2)[0].point
+    xs, ys = local_parameterization(p.curve, p, 6)
+    assert ys[1] == 1 and not any(ys[2:])
+    assert not xs[1]  # x - x_P vanishes to order 2 along the branch
+    assert xs[2]

@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ubd.exactnum import min_poly, qp_trim
 from ubd.ellcurve import CurveFunction, function_with_divisor, verify_divisor
-from ubd.qseries import nth_root_normalized, series_pow
+from ubd.qseries import LaurentSeries, nth_root_normalized, series_pow
 from ubd.x011 import (
+    WIDTH,
     QPointData,
+    _xy_arrays,
     build_catalog,
     catalog_export,
     expand_on_curve,
@@ -43,8 +46,8 @@ def test_expansion_report_kappa():
 
 
 def test_relations_hold_to_truncation():
-    # expand_xy(verify=True) aborts unless both defining relations hold
-    x, y = expand_xy(60, verify=True)
+    # expand_xy aborts unless both defining relations hold
+    x, y = expand_xy(60)
     lhs = y * y + y
     rhs = x * x * x - x * x - x.scalar_mul(10)
     diff = lhs - rhs
@@ -77,6 +80,79 @@ def test_expand_on_curve_fp_golden():
     prod = s * inv
     assert prod.coefficient(0) == 1
     assert all(prod.coefficient(k) == 0 for k in range(1, prod.prec))
+
+
+def _reference_expand_on_curve(F, T):
+    """u(x), v(x) and den(x) by Horner's rule on LaurentSeries over the
+    curve's field, then num * den.invert(), truncated to w^(T-n)."""
+    degs = max(len(F.u), len(F.v) + 1, len(F.den))
+    margin = 2 * degs + F.pole_order_at_O() + 10
+    xs, ys, _ = _xy_arrays(T + margin)
+    Tm = T + margin
+    x = LaurentSeries(WIDTH, -2, xs[:Tm + 1], None, Tm - 1)
+    y = LaurentSeries(WIDTH, -3, ys[:Tm + 1], None, Tm - 2)
+    field = F.curve.field
+
+    def poly_at_x(coeffs):
+        if not coeffs:
+            return LaurentSeries(WIDTH, 0, [], field, prec=x.prec)
+        acc = LaurentSeries(WIDTH, 0, [coeffs[-1]], field, prec=x.prec - x.lead)
+        for c in reversed(coeffs[:-1]):
+            acc = acc * x
+            acc = acc + LaurentSeries(WIDTH, 0, [c], field, prec=acc.prec)
+        return acc
+
+    num = poly_at_x(list(F.u))
+    if F.v:
+        num = num + poly_at_x(list(F.v)) * y
+    result = num * poly_at_x(list(F.den)).invert()
+    want = -F.pole_order_at_O() + T + 1
+    assert result.prec >= want
+    return result.truncate(want)
+
+
+def test_expand_on_curve_matches_reference_on_the_catalogs():
+    for e in build_catalog(5) + build_catalog(2):
+        f = e.generator_function
+        got = expand_on_curve(f, 302)
+        assert got == _reference_expand_on_curve(f, 302), e.label
+        assert got.field == e.coefficient_field
+        assert got.lead == -e.index and got.prec == 303 - e.index
+
+
+small = st.integers(-3, 3)
+
+
+@st.composite
+def curve_functions(draw):
+    """(u + v*y) / den with small integer coordinates and deg den >= 1, over
+    Q or over the cubic field of the index-2 catalog."""
+    over_cubic = draw(st.booleans())
+    curve = x11_curve()
+    field = build_catalog(2)[0].coefficient_field if over_cubic else None
+    if over_cubic:
+        curve = curve.base_change(field)
+
+    def coeff():
+        if field is None:
+            return Fraction(draw(small), draw(st.integers(1, 3)))
+        return field.from_coords([draw(small) for _ in range(field.degree)])
+
+    def poly(lo, hi):
+        return [coeff() for _ in range(draw(st.integers(lo, hi)))]
+
+    u, v, den = poly(0, 3), poly(0, 2), poly(2, 3)
+    assume(any(u) or any(v))
+    assume(den[-1])
+    f = CurveFunction(curve, u, v, den)
+    assume(len(f.den) > 1)
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(curve_functions(), st.integers(0, 40))
+def test_expand_on_curve_matches_reference_with_a_denominator(f, T):
+    assert expand_on_curve(f, T) == _reference_expand_on_curve(f, T)
 
 
 def test_q_point_coordinates_match_nested_radical_form():
