@@ -8,7 +8,7 @@ gives f_P; the five others come from the point Q with x-coordinate
 entry (fQ, the congruence one) survives the scan with bounded denominators.
 """
 
-from ubd.exactnum import min_poly, qp_trim
+from ubd.exactnum import dp_trim, min_poly
 from ubd.ubdetect import analyze_catalog
 from ubd.x011 import QPointData, build_catalog, x11_curve
 
@@ -25,7 +25,7 @@ for index in (2, 5):
     print(f"index-{index} catalog: {[e.label for e in entries]}")
     for e in entries:
         if e.coefficient_field is not None and e.label.startswith("fQ+"):
-            mp = qp_trim(min_poly(e.point.x))
+            mp = dp_trim(min_poly(e.point.x))
             print(f"  {e.label}: x-coordinate minimal polynomial "
                   f"{[int(c) for c in mp]}")
     rep = analyze_catalog(entries, T=120, prime_p=2 if index == 2 else None)

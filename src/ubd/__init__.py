@@ -23,7 +23,6 @@ from .qseries import (
     eta_quotient_expand,
     nth_root_normalized,
     serialize_series,
-    series_pow,
 )
 from .ellcurve import (
     CurveFunction,

@@ -3,8 +3,8 @@
 A finite-index sublattice of Z^2 has a unique basis <l*a + n*b, m*b> with
 l > 0, 0 <= n < m, so groups of index < X correspond to triples (l, n, m)
 with l*m < X.  The closed double sum and the lower-bound experiment each take
-O(sqrt(X)) steps and O(1) memory; enumeration and the gcd and SNF criteria
-for a full join are kept as reference oracles.
+O(sqrt(X)) steps and O(1) memory; enumeration and the gcd criterion for a
+full join are kept as reference oracles.
 """
 
 from dataclasses import dataclass
@@ -66,18 +66,6 @@ def join_is_full(gamma, b):
     l, n, m = gamma.l, gamma.n, gamma.m
     s, u, v = b.l, b.n, b.m
     return gcd(s, l) == 1 and gcd(gcd(v, m), abs(s * n - u * l)) == 1
-
-
-def join_is_full_snf(gamma, b):
-    """Smith-normal-form oracle: stack the four generators as rows of a 4x2
-    integer matrix; the join is full iff the gcd of all 2x2 minors is 1."""
-    rows = [(gamma.l, gamma.n), (0, gamma.m), (b.l, b.n), (0, b.m)]
-    g = 0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            minor = rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0]
-            g = gcd(g, abs(minor))
-    return g == 1
 
 
 def _prime_factors(n):

@@ -11,7 +11,6 @@ import hashlib
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -30,68 +29,30 @@ class ValidationError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Validated per-command run parameters."""
-    command: str
-    truncation: int = 0
-    prime: int = None
-    root_degree: int = None
-    xmax: int = None
-    b_triple: tuple = None
-    cache_dir: str = None
-    output_format: str = "table"
-    entry: str = None
-    series_file: str = None
-    quotient: str = None
-    width: int = None
-    index: int = None
-
-    @classmethod
-    def from_args(cls, args):
-        cfg = cls(command=args.command,
-                  truncation=getattr(args, "terms", 0),
-                  prime=getattr(args, "prime", None),
-                  root_degree=getattr(args, "root", None),
-                  xmax=getattr(args, "xmax", None),
-                  cache_dir=args.cache_dir,
-                  output_format=args.format,
-                  entry=getattr(args, "entry", None),
-                  series_file=getattr(args, "series_file", None),
-                  quotient=getattr(args, "quotient", None),
-                  width=getattr(args, "width", None),
-                  index=getattr(args, "index", None))
-        b = getattr(args, "b", None)
-        if b is not None:
+def _validate(args):
+    """The checks argparse cannot make; --b becomes a tuple of three ints."""
+    if getattr(args, "terms", 0) < 0:
+        raise ValidationError("--terms must be nonnegative")
+    if args.command == "eta" and args.width < 1:
+        raise ValidationError("--width must be a positive integer")
+    if args.command == "expand-xy" and args.terms < 10:
+        raise ValidationError("expand-xy needs --terms of at least 10")
+    if args.command in ("catalog", "report") and args.index not in (2, 5):
+        raise ValidationError("catalog index must be 2 or 5")
+    if args.command == "detect" and bool(args.entry) == bool(args.series_file):
+        raise ValidationError("provide exactly one of --entry or --series-file")
+    if args.command == "census":
+        if args.b is not None:
             try:
-                cfg.b_triple = tuple(int(t) for t in b.split(","))
-                if len(cfg.b_triple) != 3:
+                args.b = tuple(int(t) for t in args.b.split(","))
+                if len(args.b) != 3:
                     raise ValueError("need three components")
             except ValueError as exc:
                 raise ValidationError(f"bad --b triple: {exc}")
-        cfg.validate()
-        return cfg
-
-    def validate(self):
-        if self.truncation is not None and self.truncation < 0:
-            raise ValidationError("--terms must be nonnegative")
-        if self.command == "eta" and self.width < 1:
-            raise ValidationError("--width must be a positive integer")
-        if self.command == "expand-xy" and self.truncation < 10:
-            raise ValidationError("expand-xy needs --terms of at least 10")
-        if self.command in ("catalog", "report") and self.index not in (2, 5):
-            raise ValidationError("catalog index must be 2 or 5")
-        if self.command == "detect":
-            if bool(self.entry) == bool(self.series_file):
-                raise ValidationError(
-                    "provide exactly one of --entry or --series-file")
-            if self.prime is None or self.root_degree is None:
-                raise ValidationError("detect needs --prime and --root")
-        if self.command == "census":
-            if self.xmax is None or self.xmax < 2:
-                raise ValidationError("--xmax must be at least 2")
-            if self.b_triple is not None and self.xmax < 4:
-                raise ValidationError("--xmax must be at least 4 with --b")
+        if args.xmax < 2:
+            raise ValidationError("--xmax must be at least 2")
+        if args.b is not None and args.xmax < 4:
+            raise ValidationError("--xmax must be at least 4 with --b")
 
 
 # ----------------------------------------------------------------------
@@ -160,39 +121,37 @@ def _fmt(v):
     return str(v)
 
 
-def cmd_eta(cfg, out):
-    eq = _parse_eta_spec(cfg.quotient)
+def cmd_eta(args, out):
+    eq = _parse_eta_spec(args.quotient)
     try:
-        series = eta_quotient_expand(eq, cfg.width, cfg.truncation)
+        series = eta_quotient_expand(eq, args.width, args.terms)
     except ValueError as exc:
         raise ValidationError(str(exc))
     out.write(serialize_series(series))
     return 0
 
 
-def cmd_expand_xy(cfg, out):
-    d = cache_dir(cfg.cache_dir)
+def cmd_expand_xy(args, out):
+    d = cache_dir(args.cache_dir)
     solved = []  # (x, y) once either cache entry has missed
 
     def solve(i):
         if not solved:
-            solved.extend(expand_xy(cfg.truncation))
+            solved.extend(expand_xy(args.terms))
         return solved[i]
 
-    x = cached_series("expand-xy-x", f"T={cfg.truncation}",
-                      lambda: solve(0), d)
-    y = cached_series("expand-xy-y", f"T={cfg.truncation}",
-                      lambda: solve(1), d)
-    rep = expansion_report(min(cfg.truncation, 50))
+    x = cached_series("expand-xy-x", f"T={args.terms}", lambda: solve(0), d)
+    y = cached_series("expand-xy-y", f"T={args.terms}", lambda: solve(1), d)
+    rep = expansion_report(min(args.terms, 50))
     out.write(f"# kappa {_fmt(rep['kappa'])}\n")
     out.write(serialize_series(x))
     out.write(serialize_series(y))
     return 0
 
 
-def cmd_catalog(cfg, out):
-    entries = build_catalog(cfg.index)
-    out.write(catalog_export(entries, cfg.truncation))
+def cmd_catalog(args, out):
+    entries = build_catalog(args.index)
+    out.write(catalog_export(entries, args.terms))
     return 0
 
 
@@ -231,63 +190,62 @@ def _warn_if_short(v, requested):
               "requested coefficients (series too short)", file=sys.stderr)
 
 
-def cmd_detect(cfg, out):
-    d = cache_dir(cfg.cache_dir)
-    if cfg.entry:
-        e = _entry_by_label(cfg.entry)
+def cmd_detect(args, out):
+    d = cache_dir(args.cache_dir)
+    if args.entry:
+        e = _entry_by_label(args.entry)
         series = cached_series(
-            "entry-expansion", f"label={e.label},T={cfg.truncation + 2}",
-            lambda: e.expansion(cfg.truncation + 2), d)
+            "entry-expansion", f"label={e.label},T={args.terms + 2}",
+            lambda: e.expansion(args.terms + 2), d)
         label = e.label
     else:
         try:
-            with open(cfg.series_file) as fh:
+            with open(args.series_file) as fh:
                 series = deserialize_series(fh.read())
         except (OSError, ValueError) as exc:
             raise ValidationError(f"cannot read series file: {exc}")
-        label = os.path.basename(cfg.series_file)
+        label = os.path.basename(args.series_file)
     try:
-        v = detect(series, cfg.root_degree, cfg.prime, cfg.truncation, label=label)
+        v = detect(series, args.root, args.prime, args.terms, label=label)
     except ValueError as exc:
         raise ValidationError(str(exc))
-    _warn_if_short(v, cfg.truncation)
-    for line in _verdict_lines(v, cfg.output_format):
+    _warn_if_short(v, args.terms)
+    for line in _verdict_lines(v, args.format):
         out.write(line + "\n")
     return 3 if v.status == "Inconclusive" else 0
 
 
-def cmd_census(cfg, out):
-    if cfg.b_triple:
+def cmd_census(args, out):
+    if args.b:
         try:
-            b = LatticeTriple(*cfg.b_triple)
+            b = LatticeTriple(*args.b)
         except ValueError as exc:
             raise ValidationError(f"bad --b triple: {exc}")
-        exp = ubd_lower_bound_experiment(b, cfg.xmax)
+        exp = ubd_lower_bound_experiment(b, args.xmax)
         out.write(f"{exp.X}\t{exp.full_count}\t{_fmt(exp.ratio)}\t"
                   f"b={b.l},{b.n},{b.m}\trestricted={exp.restricted_count}\t"
                   f"phi_bound={exp.phi_bound}\n")
     else:
-        res = s_count(cfg.xmax)
+        res = s_count(args.xmax)
         out.write(f"{res.X}\t{res.count}\t{_fmt(res.ratio)}\n")
     return 0
 
 
-def cmd_report(cfg, out):
-    entries = build_catalog(cfg.index)
-    d = cache_dir(cfg.cache_dir)
+def cmd_report(args, out):
+    entries = build_catalog(args.index)
+    d = cache_dir(args.cache_dir)
     expansions = (
-        cached_series("entry-expansion", f"label={e.label},T={cfg.truncation + 2}",
-                      lambda e=e: e.expansion(cfg.truncation + 2), d)
+        cached_series("entry-expansion", f"label={e.label},T={args.terms + 2}",
+                      lambda e=e: e.expansion(args.terms + 2), d)
         for e in entries)
     try:
-        rep = analyze_catalog(entries, T=cfg.truncation,
-                              prime_p=cfg.prime,
+        rep = analyze_catalog(entries, T=args.terms, prime_p=args.prime,
                               expansions=expansions)
     except ValueError as exc:
         raise ValidationError(str(exc))
     for v in rep.verdicts:
-        _warn_if_short(v, cfg.truncation)
-    if cfg.output_format == "records":
+        _warn_if_short(v, args.terms)
+    if args.format == "records":
         for v in rep.verdicts:
             for line in _verdict_lines(v, "records"):
                 out.write(line + "\n")
@@ -356,8 +314,8 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
-        return args.func(cfg, sys.stdout)
+        _validate(args)
+        return args.func(args, sys.stdout)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,9 +13,9 @@ from .exactnum import (
     dp_add,
     dp_divmod,
     dp_eval,
-    dp_gcd_monic,
+    dp_gcd,
     dp_mul,
-    dp_neg,
+    dp_sub,
     dp_trim,
     factor_poly_q,
     lift,
@@ -183,15 +183,12 @@ def two_torsion_cubic(curve):
 def five_division_polynomial(curve):
     """psi_5 as a polynomial in x (degree 12, leading coefficient 5)."""
     b2, b4, b6, b8 = curve.b2, curve.b4, curve.b6, curve.b8
-    zero = domain_zero(curve.field)
     psi2sq = [b6, 2 * b4, b2, lift(curve.field, 4)]
     psi3 = [b8, 3 * b6, 3 * b4, b2, lift(curve.field, 3)]
     psi4h = [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4,
              b2, lift(curve.field, 2)]  # psi4 / psi2
-    t = dp_mul(psi2sq, psi2sq, zero)
-    term1 = dp_mul(psi4h, t, zero)
-    term2 = dp_mul(dp_mul(psi3, psi3, zero), psi3, zero)
-    return dp_add(term1, dp_neg(term2), zero)
+    return dp_sub(dp_mul(psi4h, dp_mul(psi2sq, psi2sq)),
+                  dp_mul(dp_mul(psi3, psi3), psi3))
 
 
 @lru_cache(maxsize=None)
@@ -255,23 +252,21 @@ class CurveFunction:
     __slots__ = ('curve', 'u', 'v', 'den')
 
     def __init__(self, curve, u, v, den=None):
-        zero = domain_zero(curve.field)
-        one = domain_one(curve.field)
         u = dp_trim([lift(curve.field, c) for c in u])
         v = dp_trim([lift(curve.field, c) for c in v])
-        den = dp_trim([lift(curve.field, c) for c in (den if den is not None else [one])])
+        den = dp_trim([lift(curve.field, c) for c in (den if den is not None else [1])])
         if not den:
             raise ZeroDivisionError("zero denominator")
-        g = dp_gcd_monic(dp_gcd_monic(u, v, zero) or den, den, zero)
-        if g and len(g) > 1:
-            u = dp_divmod(u, g, zero)[0]
-            v = dp_divmod(v, g, zero)[0]
-            den = dp_divmod(den, g, zero)[0]
-        lc = den[-1]
-        if lc != one:
-            u = [c / lc for c in u]
-            v = [c / lc for c in v]
-            den = [c / lc for c in den]
+        g = dp_gcd(dp_gcd(u, v) or den, den)
+        if len(g) > 1:
+            u = dp_divmod(u, g)[0]
+            v = dp_divmod(v, g)[0]
+            den = dp_divmod(den, g)[0]
+        if den[-1] != 1:
+            inv = 1 / den[-1]
+            u = [c * inv for c in u]
+            v = [c * inv for c in v]
+            den = [c * inv for c in den]
         self.curve = curve
         self.u = tuple(u)
         self.v = tuple(v)
@@ -310,30 +305,24 @@ class CurveFunction:
             return NotImplemented
         if self.curve != other.curve:
             raise ValueError("functions on different curves")
-        zero = domain_zero(self.curve.field)
         u1, v1, u2, v2 = self.u, self.v, other.u, other.v
-        vv = dp_mul(v1, v2, zero)
-        u = dp_add(dp_mul(u1, u2, zero), dp_mul(vv, self._g_poly(), zero), zero)
-        v = dp_add(dp_add(dp_mul(u1, v2, zero), dp_mul(u2, v1, zero), zero),
-                   dp_neg(dp_mul(vv, self._a13(), zero)), zero)
-        return CurveFunction(self.curve, u, v,
-                             dp_mul(self.den, other.den, zero))
+        vv = dp_mul(v1, v2)
+        u = dp_add(dp_mul(u1, u2), dp_mul(vv, self._g_poly()))
+        v = dp_sub(dp_add(dp_mul(u1, v2), dp_mul(u2, v1)),
+                   dp_mul(vv, self._a13()))
+        return CurveFunction(self.curve, u, v, dp_mul(self.den, other.den))
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverting the zero function")
-        zero = domain_zero(self.curve.field)
-        u, v = list(self.u), list(self.v)
+        u, v = self.u, self.v
         a13 = self._a13()
         # norm = u^2 - u*v*(a1x+a3) - v^2*g;  conj = (u - v*(a1x+a3)) - v*y
-        norm = dp_add(dp_mul(u, u, zero),
-                      dp_neg(dp_add(dp_mul(dp_mul(u, v, zero), a13, zero),
-                                    dp_mul(dp_mul(v, v, zero), self._g_poly(), zero),
-                                    zero)), zero)
-        cu = dp_add(u, dp_neg(dp_mul(v, a13, zero)), zero)
-        cv = dp_neg(v)
-        nu = dp_mul(self.den, cu, zero)
-        nv = dp_mul(self.den, cv, zero)
+        norm = dp_sub(dp_mul(u, u),
+                      dp_add(dp_mul(dp_mul(u, v), a13),
+                             dp_mul(dp_mul(v, v), self._g_poly())))
+        nu = dp_mul(self.den, dp_sub(u, dp_mul(v, a13)))
+        nv = dp_mul(self.den, [-c for c in v])
         return CurveFunction(self.curve, nu, nv, norm)
 
     def __truediv__(self, other):
@@ -348,11 +337,10 @@ class CurveFunction:
         """Exact value at an affine point (not a pole of the function)."""
         if point.is_infinity():
             raise ValueError("evaluation at O: use the w-expansion instead")
-        zero = domain_zero(self.curve.field)
-        d = dp_eval(list(self.den), point.x, zero)
+        d = dp_eval(self.den, point.x)
         if not d:
             raise ZeroDivisionError("point is a pole of the function")
-        n = dp_eval(list(self.u), point.x, zero) + dp_eval(list(self.v), point.x, zero) * point.y
+        n = dp_eval(self.u, point.x) + dp_eval(self.v, point.x) * point.y
         return n / d
 
     # -- behaviour at O -----------------------------------------------

@@ -71,102 +71,122 @@ def val_p(r, p):
 
 
 # ----------------------------------------------------------------------
-# Dense univariate polynomials over Q, coefficient lists low degree first.
+# Dense univariate polynomials, coefficient lists low degree first.  The
+# domain is read from the coefficients: ints and Fractions mean Q, and any
+# AlgebraicNumber means its number field.  Division turns ints into
+# Fractions, never floats.
 # ----------------------------------------------------------------------
 
-def qp_trim(c):
+def dp_trim(c):
     c = list(c)
-    while c and c[-1] == 0:
+    while c and not c[-1]:
         c.pop()
     return c
 
 
-def qp_deg(c):
-    return len(c) - 1
+def dp_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] = out[i] + y
+    return dp_trim(out)
 
 
-def qp_add(a, b):
-    n = max(len(a), len(b))
-    return qp_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                    for i in range(n)])
+def dp_sub(a, b):
+    return dp_add(a, [-x for x in b])
 
 
-def qp_mul(a, b):
-    return qp_trim(trunc_mul(a, b, len(a) + len(b) - 1))
+def _poly_field(*polys):
+    return next((c.field for p in polys for c in p
+                 if isinstance(c, AlgebraicNumber)), None)
 
 
-def qp_divmod(a, b):
-    """Exact polynomial division with remainder over Q."""
+def dp_mul(a, b):
+    return dp_trim(trunc_mul(a, b, len(a) + len(b) - 1, _poly_field(a, b)))
+
+
+def dp_divmod(a, b):
+    """Division with remainder by a trimmed nonzero b, with one inverse of
+    its leading coefficient."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    a = [Fraction(x) for x in a]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lb = Fraction(b[-1])
-    while len(qp_trim(a)) >= len(b):
-        a = qp_trim(a)
-        k = len(a) - len(b)
-        f = a[-1] / lb
-        q[k] = f
-        for i, bi in enumerate(b):
-            a[k + i] -= f * bi
-    return qp_trim(q), qp_trim(a)
+    inv, nb = Fraction(1) / b[-1], len(b)
+    a, q = list(a), [0] * max(0, len(a) - nb + 1)
+    for k in range(len(a) - nb, -1, -1):
+        f = q[k] = a[k + nb - 1] * inv
+        if f:
+            for i, bi in enumerate(b[:-1]):
+                a[k + i] = a[k + i] - f * bi
+    return dp_trim(q), dp_trim(a[:nb - 1])
 
 
-def qp_monic(c):
-    c = qp_trim(c)
+def dp_monic(c):
+    c = dp_trim(c)
     if not c:
         return c
-    lc = c[-1]
-    return [Fraction(x) / lc for x in c]
+    inv = Fraction(1) / c[-1]
+    return [x * inv for x in c]
 
 
-def qp_gcd(a, b):
-    a, b = qp_trim(a), qp_trim(b)
+def dp_gcd(a, b):
+    """The monic gcd ([] when both are zero)."""
+    a, b = dp_trim(a), dp_trim(b)
     while b:
-        a, b = b, qp_divmod(a, b)[1]
-    return qp_monic(a)
+        a, b = b, dp_divmod(a, b)[1]
+    return dp_monic(a)
 
 
-def qp_shift(c, a):
+def dp_eval(c, x):
+    acc = 0
+    for ci in reversed(c):
+        acc = acc * x + ci
+    return acc
+
+
+def dp_shift(c, a):
     """Coefficients of f(x + a)."""
     out = []
     for ci in reversed(c):
-        out = qp_add(qp_mul(out, [a, 1]), [ci])
+        out = dp_add(dp_mul(out, [a, 1]), [ci])
     return out
 
 
-def qp_resultant(f, g):
-    """Resultant of two rational polynomials, by the Euclidean recurrence."""
-    f, g = [Fraction(x) for x in qp_trim(f)], [Fraction(x) for x in qp_trim(g)]
+def dp_resultant(f, g):
+    """Resultant of two polynomials, by the Euclidean recurrence."""
+    f, g = dp_trim(f), dp_trim(g)
     if not f or not g:
-        return Fraction(0)
-    res = Fraction(1)
-    while True:
-        if len(g) == 1:
-            return res * g[0] ** (len(f) - 1)
-        _, r = qp_divmod(f, g)
-        r = qp_trim(r)
+        return 0
+    res = 1
+    while len(g) > 1:
+        r = dp_divmod(f, g)[1]
         if not r:
-            return Fraction(0)
-        res *= (Fraction(-1) ** ((len(f) - 1) * (len(g) - 1))
-                * g[-1] ** (len(f) - len(r)))
+            return 0
+        if (len(f) - 1) * (len(g) - 1) % 2:
+            res = -res
+        res = res * g[-1] ** (len(f) - len(r))
         f, g = g, r
+    return res * g[0] ** (len(f) - 1)
 
 
-def qp_content_primitive(c):
+def _deriv(c):
+    return [i * x for i, x in enumerate(c)][1:]
+
+
+def content_primitive(c):
     """(content, primitive integer part with a positive leading coefficient)
     of a nonzero rational polynomial."""
     den = math.lcm(*(Fraction(x).denominator for x in c))
-    c = [int(x * den) for x in qp_trim(c)]
+    c = [int(x * den) for x in dp_trim(c)]
     g = math.gcd(*c) * (1 if c[-1] > 0 else -1)
     return Fraction(g, den), [x // g for x in c]
 
 
-def qp_integerize_monic(c):
+def integerize_monic(c):
     """Rescale a monic rational polynomial so that d*root satisfies a monic
     integer polynomial; returns (integer coefficients, d)."""
-    c = qp_monic(c)
-    n = qp_deg(c)
+    c = dp_monic(c)
+    n = len(c) - 1
     need = {}
     for i, ci in enumerate(c[:-1]):
         den = Fraction(ci).denominator
@@ -196,10 +216,10 @@ def factor_poly_q(c):
     Returns (rational content, [(primitive integer factor, multiplicity)]),
     each factor with a positive leading coefficient, ordered by degree, then
     multiplicity, then coefficients from the top."""
-    c = qp_trim(c)
+    c = dp_trim(c)
     if not c:
         return Fraction(0), []
-    cont, f = qp_content_primitive(c)
+    cont, f = content_primitive(c)
     out = []
     for a, mult in _squarefree(f):
         out += [(g, mult) for g in _factor_squarefree(a)]
@@ -236,7 +256,7 @@ def poly_is_irreducible_modp(c, p):
 # ----------------------------------------------------------------------
 
 def _zm(a, m):
-    return qp_trim([x % m for x in a])
+    return dp_trim([x % m for x in a])
 
 
 def _zm_mul(a, b, m):
@@ -251,7 +271,7 @@ def _zm_prod(c, polys, m):
 
 
 def _zm_sub(a, b, m):
-    return _zm(qp_add(a, [-x for x in b]), m)
+    return _zm(dp_sub(a, b), m)
 
 
 def _zm_divmod(a, b, m):
@@ -344,33 +364,29 @@ def _hensel(f, mods, p, steps):
         m *= m
         e = _zm_sub(f, _zm_mul(g, h, m), m)
         q, r = _zm_divmod(_zm_mul(s, e, m), h, m)
-        g = _zm(qp_add(g, qp_add(_zm_mul(t, e, m), _zm_mul(q, g, m))), m)
-        h = _zm(qp_add(h, r), m)
+        g = _zm(dp_add(g, dp_add(_zm_mul(t, e, m), _zm_mul(q, g, m))), m)
+        h = _zm(dp_add(h, r), m)
         if step < steps - 1:
-            b = _zm_sub(qp_add(_zm_mul(s, g, m), _zm_mul(t, h, m)), [1], m)
+            b = _zm_sub(dp_add(_zm_mul(s, g, m), _zm_mul(t, h, m)), [1], m)
             c, d = _zm_divmod(_zm_mul(s, b, m), h, m)
             s = _zm_sub(s, d, m)
-            t = _zm_sub(t, qp_add(_zm_mul(t, b, m), _zm_mul(c, g, m)), m)
+            t = _zm_sub(t, dp_add(_zm_mul(t, b, m), _zm_mul(c, g, m)), m)
     return _hensel(h, mods[:k], p, steps) + _hensel(g, mods[k:], p, steps)
-
-
-def _deriv(c):
-    return [i * x for i, x in enumerate(c)][1:]
 
 
 def _squarefree(f):
     """Yun's squarefree decomposition of a primitive integer polynomial with
     positive leading coefficient: [(a_i, i)] with f = prod a_i^i, the a_i
     primitive, squarefree and coprime."""
-    a = qp_gcd(f, _deriv(f))
-    b, c = qp_divmod(f, a)[0], qp_divmod(_deriv(f), a)[0]
+    a = dp_gcd(f, _deriv(f))
+    b, c = dp_divmod(f, a)[0], dp_divmod(_deriv(f), a)[0]
     out, i = [], 1
     while len(b) > 1:
-        d = qp_add(c, [-x for x in _deriv(b)])
-        a = qp_gcd(b, d)
+        d = dp_sub(c, _deriv(b))
+        a = dp_gcd(b, d)
         if len(a) > 1:
-            out.append((qp_content_primitive(a)[1], i))
-        b, c, i = qp_divmod(b, a)[0], qp_divmod(d, a)[0], i + 1
+            out.append((content_primitive(a)[1], i))
+        b, c, i = dp_divmod(b, a)[0], dp_divmod(d, a)[0], i + 1
     return out
 
 
@@ -409,10 +425,10 @@ def _factor_squarefree(f):
     while 2 * size <= len(lifted):
         for subset in combinations(range(len(lifted)), size):
             g = _zm_prod(f[-1], [lifted[i] for i in subset], M)
-            g = qp_content_primitive([x - M if 2 * x > M else x for x in g])[1]
+            g = content_primitive([x - M if 2 * x > M else x for x in g])[1]
             if g[0] and f[0] % g[0]:
                 continue  # the constant terms rule g out
-            q, r = qp_divmod(f, g)
+            q, r = dp_divmod(f, g)
             if not r:  # g is primitive, so q is integral (Gauss)
                 out.append(g)
                 f = [int(x) for x in q]
@@ -431,18 +447,18 @@ class NumberField:
     """Q[t]/(f) for a monic irreducible integer polynomial f."""
 
     def __init__(self, coeffs, name='t'):
-        coeffs = qp_trim(coeffs)
+        coeffs = dp_trim(coeffs)
         if not coeffs or coeffs[-1] != 1:
             raise ValueError("defining polynomial must be monic")
         if any(Fraction(c).denominator != 1 for c in coeffs):
             raise ValueError("defining polynomial must have integer coefficients")
-        if qp_deg(coeffs) < 1:
+        if len(coeffs) < 2:
             raise ValueError("defining polynomial must have degree >= 1")
         coeffs = [int(c) for c in coeffs]
         if not poly_is_irreducible_q(coeffs):
             raise ValueError("defining polynomial is reducible over Q")
         self.defining_poly = tuple(coeffs)
-        self.degree = qp_deg(coeffs)
+        self.degree = len(coeffs) - 1
         self.name = name
         # integer reduction rows: t^(d+j) = rows[j] in the power basis
         d = self.degree
@@ -821,62 +837,6 @@ def newton_inverse(f, n, inv0, mul):
     return g
 
 
-# dense polynomials over an arbitrary exact domain (Q or a number field)
-
-def dp_trim(c):
-    c = list(c)
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def dp_add(a, b, zero):
-    n = max(len(a), len(b))
-    return dp_trim([(a[i] if i < len(a) else zero) + (b[i] if i < len(b) else zero)
-                    for i in range(n)])
-
-
-def dp_neg(a):
-    return [-x for x in a]
-
-
-def dp_mul(a, b, zero):
-    field = zero.field if isinstance(zero, AlgebraicNumber) else None
-    return dp_trim(trunc_mul(a, b, len(a) + len(b) - 1, field))
-
-
-def dp_divmod(a, b, zero):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [zero] * max(0, len(a) - len(b) + 1)
-    while len(dp_trim(a)) >= len(b):
-        a = dp_trim(a)
-        k = len(a) - len(b)
-        f = a[-1] / b[-1]
-        q[k] = f
-        for i, bi in enumerate(b):
-            a[k + i] = a[k + i] - f * bi
-    return dp_trim(q), dp_trim(a)
-
-
-def dp_gcd_monic(a, b, zero):
-    a, b = dp_trim(a), dp_trim(b)
-    while b:
-        a, b = b, dp_divmod(a, b, zero)[1]
-    if a:
-        lc = a[-1]
-        a = [x / lc for x in a]
-    return a
-
-
-def dp_eval(c, x, zero):
-    acc = zero
-    for ci in reversed(c):
-        acc = acc * x + ci
-    return acc
-
-
 # ----------------------------------------------------------------------
 # Exact linear algebra over Q (small systems).
 # ----------------------------------------------------------------------
@@ -989,12 +949,6 @@ class ValuationProfile:
     def values(self):
         return [v for v, _ in self.slopes]
 
-    def min_value(self):
-        return min(self.values())
-
-    def max_value(self):
-        return max(self.values())
-
     def __repr__(self):
         s = ", ".join(f"({v} x{m})" for v, m in self.slopes)
         return f"ValuationProfile(p={self.prime}, slopes=[{s}], unique={self.unique_extension})"
@@ -1051,15 +1005,15 @@ def _segment_residual(coeffs, p, i0, i1, v0, slope):
 
 
 def newton_polygon_points(coeffs, p):
-    return [(i, val_p(Fraction(c), p)) for i, c in enumerate(qp_trim(coeffs))]
+    return [(i, val_p(Fraction(c), p)) for i, c in enumerate(dp_trim(coeffs))]
 
 
 def _polygon_certifies_unique(coeffs, p):
     """True if the Newton polygon of this polynomial proves a single prime
     above p in Q[x]/(f): one segment, and either totally ramified (slope
     denominator = degree) or irreducible residual polynomial."""
-    coeffs = qp_trim(coeffs)
-    n = qp_deg(coeffs)
+    coeffs = dp_trim(coeffs)
+    n = len(coeffs) - 1
     segs = lower_hull_slopes(newton_polygon_points(coeffs, p))
     if len(segs) != 1:
         return False
@@ -1073,12 +1027,11 @@ def _polygon_certifies_unique(coeffs, p):
     if v0 == INFINITY:
         return False
     res = _segment_residual([Fraction(c) for c in coeffs], p, 0, n, v0, slope)
-    res = qp_trim(res)
-    if qp_deg(res) * slope.denominator != n:
+    res = dp_trim(res)
+    if (len(res) - 1) * slope.denominator != n:
         return False
     # residual must be separable for the factor count to be read off
-    dres = qp_trim([(i * c) % p for i, c in enumerate(res)][1:])
-    if len(_fp_gcd(res, dres, p)) != 1:
+    if len(_fp_gcd(res, _zm(_deriv(res), p), p)) != 1:
         return False
     return poly_is_irreducible_modp(res, p)
 
@@ -1096,7 +1049,7 @@ def field_has_unique_prime_above(field, p):
     ok = False
     coeffs = list(field.defining_poly)
     for a in range(min(p, 16)):
-        if _polygon_certifies_unique(qp_shift(coeffs, a), p):
+        if _polygon_certifies_unique(dp_shift(coeffs, a), p):
             ok = True
             break
     field._unique_prime_cache[key] = ok
@@ -1124,7 +1077,7 @@ def newton_polygon_valuations(a, p):
         total += length
     # leading/lowest infinite coefficients cannot occur: min poly is monic with
     # nonzero constant term (a != 0), so segments cover the whole degree
-    assert total == qp_deg(mp)
+    assert total == len(mp) - 1
     unique = field_has_unique_prime_above(a.field, p)
     return ValuationProfile(p, list(slopes.items()), unique)
 

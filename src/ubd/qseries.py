@@ -181,19 +181,6 @@ class LaurentSeries:
         return unit, self.lead, c0
 
 
-def series_pow(f, k):
-    if k < 0:
-        return series_pow(f.invert(), -k)
-    acc = LaurentSeries(f.width, 0, [1], f.field, f.prec - f.lead)
-    base = f
-    while k:
-        if k & 1:
-            acc = acc * base
-        base = base * base
-        k >>= 1
-    return acc
-
-
 def derivation_wdw(f):
     """The derivation D = w * d/dw: multiply the w^k coefficient by k."""
     out = [c * Fraction(k) if f.field is None else c * k
@@ -284,19 +271,13 @@ class EtaQuotient:
         n = 1
         for d, _ in self.terms:
             # N*delta must be an integer
-            n = n * d.denominator // _gcd(n, d.denominator)
+            n = math.lcm(n, d.denominator)
         while True:
             tot = sum(Fraction(r) * d * n for d, r in self.terms) / 24
             if tot.denominator == 1 and all((n * d).denominator == 1
                                             for d, _ in self.terms):
                 return n
             n += 1
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _pentagonal_coeffs(length, step):
@@ -365,9 +346,13 @@ def eta_quotient_expand(eq, width, T):
 # Text serialization (bit-exact round trip).
 # ----------------------------------------------------------------------
 
-def _fmt_fraction(x):
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+def _fmt_coords(c):
+    """The coordinates of c as reduced fractions, without building them."""
+    den, parts = c.den, []
+    for x in c.num:
+        g = math.gcd(x, den)
+        parts.append(f"{x // g}/{den // g}")
+    return ",".join(parts)
 
 
 def serialize_series(f):
@@ -382,9 +367,9 @@ def serialize_series(f):
     for k in range(f.lead, f.prec):
         c = f.coefficient(k)
         if f.field is None:
-            lines.append(_fmt_fraction(c))
+            lines.append(f"{c.numerator}/{c.denominator}")
         else:
-            lines.append(",".join(_fmt_fraction(x) for x in c.coords()))
+            lines.append(_fmt_coords(c))
     return "\n".join(lines) + "\n"
 
 

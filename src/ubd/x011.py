@@ -18,15 +18,15 @@ from operator import mul
 from .exactnum import (
     AlgebraicNumber,
     NumberField,
+    _deriv,
     _operand,
-    dp_gcd_monic,
+    dp_gcd,
+    dp_monic,
+    dp_resultant,
+    dp_trim,
+    integerize_monic,
     kron_mul,
     min_poly,
-    qp_gcd,
-    qp_integerize_monic,
-    qp_monic,
-    qp_resultant,
-    qp_trim,
 )
 from .qseries import (EtaQuotient, LaurentSeries, derivation_wdw,
                       eta_quotient_expand, eta_unit_product, serialize_series)
@@ -250,7 +250,7 @@ def _interpolate(points):
             denom *= si - sj
         for k, b in enumerate(basis):
             out[k] += vi * b / denom
-    return qp_trim(out)
+    return dp_trim(out)
 
 
 class QPointData:
@@ -260,36 +260,32 @@ class QPointData:
     def __init__(self, curve):
         _, irrational = five_torsion_factors(curve)
         quad = next(f for f in irrational if len(f) == 3)
-        q2 = qp_monic([Fraction(c) for c in quad])
-        g = [Fraction(-20), Fraction(-10), Fraction(-1), Fraction(1)]
+        q2 = dp_monic(quad)
         for c in range(1, 8):
             # resultant_x(q2(x), (s-x)^2 + c(s-x) - c^2 g(x)) by interpolation
             def a_poly(s0, c=c):
-                return qp_trim([s0 * s0 + c * s0 + 20 * c * c,
+                return dp_trim([s0 * s0 + c * s0 + 20 * c * c,
                                 -2 * s0 - c + 10 * c * c,
                                 1 + c * c,
                                 Fraction(-c * c)])
-            pts = [(Fraction(s0), qp_resultant(q2, a_poly(Fraction(s0))))
+            pts = [(Fraction(s0), dp_resultant(q2, a_poly(Fraction(s0))))
                    for s0 in range(5)]
-            m_c = _interpolate(pts)
-            m_c = qp_monic(m_c)
+            m_c = dp_monic(_interpolate(pts))
             if len(m_c) != 5:
                 continue
-            if qp_gcd(m_c, [i * co for i, co in enumerate(m_c)][1:]) != [1]:
+            if dp_gcd(m_c, _deriv(m_c)) != [1]:
                 continue  # not squarefree; collision of conjugates
-            mint, d = qp_integerize_monic(m_c)
+            mint, d = integerize_monic(m_c)
             try:
                 K = NumberField(mint, name='s')
             except ValueError:  # m_c is reducible
                 continue
             eta = K.gen() / d  # x_Q + c*y_Q
-            zero = K.zero()
-            q2k = [K.from_rational(v) for v in q2]
             apk = [eta * eta + c * eta + 20 * c * c,
                    -2 * eta - c + 10 * c * c,
-                   K.from_rational(1 + c * c),
-                   K.from_rational(-c * c)]
-            gtail = dp_gcd_monic(q2k, apk, zero)
+                   1 + c * c,
+                   -c * c]
+            gtail = dp_gcd(q2, apk)
             if len(gtail) != 2:
                 continue
             x_q = -gtail[0]
@@ -324,7 +320,7 @@ def build_catalog(index):
     entries = []
     if index == 2:
         cubic = torsion_x_locus(2, curve)
-        mint, d = qp_integerize_monic(cubic)
+        mint, d = integerize_monic(cubic)
         K = NumberField(mint, name='u')
         ck = curve.base_change(K)
         xp = K.gen() / d

@@ -1,0 +1,31 @@
+"""Reference code that only the tests use: a series power by repeated
+squaring and the Smith-normal-form criterion for a full join."""
+
+from math import gcd
+
+from ubd.qseries import LaurentSeries
+
+
+def series_pow(f, k):
+    if k < 0:
+        return series_pow(f.invert(), -k)
+    acc = LaurentSeries(f.width, 0, [1], f.field, f.prec - f.lead)
+    base = f
+    while k:
+        if k & 1:
+            acc = acc * base
+        base = base * base
+        k >>= 1
+    return acc
+
+
+def join_is_full_snf(gamma, b):
+    """Smith-normal-form oracle: stack the four generators as rows of a 4x2
+    integer matrix; the join is full iff the gcd of all 2x2 minors is 1."""
+    rows = [(gamma.l, gamma.n), (0, gamma.m), (b.l, b.n), (0, b.m)]
+    g = 0
+    for i in range(4):
+        for j in range(i + 1, 4):
+            minor = rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0]
+            g = gcd(g, abs(minor))
+    return g == 1

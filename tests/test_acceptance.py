@@ -15,7 +15,6 @@ from ubd.census import (
     LatticeTriple,
     enumerate_triples,
     join_is_full,
-    join_is_full_snf,
     s_count,
 )
 from ubd.ellcurve import function_with_divisor, point_order, torsion_x_locus
@@ -24,10 +23,11 @@ from ubd.qseries import (
     LaurentSeries,
     eta_quotient_expand,
     nth_root_normalized,
-    series_pow,
 )
 from ubd.ubdetect import analyze_catalog, detect
 from ubd.x011 import build_catalog, expand_on_curve, expand_xy, g5_family, x11_curve
+
+from helpers import join_is_full_snf, series_pow
 
 
 def _report(n, took, budget, desc):

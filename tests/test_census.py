@@ -16,10 +16,11 @@ from ubd.census import (
     enumerate_triples,
     euler_phi,
     join_is_full,
-    join_is_full_snf,
     s_count,
     ubd_lower_bound_experiment,
 )
+
+from helpers import join_is_full_snf
 
 
 def test_triple_validation():

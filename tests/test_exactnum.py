@@ -3,27 +3,29 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ubd.exactnum import (
     INFINITY,
     AlgebraicNumber,
     NumberField,
+    dp_add,
+    dp_divmod,
+    dp_eval,
+    dp_gcd,
+    dp_monic,
+    dp_mul,
+    dp_resultant,
+    dp_shift,
+    dp_sub,
+    dp_trim,
     field_has_unique_prime_above,
     field_norm,
+    integerize_monic,
     is_prime,
     min_poly,
     newton_polygon_valuations,
     ord_at_unique_prime,
-    qp_add,
-    qp_deg,
-    qp_divmod,
-    qp_gcd,
-    qp_integerize_monic,
-    qp_mul,
-    qp_resultant,
-    qp_shift,
-    qp_trim,
     val_p,
 )
 
@@ -108,13 +110,12 @@ def test_min_poly_examples(cbrt2):
 
 def test_min_poly_annihilates_and_degree_divides(cbrt2):
     rng = random.Random(3)
-    from ubd.exactnum import dp_eval
     for _ in range(20):
         a = cbrt2.from_coords([rng.randint(-5, 5) for _ in range(3)])
         if not a:
             continue
         mp = min_poly(a)
-        assert not dp_eval(mp, a, cbrt2.zero())
+        assert not dp_eval(mp, a)
         assert cbrt2.degree % (len(mp) - 1) == 0
 
 
@@ -152,7 +153,7 @@ def test_newton_polygon_two_torsion_cubic():
     # root of x^3 - x^2 - 10x - 79/4 at p = 2: one segment of slope 2/3,
     # so every extension valuation is -2/3.  Field presented integrally by
     # u = 2x: u^3 - 2u^2 - 40u - 158.
-    coeffs, d = qp_integerize_monic([Fraction(-79, 4), -10, -1, 1])
+    coeffs, d = integerize_monic([Fraction(-79, 4), -10, -1, 1])
     assert coeffs == [-158, -40, -2, 1] and d == 2
     fld = NumberField(coeffs)
     x = fld.gen() / 2
@@ -262,11 +263,11 @@ def _euclid_inverse(a):
     polynomial: the Fraction inverse the elimination replaced."""
     f = [Fraction(c) for c in a.field.defining_poly]
     s0, s1 = [], [Fraction(1)]
-    r0, r1 = f, qp_trim(a.coords())
-    while qp_deg(r1) > 0:
-        q, r = qp_divmod(r0, r1)
+    r0, r1 = f, dp_trim(a.coords())
+    while len(r1) > 1:
+        q, r = dp_divmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, qp_add(s0, [-x for x in qp_mul(q, s1)])
+        s0, s1 = s1, dp_sub(s0, dp_mul(q, s1))
     inv = [x / r1[0] for x in s1]
     return a.field.from_coords((inv + [0] * a.field.degree)[:a.field.degree])
 
@@ -301,7 +302,7 @@ def elements(field):
 def test_field_norm_is_the_resultant_norm(ab):
     a, b = ab
     f = a.field.defining_poly
-    assert field_norm(a) == qp_resultant(f, a.coords())
+    assert field_norm(a) == dp_resultant(f, a.coords())
     assert field_norm(a * b) == field_norm(a) * field_norm(b)
 
 
@@ -319,10 +320,79 @@ def test_inverse_is_the_euclid_inverse(a):
 
 def test_qp_helpers():
     # resultant of x^2-2 and x^2-3 is (2-3)^2... product of differences
-    assert qp_resultant([-2, 0, 1], [-3, 0, 1]) == 1
-    assert qp_gcd([-1, 0, 1], [1, 1]) == [1, 1]
-    assert qp_shift([0, 0, 1], 1) == [1, 2, 1]
-    assert qp_mul([1, 1], [-1, 1]) == [-1, 0, 1]
+    assert dp_resultant([-2, 0, 1], [-3, 0, 1]) == 1
+    assert dp_gcd([-1, 0, 1], [1, 1]) == [1, 1]
+    assert dp_shift([0, 0, 1], 1) == [1, 2, 1]
+    assert dp_mul([1, 1], [-1, 1]) == [-1, 0, 1]
+
+
+def coefficients(field):
+    """Small coefficients over Q (field None) or over a number field, where
+    a rational coefficient may stand among the field elements."""
+    rational = st.one_of(st.integers(-9, 9),
+                         st.fractions(-9, 9, max_denominator=9))
+    if field is None:
+        return rational
+    return st.one_of(rational, st.lists(
+        st.integers(-5, 5), min_size=field.degree, max_size=field.degree)
+        .map(field.from_coords))
+
+
+def polys(field):
+    return st.lists(coefficients(field), max_size=5)
+
+
+domains = st.sampled_from([None, QUARTIC, CUBIC])
+POLY_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@POLY_SETTINGS
+@given(domains.flatmap(lambda k: st.tuples(polys(k), polys(k))))
+def test_dp_divmod_reconstructs_the_dividend(ab):
+    a, b = ab
+    b = dp_trim(b)
+    assume(b)
+    q, r = dp_divmod(a, b)
+    assert dp_add(dp_mul(q, b), r) == dp_trim(a)
+    assert len(r) < len(b)
+
+
+@POLY_SETTINGS
+@given(domains.flatmap(lambda k: st.tuples(polys(k), polys(k), polys(k))))
+def test_dp_gcd_is_monic_and_divides_both(abc):
+    a, b, c = abc
+    a, b = dp_mul(a, c), dp_mul(b, c)
+    g = dp_gcd(a, b)
+    if not a and not b:
+        assert g == []
+        return
+    assert g[-1] == 1
+    assert not dp_divmod(a, g)[1] and not dp_divmod(b, g)[1]
+    assert not dp_divmod(g, dp_trim(c))[1]
+
+
+ints = st.lists(st.integers(-9, 9), max_size=5)
+
+
+@POLY_SETTINGS
+@given(ints, ints, st.integers(-3, 3))
+@example([1, 2, 3], [1, 2], 0)
+@example([-1, 0, 1], [1, 1], 0)
+def test_int_inputs_never_yield_a_float(a, b, c):
+    b = dp_trim(b)
+    assume(b)
+    q, r = dp_divmod(a, b)
+    outs = [q, r, dp_gcd(a, b), dp_monic(a), dp_shift(a, c), dp_mul(a, b),
+            dp_sub(a, b), [dp_resultant(a, b), dp_eval(a, c)]]
+    assert all(type(x) in (int, Fraction) for out in outs for x in out)
+
+
+@POLY_SETTINGS
+@given(domains.flatmap(lambda k: st.tuples(polys(k), coefficients(k),
+                                           coefficients(k))))
+def test_dp_shift_is_a_translation(fcx):
+    f, c, x = fcx
+    assert dp_eval(dp_shift(f, c), x) == dp_eval(f, x + c)
 
 
 def _trial_division(n):

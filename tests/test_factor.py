@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 from ubd.ellcurve import five_division_polynomial
 from ubd.exactnum import (
     NumberField,
+    dp_mul,
     factor_poly_q,
     poly_is_irreducible_modp,
     poly_is_irreducible_q,
-    qp_mul,
 )
 from ubd.x011 import x11_curve
 
@@ -51,7 +51,7 @@ def test_factor_list_matches_sympy(parts, content):
     for f, mult in parts:
         for _ in range(mult):
             if len(c) - 1 + len(f) - 1 <= 12:
-                c = qp_mul(c, f)
+                c = dp_mul(c, f)
     cont, factors = factor_poly_q(c)
     assert (cont, sorted(factors)) == _sympy_factor_list(c)
     assert all(f[-1] > 0 and math.gcd(*f) == 1 for f, _ in factors)
@@ -84,7 +84,7 @@ def test_swinnerton_dyer_quartic_is_irreducible():
     # the degree-8 one for sqrt 2, 3, 5 has at least four factors modulo
     # every prime, so pairs of lifted factors are tried as well
     s8 = [576, 0, -960, 0, 352, 0, -40, 0, 1]
-    assert factor_poly_q(qp_mul(s8, [1, 0, -10, 0, 1])) == \
+    assert factor_poly_q(dp_mul(s8, [1, 0, -10, 0, 1])) == \
         (1, [([1, 0, -10, 0, 1], 1), (s8, 1)])
 
 

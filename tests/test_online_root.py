@@ -17,7 +17,6 @@ from ubd.qseries import (
     LaurentSeries,
     nth_root_normalized,
     root_coefficients,
-    series_pow,
 )
 from ubd.ubdetect import (
     CONJUGATE,
@@ -28,6 +27,8 @@ from ubd.ubdetect import (
     growth_profile,
 )
 from ubd.x011 import build_catalog
+
+from helpers import series_pow
 
 QUARTIC = NumberField([869405, 19255, 1360, 20, 1], 's')  # index-5 catalog
 CUBIC = NumberField([-158, -40, -2, 1], 'u')              # index-2 catalog
@@ -161,7 +162,7 @@ def test_full_root_of_fq_makes_no_field_products(index5, monkeypatch):
 def test_detect_takes_no_resultant(index5, monkeypatch):
     e = index5["fQ+1P"]
     f = e.expansion(302)
-    calls = _count_calls(monkeypatch, exactnum, "qp_resultant")
+    calls = _count_calls(monkeypatch, exactnum, "dp_resultant")
     v = detect(f, e.root_degree, e.root_degree, 300)
     assert v.certified() and v.valuation_mode == ubdetect.UNIQUE_PRIME
     assert not calls

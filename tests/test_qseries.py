@@ -12,8 +12,9 @@ from ubd.qseries import (
     eta_quotient_expand,
     nth_root_normalized,
     serialize_series,
-    series_pow,
 )
+
+from helpers import series_pow
 
 
 def S(width, lead, coeffs, field=None, prec=None):

@@ -260,8 +260,8 @@ def test_dp_mul_matches_reference_with_mixed_entries():
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             expected[i + j] = expected[i + j] + x * y
-    assert dp_mul(a, b, QUARTIC.zero()) == expected
-    assert dp_mul([Fraction(1, 2), 1], [Fraction(-1, 2), 1], Fraction(0)) == [
+    assert dp_mul(a, b) == expected
+    assert dp_mul([Fraction(1, 2), 1], [Fraction(-1, 2), 1]) == [
         Fraction(-1, 4), 0, 1]
 
 

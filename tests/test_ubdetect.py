@@ -9,7 +9,6 @@ from ubd.qseries import (
     LaurentSeries,
     eta_quotient_expand,
     nth_root_normalized,
-    series_pow,
 )
 from ubd.ubdetect import (
     CONJUGATE,
@@ -22,6 +21,8 @@ from ubd.ubdetect import (
 )
 from ubd.x011 import build_catalog, expand_on_curve, g5_series, x11_curve
 from ubd.ellcurve import function_with_divisor
+
+from helpers import series_pow
 
 
 def zeta13(T=60):

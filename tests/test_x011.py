@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ubd.exactnum import min_poly, qp_trim
+from ubd.exactnum import dp_trim, min_poly
 from ubd.ellcurve import CurveFunction, function_with_divisor, verify_divisor
-from ubd.qseries import LaurentSeries, nth_root_normalized, series_pow
+from ubd.qseries import LaurentSeries, nth_root_normalized
 from ubd.x011 import (
     WIDTH,
     QPointData,
@@ -20,6 +20,8 @@ from ubd.x011 import (
     weight2_eta_product,
     x11_curve,
 )
+
+from helpers import series_pow
 
 X_HEAD = [1, 2, 4, 5, 8, 1, 7, -11, 10, -12, -18]   # w^-2 .. w^8
 Y_HEAD = [1, 3, 7, 12, 17, 26, 19, 37, -15, -16, -67]  # w^-3 .. w^7
@@ -196,7 +198,7 @@ def test_catalog_five_x_coordinates():
     quartics = set()
     for e in cat:
         if e.label.startswith("fQ+"):
-            mp = qp_trim(min_poly(e.point.x))
+            mp = dp_trim(min_poly(e.point.x))
             assert len(mp) == 5
             quartics.add(tuple(int(c) for c in mp))
     # generators split over the unit-reduction quartic and the Eisenstein one
@@ -235,8 +237,8 @@ def test_catalog_five_coefficient_minpolys():
     for e in cat:
         if e.label.startswith("fQ+"):
             s = e.expansion(5)
-            got4.add(tuple(int(c) for c in qp_trim(min_poly(s.coefficient(-4)))))
-            got3.add(tuple(int(c) for c in qp_trim(min_poly(s.coefficient(-3)))))
+            got4.add(tuple(int(c) for c in dp_trim(min_poly(s.coefficient(-4)))))
+            got3.add(tuple(int(c) for c in dp_trim(min_poly(s.coefficient(-3)))))
     assert got4 == MP4
     assert got3 == MP3
 
