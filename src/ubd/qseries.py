@@ -280,14 +280,14 @@ class EtaQuotient:
             n += 1
 
 
-def _pentagonal_coeffs(length, step):
-    """Coefficients of prod_{n>=1} (1 - x^(step*n)) up to x^(length-1)."""
+def _pentagonal_coeffs(length):
+    """Coefficients of prod_{n>=1} (1 - x^n) up to x^(length-1)."""
     c = [0] * length
     c[0] = 1
     k = 1
     while True:
-        g1 = k * (3 * k - 1) // 2 * step
-        g2 = k * (3 * k + 1) // 2 * step
+        g1 = k * (3 * k - 1) // 2
+        g2 = k * (3 * k + 1) // 2
         if g1 >= length and g2 >= length:
             break
         s = -1 if k % 2 else 1
@@ -302,7 +302,11 @@ def _pentagonal_coeffs(length, step):
 def eta_unit_product(eq, width, T):
     """The product part prod_delta prod_n (1 - w^(N*delta*n))^(r_delta) and the
     (possibly fractional) exponent of the stripped w^(N*sum r*delta/24)
-    prefactor; needs only N*delta integral for every term."""
+    prefactor; needs only N*delta integral for every term.
+
+    A factor with step s = N*delta is a series in u = w^s, so it is powered
+    at length ceil((T+1)/s) in u and multiplied into the unit one residue
+    class of exponents mod s at a time."""
     if T < 0:
         raise ValueError("truncation must be nonnegative")
     steps = []
@@ -314,17 +318,24 @@ def eta_unit_product(eq, width, T):
         steps.append((int(nd), r))
     lead = sum(Fraction(r) * d * width for d, r in eq.terms) / 24
     length = T + 1
-    unit = [1]
+    unit = [1] + [0] * T
     for step, r in steps:
-        base = _pentagonal_coeffs(length, step)
+        if not r:
+            continue
+        m = -(-length // step)  # terms of the factor in u = w^step
+        base = _pentagonal_coeffs(m)
         if r < 0:
-            base, r = newton_inverse(base, length, 1, kron_mul), -r
-        while r:  # unit *= base^r by binary powering
+            base, r = newton_inverse(base, m, 1, kron_mul), -r
+        f = None
+        while r:  # f = base^r by binary powering
             if r & 1:
-                unit = kron_mul(unit, base, length)
+                f = base if f is None else kron_mul(f, base, m)
             r >>= 1
             if r:
-                base = kron_mul(base, base, length)
+                base = kron_mul(base, base, m)
+        for i in range(min(step, length)):
+            cls = unit[i::step]
+            unit[i::step] = kron_mul(cls, f, len(cls))
     return lead, LaurentSeries(width, 0, unit, None, length)
 
 

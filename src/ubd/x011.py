@@ -159,7 +159,9 @@ def expand_xy(T):
 
 
 def expansion_report(T=50):
-    """Run parameters for the x/y expansion (kappa is derived, not assumed)."""
+    """Run parameters for the x/y expansion.  kappa is the constant KAPPA,
+    which the forced leads fix once the solve has checked S_1 = 1; the heads
+    come from expand_xy(T), which verifies both relations."""
     x, y = expand_xy(T)
     _, _, kappa = _xy_arrays(T)
     return {

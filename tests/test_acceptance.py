@@ -162,9 +162,15 @@ def test_criterion_10_census():
 
 
 def test_criterion_11_appendix_suite():
+    """If h, g^n, and h*g^(n1) all scan integral to T, the scan of g^(n1)
+    shows no denominator to T - 10; randomized over integral unit series,
+    plus recovered-root instances and a corrupted negative control."""
     t0 = time.time()
     rng = random.Random(11)
     T = 100
+
+    def unit(T):
+        return LaurentSeries(1, 0, [1] + [rng.randint(-6, 6) for _ in range(T)])
 
     def integral(f, hi=None):
         hi = f.prec if hi is None else hi
@@ -175,15 +181,18 @@ def test_criterion_11_appendix_suite():
         n = rng.randint(2, 5)
         n1 = rng.randint(1, n - 1)
         if k % 3 == 2:
-            u = LaurentSeries(1, 0, [1] + [rng.randint(-6, 6) for _ in range(T)])
-            g = nth_root_normalized(series_pow(u, n).truncate(T + 1), n)
+            g = nth_root_normalized(series_pow(unit(T), n).truncate(T + 1), n)
         else:
-            g = LaurentSeries(1, 0, [1] + [rng.randint(-6, 6) for _ in range(T)])
-        h = LaurentSeries(1, 0, [1] + [rng.randint(-6, 6) for _ in range(T)])
+            g = unit(T)
+        h = unit(T)
         assert integral(h)
         assert integral(series_pow(g, n).truncate(T + 1))
         assert integral((h * series_pow(g, n1)).truncate(T + 1))
         assert integral(series_pow(g, n1), T - 10)
+    # negative control: a genuinely fractional root is flagged by the scan
+    w = LaurentSeries(1, 0, [0, 0, 1], prec=41)
+    g_bad = nth_root_normalized((series_pow(unit(40), 3) + w).truncate(41), 3)
+    assert not integral(g_bad)
     took = time.time() - t0
     assert took < 60
     _report(11, took, 60, "100 randomized power-integrality consistency checks at T = 100")

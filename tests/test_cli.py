@@ -37,6 +37,15 @@ def test_eta_eta_itself(tmp_path):
     assert series.lead == 1
 
 
+def test_eta_zero_exponent_is_skipped(tmp_path):
+    p = run_cli(["eta", "1:0,1:24", "--width", "1", "--terms", "4"], tmp_path)
+    plain = run_cli(["eta", "1:24", "--width", "1", "--terms", "4"], tmp_path)
+    assert p.stdout == plain.stdout
+    series = deserialize_series(p.stdout.decode())
+    assert series.lead == 1
+    assert series.coefficients(1, 6) == [1, -24, 252, -1472, 4830]
+
+
 def test_detect_entry_and_exit_codes(tmp_path):
     p = run_cli(["--format", "records", "detect", "--entry", "fP",
                  "--prime", "5", "--root", "5", "--terms", "40"], tmp_path)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ubd.exactnum import NumberField
 from ubd.qseries import (
@@ -211,3 +212,32 @@ def test_serialization_roundtrip_field():
     g = deserialize_series(serialize_series(f))
     assert g == f
     assert serialize_series(g) == serialize_series(f)
+
+
+ROUNDTRIP_FIELDS = [None,
+                    NumberField([-158, -40, -2, 1], 'u'),              # cubic
+                    NumberField([869405, 19255, 1360, 20, 1], 's')]    # quartic
+
+
+@st.composite
+def roundtrip_series(draw):
+    field = draw(st.sampled_from(ROUNDTRIP_FIELDS))
+    q = st.one_of(st.just(Fraction(0)), st.integers(-50, 50).map(Fraction),
+                  st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                            st.integers(1, 10 ** 12)))
+    c = q if field is None else st.lists(
+        q, min_size=field.degree, max_size=field.degree).map(field.from_coords)
+    coeffs = draw(st.lists(c, max_size=12))
+    lead = draw(st.integers(-8, 8))
+    # prec may cut the list short, match it or leave implicit zeros past it
+    prec = lead + draw(st.integers(0, len(coeffs) + 3))
+    return S(draw(st.integers(1, 24)), lead, coeffs, field, prec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(roundtrip_series())
+def test_serialization_roundtrip_property(f):
+    text = serialize_series(f)
+    g = deserialize_series(text)
+    assert g == f
+    assert serialize_series(g) == text

@@ -7,8 +7,9 @@ are the element-wise loops those call sites used before, kept here only.
 """
 
 from fractions import Fraction
+import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ubd.exactnum import NumberField, dp_mul, kron_mul
 from ubd.qseries import EtaQuotient, LaurentSeries, eta_unit_product
@@ -279,3 +280,27 @@ def test_eta_products_match_reference_at_500_terms():
         eq = EtaQuotient(terms)
         _, unit = eta_unit_product(eq, width, 500)
         assert unit.coefficients(0, 501) == _reference_eta_unit(eq, width, 500)
+
+
+@st.composite
+def eta_quotients(draw):
+    """Terms eta(a/b * z)^r with r in [-6, 6] (0 included), a width that
+    every b divides, and T small enough that T + 1 < N*delta happens."""
+    terms = draw(st.lists(st.tuples(st.integers(1, 13), st.integers(1, 6),
+                                    st.integers(-6, 6)),
+                          min_size=1, max_size=4))
+    lcm_b = math.lcm(*[b for _, b, _ in terms])
+    width = lcm_b * draw(st.integers(1, 3))
+    eq = EtaQuotient([(Fraction(a, b), r) for a, b, r in terms])
+    return eq, width, draw(st.integers(0, 80))
+
+
+@SETTINGS
+@given(eta_quotients())
+@example((EtaQuotient([(1, 0), (1, 24)]), 1, 4))  # a zero exponent is skipped
+def test_eta_unit_product_matches_reference(args):
+    eq, width, T = args
+    _, unit = eta_unit_product(eq, width, T)
+    assert unit.prec == T + 1
+    assert unit.coefficients(0, T + 1) == _reference_eta_unit(eq, width, T)
+
