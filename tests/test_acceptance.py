@@ -169,8 +169,8 @@ def test_criterion_11_appendix_suite():
     rng = random.Random(11)
     T = 100
 
-    def unit(T):
-        return LaurentSeries(1, 0, [1] + [rng.randint(-6, 6) for _ in range(T)])
+    def unit(terms):
+        return LaurentSeries(1, 0, [1] + [rng.randint(-6, 6) for _ in range(terms)])
 
     def integral(f, hi=None):
         hi = f.prec if hi is None else hi
