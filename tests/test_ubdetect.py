@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -177,3 +178,44 @@ def test_analyze_catalog_index_five():
 def test_analyze_catalog_empty():
     rep = analyze_catalog([], T=10)
     assert rep.verdicts == [] and not rep.hypothesis_confirmed
+
+
+def random_integral_unit(rng, T, bound=6):
+    return LaurentSeries(1, 0, [1] + [rng.randint(-bound, bound)
+                                      for _ in range(T)])
+
+
+def scan_is_integral(f, hi=None):
+    hi = f.prec if hi is None else hi
+    return all(Fraction(c).denominator == 1
+               for c in f.coefficients(f.lead, hi))
+
+
+@pytest.mark.parametrize("seed", [0])
+def test_appendix_consistency_suite(seed):
+    """If h, g^n, and h*g^(n1) all scan integral to T, the scan of g^(n1)
+    shows no denominator to T - 10; randomized over integral unit series,
+    plus recovered-root instances and a corrupted negative control."""
+    rng = random.Random(seed)
+    T = 100
+    for k in range(100):
+        n = rng.randint(2, 5)
+        n1 = rng.randint(1, n - 1)
+        if k % 3 == 2:
+            # g recovered as a formal n-th root of an n-th power
+            u = random_integral_unit(rng, T)
+            g = nth_root_normalized(series_pow(u, n).truncate(T + 1), n)
+        else:
+            g = random_integral_unit(rng, T)
+        h = random_integral_unit(rng, T)
+        gn = series_pow(g, n).truncate(T + 1)
+        hg = (h * series_pow(g, n1)).truncate(T + 1)
+        assert scan_is_integral(h)
+        assert scan_is_integral(gn)
+        assert scan_is_integral(hg)
+        assert scan_is_integral(series_pow(g, n1), T - 10)
+    # negative control: a genuinely fractional root is flagged by the scan
+    u = random_integral_unit(rng, 40)
+    w = LaurentSeries(1, 0, [0, 0, 1], prec=41)
+    g_bad = nth_root_normalized((series_pow(u, 3) + w).truncate(41), 3)
+    assert not scan_is_integral(g_bad)
