@@ -2,15 +2,15 @@
 y^2 + y = x^3 - x^2 - 10x - 20 and rebuild the divisor function f_P.
 
 x and y are pinned down jointly by the curve equation and by the derivation
-relation D(x) = kappa*(2y+1)*eta(z)^2*eta(z/11)^2 with D = w*d/dw; the
-constant kappa = -1 falls out of matching the forced leading terms
+relation D(x) = kappa*(2y+1)*eta(z)^2*eta(z/11)^2 with D = w*d/dw, where
+kappa is the constant -1 that matches the forced leading terms
 x = w^-2 + ..., y = w^-3 + ... .
 """
 
 from fractions import Fraction
 
 from ubd.ellcurve import function_with_divisor, verify_divisor
-from ubd.x011 import expand_on_curve, expand_xy, expansion_report, x11_curve
+from ubd.x011 import KAPPA, expand_on_curve, expand_xy, x11_curve
 
 T = 60
 x, y = expand_xy(T)
@@ -19,7 +19,7 @@ print("x(w) =", " + ".join(f"{c}w^{k}" for k, c in
                            zip(range(-2, 7), x.coefficients(-2, 7))), "+ ...")
 print("y(w) =", " + ".join(f"{c}w^{k}" for k, c in
                            zip(range(-3, 6), y.coefficients(-3, 6))), "+ ...")
-print("kappa =", expansion_report(T)["kappa"])
+print("kappa =", KAPPA)
 
 ints = all(Fraction(c).denominator == 1
            for c in x.coefficients(x.lead, x.prec) + y.coefficients(y.lead, y.prec))

@@ -5,7 +5,6 @@ rank-2 sublattice census of character groups."""
 __version__ = "0.1.0"
 
 from .exactnum import (
-    Fraction,
     INFINITY,
     NumberField,
     AlgebraicNumber,

@@ -2,8 +2,9 @@
 unbounded-denominator detection, and the sublattice census, with a text
 cache of exact series keyed by run parameters.
 
-Exit codes: 0 success, 2 validation error, 3 detection ran but was
-Inconclusive only, 4 internal inconsistency (a defining relation failed).
+Exit codes: 0 success, 2 validation error or out of memory, 3 detection ran
+but was Inconclusive only, 4 internal inconsistency (a defining relation
+failed).
 """
 
 import argparse
@@ -317,6 +318,10 @@ def main(argv=None):
         return args.func(args, sys.stdout)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; ask for fewer --terms or a smaller --xmax",
+              file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)

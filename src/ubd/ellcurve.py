@@ -135,9 +135,6 @@ class CurvePoint:
         y3 = -(lam + c.a1) * x3 - nu - c.a3
         return CurvePoint(c, x3, y3)
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, k):
         if not isinstance(k, int):
             return NotImplemented
@@ -274,11 +271,6 @@ class CurveFunction:
 
     def is_zero(self):
         return not self.u and not self.v
-
-    def __eq__(self, other):
-        return (isinstance(other, CurveFunction) and self.curve == other.curve
-                and self.u == other.u and self.v == other.v
-                and self.den == other.den)
 
     def __repr__(self):
         def poly(cs, sym='x'):

@@ -2,15 +2,18 @@
 
 Number fields are presented by a single monic irreducible integer polynomial,
 checked by the pure-Python factorization below.  Valuations above a rational
-prime p are read off Newton polygons of minimal polynomials; a single coherent
-valuation is only used when the extension of val_p to the field is provably
-unique (totally ramified segment, or a one segment polygon with irreducible
-residual polynomial).
+prime p are read off Newton polygons of minimal polynomials, which come from
+traces by Newton's identities; a single coherent valuation is only used when
+the extension of val_p to the field is provably unique (totally ramified
+segment, or a one segment polygon with a residual polynomial that the
+factorizer's distinct-degree factorization shows irreducible mod p).
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 import math
+from operator import mul
 
 INFINITY = math.inf  # valuation of 0
 
@@ -233,18 +236,11 @@ def poly_is_irreducible_q(c):
 
 
 def poly_is_irreducible_modp(c, p):
-    """Rabin's test: f of degree n is irreducible over F_p iff
-    x^(p^n) = x mod f and gcd(x^(p^(n/q)) - x, f) = 1 for each prime q | n."""
+    """f is irreducible over F_p iff it is squarefree and its distinct-degree
+    factorization is f itself."""
     f = _fp_monic([int(x) for x in c], p)
-    n = len(f) - 1
-    if n < 1:
-        return False
-    h = [_zm_divmod([0, 1], f, p)[1]]  # h[i] = x^(p^i) mod f
-    for _ in range(n):
-        h.append(_zm_powmod(h[-1], p, f, p))
-    return h[n] == h[0] and all(
-        len(_fp_gcd(f, _zm_sub(h[n // q], h[0], p), p)) == 1
-        for q in range(2, n + 1) if n % q == 0 and is_prime(q))
+    return (len(f) > 1 and len(_fp_gcd(f, _deriv(f), p)) == 1
+            and _fp_ddf(f, p) == [(f, len(f) - 1)])
 
 
 # ----------------------------------------------------------------------
@@ -471,7 +467,6 @@ class NumberField:
             cur = [ci + top * ri for ci, ri in zip(cur, rows[0])]
             rows.append(list(cur))
         self._red_rows = rows
-        self._unique_prime_cache = {}
 
     def _reduce(self, conv):
         """Power-basis coordinates of sum conv[j]*t^j for j < 2*degree - 1:
@@ -525,13 +520,6 @@ class NumberField:
             den = den * c.denominator // math.gcd(den, c.denominator)
         return AlgebraicNumber(self, tuple(c.numerator * (den // c.denominator)
                                            for c in coords), den)
-
-    def element(self, value):
-        if isinstance(value, AlgebraicNumber):
-            if value.field != self:
-                raise ValueError("element of a different number field")
-            return value
-        return self.from_rational(value)
 
 
 class AlgebraicNumber:
@@ -791,7 +779,7 @@ def _operand(coeffs, field):
         if den == 1:
             return 1, 1, [c.numerator for c in coeffs]
         return den, 1, [c.numerator * (den // c.denominator) for c in coeffs]
-    coeffs = [field.element(c) for c in coeffs]
+    coeffs = [lift(field, c) for c in coeffs]
     den = math.lcm(*(c.den for c in coeffs))
     return den, field.degree, [x * (den // c.den) for c in coeffs for x in c.num]
 
@@ -838,62 +826,33 @@ def newton_inverse(f, n, inv0, mul):
 
 
 # ----------------------------------------------------------------------
-# Exact linear algebra over Q (small systems).
+# Minimal polynomials, norms and inverses.
 # ----------------------------------------------------------------------
-
-def solve_linear(rows, rhs):
-    """Solve M x = rhs over Q; returns None if inconsistent/no solution.
-
-    rows: list of rows of M (each a list of Fractions), len(rows) equations.
-    """
-    m = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
-    neq = len(m)
-    ncol = len(m[0]) - 1 if m else 0
-    piv_cols = []
-    r = 0
-    for c in range(ncol):
-        piv = next((i for i in range(r, neq) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(neq):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == neq:
-            break
-    for i in range(r, neq):
-        if m[i][ncol] != 0:
-            return None
-    x = [Fraction(0)] * ncol
-    for i, c in enumerate(piv_cols):
-        x[c] = m[i][ncol]
-    return x
-
 
 def min_poly(a):
     """Monic minimal polynomial over Q of an algebraic number.
 
-    Found as the first linear dependence among the powers of a.
+    Newton's identities (Cohen, GTM 138, 4.3) give the power sums Tr(t^k) of
+    the roots of the defining polynomial, hence the traces of a, ..., a^d,
+    and from those the characteristic polynomial chi of a.  chi is a power of
+    the minimal polynomial, which is therefore chi / gcd(chi, chi').
     """
     if isinstance(a, (int, Fraction)):
         return [-Fraction(a), Fraction(1)]
     d = a.field.degree
-    powers = [a.field.one()]
-    for _ in range(d):
+    c = a.field.defining_poly[::-1]  # t^d + c[1]*t^(d-1) + ... + c[d]
+    s = [d]  # s[k] = Tr(t^k)
+    for k in range(1, d):
+        s.append(-k * c[k] - sum(c[i] * s[k - i] for i in range(1, k)))
+    powers = [a]
+    while len(powers) < d:
         powers.append(powers[-1] * a)
-    coords = [list(p.coords()) for p in powers]
+    tr = [None] + [Fraction(sum(map(mul, b.num, s)), b.den) for b in powers]
+    e = [Fraction(1)]  # chi = x^d + e[1]*x^(d-1) + ... + e[d]
     for k in range(1, d + 1):
-        # is a^k a combination of 1, a, ..., a^(k-1)?
-        rows = [[coords[j][i] for j in range(k)] for i in range(d)]
-        sol = solve_linear(rows, coords[k])
-        if sol is not None:
-            return [-s for s in sol] + [Fraction(1)]
-    raise RuntimeError("no linear dependence found (broken field arithmetic)")
+        e.append(-(tr[k] + sum(e[i] * tr[k - i] for i in range(1, k))) / k)
+    chi = e[::-1]
+    return dp_divmod(chi, dp_gcd(chi, _deriv(chi)))[0]
 
 
 def _eliminate(a, rhs=0):
@@ -1030,30 +989,19 @@ def _polygon_certifies_unique(coeffs, p):
     res = dp_trim(res)
     if (len(res) - 1) * slope.denominator != n:
         return False
-    # residual must be separable for the factor count to be read off
-    if len(_fp_gcd(res, _zm(_deriv(res), p), p)) != 1:
-        return False
     return poly_is_irreducible_modp(res, p)
 
 
+@lru_cache(maxsize=None)
 def field_has_unique_prime_above(field, p):
     """Certify that val_p extends uniquely to the field.
 
     Tries the defining polynomial and its shifts by 0, 1, ..., 15 (fewer
     when p < 16); a failure to certify returns False (it never guesses).
     """
-    key = p
-    cached = field._unique_prime_cache.get(key)
-    if cached is not None:
-        return cached
-    ok = False
     coeffs = list(field.defining_poly)
-    for a in range(min(p, 16)):
-        if _polygon_certifies_unique(dp_shift(coeffs, a), p):
-            ok = True
-            break
-    field._unique_prime_cache[key] = ok
-    return ok
+    return any(_polygon_certifies_unique(dp_shift(coeffs, a), p)
+               for a in range(min(p, 16)))
 
 
 def newton_polygon_valuations(a, p):

@@ -6,13 +6,15 @@ x and y are pinned down by two relations solved jointly order by order:
 the curve equation y^2 + y = x^3 - x^2 - 10x - 20 and the derivation
 relation D(x) = kappa*(2y+1)*S(w), where D = w*d/dw, S is the weight-2
 eta product eta(z)^2*eta(z/11)^2 expanded in w = e^(2*pi*i*z/11), and
-kappa is the unique rational constant matching the forced leading behavior
-x = w^-2 + ..., y = w^-3 + ... .
+kappa is the constant KAPPA = -1: matching the forced leading behavior
+x = w^-2 + ..., y = w^-3 + ... gives -2 = 2*kappa*S_1, and the solve checks
+that S_1 = 1.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 from .exactnum import (
@@ -53,7 +55,7 @@ def x11_curve(field=None):
 # x(w), y(w) by the coupled curve/derivation recursion.
 # ----------------------------------------------------------------------
 
-_XY_CACHE = {"T": -1, "xs": None, "ys": None, "kappa": None}
+_XY_CACHE = {"T": -1, "xs": None, "ys": None}
 KAPPA = Fraction(-1)
 
 
@@ -117,14 +119,14 @@ def _compute_xy(T):
         Y.append(y_new)
         X.append(x_new)
         X2.append(x2prov + 2 * x_new)
-    return X, Y, KAPPA
+    return X, Y
 
 
 def _xy_arrays(T):
     if _XY_CACHE["T"] < T:
-        xs, ys, kappa = _compute_xy(T)
-        _XY_CACHE.update(T=T, xs=xs, ys=ys, kappa=kappa)
-    return _XY_CACHE["xs"], _XY_CACHE["ys"], _XY_CACHE["kappa"]
+        xs, ys = _compute_xy(T)
+        _XY_CACHE.update(T=T, xs=xs, ys=ys)
+    return _XY_CACHE["xs"], _XY_CACHE["ys"]
 
 
 def expand_xy(T):
@@ -132,7 +134,7 @@ def expand_xy(T):
     aborts if either defining relation fails at any computed order."""
     if T < 10:
         raise ValueError("T must be at least 10")
-    xs, ys, kappa = _xy_arrays(T)
+    xs, ys = _xy_arrays(T)
     x = LaurentSeries(WIDTH, -2, xs[:T + 1], None, T - 1)
     y = LaurentSeries(WIDTH, -3, ys[:T + 1], None, T - 2)
     lhs = y * y + y
@@ -148,7 +150,7 @@ def expand_xy(T):
     s = weight2_eta_product(T + 8)
     lhs2 = derivation_wdw(x)
     one = LaurentSeries(WIDTH, 0, [1], None, prec=y.prec + 3)
-    rhs2 = ((y + y + one) * s).scalar_mul(kappa)
+    rhs2 = ((y + y + one) * s).scalar_mul(KAPPA)
     d2 = lhs2 - rhs2
     for k in range(d2.lead, min(d2.prec, lhs2.prec)):
         if d2.coefficient(k) != 0:
@@ -156,20 +158,6 @@ def expand_xy(T):
                 f"derivation relation fails at order {k}: inconsistency between "
                 "the two defining relations (implementation bug)")
     return x, y
-
-
-def expansion_report(T=50):
-    """Run parameters for the x/y expansion.  kappa is the constant KAPPA,
-    which the forced leads fix once the solve has checked S_1 = 1; the heads
-    come from expand_xy(T), which verifies both relations."""
-    x, y = expand_xy(T)
-    _, _, kappa = _xy_arrays(T)
-    return {
-        "kappa": kappa,
-        "x_head": x.coefficients(-2, 9),
-        "y_head": y.coefficients(-3, 8),
-        "integral_to": T,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -185,7 +173,7 @@ def expand_on_curve(F, T):
     denominator.  A den(x) other than 1 costs one inverse and one product.
     """
     degs = max(len(F.u), len(F.v) + 1, len(F.den))
-    xs, ys, _ = _xy_arrays(T + 2 * degs + F.pole_order_at_O() + 10)
+    xs, ys = _xy_arrays(T + 2 * degs + F.pole_order_at_O() + 10)
     field, N = F.curve.field, T + 1
     powers = [[1] + [0] * T]  # x^i * w^(2i), N ints each
     while len(powers) < max(len(F.u), len(F.v), len(F.den)):
@@ -305,9 +293,7 @@ class QPointData:
         raise RuntimeError("no primitive element x + c*y found for small c")
 
 
-_CATALOG_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def build_catalog(index):
     """Catalog of the cyclic character groups of a given index.
 
@@ -316,8 +302,6 @@ def build_catalog(index):
     index 5: f_P over Q, f_Q (the Gamma^1(11) entry, known congruence) and the
     four translates f_{Q+iP} over the flattened quartic field of Q.
     """
-    if index in _CATALOG_CACHE:
-        return _CATALOG_CACHE[index]
     curve = x11_curve()
     entries = []
     if index == 2:
@@ -376,7 +360,6 @@ def build_catalog(index):
         assert quartic[3] == 1
     else:
         raise ValueError("catalogs are built for index 2 and 5 only")
-    _CATALOG_CACHE[index] = entries
     return entries
 
 

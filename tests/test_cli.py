@@ -277,6 +277,21 @@ def test_expand_xy_solves_once_per_cold_run(tmp_path, monkeypatch, capsys):
     assert calls == [30]
 
 
+def test_out_of_memory_exits_2_with_an_error_line(tmp_path, monkeypatch,
+                                                  capsys):
+    from ubd import cli
+
+    def exhausted(T):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "expand_xy", exhausted)
+    rc = cli.main(["--cache-dir", str(tmp_path), "expand-xy", "--terms", "30"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_report_with_a_large_prime_finishes(tmp_path):
     # the prime-shift search of field_has_unique_prime_above is bounded, so a
     # large valid prime on a number-field catalog does not hang

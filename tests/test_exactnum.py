@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ubd.exactnum import (
@@ -53,9 +54,37 @@ def test_val_p_is_a_valuation():
             assert val_p(r + s, p) >= min(val_p(r, p), val_p(s, p))
 
 
+CBRT2 = NumberField([-2, 0, 0, 1])  # t^3 - 2
+
+
 @pytest.fixture(scope="module")
 def cbrt2():
-    return NumberField([-2, 0, 0, 1])  # t^3 - 2
+    return CBRT2
+
+
+def _field_or_none(coeffs):
+    try:
+        return NumberField(coeffs + [1])
+    except ValueError:  # reducible
+        return None
+
+
+QUARTIC = NumberField([869405, 19255, 1360, 20, 1], 's')  # index-5 catalog
+CUBIC = NumberField([-158, -40, -2, 1], 'u')              # index-2 catalog
+fields = st.one_of(
+    st.sampled_from([QUARTIC, CUBIC]),
+    st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.integers(-30, 30), min_size=d, max_size=d))
+    .map(_field_or_none).filter(bool))
+
+
+def elements(field):
+    # small coordinates give zeros, so the elimination must swap rows
+    big = st.one_of(st.integers(-2, 2), st.integers(-2 ** 300, 2 ** 300))
+    return st.builds(lambda num, den: AlgebraicNumber(field, num, den),
+                     st.lists(big, min_size=field.degree,
+                              max_size=field.degree),
+                     st.integers(1, 2 ** 64))
 
 
 def test_number_field_rejects_reducible():
@@ -90,6 +119,18 @@ def test_nf_arith_field_axioms(cbrt2):
             assert a * (1 / a) == 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_nf_arith_field_axioms_hypothesis(data):
+    field = data.draw(fields)
+    a, b, c = (data.draw(elements(field)) for _ in range(3))
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    if a:
+        assert a * (1 / a) == 1
+
+
 def test_nf_arith_division_by_zero(cbrt2):
     with pytest.raises(ZeroDivisionError):
         cbrt2.one() / cbrt2.zero()
@@ -101,11 +142,20 @@ def test_nf_arith_field_mismatch(cbrt2):
         cbrt2.gen() + other.gen()
 
 
+# the quartic's quadratic subfield is Q(sqrt 5)
+SQRT5 = QUARTIC.from_coords([Fraction(c, 41261) for c in (40375, 1730, 82, 4)])
+BIQUADRATIC = NumberField([1, 0, -10, 0, 1])  # Q(sqrt 2 + sqrt 3)
+# a generator of a proper subfield: its elements have chi = mp^k with k > 1
+SUBFIELD_GENERATORS = {QUARTIC: SQRT5, BIQUADRATIC: BIQUADRATIC.gen() ** 2}
+
+
 def test_min_poly_examples(cbrt2):
     t = cbrt2.gen()
     assert min_poly(cbrt2.from_rational(3)) == [-3, 1]
     assert min_poly(t * t) == [-4, 0, 0, 1]
     assert min_poly(1 + t) == [-3, 3, -3, 1]
+    assert SQRT5 * SQRT5 == 5
+    assert min_poly(SQRT5) == [-5, 0, 1]  # chi = (x^2 - 5)^2
 
 
 def test_min_poly_annihilates_and_degree_divides(cbrt2):
@@ -117,6 +167,41 @@ def test_min_poly_annihilates_and_degree_divides(cbrt2):
         mp = min_poly(a)
         assert not dp_eval(mp, a)
         assert cbrt2.degree % (len(mp) - 1) == 0
+
+
+def min_poly_cases(field):
+    """0, rationals, small elements and, where known, proper-subfield
+    elements of a field."""
+    q = st.fractions(-9, 9, max_denominator=9)
+    cases = [st.just(field.zero()), q.map(field.from_rational),
+             st.lists(q, min_size=field.degree, max_size=field.degree)
+             .map(field.from_coords)]
+    g = SUBFIELD_GENERATORS.get(field)
+    if g is not None:
+        cases.append(st.tuples(q, q).map(lambda rs: rs[0] + rs[1] * g))
+    return st.one_of(cases)
+
+
+def _sympy_min_poly(a):
+    """The monic irreducible factor of Res_t(f(t), x - a(t)), which is the
+    characteristic polynomial of a up to sign."""
+    t, x = sympy.symbols("t x")
+    f = sum(c * t ** i for i, c in enumerate(a.field.defining_poly))
+    at = sum(sympy.Rational(c.numerator, c.denominator) * t ** i
+             for i, c in enumerate(a.coords()))
+    _, factors = sympy.Poly(sympy.resultant(f, x - at, t), x).factor_list()
+    assert len(factors) == 1
+    return [Fraction(int(c.p), int(c.q))
+            for c in reversed(factors[0][0].monic().all_coeffs())]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(fields, st.just(BIQUADRATIC)).flatmap(min_poly_cases))
+@example(SQRT5)
+@example(QUARTIC.zero())
+@example(BIQUADRATIC.gen() ** 2)
+def test_min_poly_matches_the_sympy_resultant(a):
+    assert min_poly(a) == _sympy_min_poly(a)
 
 
 def brute_lower_hull(points):
@@ -230,6 +315,19 @@ def test_ord_matches_polygon_for_generators(cbrt2):
                 assert prof.values()[0] == ord_at_unique_prime(a, 2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(CBRT2, 2), (CUBIC, 2), (QUARTIC, 5)])
+       .flatmap(lambda kp: st.tuples(elements(kp[0]), st.just(kp[1]))))
+def test_ord_matches_polygon_for_generators_hypothesis(ap):
+    # with one prime above p every conjugate has the same valuation, so the
+    # polygon has a single slope, and it is the norm's valuation / degree
+    a, p = ap
+    assume(a)
+    prof = newton_polygon_valuations(a, p)
+    assert prof.unique_extension
+    assert prof.values() == [ord_at_unique_prime(a, p)]
+
+
 def test_ord_refuses_without_certificate():
     # x^2 - 1 is reducible; use x^2 + 1 at p = 5 (5 splits in Q(i))
     gauss = NumberField([1, 0, 1])
@@ -270,31 +368,6 @@ def _euclid_inverse(a):
         s0, s1 = s1, dp_sub(s0, dp_mul(q, s1))
     inv = [x / r1[0] for x in s1]
     return a.field.from_coords((inv + [0] * a.field.degree)[:a.field.degree])
-
-
-def _field_or_none(coeffs):
-    try:
-        return NumberField(coeffs + [1])
-    except ValueError:  # reducible
-        return None
-
-
-QUARTIC = NumberField([869405, 19255, 1360, 20, 1], 's')  # index-5 catalog
-CUBIC = NumberField([-158, -40, -2, 1], 'u')              # index-2 catalog
-fields = st.one_of(
-    st.sampled_from([QUARTIC, CUBIC]),
-    st.integers(1, 4).flatmap(
-        lambda d: st.lists(st.integers(-30, 30), min_size=d, max_size=d))
-    .map(_field_or_none).filter(bool))
-
-
-def elements(field):
-    # small coordinates give zeros, so the elimination must swap rows
-    big = st.one_of(st.integers(-2, 2), st.integers(-2 ** 300, 2 ** 300))
-    return st.builds(lambda num, den: AlgebraicNumber(field, num, den),
-                     st.lists(big, min_size=field.degree,
-                              max_size=field.degree),
-                     st.integers(1, 2 ** 64))
 
 
 @settings(max_examples=60, deadline=None)

@@ -108,6 +108,8 @@ def test_irreducible_modp_matches_sympy(p, data):
     n = data.draw(st.integers(1, 8))
     c = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
     c.append(data.draw(st.integers(1, p - 1)))
+    if data.draw(st.booleans()):  # g^2 mod p: never squarefree
+        c = [int(x) % p for x in dp_mul(c, c)]
     expect = sympy.Poly(list(reversed(c)), X, modulus=p).is_irreducible
     assert poly_is_irreducible_modp(c, p) == expect
 

@@ -219,3 +219,18 @@ def test_appendix_consistency_suite(seed):
     w = LaurentSeries(1, 0, [0, 0, 1], prec=41)
     g_bad = nth_root_normalized((series_pow(u, 3) + w).truncate(41), 3)
     assert not scan_is_integral(g_bad)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "tau is read from a_1..a_M only, so a scan of T = 3 sees threshold 0 and "
+    "certifies the congruence control fQ; from T = 5 tau is 1/4 and fQ is "
+    "BoundedSoFar (ROADMAP, aim 3)"))
+def test_short_scan_does_not_certify_the_congruence_control(tmp_path, capsys):
+    from ubd import cli
+
+    assert cli.main(["--cache-dir", str(tmp_path), "--format", "records",
+                     "detect", "--entry", "fQ", "--prime", "5", "--root", "5",
+                     "--terms", "3"]) == 0
+    record = capsys.readouterr().out
+    assert record.startswith("entry=fQ ")
+    assert "status=UnboundedCertified" not in record
