@@ -34,6 +34,8 @@ def _validate(args):
     """The checks argparse cannot make; --b becomes a tuple of three ints."""
     if getattr(args, "terms", 0) < 0:
         raise ValidationError("--terms must be nonnegative")
+    if args.command in ("report", "detect") and args.terms < 1:
+        raise ValidationError(f"{args.command} needs --terms of at least 1")
     if args.command == "eta" and args.width < 1:
         raise ValidationError("--width must be a positive integer")
     if args.command == "expand-xy" and args.terms < 10:
@@ -197,16 +199,17 @@ def cmd_detect(args, out):
         series = cached_series(
             "entry-expansion", f"label={e.label},T={args.terms + 2}",
             lambda: e.expansion(args.terms + 2), d)
-        label = e.label
+        label, span = e.label, e.coefficient_span()
     else:
         try:
             with open(args.series_file) as fh:
                 series = deserialize_series(fh.read())
         except (OSError, ValueError) as exc:
             raise ValidationError(f"cannot read series file: {exc}")
-        label = os.path.basename(args.series_file)
+        label, span = os.path.basename(args.series_file), None
     try:
-        v = detect(series, args.root, args.prime, args.terms, label=label)
+        v = detect(series, args.root, args.prime, args.terms, label=label,
+                   span=span)
     except ValueError as exc:
         raise ValidationError(str(exc))
     _warn_if_short(v, args.terms)

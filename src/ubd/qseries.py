@@ -1,11 +1,12 @@
 """Truncated Laurent series in w = e^{2*pi*i*z/N} over exact coefficients,
 with the w*d/dw derivation, formal n-th roots of unit series (computed
-coefficient by coefficient on demand, by Miller's power recurrence), and
+coefficient by coefficient on demand, by Miller's power recurrence on packed
+integer coordinates), and
 Dedekind-eta quotient expansion via the pentagonal-number theorem."""
 
 from fractions import Fraction
 import math
-from operator import mul
+from operator import add, mul
 
 from .exactnum import (
     AlgebraicNumber,
@@ -199,10 +200,12 @@ def root_coefficients(f, n):
 
     The sum runs on integer coordinates (one for Q, degree for a number
     field): the a_j share one denominator, each b_(k-j) is scaled to the lcm
-    of the denominators the sum uses, the raw convolutions are added up and
-    reduced once, and b_k is normalised once.  Every b_k stays inside the
-    coefficient field of f, and a caller that stops at the first coefficient
-    it needs pays for no more than that.
+    of the denominators the sum uses, and b_k is normalised once.  Each
+    scaled b_m is kept as one int, its coordinates in slots of a common
+    width (Kronecker substitution on one operand, as in kron_mul), so a step
+    makes one list of weighted b's and one dot product per coordinate of a.
+    Every b_k stays inside the coefficient field of f, and a caller that
+    stops at the first coefficient it needs pays for no more than that.
     """
     if n < 1:
         raise ValueError("root degree must be a positive integer")
@@ -211,28 +214,56 @@ def root_coefficients(f, n):
     return _miller_root(f.coeffs, n, f.field, f.prec)
 
 
+def _pack_slots(coords, width):
+    """The int sum of coords[i] * 2^(width*i); one coordinate needs no width."""
+    x = coords[-1]
+    for c in reversed(coords[:-1]):
+        x = (x << width) + c
+    return x
+
+
 def _miller_root(a, n, field, prec):
     den_a, d, flat = _operand(a, field)
     A = [flat[i::d] for i in range(d)]  # A[i][j]: coordinate i of den_a*a_j
+    abits = max(map(abs, flat)).bit_length()
     support = [j for j in range(1, len(a)) if a[j]]
-    B = [[1]] + [[0] for _ in range(d - 1)]  # B[i][m]: coordinate i of E[m]*b_m
+    B = [[1] + [0] * (d - 1)]  # B[m]: the coordinates of E[m]*b_m
+    bbits = [1]                # bbits[m]: the widest of them, in bits
     E = [1]
+    W = 0                      # slot width of PB; d = 1 needs none
+    PB = [1]                   # PB[m]: B[m] packed in slots of width W
     for k in range(1, prec):
         m = min(k, len(a) - 1)
         L = math.lcm(*[E[k - j] for j in support if j <= k])
         w = [((n + 1) * j - n * k) * (L // E[k - j]) for j in range(1, m + 1)]
-        Ak = [Ai[1:m + 1] for Ai in A]
+        if d > 1:
+            # every slot of a dot product below is a sum of m terms
+            # a_j * w_j * b_(k-j), each under 2^(abits + bits(w_j) + bbits)
+            need = (abits + m.bit_length() + 2
+                    + max(map(add, map(int.bit_length, w), bbits[k - 1::-1]),
+                          default=0))
+            if need > W:
+                W = max(need, 2 * W)
+                mask, top = (1 << W) - 1, 1 << (W - 1)
+                PB = [_pack_slots(c, W) for c in B]
+        wb = list(map(mul, w, PB[k - 1::-1]))
         conv = [0] * (2 * d - 1)
-        for i2, Bi2 in enumerate(B):
-            wb = list(map(mul, w, Bi2[k - 1::-1]))
-            for i, Ai in enumerate(Ak):
-                conv[i + i2] += sum(map(mul, Ai, wb))
+        for i, Ai in enumerate(A):
+            s = sum(map(mul, Ai[1:m + 1], wb))
+            for i2 in range(i, i + d - 1):  # signed slots, bottom up
+                v = s & mask
+                if v >= top:
+                    v -= 1 << W
+                conv[i2] += v
+                s = (s - v) >> W
+            conv[i + d - 1] += s
         den = den_a * L * n * k
         bk = (Fraction(conv[0], den) if field is None
               else AlgebraicNumber(field, field._reduce(conv), den))
         den, _, coords = _operand([bk], field)
-        for Bi, x in zip(B, coords):
-            Bi.append(x)
+        B.append(coords)
+        bbits.append(max(map(int.bit_length, coords)))
+        PB.append(_pack_slots(coords, W))
         E.append(den)
         yield bk
 

@@ -6,22 +6,31 @@ formally, and certify unboundedness as soon as some root-coefficient ratio
 satisfies -ord(b_m/b_0) > tau = (ord(a_0) - v_min)/n.  A bounded root forces
 -ord(b_m/b_0) <= tau for every m (the diagonal term of the n-th-power
 convolution dominates), so a certificate is sound; BoundedSoFar never claims
-boundedness beyond the scanned range.
+boundedness beyond the scanned range.  v_min is read from a_1..a_M, the
+scanned range, unless the caller gives a span: coefficients whose
+Z-combinations give every a_m (u and v of a catalog function u(x) + v(x)*y,
+x and y integral), whose worst ord less ord(a_0) is then a floor on v_min
+for every m.
 
 The scan is online: the root coefficients b_1, b_2, ... come one at a time
-from qseries.root_coefficients (Miller's one-sum power recurrence on integer
-coordinates, one normalised coefficient per step), and detect stops at the
-first witness, so a certificate at m costs O(m^2) integer coordinate
-products, not the O(T^2) of the whole root.
+from qseries.root_coefficients (Miller's one-sum power recurrence on packed
+integer coordinates, one normalised coefficient per step), and detect stops
+at the first witness, so a certificate at m costs O(m^2) integer products,
+not the O(T^2) of the whole root.
 
 Valuation policy ladder per coefficient field: exact val_p on Q; the norm
 formula, with the norm a fraction-free integer determinant, when a unique
 prime above p is certified; otherwise the full Newton polygon profile,
-certifying only when every slope witnesses.
+certifying only when every slope witnesses.  Before either, the content
+bound v_p(gcd(num)) - v_p(den), a lower bound at every prime above p since
+the generator is integral, settles every comparison it can: a coefficient
+that cannot lower v_min, make a witness or raise a running maximum is never
+valued exactly.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+import math
 
 from .exactnum import (
     INFINITY,
@@ -80,32 +89,48 @@ def choose_mode(field, p):
 
 
 def _ord_values(value, p, mode):
-    """Possible valuations of a coefficient at primes above p, ord(p) = 1."""
+    """Possible valuations of a nonzero coefficient at primes above p,
+    ord(p) = 1."""
     if isinstance(value, AlgebraicNumber):
-        if not value:
-            return [INFINITY]
         if value.is_rational():
             return [Fraction(val_p(value.as_fraction(), p))]
         if mode == UNIQUE_PRIME:
             return [ord_at_unique_prime(value, p)]
         return [Fraction(v) for v in newton_polygon_valuations(value, p).values()]
-    value = Fraction(value)
-    if value == 0:
-        return [INFINITY]
     return [Fraction(val_p(value, p))]
 
 
-def _threshold(unit, n, p, mode, T):
-    """tau = (worst-case ord(a_0) - worst-case v_min)/n over the scanned range;
-    ord(a_0) = 0 after unit normalization, so tau = -v_min/n."""
-    vmin = Fraction(0)  # a_0 = 1 contributes ord 0
+def _content_bound(value, p):
+    """A lower bound on ord(value) at every prime above p; INFINITY for 0.
+
+    The generator is integral, so num/den has ord >= v_p(gcd(num)) - v_p(den)
+    wherever it is taken; on Q this is val_p itself.  Where the bound already
+    decides a comparison, no norm or Newton polygon is needed."""
+    if isinstance(value, AlgebraicNumber):
+        return val_p(Fraction(math.gcd(*value.num), value.den), p)
+    return val_p(value, p)
+
+
+def _threshold(unit, n, p, mode, T, vmin=0):
+    """tau = (worst-case ord(a_0) - worst-case v_min)/n over the scanned range
+    and the given floor vmin <= 0 on v_min; ord(a_0) = 0 after unit
+    normalization, so tau = -v_min/n."""
+    vmin = Fraction(vmin)  # a_0 = 1 contributes ord 0
     for m in range(1, T + 1):
         c = unit.coefficient(m)
-        vals = _ord_values(c, p, mode)
-        lo = min(vals)
-        if lo != INFINITY and lo < vmin:
-            vmin = Fraction(lo)
+        if _content_bound(c, p) < vmin:
+            vmin = min(vmin, *_ord_values(c, p, mode))
     return -vmin / n
+
+
+def _span_floor(span, lead, p, mode):
+    """A floor on v_min = min_m ord(a_m/a_0) that holds for every m, when
+    every coefficient of f is a Z-combination of those in span and lead is
+    a_0: the worst ord in span less the best ord of a_0 over the primes
+    above p, and never above 0."""
+    worst = min((min(_ord_values(c, p, mode)) for c in span if c),
+                default=INFINITY)
+    return min(Fraction(0), worst - max(_ord_values(lead, p, mode)))
 
 
 def _unit_part(f, prime_p, T):
@@ -121,33 +146,38 @@ def _unit_part(f, prime_p, T):
     return mode, unit.truncate(M + 1), M
 
 
-def _root_neg_ords(unit, n, p, mode):
-    """For m = 1, 2, ..., M: (m, the values -ord(b_m/b_0) at the primes
-    above p), with no values when b_m = 0.  The root coefficients come one
-    at a time, so a caller that stops early never computes the rest."""
-    for m, b in enumerate(root_coefficients(unit, n), 1):
-        vals = _ord_values(b, p, mode)
-        yield m, [] if vals == [INFINITY] else [-v for v in vals]
-
-
-def detect(f, root_degree, prime_p, T=300, label=""):
+def detect(f, root_degree, prime_p, T=300, label="", span=None):
     """Scan the formal root_degree-th root of f for a certified witness.
 
     The ratios b_m/b_0 are the coefficients of the root of the unit part of
     f, so everything stays in the coefficient field of f.  They are computed
     on demand and the scan stops at the first witness; only a BoundedSoFar
-    or an Inconclusive verdict costs the full range.
+    or an Inconclusive verdict costs the full range.  A b_m whose content
+    bound is at least -tau can be neither a witness nor a partial one, so
+    its exact valuations are never taken.
+
+    span, when given, lists coefficients whose Z-combinations give every
+    coefficient of f (u and v of f = u(x) + v(x)*y with x, y integral); they
+    then bound v_min for every m, not only for the scanned ones.
     """
     if root_degree < 2:
         raise ValueError("root degree must be at least 2")
     mode, unit, M = _unit_part(f, prime_p, T)
-    tau = _threshold(unit, root_degree, prime_p, mode, M)
-    note = (f"a_m verified p-integral (after the v_min offset) for m <= {M}; "
-            "the lemma's precondition beyond the truncation is assumed")
+    if span is None:
+        floor = 0
+        note = (f"a_m verified p-integral (after the v_min offset) for "
+                f"m <= {M}; the lemma's precondition beyond the truncation "
+                "is assumed")
+    else:
+        floor = _span_floor(span, f.coeffs[0], prime_p, mode)
+        note = ("a_m p-integral (after the v_min offset) for every m: "
+                "the coefficients are Z-combinations of those of u and v")
+    tau = _threshold(unit, root_degree, prime_p, mode, M, floor)
     partial = None
-    for m, neg_ords in _root_neg_ords(unit, root_degree, prime_p, mode):
-        if not neg_ords:
+    for m, b in enumerate(root_coefficients(unit, root_degree), 1):
+        if _content_bound(b, prime_p) >= -tau:
             continue
+        neg_ords = [-v for v in _ord_values(b, prime_p, mode)]
         if min(neg_ords) > tau:
             return UbdVerdict('UnboundedCertified', m, min(neg_ords), tau, M,
                               mode, note, label)
@@ -162,13 +192,14 @@ def detect(f, root_degree, prime_p, T=300, label=""):
 
 def growth_profile(f, root_degree, prime_p, T=300):
     """Running maxima of -ord(b_m/b_0); in conjugate-profile mode the sound
-    lower bound (minimum over slopes) is tracked."""
+    lower bound (minimum over slopes) is tracked.  A b_m whose content bound
+    is at least -best cannot raise the maximum and is not valued."""
     mode, unit, _ = _unit_part(f, prime_p, T)
     entries = []
     best = Fraction(0)
-    for m, neg_ords in _root_neg_ords(unit, root_degree, prime_p, mode):
-        if neg_ords and min(neg_ords) > best:
-            best = min(neg_ords)
+    for m, b in enumerate(root_coefficients(unit, root_degree), 1):
+        if _content_bound(b, prime_p) < -best:
+            best = max(best, -max(_ord_values(b, prime_p, mode)))
         entries.append((m, best))
     return GrowthProfile(tuple(entries), mode)
 
@@ -208,7 +239,8 @@ def analyze_catalog(entries, T=300, prime_p=None, expansions=None):
     verdicts = []
     for e, series in zip(entries, expansions):
         p = prime_p if prime_p is not None else e.root_degree
-        verdicts.append(detect(series, e.root_degree, p, T, label=e.label))
+        verdicts.append(detect(series, e.root_degree, p, T, label=e.label,
+                               span=e.coefficient_span()))
     certified = sum(1 for v in verdicts if v.status == 'UnboundedCertified')
     bounded = sum(1 for v in verdicts if v.status == 'BoundedSoFar')
     inconclusive = sum(1 for v in verdicts if v.status == 'Inconclusive')

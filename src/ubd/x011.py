@@ -221,6 +221,13 @@ class GroupCatalogEntry:
     def expansion(self, T):
         return expand_on_curve(self.generator_function, T)
 
+    def coefficient_span(self):
+        """The coefficients of u and v when den = 1, else None: x and y are
+        integral, so every expansion coefficient of u(x) + v(x)*y is a
+        Z-combination of them."""
+        F = self.generator_function
+        return F.u + F.v if len(F.den) == 1 else None
+
 
 def _interpolate(points):
     """Lagrange interpolation through exact (s, value) points."""

@@ -292,6 +292,22 @@ def test_out_of_memory_exits_2_with_an_error_line(tmp_path, monkeypatch,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [
+    ["report", "--index", "5", "--terms", "0"],
+    ["--format", "records", "report", "--index", "2", "--terms", "0"],
+    ["detect", "--entry", "fQ", "--prime", "5", "--root", "5", "--terms", "0"],
+    ["detect", "--series-file", "missing.series", "--prime", "3", "--root",
+     "3", "--terms", "0"],
+])
+def test_zero_terms_exits_2_before_scanning(tmp_path, capsys, args):
+    from ubd import cli
+
+    rc = cli.main(["--cache-dir", str(tmp_path), *args])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "--terms of at least 1" in err
+
+
 def test_report_with_a_large_prime_finishes(tmp_path):
     # the prime-shift search of field_has_unique_prime_above is bounded, so a
     # large valid prime on a number-field catalog does not hang

@@ -1,18 +1,29 @@
 """The online root and detector against the slow references they replaced.
 
 _reference_root is the two-sum recursion n*f*Dg = g*Df that built the whole
-root before the scan; _reference_detect scans every coefficient of it.  The
-fast path (Miller's one-sum recurrence, consumed until the first witness)
-must agree with both.
+root before the scan; _unpacked_root is Miller's recurrence on unpacked
+integer coordinates, d^2 dot products per step; _reference_detect scans every
+coefficient of the reference root.  _unscreened_threshold, _unscreened_detect
+and _unscreened_growth take the exact valuation of every coefficient, where
+ubdetect first asks whether the content bound already decides it.  The fast
+paths (the packed recurrence, consumed until the first witness, and the
+screened valuations) must agree with all of them.
 """
 
 from fractions import Fraction
+import math
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ubd import exactnum, ubdetect
-from ubd.exactnum import INFINITY, AlgebraicNumber, NumberField
+from ubd.exactnum import (
+    AlgebraicNumber,
+    NumberField,
+    _operand,
+    field_has_unique_prime_above,
+)
 from ubd.qseries import (
     LaurentSeries,
     nth_root_normalized,
@@ -20,8 +31,11 @@ from ubd.qseries import (
 )
 from ubd.ubdetect import (
     CONJUGATE,
+    UNIQUE_PRIME,
+    _content_bound,
     _ord_values,
-    _threshold,
+    _span_floor,
+    analyze_catalog,
     choose_mode,
     detect,
     growth_profile,
@@ -58,21 +72,66 @@ def _reference_root(f, n):
     return LaurentSeries(f.width, 0, b, field, T)
 
 
-def _reference_detect(f, n, p, T):
-    """(status, witness index, witness -ord, tau, M) from a full scan of the
-    reference root, with no early exit."""
+def _unpacked_root(f, n):
+    """b_1, b_2, ... of the n-th root of f = 1 + O(w) by Miller's recurrence
+    with each coordinate of each b_m an int of its own: d^2 dot products of
+    length k per step, one per pair of coordinates."""
+    a, field = f.coeffs, f.field
+    den_a, d, flat = _operand(a, field)
+    A = [flat[i::d] for i in range(d)]
+    support = [j for j in range(1, len(a)) if a[j]]
+    B = [[1]] + [[0] for _ in range(d - 1)]  # B[i][m]: coordinate i of E[m]*b_m
+    E = [1]
+    out = []
+    for k in range(1, f.prec):
+        m = min(k, len(a) - 1)
+        L = math.lcm(*[E[k - j] for j in support if j <= k])
+        w = [((n + 1) * j - n * k) * (L // E[k - j]) for j in range(1, m + 1)]
+        conv = [0] * (2 * d - 1)
+        for i2, Bi2 in enumerate(B):
+            wb = list(map(mul, w, Bi2[k - 1::-1]))
+            for i, Ai in enumerate(A):
+                conv[i + i2] += sum(map(mul, Ai[1:m + 1], wb))
+        den = den_a * L * n * k
+        bk = (Fraction(conv[0], den) if field is None
+              else AlgebraicNumber(field, field._reduce(conv), den))
+        den, _, coords = _operand([bk], field)
+        for Bi, x in zip(B, coords):
+            Bi.append(x)
+        E.append(den)
+        out.append(bk)
+    return out
+
+
+def _unscreened_threshold(unit, n, p, mode, T, vmin=0):
+    """tau = -v_min/n from the exact valuations of every nonzero a_m."""
+    vmin = Fraction(vmin)
+    for m in range(1, T + 1):
+        c = unit.coefficient(m)
+        if c:
+            vmin = min(vmin, *_ord_values(c, p, mode))
+    return -vmin / n
+
+
+def _scan_part(f, p, T):
     mode = choose_mode(f.field, p)
     unit, _, _ = f.unit_normalized()
     M = min(T, unit.prec - 1)
-    unit = unit.truncate(M + 1)
-    tau = _threshold(unit, n, p, mode, M)
+    return mode, unit.truncate(M + 1), M
+
+
+def _reference_detect(f, n, p, T):
+    """(status, witness index, witness -ord, tau, M) from a full scan of the
+    reference root, with no early exit."""
+    mode, unit, M = _scan_part(f, p, T)
+    tau = _unscreened_threshold(unit, n, p, mode, M)
     root = _reference_root(unit, n)
     witness = partial = None
     for m in range(1, M + 1):
-        vals = _ord_values(root.coefficient(m), p, mode)
-        if vals == [INFINITY]:
+        b = root.coefficient(m)
+        if not b:
             continue
-        neg = [-v for v in vals]
+        neg = [-v for v in _ord_values(b, p, mode)]
         if witness is None and min(neg) > tau:
             witness = (m, min(neg))
         if witness is None and partial is None and mode == CONJUGATE \
@@ -83,6 +142,41 @@ def _reference_detect(f, n, p, T):
     if partial is not None:
         return ('Inconclusive', partial, None, tau, M)
     return ('BoundedSoFar', None, None, tau, M)
+
+
+def _unscreened_detect(f, n, p, T, vmin=0):
+    """detect's verdict tuple, with the exact valuations of every a_m and of
+    every b_m up to the first witness."""
+    mode, unit, M = _scan_part(f, p, T)
+    tau = _unscreened_threshold(unit, n, p, mode, M, vmin)
+    partial = None
+    for m, b in enumerate(root_coefficients(unit, n), 1):
+        if not b:
+            continue
+        neg = [-v for v in _ord_values(b, p, mode)]
+        if min(neg) > tau:
+            return ('UnboundedCertified', m, min(neg), tau, M)
+        if mode == CONJUGATE and max(neg) > tau and partial is None:
+            partial = m
+    if partial is not None:
+        return ('Inconclusive', partial, None, tau, M)
+    return ('BoundedSoFar', None, None, tau, M)
+
+
+def _unscreened_growth(f, n, p, T):
+    """growth_profile's entries, with the exact valuations of every b_m."""
+    mode, unit, _ = _scan_part(f, p, T)
+    best, entries = Fraction(0), []
+    for m, b in enumerate(root_coefficients(unit, n), 1):
+        if b:
+            best = max(best, -max(_ord_values(b, p, mode)))
+        entries.append((m, best))
+    return tuple(entries)
+
+
+def _verdict(v):
+    return (v.status, v.witness_index, v.witness_valuation, v.threshold,
+            v.truncation_used)
 
 
 def rationals(dens=(1, 2, 3, 4, 5, 9, 25)):
@@ -127,13 +221,62 @@ def test_root_coefficients_match_reference_over_q(f, n):
                elements(k, coords=st.one_of(rationals(), wide_rationals)),
                k, max_len=6)),
        st.integers(2, 5))
+@example(LaurentSeries(1, 0, [QUARTIC.one(), 0], QUARTIC), 5)
+@example(LaurentSeries(1, 0, [CUBIC.one(), 0], CUBIC), 2)
 def test_root_coefficients_match_reference_over_catalog_fields(f, n):
+    # the examples are the one-term unit 1 + O(w^2), where no a_j enters
+    # the sum and the slot width is a maximum over an empty sequence
     assert nth_root_normalized(f, n) == _reference_root(f, n)
+
+
+negative_coords = st.builds(Fraction, st.integers(-2 ** 40, -1),
+                            st.sampled_from([1, 2, 3, 5, 7]))
+
+
+@SETTINGS
+@given(st.sampled_from([QUARTIC, CUBIC]).flatmap(
+           lambda k: st.lists(elements(k, coords=negative_coords),
+                              min_size=1, max_size=5).map(
+               lambda cs: LaurentSeries(1, 0, [k.one()] + cs, k))),
+       st.integers(2, 5))
+def test_packed_root_with_negative_coordinates_in_every_slot(f, n):
+    root = list(root_coefficients(f, n))
+    assert all(x < 0 for x in root[0].num)  # b_1 = a_1/n
+    assert root == _reference_root(f, n).coefficients(1, f.prec)
+
+
+def _unit(f, T):
+    unit, _, _ = f.unit_normalized()
+    return unit.truncate(T + 1)
 
 
 @pytest.fixture(scope="module")
 def index5():
     return {e.label: e for e in build_catalog(5)}
+
+
+@pytest.fixture(scope="module")
+def catalog_series():
+    return {index: [(e, e.expansion(302)) for e in build_catalog(index)]
+            for index in (2, 5)}
+
+
+def test_packed_root_matches_the_unpacked_recurrence_on_the_catalogs(
+        catalog_series):
+    for e, f in catalog_series[2] + catalog_series[5]:
+        unit = _unit(f, 150)
+        assert list(root_coefficients(unit, e.root_degree)) == \
+            _unpacked_root(unit, e.root_degree), e.label
+
+
+def test_packed_slots_widen_on_fq_plus_1p(index5):
+    # the coordinates of E[m]*b_m grow to about 200 bits by m = 60, so the
+    # slot width chosen at m = 1 does not last and b is repacked wider
+    unit = _unit(index5["fQ+1P"].expansion(62), 60)
+    gen = root_coefficients(unit, 5)
+    steps = [(b, gen.gi_frame.f_locals["W"]) for b in gen]
+    assert [b for b, _ in steps] == _reference_root(unit, 5).coefficients(1, 61)
+    assert steps[-1][1] > steps[0][1]
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -168,6 +311,59 @@ def test_detect_takes_no_resultant(index5, monkeypatch):
     assert not calls
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([QUARTIC, CUBIC, GAUSS]),
+       st.sampled_from([2, 3, 5, 7, 11, 13]), st.data())
+def test_content_bound_is_below_every_valuation(field, p, data):
+    e = data.draw(st.integers(0, 3))  # p^e divides every numerator
+    coords = st.builds(lambda x, den: Fraction(x * p ** e, den),
+                       st.integers(-p ** 4, p ** 4),
+                       st.sampled_from([1, p, p ** 2, p ** 3, 7 * p, 6]))
+    c = data.draw(elements(field, coords=coords).filter(bool))
+    bound = _content_bound(c, p)
+    assert bound <= min(_ord_values(c, p, CONJUGATE))
+    if field_has_unique_prime_above(field, p):
+        assert bound <= min(_ord_values(c, p, UNIQUE_PRIME))
+
+
+@pytest.mark.parametrize("T", [5, 60, 300])
+@pytest.mark.parametrize("index", [2, 5])
+def test_screened_scans_equal_the_unscreened_reference(catalog_series, index,
+                                                       T):
+    for e, f in catalog_series[index]:
+        n = p = e.root_degree
+        span = e.coefficient_span()
+        vmin = _span_floor(span, f.coeffs[0], p, choose_mode(f.field, p))
+        assert _verdict(detect(f, n, p, T, span=span)) == \
+            _unscreened_detect(f, n, p, T, vmin), e.label
+        assert _verdict(detect(f, n, p, T)) == \
+            _unscreened_detect(f, n, p, T), e.label
+        assert growth_profile(f, n, p, T).entries == \
+            _unscreened_growth(f, n, p, T), e.label
+
+
+def test_span_floor_is_the_tau_of_a_300_term_scan(catalog_series):
+    # the floor holds for every m, and on both catalogs a_1..a_300 already
+    # reach it, so it moves no verdict at T = 300
+    for e, f in catalog_series[2] + catalog_series[5]:
+        n = p = e.root_degree
+        mode, unit, M = _scan_part(f, p, 300)
+        floor = _span_floor(e.coefficient_span(), f.coeffs[0], p, mode)
+        assert -floor / n == _unscreened_threshold(unit, n, p, mode, M), \
+            e.label
+
+
+def test_index5_report_takes_few_norms(catalog_series, monkeypatch):
+    # unscreened, the T = 300 report takes 1,804 norms: 1,800 in the
+    # thresholds and one per certified witness
+    calls = _count_calls(monkeypatch, ubdetect, "ord_at_unique_prime")
+    entries = [e for e, _ in catalog_series[5]]
+    rep = analyze_catalog(entries, 300,
+                          expansions=(f for _, f in catalog_series[5]))
+    assert (rep.certified, rep.bounded) == (5, 1)
+    assert len(calls) < 50
+
+
 @SETTINGS
 @given(unit_series(rationals()), st.integers(1, 6))
 def test_root_to_the_nth_power_is_f(f, n):
@@ -198,11 +394,6 @@ def test_detect_stops_at_the_first_witness(monkeypatch):
     assert (v.status, v.witness_index, v.threshold) == \
         ('UnboundedCertified', 1, 0)
     assert taken == [Fraction(-2, 3)]
-
-
-def _verdict(v):
-    return (v.status, v.witness_index, v.witness_valuation, v.threshold,
-            v.truncation_used)
 
 
 @SETTINGS

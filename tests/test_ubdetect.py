@@ -87,6 +87,17 @@ def test_detect_algebraic_scalar_invariance():
             (base.status, base.witness_index, base.threshold)
 
 
+def test_span_floor_is_scale_invariant():
+    # scaling u and v by s scales every a_m and a_0 alike, so the floor on
+    # v_min = min ord(a_m/a_0), and with it tau = 1/4 for fQ, stays put
+    entry = next(e for e in build_catalog(5) if e.label == "fQ")
+    f, span = entry.expansion(30), entry.coefficient_span()
+    gen = entry.coefficient_field.gen()
+    for s in (1, Fraction(5), Fraction(1, 25), gen, gen / 5):
+        v = detect(f.scalar_mul(s), 5, 5, 3, span=[c * s for c in span])
+        assert (v.status, v.threshold) == ('BoundedSoFar', Fraction(1, 4)), s
+
+
 def test_detect_root_degree_coprimality():
     f = fp_series(50)
     f2 = f * f
@@ -221,11 +232,9 @@ def test_appendix_consistency_suite(seed):
     assert not scan_is_integral(g_bad)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "tau is read from a_1..a_M only, so a scan of T = 3 sees threshold 0 and "
-    "certifies the congruence control fQ; from T = 5 tau is 1/4 and fQ is "
-    "BoundedSoFar (ROADMAP, aim 3)"))
 def test_short_scan_does_not_certify_the_congruence_control(tmp_path, capsys):
+    # a_1..a_3 alone give tau = 0, which b_1 of fQ clears; the floor from
+    # the coefficients of u and v gives tau = 1/4 at every T
     from ubd import cli
 
     assert cli.main(["--cache-dir", str(tmp_path), "--format", "records",
@@ -233,4 +242,4 @@ def test_short_scan_does_not_certify_the_congruence_control(tmp_path, capsys):
                      "--terms", "3"]) == 0
     record = capsys.readouterr().out
     assert record.startswith("entry=fQ ")
-    assert "status=UnboundedCertified" not in record
+    assert "status=BoundedSoFar" in record and "threshold=1/4" in record
