@@ -7,31 +7,27 @@ O(sqrt(X)) steps and O(1) memory; enumeration and the gcd criterion for a
 full join are kept as reference oracles.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
 
-@dataclass(frozen=True)
-class LatticeTriple:
+class LatticeTriple(namedtuple('LatticeTriple', 'l n m')):
     """<l*a + n*b, m*b> with l > 0 and 0 <= n < m; index = l*m."""
-    l: int
-    n: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.l < 1 or self.m < 1 or not 0 <= self.n < self.m:
-            raise ValueError(f"not a canonical triple: {(self.l, self.n, self.m)}")
+    def __new__(cls, l, n, m):
+        if l < 1 or m < 1 or not 0 <= n < m:
+            raise ValueError(f"not a canonical triple: {(l, n, m)}")
+        return super().__new__(cls, l, n, m)
 
     @property
     def index(self):
         return self.l * self.m
 
 
-@dataclass(frozen=True)
-class CensusResult:
-    X: int
-    count: int
+class CensusResult(namedtuple('CensusResult', 'X count')):
+    __slots__ = ()
 
     @property
     def ratio(self):
@@ -86,13 +82,9 @@ def euler_phi(n):
     return n
 
 
-@dataclass
-class LowerBoundExperiment:
-    X: int
-    b: LatticeTriple
-    full_count: int
-    restricted_count: int
-    phi_bound: int
+class LowerBoundExperiment(namedtuple(
+        'LowerBoundExperiment', 'X b full_count restricted_count phi_bound')):
+    __slots__ = ()
 
     @property
     def ratio(self):

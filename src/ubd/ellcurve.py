@@ -2,7 +2,7 @@
 chord-tangent group law, torsion loci, and construction/verification of
 functions with divisor n(P) - n(O) by double-and-add line accumulation."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -431,13 +431,8 @@ def function_with_divisor(n, p):
 # Divisor verification by formal local parameterization.
 # ----------------------------------------------------------------------
 
-@dataclass
-class DivisorCheck:
-    ok: bool
-    pole_order: int
-    value_at_p: object
-    vanishing_order: object
-    detail: str
+DivisorCheck = namedtuple(
+    'DivisorCheck', 'ok pole_order value_at_p vanishing_order detail')
 
 
 def _tseries_eval_poly(poly, xs, L, field):

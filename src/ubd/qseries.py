@@ -1,12 +1,12 @@
 """Truncated Laurent series in w = e^{2*pi*i*z/N} over exact coefficients,
 with the w*d/dw derivation, formal n-th roots of unit series (computed
 coefficient by coefficient on demand, by Miller's power recurrence on packed
-integer coordinates), and
+integer coordinates over a running common denominator), and
 Dedekind-eta quotient expansion via the pentagonal-number theorem."""
 
 from fractions import Fraction
 import math
-from operator import add, mul
+from operator import mul
 
 from .exactnum import (
     AlgebraicNumber,
@@ -199,11 +199,13 @@ def root_coefficients(f, n):
         n*k*b_k = sum_{j=1..k} ((n+1)*j - n*k) * a_j * b_(k-j).
 
     The sum runs on integer coordinates (one for Q, degree for a number
-    field): the a_j share one denominator, each b_(k-j) is scaled to the lcm
-    of the denominators the sum uses, and b_k is normalised once.  Each
-    scaled b_m is kept as one int, its coordinates in slots of a common
-    width (Kronecker substitution on one operand, as in kron_mul), so a step
-    makes one list of weighted b's and one dot product per coordinate of a.
+    field): the a_j share one denominator, every b_m is stored as M*b_m over
+    the running lcm M of the denominators of b_0..b_(k-1), so the weights
+    are the small ints (n+1)*j - n*k, and b_k is normalised once; when M
+    grows by g, every stored M*b_m is multiplied by g once.  Each M*b_m is
+    kept as one int, its coordinates in slots of a common width (Kronecker
+    substitution on one operand, as in kron_mul), so a step makes one list
+    of weighted b's and one dot product per coordinate of a.
     Every b_k stays inside the coefficient field of f, and a caller that
     stops at the first coefficient it needs pays for no more than that.
     """
@@ -226,27 +228,27 @@ def _miller_root(a, n, field, prec):
     den_a, d, flat = _operand(a, field)
     A = [flat[i::d] for i in range(d)]  # A[i][j]: coordinate i of den_a*a_j
     abits = max(map(abs, flat)).bit_length()
-    support = [j for j in range(1, len(a)) if a[j]]
     B = [[1] + [0] * (d - 1)]  # B[m]: the coordinates of E[m]*b_m
-    bbits = [1]                # bbits[m]: the widest of them, in bits
-    E = [1]
-    W = 0                      # slot width of PB; d = 1 needs none
-    PB = [1]                   # PB[m]: B[m] packed in slots of width W
+    E = [1]                    # E[m]: the denominator of b_m
+    M = 1                      # the lcm of the E's so far
+    # M/E[m] < 2^(bits(M) - bits(E[m]) + 1), so every coordinate of M*b_m
+    # is under 2^(bits(M) + qbits)
+    qbits = 1
+    W = 0                      # slot width of Q; d = 1 needs none
+    Q = [1]                    # Q[m]: M*b_m, its coordinates packed in W
     for k in range(1, prec):
         m = min(k, len(a) - 1)
-        L = math.lcm(*[E[k - j] for j in support if j <= k])
-        w = [((n + 1) * j - n * k) * (L // E[k - j]) for j in range(1, m + 1)]
         if d > 1:
             # every slot of a dot product below is a sum of m terms
-            # a_j * w_j * b_(k-j), each under 2^(abits + bits(w_j) + bbits)
-            need = (abits + m.bit_length() + 2
-                    + max(map(add, map(int.bit_length, w), bbits[k - 1::-1]),
-                          default=0))
+            # a_j * w_j * (M*b_(k-j)) with |w_j| <= n*k
+            need = (abits + m.bit_length() + (n * k).bit_length()
+                    + M.bit_length() + qbits + 2)
             if need > W:
                 W = max(need, 2 * W)
                 mask, top = (1 << W) - 1, 1 << (W - 1)
-                PB = [_pack_slots(c, W) for c in B]
-        wb = list(map(mul, w, PB[k - 1::-1]))
+                Q = [M // e * _pack_slots(c, W) for c, e in zip(B, E)]
+        w = range(n + 1 - n * k, (n + 1) * m - n * k + 1, n + 1)
+        wb = list(map(mul, w, Q[k - 1::-1]))
         conv = [0] * (2 * d - 1)
         for i, Ai in enumerate(A):
             s = sum(map(mul, Ai[1:m + 1], wb))
@@ -257,14 +259,19 @@ def _miller_root(a, n, field, prec):
                 conv[i2] += v
                 s = (s - v) >> W
             conv[i + d - 1] += s
-        den = den_a * L * n * k
+        den = den_a * M * n * k
         bk = (Fraction(conv[0], den) if field is None
               else AlgebraicNumber(field, field._reduce(conv), den))
         den, _, coords = _operand([bk], field)
+        g = den // math.gcd(M, den)
+        if g > 1:
+            M *= g
+            Q = [g * q for q in Q]
         B.append(coords)
-        bbits.append(max(map(int.bit_length, coords)))
-        PB.append(_pack_slots(coords, W))
         E.append(den)
+        qbits = max(qbits, max(map(int.bit_length, coords))
+                    - den.bit_length() + 1)
+        Q.append(M // den * _pack_slots(coords, W))
         yield bk
 
 
@@ -337,7 +344,8 @@ def eta_unit_product(eq, width, T):
 
     A factor with step s = N*delta is a series in u = w^s, so it is powered
     at length ceil((T+1)/s) in u and multiplied into the unit one residue
-    class of exponents mod s at a time."""
+    class of exponents mod s at a time; the first factor is laid out on its
+    residue class 0 as it is."""
     if T < 0:
         raise ValueError("truncation must be nonnegative")
     steps = []
@@ -349,7 +357,7 @@ def eta_unit_product(eq, width, T):
         steps.append((int(nd), r))
     lead = sum(Fraction(r) * d * width for d, r in eq.terms) / 24
     length = T + 1
-    unit = [1] + [0] * T
+    unit = None
     for step, r in steps:
         if not r:
             continue
@@ -364,9 +372,15 @@ def eta_unit_product(eq, width, T):
             r >>= 1
             if r:
                 base = kron_mul(base, base, m)
-        for i in range(min(step, length)):
-            cls = unit[i::step]
-            unit[i::step] = kron_mul(cls, f, len(cls))
+        if unit is None:  # the first factor is the whole product so far
+            unit = [0] * length
+            unit[::step] = f
+        else:
+            for i in range(min(step, length)):
+                cls = unit[i::step]
+                unit[i::step] = kron_mul(cls, f, len(cls))
+    if unit is None:
+        unit = [1] + [0] * T
     return lead, LaurentSeries(width, 0, unit, None, length)
 
 

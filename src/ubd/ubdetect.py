@@ -28,7 +28,7 @@ that cannot lower v_min, make a witness or raise a running maximum is never
 valued exactly.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 import math
 
@@ -48,25 +48,25 @@ UNIQUE_PRIME = 'unique-prime-norm'
 CONJUGATE = 'conjugate-profile'
 
 
-@dataclass
-class UbdVerdict:
-    status: str                    # UnboundedCertified | BoundedSoFar | Inconclusive
-    witness_index: object          # int or None
-    witness_valuation: object      # Fraction (-ord of the witness ratio) or None
-    threshold: Fraction
-    truncation_used: int
-    valuation_mode: str
-    integrality_note: str = ""
-    label: str = ""
+class UbdVerdict(namedtuple('UbdVerdict', [
+        'status',             # UnboundedCertified | BoundedSoFar | Inconclusive
+        'witness_index',      # int or None
+        'witness_valuation',  # Fraction (-ord of the witness ratio) or None
+        'threshold',          # Fraction
+        'truncation_used',
+        'valuation_mode',
+        'integrality_note',
+        'label'], defaults=("", ""))):
+    __slots__ = ()
 
     def certified(self):
         return self.status == 'UnboundedCertified'
 
 
-@dataclass
-class GrowthProfile:
-    entries: tuple                 # ((m, running max of -ord(b_m/b_0)), ...)
-    valuation_mode: str
+class GrowthProfile(namedtuple('GrowthProfile', [
+        'entries',  # ((m, running max of -ord(b_m/b_0)), ...)
+        'valuation_mode'])):
+    __slots__ = ()
 
     def final(self):
         return self.entries[-1][1] if self.entries else Fraction(0)
@@ -204,15 +204,10 @@ def growth_profile(f, root_degree, prime_p, T=300):
     return GrowthProfile(tuple(entries), mode)
 
 
-@dataclass
-class CatalogReport:
-    index: int
-    truncation: int
-    verdicts: list
-    certified: int
-    bounded: int
-    inconclusive: int
-    hypothesis_confirmed: bool
+class CatalogReport(namedtuple('CatalogReport', 'index truncation verdicts '
+                               'certified bounded inconclusive '
+                               'hypothesis_confirmed')):
+    __slots__ = ()
 
     def lines(self):
         out = []

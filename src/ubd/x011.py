@@ -8,11 +8,11 @@ relation D(x) = kappa*(2y+1)*S(w), where D = w*d/dw, S is the weight-2
 eta product eta(z)^2*eta(z/11)^2 expanded in w = e^(2*pi*i*z/11), and
 kappa is the constant KAPPA = -1: matching the forced leading behavior
 x = w^-2 + ..., y = w^-3 + ... gives -2 = 2*kappa*S_1, and the solve checks
-that S_1 = 1.
+that S_1 = 1.  x, y and S are integral, so the solve and the check of both
+relations at every determined order run on Python ints.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -30,8 +30,8 @@ from .exactnum import (
     kron_mul,
     min_poly,
 )
-from .qseries import (EtaQuotient, LaurentSeries, derivation_wdw,
-                      eta_quotient_expand, eta_unit_product, serialize_series)
+from .qseries import (EtaQuotient, LaurentSeries, eta_quotient_expand,
+                      eta_unit_product, serialize_series)
 from .ellcurve import (
     CurveFunction,
     WeierstrassCurve,
@@ -65,6 +65,15 @@ def weight2_eta_product(T):
                                WIDTH, T)
 
 
+def _inner_square(V):
+    """sum of V[i]*V[n+1-i] over 1 <= i <= n = len(V) - 1: half the pairs,
+    doubled, plus the middle square when n is odd."""
+    n = len(V) - 1
+    h = n // 2
+    s = 2 * sum(map(mul, V[1:h + 1], V[n:n - h:-1]))
+    return s + V[h + 1] * V[h + 1] if n % 2 else s
+
+
 def _compute_xy(T):
     """Coefficient arrays for x (exponents -2..T-2) and y (-3..T-3).
 
@@ -73,7 +82,9 @@ def _compute_xy(T):
     unknowns y_(m+3) and x_(m+4) enter the curve relation at w^m as
     2*y - 3*x and the derivation relation at w^(m+4) as (m+4)*x + 2*y, so
     each is one exact integer division; a remainder means the relations
-    are inconsistent.
+    are inconsistent.  The known parts of (x^2)_(m+2) and (y^2)_m are
+    symmetric sums, taken one pair at a time by _inner_square; the x^3 part
+    and (2y+1)*S are full dot products over the growing arrays.
     """
     s_series = weight2_eta_product(T + 8)
     S = [s_series.coefficient(e).numerator for e in range(T + 8)]
@@ -93,9 +104,9 @@ def _compute_xy(T):
     X, Y, X2 = [1], [1], [1]
     for m in range(-5, T - 5):
         # provisional (x^2)_{m+2}: every term but 2*x_{-2}*x_{m+4}
-        x2prov = sum(map(mul, X[1:], reversed(X[1:])))
+        x2prov = _inner_square(X)
         # [w^m] of y^2 + y - x^3 + x^2 + 10x + 20 without the unknowns
-        v1 = (sum(map(mul, Y[1:], reversed(Y[1:])))
+        v1 = (_inner_square(Y)
               - sum(map(mul, X2[1:] + [x2prov], reversed(X))))
         if m >= -4:
             v1 += X2[m + 4]
@@ -131,33 +142,44 @@ def _xy_arrays(T):
 
 def expand_xy(T):
     """w-expansions of x and y at width 11, with T terms beyond the lead;
-    aborts if either defining relation fails at any computed order."""
+    aborts if either defining relation fails at any computed order.
+
+    Both relations are checked on the integer arrays, from four kron_mul
+    products: y^2 + y - x^3 + x^2 + 10x + 20 at w^-6..w^(T-6) and
+    D(x) + (2y+1)*S (kappa = -1) at w^-2..w^(T-2), every order the
+    truncations of x, y and S determine."""
     if T < 10:
         raise ValueError("T must be at least 10")
     xs, ys = _xy_arrays(T)
-    x = LaurentSeries(WIDTH, -2, xs[:T + 1], None, T - 1)
-    y = LaurentSeries(WIDTH, -3, ys[:T + 1], None, T - 2)
-    lhs = y * y + y
-    rhs = x * x * x - x * x - x.scalar_mul(10)
-    diff = lhs - rhs
-    for k in range(diff.lead, diff.prec):
-        c = diff.coefficient(k)
-        expected = Fraction(-20) if k == 0 else Fraction(0)
-        if c != expected:
+    X, Y = xs[:T + 1], ys[:T + 1]
+    n = T + 1
+    X2 = kron_mul(X, X, n)   # X2[i] = (x^2)_(i-4)
+    X3 = kron_mul(X2, X, n)  # X3[i] = (x^3)_(i-6)
+    Y2 = kron_mul(Y, Y, n)   # Y2[i] = (y^2)_(i-6)
+    for k in range(-6, T - 5):
+        c = Y2[k + 6] - X3[k + 6]
+        if k >= -4:
+            c += X2[k + 4]
+        if k >= -3:
+            c += Y[k + 3]
+        if k >= -2:
+            c += 10 * X[k + 2]
+        if c != (-20 if k == 0 else 0):
             raise RuntimeError(
                 f"curve relation fails at order {k}: inconsistency between the "
                 "two defining relations (implementation bug)")
-    s = weight2_eta_product(T + 8)
-    lhs2 = derivation_wdw(x)
-    one = LaurentSeries(WIDTH, 0, [1], None, prec=y.prec + 3)
-    rhs2 = ((y + y + one) * s).scalar_mul(KAPPA)
-    d2 = lhs2 - rhs2
-    for k in range(d2.lead, min(d2.prec, lhs2.prec)):
-        if d2.coefficient(k) != 0:
+    s = weight2_eta_product(T)
+    S = [s.coefficient(e).numerator for e in range(n + 1)]  # S[e] = S_e
+    Z = [2 * c for c in Y]     # Z[i] = (2y+1)_(i-3)
+    Z[3] += 1
+    P = kron_mul(Z, S, n + 1)  # P[i] = ((2y+1)*S)_(i-3)
+    for k in range(-2, T - 1):
+        if k * X[k + 2] + P[k + 3]:
             raise RuntimeError(
                 f"derivation relation fails at order {k}: inconsistency between "
                 "the two defining relations (implementation bug)")
-    return x, y
+    return (LaurentSeries(WIDTH, -2, X, None, T - 1),
+            LaurentSeries(WIDTH, -3, Y, None, T - 2))
 
 
 # ----------------------------------------------------------------------
@@ -206,17 +228,17 @@ def expand_on_curve(F, T):
 # Character-group catalogs.
 # ----------------------------------------------------------------------
 
-@dataclass
-class GroupCatalogEntry:
+class GroupCatalogEntry(namedtuple('GroupCatalogEntry', [
+        'label',
+        'index',
+        'generator_function',  # a CurveFunction
+        'root_degree',
+        'coefficient_field',   # NumberField or None for rational entries
+        'congruence_flag',     # 'known-congruence' | 'expected-noncongruence'
+        'point'])):            # the torsion point with div(f) = n(P) - n(O)
     """One cyclic character group of Gamma^0(11): the field of modular
     functions is generated by the root_degree-th root of generator_function."""
-    label: str
-    index: int
-    generator_function: CurveFunction
-    root_degree: int
-    coefficient_field: object  # NumberField or None for rational entries
-    congruence_flag: str       # 'known-congruence' | 'expected-noncongruence'
-    point: object              # the torsion point with div(f) = n(P) - n(O)
+    __slots__ = ()
 
     def expansion(self, T):
         return expand_on_curve(self.generator_function, T)

@@ -390,3 +390,15 @@ def test_no_command_imports_sympy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           env=env)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # dataclasses imports inspect, dis, ast and tokenize, which every command
+    # would pay for at start-up; neither is loaded at interpreter start
+    script = ("import sys\n"
+              "assert not {'dataclasses', 'inspect'} & set(sys.modules)\n"
+              "import ubd.cli\n"
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == ["[]"]

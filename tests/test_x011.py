@@ -291,3 +291,46 @@ def test_xy_solve_stops_on_a_non_integral_order(monkeypatch, tmp_path):
     monkeypatch.setattr(x011, "_XY_CACHE", {"T": -1})
     assert cli.main(["--cache-dir", str(tmp_path), "expand-xy",
                      "--terms", "20"]) == 4
+
+
+XY_CHECK_T = 60
+
+
+@pytest.mark.parametrize("order", [-6, 20, XY_CHECK_T - 6])
+@pytest.mark.parametrize("which", ["x", "y"])
+def test_curve_check_fails_at_the_order_of_a_wrong_coefficient(
+        monkeypatch, which, order):
+    # x_(k+4) enters x^3 at w^k as 3*x_(-2)^2*x_(k+4), and y_(k+3) enters
+    # y^2 at w^k as 2*y_(-3)*y_(k+3); both sit at index k + 6 of their array
+    from ubd import x011
+
+    xs, ys = (list(a) for a in _xy_arrays(XY_CHECK_T))
+    (xs if which == "x" else ys)[order + 6] += 1
+    monkeypatch.setattr(x011, "_xy_arrays", lambda T: (xs, ys))
+    with pytest.raises(RuntimeError,
+                       match=f"curve relation fails at order {order}:"):
+        expand_xy(XY_CHECK_T)
+
+
+@pytest.mark.parametrize("order", [-2, 20, XY_CHECK_T - 2])
+def test_derivation_check_fails_at_the_order_of_a_wrong_coefficient(
+        monkeypatch, order):
+    # a wrong x or y coefficient always breaks the curve relation at a lower
+    # order first, so the derivation check is reached through S: S_(k+3)
+    # enters (2y+1)*S at w^k as 2*y_(-3)*S_(k+3)
+    from ubd import x011
+
+    arrays = _xy_arrays(XY_CHECK_T)
+    real = x011.weight2_eta_product
+
+    def perturbed(T):
+        s = real(T)
+        coeffs = list(s.coefficients(s.lead, s.prec))
+        coeffs[order + 3 - s.lead] += 1
+        return LaurentSeries(s.width, s.lead, coeffs, None, s.prec)
+
+    monkeypatch.setattr(x011, "_xy_arrays", lambda T: arrays)
+    monkeypatch.setattr(x011, "weight2_eta_product", perturbed)
+    with pytest.raises(RuntimeError,
+                       match=f"derivation relation fails at order {order}:"):
+        expand_xy(XY_CHECK_T)
