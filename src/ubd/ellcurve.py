@@ -1,19 +1,18 @@
 """Elliptic curves in long Weierstrass form over Q or a number field:
-chord-tangent group law, torsion loci, and construction/verification of
-functions with divisor n(P) - n(O) by double-and-add line accumulation."""
+chord-tangent group law, torsion loci, and functions with divisor
+n(P) - n(O): built in the coordinate ring by double-and-add line
+accumulation with one exact division by the verticals, and checked by
+their norm to K[x]."""
 
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 from .exactnum import (
     domain_one,
-    domain_zero,
     dp_add,
     dp_divmod,
     dp_eval,
-    dp_gcd,
     dp_mul,
     dp_sub,
     dp_trim,
@@ -21,7 +20,6 @@ from .exactnum import (
     lift,
     lower_hull_slopes,
     newton_polygon_points,
-    trunc_mul,
 )
 
 
@@ -238,36 +236,20 @@ def torsion_x_locus(n, curve):
 
 
 # ----------------------------------------------------------------------
-# Curve functions (u(x) + v(x)*y) / den(x) and Miller-style construction.
+# Curve functions u(x) + v(x)*y and Miller-style construction.
 # ----------------------------------------------------------------------
 
 class CurveFunction:
-    """(u(x) + v(x)*y) / den(x) on a Weierstrass curve, kept reduced:
-    y^2 is always eliminated by the curve equation, gcd(u, v, den) = 1,
-    and den is monic."""
+    """u(x) + v(x)*y in the coordinate ring K[x, y]/(E) of a Weierstrass
+    curve: y^2 is always eliminated by the curve equation, so u and v are
+    unique and the only pole is at O."""
 
-    __slots__ = ('curve', 'u', 'v', 'den')
+    __slots__ = ('curve', 'u', 'v')
 
-    def __init__(self, curve, u, v, den=None):
-        u = dp_trim([lift(curve.field, c) for c in u])
-        v = dp_trim([lift(curve.field, c) for c in v])
-        den = dp_trim([lift(curve.field, c) for c in (den if den is not None else [1])])
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        g = dp_gcd(dp_gcd(u, v) or den, den)
-        if len(g) > 1:
-            u = dp_divmod(u, g)[0]
-            v = dp_divmod(v, g)[0]
-            den = dp_divmod(den, g)[0]
-        if den[-1] != 1:
-            inv = 1 / den[-1]
-            u = [c * inv for c in u]
-            v = [c * inv for c in v]
-            den = [c * inv for c in den]
+    def __init__(self, curve, u, v):
         self.curve = curve
-        self.u = tuple(u)
-        self.v = tuple(v)
-        self.den = tuple(den)
+        self.u = tuple(dp_trim([lift(curve.field, c) for c in u]))
+        self.v = tuple(dp_trim([lift(curve.field, c) for c in v]))
 
     def is_zero(self):
         return not self.u and not self.v
@@ -279,8 +261,6 @@ class CurveFunction:
         s = poly(self.u)
         if self.v:
             s += " + (" + poly(self.v) + ")*y"
-        if len(self.den) > 1 or self.den[0] != 1:
-            s = f"({s}) / ({poly(self.den)})"
         return f"CurveFunction({s})"
 
     # -- arithmetic ---------------------------------------------------
@@ -302,38 +282,26 @@ class CurveFunction:
         u = dp_add(dp_mul(u1, u2), dp_mul(vv, self._g_poly()))
         v = dp_sub(dp_add(dp_mul(u1, v2), dp_mul(u2, v1)),
                    dp_mul(vv, self._a13()))
-        return CurveFunction(self.curve, u, v, dp_mul(self.den, other.den))
+        return CurveFunction(self.curve, u, v)
 
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverting the zero function")
+    def norm(self):
+        """N(f) = f * f(-.) = u^2 - u*v*(a1*x + a3) - v^2*g(x) in K[x], with
+        g = x^3 + a2*x^2 + a4*x + a6; its degree is the pole order at O."""
         u, v = self.u, self.v
-        a13 = self._a13()
-        # norm = u^2 - u*v*(a1x+a3) - v^2*g;  conj = (u - v*(a1x+a3)) - v*y
-        norm = dp_sub(dp_mul(u, u),
-                      dp_add(dp_mul(dp_mul(u, v), a13),
+        return dp_sub(dp_mul(u, u),
+                      dp_add(dp_mul(dp_mul(u, v), self._a13()),
                              dp_mul(dp_mul(v, v), self._g_poly())))
-        nu = dp_mul(self.den, dp_sub(u, dp_mul(v, a13)))
-        nv = dp_mul(self.den, [-c for c in v])
-        return CurveFunction(self.curve, nu, nv, norm)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
 
     def scalar_mul(self, s):
         s = lift(self.curve.field, s)
         return CurveFunction(self.curve, [c * s for c in self.u],
-                             [c * s for c in self.v], list(self.den))
+                             [c * s for c in self.v])
 
     def evaluate(self, point):
-        """Exact value at an affine point (not a pole of the function)."""
+        """Exact value at an affine point."""
         if point.is_infinity():
             raise ValueError("evaluation at O: use the w-expansion instead")
-        d = dp_eval(self.den, point.x)
-        if not d:
-            raise ZeroDivisionError("point is a pole of the function")
-        n = dp_eval(self.u, point.x) + dp_eval(self.v, point.x) * point.y
-        return n / d
+        return dp_eval(self.u, point.x) + dp_eval(self.v, point.x) * point.y
 
     # -- behaviour at O -----------------------------------------------
     def pole_order_at_O(self):
@@ -343,17 +311,14 @@ class CurveFunction:
             raise ValueError("zero function")
         du = 2 * (len(self.u) - 1) if self.u else None
         dv = 3 + 2 * (len(self.v) - 1) if self.v else None
-        top = max(d for d in (du, dv) if d is not None)
-        return top - 2 * (len(self.den) - 1)
+        return max(d for d in (du, dv) if d is not None)
 
     def leading_coeff_at_O(self):
         du = 2 * (len(self.u) - 1) if self.u else None
         dv = 3 + 2 * (len(self.v) - 1) if self.v else None
         if dv is None or (du is not None and du > dv):
-            lc = self.u[-1]
-        else:
-            lc = self.v[-1]
-        return lc / self.den[-1]
+            return self.u[-1]
+        return self.v[-1]
 
     def normalized(self):
         """Scale so the w-expansion at O has leading coefficient 1."""
@@ -378,137 +343,84 @@ def line_through(curve, a, b):
     return CurveFunction(curve, [-nu, -lam], [one])
 
 
-def vertical_at(curve, a):
-    one = domain_one(curve.field)
-    return CurveFunction(curve, [-a.x, one], [])
-
-
 def function_with_divisor(n, p):
     """Miller-style accumulation of a function with divisor n(P) - n(O).
 
-    Maintains f_k with divisor k(P) - ([k]P) - (k-1)(O); requires n*P = O,
-    detected at the final vertical-line cancellation.  The result is
-    normalized so its w-expansion at O has leading coefficient 1.
+    Maintains f_k = num / den with divisor k(P) - ([k]P) - (k-1)(O): num is
+    the product of the lines in K[x, y]/(E), den the product of the
+    verticals x - x_R in K[x].  Requires n*P = O, detected at the final
+    vertical-line cancellation; then f has its only pole at O, so den
+    divides u and v exactly, once, at the end.  The result is normalized so
+    its w-expansion at O has leading coefficient 1.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     curve = p.curve
-    one_fn = CurveFunction(curve, [domain_one(curve.field)], [])
+    one = domain_one(curve.field)
     if n == 1:
         if not p.is_infinity():
             raise ValueError("P is not 1-torsion")
-        return one_fn
+        return CurveFunction(curve, [one], [])
     if p.is_infinity():
         raise ValueError("P must be affine for n > 1")
-    f = one_fn
+    num, den = CurveFunction(curve, [one], []), [one]
     v = p
-    bits = bin(n)[3:]
-    for bit in bits:
+    for bit in bin(n)[3:]:
         # doubling: f^2 * line(V,V) / vertical(2V); from V = O just square
-        f = f * f
+        num, den = num * num, dp_mul(den, den)
         if not v.is_infinity():
-            f = f * line_through(curve, v, v)
-            v2 = v + v
-            if not v2.is_infinity():
-                f = f / vertical_at(curve, v2)
-            v = v2
+            num = num * line_through(curve, v, v)
+            v = v + v
+            if not v.is_infinity():
+                den = dp_mul(den, [-v.x, one])
         if bit == '1':
             if v.is_infinity():
                 # div(f) = k(P) - k(O) already absorbs the extra (P) - ([k+1]P)
                 v = p
             else:
-                f = f * line_through(curve, v, p)
-                vp = v + p
-                if not vp.is_infinity():
-                    f = f / vertical_at(curve, vp)
-                v = vp
+                num = num * line_through(curve, v, p)
+                v = v + p
+                if not v.is_infinity():
+                    den = dp_mul(den, [-v.x, one])
     if not v.is_infinity():
         raise ValueError("P is not n-torsion: the final vertical does not cancel")
-    return f.normalized()
+    (qu, ru), (qv, rv) = dp_divmod(num.u, den), dp_divmod(num.v, den)
+    if ru or rv:
+        raise RuntimeError("the verticals do not divide the lines "
+                           "(implementation bug)")
+    return CurveFunction(curve, qu, qv).normalized()
 
 
 # ----------------------------------------------------------------------
-# Divisor verification by formal local parameterization.
+# Divisor verification by the norm.
 # ----------------------------------------------------------------------
 
 DivisorCheck = namedtuple(
     'DivisorCheck', 'ok pole_order value_at_p vanishing_order detail')
 
 
-def _tseries_eval_poly(poly, xs, L, field):
-    """poly(x(t)) to order t^(L-1), by Horner's rule."""
-    acc = [domain_zero(field)] * L
-    if not poly:
-        return acc
-    acc[0] = poly[-1]
-    for c in reversed(poly[:-1]):
-        acc = trunc_mul(acc, xs, L, field)
-        acc[0] = acc[0] + c
-    return acc
+def verify_divisor(f, n, p):
+    """Check that div(f) = n(P) - n(O) for f = u + v*y, whose only pole is O.
 
-
-def local_parameterization(curve, p, L):
-    """Formal branch (x(t), y(t)) of the curve at an affine point P to order
-    t^(L-1): x = x_P + t when the curve is smooth in y there, otherwise
-    y = y_P + t (2-torsion) with x solved the same way.  The unknown's
-    coefficient k enters coefficient k of the residual linearly, with factor
-    ey or ex, so each step needs only coefficient k of y^2, x*y, x^2 and x^3
-    (x^2 kept as a running list): O(k) products."""
-    zero = domain_zero(curve.field)
-    one = domain_one(curve.field)
-    a1, a2, a3, a4, _ = curve.coefficients()
-    ey = 2 * p.y + a1 * p.x + a3
-    ex = a1 * p.y - (3 * p.x * p.x + 2 * a2 * p.x + a4)
-    xs = [p.x] + [zero] * (L - 1)
-    ys = [p.y] + [zero] * (L - 1)
-    if not ey and not ex:
-        raise ValueError("singular point (cannot happen on a nonsingular curve)")
-    known, unknown, e = (xs, ys, ey) if ey else (ys, xs, ex)
-    if L > 1:
-        known[1] = one
-    x2 = [p.x * p.x] + [zero] * (L - 1)
-    minus_inv = -1 / e
-
-    def coeff(a, b, k):
-        return sum(map(mul, a[:k + 1], reversed(b[:k + 1])), zero)
-
-    for k in range(1, L):
-        # coefficient k of the residual, with unknown[k] still zero
-        x2[k] = coeff(xs, xs, k)
-        r = (coeff(ys, ys, k) + a1 * coeff(xs, ys, k) + a3 * ys[k]
-             - coeff(x2, xs, k) - a2 * x2[k] - a4 * xs[k])
-        unknown[k] = r * minus_inv
-        if unknown is xs:
-            x2[k] += 2 * p.x * xs[k]
-    return xs, ys
-
-
-def verify_divisor(f, n, p, local_t=None):
-    """Three checks that div(f) = n(P) - n(O): formal pole order at O, value
-    zero at P, and vanishing order n along the formal branch at P."""
+    N(f) = f * f(-.), so x - x_P divides N(f) exactly
+    k = ord_P(f) + ord_-P(f) times (k = ord_P(f) when 2P = O, where x - x_P
+    has a double zero).  The checks: f(-P) != 0 unless 2P = O, so that
+    k = ord_P(f); and N(f) = c*(x - x_P)^k with k = n, so that f has no
+    other zero.  deg N(f) is the pole order at O, so that is n as well.
+    vanishing_order is k, or None when f(-P) = 0 and 2P != O.
+    """
     if p.is_infinity():
         raise ValueError("P must be affine")
-    if local_t is None:
-        local_t = n + 5
-    curve = f.curve
     pole = f.pole_order_at_O()
-    try:
-        val = f.evaluate(p)
-    except ZeroDivisionError:
-        return DivisorCheck(False, pole, None, None, "P is a pole of F")
-    L = local_t + 1
-    xs, ys = local_parameterization(curve, p, L)
-    num = _tseries_eval_poly(list(f.u), xs, L, curve.field)
-    vy = trunc_mul(_tseries_eval_poly(list(f.v), xs, L, curve.field), ys, L,
-                   curve.field)
-    num = [num[k] + vy[k] for k in range(L)]
-    den = _tseries_eval_poly(list(f.den), xs, L, curve.field)
-    onum = next((k for k, c in enumerate(num) if c), None)
-    oden = next((k for k, c in enumerate(den) if c), None)
-    if onum is None or oden is None:
-        return DivisorCheck(False, pole, val, None,
-                            f"local order unresolved at local_T={local_t}; increase it")
-    vanish = onum - oden
-    ok = (pole == n) and (not val) and (vanish == n)
+    val = f.evaluate(p)
+    rest, k = f.norm(), 0
+    while True:
+        q, r = dp_divmod(rest, [-p.x, 1])
+        if r:
+            break
+        rest, k = q, k + 1
+    clear = -p == p or bool(f.evaluate(-p))
+    vanish = k if clear else None
+    ok = clear and k == n and len(rest) == 1
     detail = f"pole order {pole}, F(P) = {val}, vanishing order {vanish}"
     return DivisorCheck(ok, pole, val, vanish, detail)

@@ -22,6 +22,7 @@ from .exactnum import (
     NumberField,
     _deriv,
     _operand,
+    domain_one,
     dp_gcd,
     dp_monic,
     dp_resultant,
@@ -33,7 +34,6 @@ from .exactnum import (
 from .qseries import (EtaQuotient, LaurentSeries, eta_quotient_expand,
                       eta_unit_product, serialize_series)
 from .ellcurve import (
-    CurveFunction,
     WeierstrassCurve,
     five_torsion_factors,
     function_with_divisor,
@@ -55,7 +55,7 @@ def x11_curve(field=None):
 # x(w), y(w) by the coupled curve/derivation recursion.
 # ----------------------------------------------------------------------
 
-_XY_CACHE = {"T": -1, "xs": None, "ys": None}
+_XY_CACHE = {"T": -1, "xs": None, "ys": None, "S": None}
 KAPPA = Fraction(-1)
 
 
@@ -75,7 +75,8 @@ def _inner_square(V):
 
 
 def _compute_xy(T):
-    """Coefficient arrays for x (exponents -2..T-2) and y (-3..T-3).
+    """Coefficient arrays for x (exponents -2..T-2), y (-3..T-3) and the
+    eta product S (S[e] = S_e for e < T + 8).
 
     x, y and S are integral and kappa = -1, so the solve runs on Python ints:
     X[i] = x_(i-2), Y[i] = y_(i-3) and X2[i] = (x^2)_(i-4).  At order m the
@@ -130,13 +131,13 @@ def _compute_xy(T):
         Y.append(y_new)
         X.append(x_new)
         X2.append(x2prov + 2 * x_new)
-    return X, Y
+    return X, Y, S
 
 
 def _xy_arrays(T):
     if _XY_CACHE["T"] < T:
-        xs, ys = _compute_xy(T)
-        _XY_CACHE.update(T=T, xs=xs, ys=ys)
+        xs, ys, S = _compute_xy(T)
+        _XY_CACHE.update(T=T, xs=xs, ys=ys, S=S)
     return _XY_CACHE["xs"], _XY_CACHE["ys"]
 
 
@@ -144,10 +145,10 @@ def expand_xy(T):
     """w-expansions of x and y at width 11, with T terms beyond the lead;
     aborts if either defining relation fails at any computed order.
 
-    Both relations are checked on the integer arrays, from four kron_mul
-    products: y^2 + y - x^3 + x^2 + 10x + 20 at w^-6..w^(T-6) and
-    D(x) + (2y+1)*S (kappa = -1) at w^-2..w^(T-2), every order the
-    truncations of x, y and S determine."""
+    Both relations are checked on the integer arrays, with the solve's S,
+    from four kron_mul products: y^2 + y - x^3 + x^2 + 10x + 20 at
+    w^-6..w^(T-6) and D(x) + (2y+1)*S (kappa = -1) at w^-2..w^(T-2), every
+    order the truncations of x, y and S determine."""
     if T < 10:
         raise ValueError("T must be at least 10")
     xs, ys = _xy_arrays(T)
@@ -168,8 +169,7 @@ def expand_xy(T):
             raise RuntimeError(
                 f"curve relation fails at order {k}: inconsistency between the "
                 "two defining relations (implementation bug)")
-    s = weight2_eta_product(T)
-    S = [s.coefficient(e).numerator for e in range(n + 1)]  # S[e] = S_e
+    S = _XY_CACHE["S"][:n + 1]  # S[e] = S_e
     Z = [2 * c for c in Y]     # Z[i] = (2y+1)_(i-3)
     Z[3] += 1
     P = kron_mul(Z, S, n + 1)  # P[i] = ((2y+1)*S)_(i-3)
@@ -192,36 +192,29 @@ def expand_on_curve(F, T):
 
     x and y are integral, so u(x) + v(x)*y is a field-linear combination of
     the integer series x^i and x^i*y, summed in integer coordinates over one
-    denominator.  A den(x) other than 1 costs one inverse and one product.
+    denominator.
     """
-    degs = max(len(F.u), len(F.v) + 1, len(F.den))
+    degs = max(len(F.u), len(F.v) + 1)
     xs, ys = _xy_arrays(T + 2 * degs + F.pole_order_at_O() + 10)
     field, N = F.curve.field, T + 1
     powers = [[1] + [0] * T]  # x^i * w^(2i), N ints each
-    while len(powers) < max(len(F.u), len(F.v), len(F.den)):
+    while len(powers) < max(len(F.u), len(F.v)):
         powers.append(kron_mul(powers[-1], xs, N))
-
-    def combination(u, v):
-        # (coefficient, integer series, pole order) of each term
-        terms = [(c, powers[i], 2 * i) for i, c in enumerate(u) if c]
-        terms += [(c, kron_mul(powers[i], ys, N), 2 * i + 3)
-                  for i, c in enumerate(v) if c]
-        top = max(n for _, _, n in terms)
-        den, d, flat = _operand([c for c, _, _ in terms], field)
-        coords = [[0] * N for _ in range(d)]
-        for t, (_, s, n) in enumerate(terms):
-            for col, a in zip(coords, flat[t * d:(t + 1) * d]):
-                col[top - n:] = [c + a * sk for c, sk in zip(col[top - n:], s)]
-        if field is None:
-            coeffs = [Fraction(c, den) for c in coords[0]]
-        else:
-            coeffs = [AlgebraicNumber(field, c, den) for c in zip(*coords)]
-        return LaurentSeries(WIDTH, -top, coeffs, field, N - top)
-
-    result = combination(F.u, F.v)
-    if len(F.den) > 1:
-        result = result * combination(F.den, ()).invert()
-    return result
+    # (coefficient, integer series, pole order) of each term
+    terms = [(c, powers[i], 2 * i) for i, c in enumerate(F.u) if c]
+    terms += [(c, kron_mul(powers[i], ys, N), 2 * i + 3)
+              for i, c in enumerate(F.v) if c]
+    top = max(n for _, _, n in terms)
+    den, d, flat = _operand([c for c, _, _ in terms], field)
+    coords = [[0] * N for _ in range(d)]
+    for t, (_, s, n) in enumerate(terms):
+        for col, a in zip(coords, flat[t * d:(t + 1) * d]):
+            col[top - n:] = [c + a * sk for c, sk in zip(col[top - n:], s)]
+    if field is None:
+        coeffs = [Fraction(c, den) for c in coords[0]]
+    else:
+        coeffs = [AlgebraicNumber(field, c, den) for c in zip(*coords)]
+    return LaurentSeries(WIDTH, -top, coeffs, field, N - top)
 
 
 # ----------------------------------------------------------------------
@@ -244,11 +237,10 @@ class GroupCatalogEntry(namedtuple('GroupCatalogEntry', [
         return expand_on_curve(self.generator_function, T)
 
     def coefficient_span(self):
-        """The coefficients of u and v when den = 1, else None: x and y are
-        integral, so every expansion coefficient of u(x) + v(x)*y is a
-        Z-combination of them."""
+        """The coefficients of u and v: x and y are integral, so every
+        expansion coefficient of u(x) + v(x)*y is a Z-combination of them."""
         F = self.generator_function
-        return F.u + F.v if len(F.den) == 1 else None
+        return F.u + F.v
 
 
 def _interpolate(points):
@@ -333,6 +325,14 @@ def build_catalog(index):
     """
     curve = x11_curve()
     entries = []
+
+    def verified(n, p, label):
+        f = function_with_divisor(n, p)
+        chk = verify_divisor(f, n, p)
+        if not chk.ok:
+            raise RuntimeError(f"{label} failed verification: {chk.detail}")
+        return f
+
     if index == 2:
         cubic = torsion_x_locus(2, curve)
         mint, d = integerize_monic(cubic)
@@ -340,10 +340,7 @@ def build_catalog(index):
         ck = curve.base_change(K)
         xp = K.gen() / d
         p2 = ck.point(xp, Fraction(-1, 2))
-        f = function_with_divisor(2, p2)
-        chk = verify_divisor(f, 2, p2)
-        if not chk.ok:
-            raise RuntimeError(f"index-2 generator failed verification: {chk.detail}")
+        f = verified(2, p2, "index-2 generator")
         for i in (1, 2, 3):
             entries.append(GroupCatalogEntry(
                 label=f"fP{i}", index=2, generator_function=f, root_degree=2,
@@ -351,20 +348,14 @@ def build_catalog(index):
                 point=p2))
     elif index == 5:
         p = curve.point(5, 5)
-        f_p = function_with_divisor(5, p)
-        chk = verify_divisor(f_p, 5, p)
-        if not chk.ok:
-            raise RuntimeError(f"f_P failed verification: {chk.detail}")
+        f_p = verified(5, p, "f_P")
         entries.append(GroupCatalogEntry(
             label="fP", index=5, generator_function=f_p, root_degree=5,
             coefficient_field=None, congruence_flag='expected-noncongruence',
             point=p))
         qd = QPointData(curve)
         pk = qd.curve.point(5, 5)
-        f_q = function_with_divisor(5, qd.q_point)
-        chk = verify_divisor(f_q, 5, qd.q_point)
-        if not chk.ok:
-            raise RuntimeError(f"f_Q failed verification: {chk.detail}")
+        f_q = verified(5, qd.q_point, "f_Q")
         entries.append(GroupCatalogEntry(
             label="fQ", index=5, generator_function=f_q, root_degree=5,
             coefficient_field=qd.field, congruence_flag='known-congruence',
@@ -373,10 +364,7 @@ def build_catalog(index):
         xsum = None
         for i in (1, 2, 3, 4):
             r = qd.q_point + i * pk
-            f_r = function_with_divisor(5, r)
-            chk = verify_divisor(f_r, 5, r)
-            if not chk.ok:
-                raise RuntimeError(f"f_Q+{i}P failed verification: {chk.detail}")
+            f_r = verified(5, r, f"f_Q+{i}P")
             mp = min_poly(r.x)
             if len(mp) != 5:
                 raise RuntimeError("x(Q+iP) does not have degree 4")
@@ -413,7 +401,7 @@ def catalog_export(entries, T=20):
                 for c in cs)
         lines.append("u " + poly_str(e.generator_function.u))
         lines.append("v " + poly_str(e.generator_function.v))
-        lines.append("den " + poly_str(e.generator_function.den))
+        lines.append("den " + poly_str([domain_one(e.coefficient_field)]))
         series = e.expansion(T)
         lines.append(serialize_series(series).rstrip("\n"))
         blocks.append("\n".join(lines))

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from ubd.exactnum import NumberField, domain_one, domain_zero, min_poly, trunc_mul
+from ubd.exactnum import (NumberField, domain_one, domain_zero, dp_monic,
+                          dp_mul, min_poly, trunc_mul)
 from ubd.ellcurve import (
     CurveFunction,
     WeierstrassCurve,
     five_torsion_factors,
     function_with_divisor,
-    local_parameterization,
     point_order,
     torsion_x_locus,
     verify_divisor,
@@ -89,7 +89,7 @@ def test_torsion_x_locus_five(x11):
 
 def test_function_with_divisor_n1(x11):
     f = function_with_divisor(1, x11.infinity())
-    assert f.u == (1,) and f.v == () and f.den == (1,)
+    assert f.u == (1,) and f.v == ()
 
 
 def test_function_with_divisor_two_torsion(x11):
@@ -98,7 +98,7 @@ def test_function_with_divisor_two_torsion(x11):
     xp = k.gen() / 2
     p2 = ck.point(xp, Fraction(-1, 2))
     f = function_with_divisor(2, p2)
-    assert f.v == () and f.den == (k.one(),)
+    assert f.v == ()
     assert list(f.u) == [-xp, k.one()]
     chk = verify_divisor(f, 2, p2)
     assert chk.ok, chk.detail
@@ -110,7 +110,6 @@ def test_function_with_divisor_fp(x11):
     # the known closed form, leading coefficient already 1
     assert list(f.u) == [-55, 30, -4]
     assert list(f.v) == [-4, 1]
-    assert list(f.den) == [1]
     assert f.pole_order_at_O() == 5
     chk = verify_divisor(f, 5, p)
     assert chk.ok and chk.pole_order == 5 and chk.vanishing_order == 5
@@ -125,13 +124,13 @@ def test_function_with_divisor_composite_multiple(x11):
     # n*P = O with ord(P) a proper divisor of n: the walker passes through O
     p = x11.point(5, 5)
     f10 = function_with_divisor(10, p)
-    chk = verify_divisor(f10, 10, p, local_t=16)
+    chk = verify_divisor(f10, 10, p)
     assert chk.ok, chk.detail
 
     k = NumberField([-158, -40, -2, 1])
     p2 = x11.base_change(k).point(k.gen() / 2, Fraction(-1, 2))
     f6 = function_with_divisor(6, p2)
-    chk = verify_divisor(f6, 6, p2, local_t=12)
+    chk = verify_divisor(f6, 6, p2)
     assert chk.ok, chk.detail
     # the cube of x - x_P, normalized
     xp = k.gen() / 2
@@ -147,6 +146,16 @@ def test_verify_divisor_failure_cases(x11):
 
     f = function_with_divisor(5, p)
     assert not verify_divisor(f, 4, p).ok  # wrong multiplicity claimed
+
+
+def test_verify_divisor_rejects_zeros_away_from_p(x11):
+    # f_P*(x - 16) vanishes to order 5 at P and not at -P, but its norm keeps
+    # (x - 16)^2 and its pole order at O is 7
+    p = x11.point(5, 5)
+    f = function_with_divisor(5, p) * CurveFunction(x11, [-16, 1], [])
+    chk = verify_divisor(f, 5, p)
+    assert chk.vanishing_order == 5 and chk.pole_order == 7
+    assert not chk.ok
 
 
 def test_verify_divisor_scaling_invariance(x11):
@@ -175,8 +184,6 @@ def test_same_subgroup_principal_span(x11):
 
 def test_curve_function_arithmetic_reduction(x11):
     f = CurveFunction(x11, [1, 1], [2])  # (1 + x) + 2y
-    g = f * f.inverse()
-    assert g.u == (1,) and g.v == () and g.den == (1,)
     h = f * f
     val = h.evaluate(x11.point(5, 5))
     direct = f.evaluate(x11.point(5, 5))
@@ -187,7 +194,6 @@ def test_pole_order_parity_rule(x11):
     assert CurveFunction(x11, [0, 1], []).pole_order_at_O() == 2   # x
     assert CurveFunction(x11, [], [1]).pole_order_at_O() == 3      # y
     assert CurveFunction(x11, [0, 0, 1], [1]).pole_order_at_O() == 4
-    assert CurveFunction(x11, [0, 1], [], [0, 1]).pole_order_at_O() == 0
     f = CurveFunction(x11, [-55, 30, -4], [-4, 1])
     assert f.leading_coeff_at_O() == 1
 
@@ -234,21 +240,55 @@ def _branch_points():
     return points
 
 
-@pytest.mark.parametrize("L", [1, 2, 8, 12])
-def test_local_parameterization_matches_reference(L):
-    for p in _branch_points():
-        got = local_parameterization(p.curve, p, L)
-        assert got == _reference_local_parameterization(p.curve, p, L), p
-        xs, ys = got
-        assert xs[0] == p.x and ys[0] == p.y
-        assert all(not r for r in _curve_residual(p.curve, xs, ys, L)), p
+def _reference_order_at(f, p):
+    """ord_P(f) read off the reference branch: t is a uniformizer at P, so
+    the order is the index of the first nonzero coefficient of
+    f(x(t), y(t))."""
+    L = 8
+    field = p.curve.field
+    xs, ys = _reference_local_parameterization(p.curve, p, L)
+    assert not any(_curve_residual(p.curve, xs, ys, L)), p
+
+    def at_x(poly):
+        acc = [domain_zero(field)] * L
+        for c in reversed(poly):
+            acc = trunc_mul(acc, xs, L, field)
+            acc[0] = acc[0] + c
+        return acc
+
+    vy = trunc_mul(at_x(f.v), ys, L, field)
+    series = [a + b for a, b in zip(at_x(f.u), vy)]
+    return next(k for k, c in enumerate(series) if c)
 
 
-def test_local_parameterization_takes_the_x_branch_at_two_torsion():
-    # at the index-2 point 2y + a1*x + a3 = 0, so y = y_P + t and x is solved
-    from ubd.x011 import build_catalog
-    p = build_catalog(2)[0].point
-    xs, ys = local_parameterization(p.curve, p, 6)
-    assert ys[1] == 1 and not any(ys[2:])
-    assert not xs[1]  # x - x_P vanishes to order 2 along the branch
-    assert xs[2]
+def test_vanishing_order_matches_the_reference_branch():
+    points = _branch_points()
+    for p in points:
+        n = 2 if -p == p else 5
+        f = function_with_divisor(n, p)
+        chk = verify_divisor(f, n, p)
+        assert chk.vanishing_order == _reference_order_at(f, p) == n
+        # the same f at every other point of its field where the norm
+        # counts ord_P: there f(-P) != 0 or 2P = O
+        for q in points:
+            if q.curve != p.curve:
+                continue
+            chk = verify_divisor(f, n, q)
+            if chk.vanishing_order is not None:
+                assert chk.vanishing_order == _reference_order_at(f, q), (p, q)
+            else:
+                assert not f.evaluate(-q) and -q != q
+
+
+def test_verify_divisor_needs_the_value_at_minus_p(x11):
+    # each norm is c*(x - 5)^n with the pole order n at O, but the zeros
+    # sit at -P, or are split between P and -P
+    p = x11.point(5, 5)
+    for f, n in ((CurveFunction(x11, [-5, 1], []), 2),
+                 (function_with_divisor(5, -p), 5)):
+        power = [1]
+        for _ in range(n):
+            power = dp_mul(power, [-5, 1])
+        assert dp_monic(f.norm()) == power and f.pole_order_at_O() == n
+        chk = verify_divisor(f, n, p)
+        assert not chk.ok and chk.vanishing_order is None, chk.detail

@@ -1,10 +1,11 @@
 """Pinned stdout of commands whose output carries exact coefficients or counts.
 
 The series hashes were taken from the element-wise series arithmetic that the
-product kernel replaced, and the census hashes from the census that enumerated
-every triple; a fault that changes any printed coefficient, verdict or count
-changes a hash.  Each command runs on an empty cache and again on the cache it
-filled.
+product kernel replaced, the census hashes from the census that enumerated
+every triple, and the catalog and index-5 report hashes from the quotient
+curve functions (u + v*y)/den that the coordinate ring replaced; a fault that
+changes any printed coefficient, verdict or count changes a hash.  Each command
+runs on an empty cache and again on the cache it filled.
 """
 
 import hashlib
@@ -27,12 +28,19 @@ GOLDEN = [
      "1e9138bc58ea4c4cfa26acd167be8f14a5ca499ce3aeb3fa15f888e6be47a028"),
     (["census", "--xmax", "1000000"],
      "121ee0e09ee75ea25ae098944448abaf93a691fae6836651d740512fe661c4cd"),
+    (["catalog", "--index", "5", "--terms", "20"],
+     "709bd867ed562941dcfbd2f18cfea2d1d756535c90a96712da1d07557c09487e"),
+    (["catalog", "--index", "2", "--terms", "20"],
+     "8b8a16033d3cbf131060863f1f73ddfb1cda92114839b2d78ddc01b28d64398f"),
+    (["--format", "records", "report", "--index", "5", "--terms", "60"],
+     "fcafda07c9600ecc72741122f40868fdc6486ebf81f27789f0f1b64b415b7e91"),
 ]
 
 
 @pytest.mark.parametrize("args,digest", GOLDEN,
                          ids=["report", "expand-xy", "eta", "census-b-1400",
-                              "census-b-100", "census-1e6"])
+                              "census-b-100", "census-1e6", "catalog-5",
+                              "catalog-2", "report-5"])
 def test_golden_stdout(tmp_path, args, digest):
     for _ in ("cold", "warm"):
         proc = subprocess.run([sys.executable, "-m", "ubd", *args],
