@@ -1,6 +1,8 @@
 """Command-line orchestration: eta expansions, x/y expansion, catalogs,
-unbounded-denominator detection, and the sublattice census, with a text
-cache of exact series keyed by run parameters.
+unbounded-denominator detection, and the sublattice census.  expand-xy keeps
+x and y as text records keyed by run parameters: reading them back is an
+order of magnitude faster than the solve.  Catalog entries are expanded in
+process, since parsing a stored expansion costs more than redoing it.
 
 Exit codes: 0 success, 2 validation error or out of memory, 3 detection ran
 but was Inconclusive only, 4 internal inconsistency (a defining relation
@@ -193,12 +195,9 @@ def _warn_if_short(v, requested):
 
 
 def cmd_detect(args, out):
-    d = cache_dir(args.cache_dir)
     if args.entry:
         e = _entry_by_label(args.entry)
-        series = cached_series(
-            "entry-expansion", f"label={e.label},T={args.terms + 2}",
-            lambda: e.expansion(args.terms + 2), d)
+        series = e.expansion(args.terms + 2)
         label, span = e.label, e.coefficient_span()
     else:
         try:
@@ -236,14 +235,8 @@ def cmd_census(args, out):
 
 def cmd_report(args, out):
     entries = build_catalog(args.index)
-    d = cache_dir(args.cache_dir)
-    expansions = (
-        cached_series("entry-expansion", f"label={e.label},T={args.terms + 2}",
-                      lambda e=e: e.expansion(args.terms + 2), d)
-        for e in entries)
     try:
-        rep = analyze_catalog(entries, T=args.terms, prime_p=args.prime,
-                              expansions=expansions)
+        rep = analyze_catalog(entries, T=args.terms, prime_p=args.prime)
     except ValueError as exc:
         raise ValidationError(str(exc))
     for v in rep.verdicts:

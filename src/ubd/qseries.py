@@ -175,11 +175,7 @@ class LaurentSeries:
         if self.is_zero():
             raise ValueError("zero series has no unit normalization")
         c0 = self.coeffs[0]
-        unit = LaurentSeries(self.width, 0,
-                             trunc_mul(self.coeffs, [1 / c0], len(self.coeffs),
-                                       self.field),
-                             self.field, self.prec - self.lead)
-        return unit, self.lead, c0
+        return self.scalar_mul(1 / c0).shift(-self.lead), self.lead, c0
 
 
 def derivation_wdw(f):

@@ -219,23 +219,19 @@ class CatalogReport(namedtuple('CatalogReport', 'index truncation verdicts '
         return out
 
 
-def analyze_catalog(entries, T=300, prime_p=None, expansions=None):
-    """Run the detector over catalog entries at their root degrees.
+def analyze_catalog(entries, T=300, prime_p=None):
+    """Run the detector over catalog entries at their root degrees, each
+    expanded here to T + 2 terms.
 
-    expansions, when given, yields each entry's series in turn, known to at
-    least T + 2 terms (say, read from a cache); otherwise every entry is
-    expanded here.
     The main theorem's index-p hypothesis is confirmed when every
     expected-noncongruence entry is certified and no known-congruence entry
     is (falsely) certified.
     """
-    if expansions is None:
-        expansions = (e.expansion(T + 2) for e in entries)
     verdicts = []
-    for e, series in zip(entries, expansions):
+    for e in entries:
         p = prime_p if prime_p is not None else e.root_degree
-        verdicts.append(detect(series, e.root_degree, p, T, label=e.label,
-                               span=e.coefficient_span()))
+        verdicts.append(detect(e.expansion(T + 2), e.root_degree, p, T,
+                               label=e.label, span=e.coefficient_span()))
     certified = sum(1 for v in verdicts if v.status == 'UnboundedCertified')
     bounded = sum(1 for v in verdicts if v.status == 'BoundedSoFar')
     inconclusive = sum(1 for v in verdicts if v.status == 'Inconclusive')

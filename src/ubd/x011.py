@@ -360,21 +360,19 @@ def build_catalog(index):
             label="fQ", index=5, generator_function=f_q, root_degree=5,
             coefficient_field=qd.field, congruence_flag='known-congruence',
             point=qd.q_point))
-        quartic = torsion_x_locus(5, curve)
-        xsum = None
+        # Q + iP lies in neither <P> (the linear factors of psi_5) nor <Q>
+        # (its quadratic factor), so x is a root of one of its two quartics
+        quartics = [f for f in five_torsion_factors(curve)[1] if len(f) == 5]
         for i in (1, 2, 3, 4):
             r = qd.q_point + i * pk
             f_r = verified(5, r, f"f_Q+{i}P")
-            mp = min_poly(r.x)
-            if len(mp) != 5:
-                raise RuntimeError("x(Q+iP) does not have degree 4")
-            xsum = r.x if xsum is None else xsum + r.x
+            if min_poly(r.x) not in quartics:
+                raise RuntimeError("x(Q+iP) is not a root of a quartic factor "
+                                   "of psi_5")
             entries.append(GroupCatalogEntry(
                 label=f"fQ+{i}P", index=5, generator_function=f_r, root_degree=5,
                 coefficient_field=qd.field,
                 congruence_flag='expected-noncongruence', point=r))
-        # trace check: the unit-reduction quartic has root sum -1
-        assert quartic[3] == 1
     else:
         raise ValueError("catalogs are built for index 2 and 5 only")
     return entries

@@ -200,8 +200,7 @@ def test_detect_inconclusive_exit_code(tmp_path):
 
 
 def test_cache_roundtrip_and_corruption(tmp_path):
-    args = ["--format", "records", "detect", "--entry", "fP1", "--prime", "2",
-            "--root", "2", "--terms", "25"]
+    args = ["expand-xy", "--terms", "30"]
     first = run_cli(args, tmp_path)
     files = [f for f in os.listdir(tmp_path) if f.endswith(".series")]
     assert files
@@ -215,6 +214,22 @@ def test_cache_roundtrip_and_corruption(tmp_path):
         second = run_cli(args, tmp_path)
         assert b"corrupt cache entry" in second.stderr
         assert second.stdout == first.stdout
+
+
+def test_only_expand_xy_touches_the_cache(tmp_path):
+    cache = tmp_path / "cache"
+    f = tmp_path / "f.series"
+    f.write_text("series 1\nwidth 1\nlead 0\ntruncation 3\nfield rational\n"
+                 "1/1\n2/1\n3/1\n4/1\n")
+    for args in (["report", "--index", "2", "--terms", "20"],
+                 ["detect", "--entry", "fP1", "--prime", "2", "--root", "2",
+                  "--terms", "20"],
+                 ["detect", "--series-file", str(f), "--prime", "3",
+                  "--root", "3", "--terms", "3"]):
+        run_cli(args, cache)
+        assert not cache.exists(), args
+    run_cli(["expand-xy", "--terms", "30"], cache)
+    assert sorted(p.suffix for p in cache.iterdir()) == [".series", ".series"]
 
 
 def test_short_series_scan_warns_on_stderr(tmp_path):
@@ -235,26 +250,6 @@ def test_short_series_scan_warns_on_stderr(tmp_path):
     p = run_cli(["detect", "--series-file", str(g), "--prime", "3",
                  "--root", "3", "--terms", "20"], tmp_path)
     assert p.stderr == b""
-
-
-def test_report_warm_cache_expands_nothing(tmp_path, monkeypatch, capsys):
-    from ubd import cli, x011
-
-    args = ["--cache-dir", str(tmp_path), "report", "--index", "2",
-            "--terms", "20"]
-    assert cli.main(args) == 0
-    cold = capsys.readouterr().out
-    calls = []
-    original = x011.expand_on_curve
-
-    def counted(*a):
-        calls.append(a)
-        return original(*a)
-
-    monkeypatch.setattr(x011, "expand_on_curve", counted)
-    assert cli.main(args) == 0
-    assert capsys.readouterr().out == cold
-    assert calls == []
 
 
 def test_expand_xy_solves_once_per_cold_run(tmp_path, monkeypatch, capsys):

@@ -2,10 +2,11 @@
 
 The series hashes were taken from the element-wise series arithmetic that the
 product kernel replaced, the census hashes from the census that enumerated
-every triple, and the catalog and index-5 report hashes from the quotient
-curve functions (u + v*y)/den that the coordinate ring replaced; a fault that
-changes any printed coefficient, verdict or count changes a hash.  Each command
-runs on an empty cache and again on the cache it filled.
+every triple, the catalog and index-5 report hashes from the quotient curve
+functions (u + v*y)/den that the coordinate ring replaced, and the report
+table hashes from the report that kept its catalog expansions in the cache; a
+fault that changes any printed coefficient, verdict or count changes a hash.
+Each command runs on an empty cache and again on the cache it filled.
 """
 
 import hashlib
@@ -34,13 +35,18 @@ GOLDEN = [
      "8b8a16033d3cbf131060863f1f73ddfb1cda92114839b2d78ddc01b28d64398f"),
     (["--format", "records", "report", "--index", "5", "--terms", "60"],
      "fcafda07c9600ecc72741122f40868fdc6486ebf81f27789f0f1b64b415b7e91"),
+    (["report", "--index", "2", "--terms", "20"],
+     "b157835c9ed880f3ea2a24c40231439dd7866a3fb36895802aa966ffff10b25e"),
+    (["report", "--index", "5", "--terms", "20"],
+     "623c58ac1d29908f06d1841080402e0ac15dc6e17471fc890aebd2d0e97d5bdb"),
 ]
 
 
 @pytest.mark.parametrize("args,digest", GOLDEN,
                          ids=["report", "expand-xy", "eta", "census-b-1400",
                               "census-b-100", "census-1e6", "catalog-5",
-                              "catalog-2", "report-5"])
+                              "catalog-2", "report-5", "report-table-2",
+                              "report-table-5"])
 def test_golden_stdout(tmp_path, args, digest):
     for _ in ("cold", "warm"):
         proc = subprocess.run([sys.executable, "-m", "ubd", *args],

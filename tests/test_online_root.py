@@ -368,8 +368,7 @@ def test_index5_report_takes_few_norms(catalog_series, monkeypatch):
     # thresholds and one per certified witness
     calls = _count_calls(monkeypatch, ubdetect, "ord_at_unique_prime")
     entries = [e for e, _ in catalog_series[5]]
-    rep = analyze_catalog(entries, 300,
-                          expansions=(f for _, f in catalog_series[5]))
+    rep = analyze_catalog(entries, 300)
     assert (rep.certified, rep.bounded) == (5, 1)
     assert len(calls) < 50
 

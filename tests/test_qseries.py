@@ -241,3 +241,28 @@ def test_serialization_roundtrip_property(f):
     g = deserialize_series(text)
     assert g == f
     assert serialize_series(g) == text
+
+
+@st.composite
+def scaled_series(draw):
+    """A series over Q or a number field whose leading coefficient is
+    nonzero and not 1, with implicit zeros past its list."""
+    field = draw(st.sampled_from(ROUNDTRIP_FIELDS))
+    q = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 999))
+    c = q if field is None else st.lists(
+        q, min_size=field.degree, max_size=field.degree).map(field.from_coords)
+    c0 = draw(c.filter(lambda v: v and v != 1))
+    coeffs = [c0] + draw(st.lists(c, max_size=10))
+    lead = draw(st.integers(-8, 8))
+    prec = lead + len(coeffs) + draw(st.integers(0, 3))
+    return S(draw(st.integers(1, 24)), lead, coeffs, field, prec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(scaled_series())
+def test_unit_normalized_scales_back_to_f(f):
+    unit, lead, c0 = f.unit_normalized()
+    assert (lead, c0) == (f.lead, f.coeffs[0])
+    assert unit.lead == 0 and unit.coefficient(0) == 1
+    back = unit.scalar_mul(c0).shift(lead)
+    assert back.prec == f.prec and back.agrees_with(f)

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ubd.exactnum import dp_trim, min_poly
-from ubd.ellcurve import CurveFunction, function_with_divisor, verify_divisor
+from ubd.ellcurve import (
+    CurveFunction,
+    five_torsion_factors,
+    function_with_divisor,
+    torsion_x_locus,
+    verify_divisor,
+)
 from ubd.qseries import LaurentSeries, nth_root_normalized
 from ubd.x011 import (
     KAPPA,
@@ -198,6 +204,27 @@ def test_catalog_five_x_coordinates():
             quartics.add(tuple(int(c) for c in mp))
     # generators split over the unit-reduction quartic and the Eisenstein one
     assert quartics == {(101, 41, 11, 1, 1), (155, 200, 120, 15, 1)}
+
+
+def test_catalog_five_translates_pin_their_quartic():
+    # x(Q+iP) is a root of psi_5's unit-reduction quartic for i = 2, 3 and of
+    # its other quartic factor for i = 1, 4
+    unit, other = (101, 41, 11, 1, 1), (155, 200, 120, 15, 1)
+    assert tuple(torsion_x_locus(5, x11_curve())) == unit
+    got = {e.label: tuple(min_poly(e.point.x)) for e in build_catalog(5)[2:]}
+    assert got == {"fQ+1P": other, "fQ+2P": unit, "fQ+3P": unit,
+                   "fQ+4P": other}
+
+
+def test_catalog_five_rejects_an_x_off_the_quartics(monkeypatch):
+    from ubd import x011
+
+    rational, rest = five_torsion_factors(x11_curve())
+    without_unit = [f for f in rest if f != [101, 41, 11, 1, 1]]
+    monkeypatch.setattr(x011, "five_torsion_factors",
+                        lambda curve: (rational, without_unit))
+    with pytest.raises(RuntimeError, match="quartic factor of psi_5"):
+        build_catalog.__wrapped__(5)  # past the memo, which keeps its entries
 
 
 def test_catalog_five_expansions_normalized():
