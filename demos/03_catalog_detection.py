@@ -10,17 +10,17 @@ entry (fQ, the congruence one) survives the scan with bounded denominators.
 
 from ubd.exactnum import dp_trim, min_poly
 from ubd.ubdetect import analyze_catalog
-from ubd.x011 import QPointData, build_catalog, x11_curve
+from ubd.x011 import CATALOG_INDICES, build_catalog
 
-qd = QPointData(x11_curve())
-print("flattened field of Q:", qd.field)
-s = (10 * qd.x_q + 5) / 11
-th = (10 * qd.y_q + 5) / 11
+fq = next(e for e in build_catalog(5) if e.label == "fQ")
+print("flattened field of Q:", fq.coefficient_field)
+s = (10 * fq.point.x + 5) / 11
+th = (10 * fq.point.y + 5) / 11
 print("nested-radical check: S^2 =", s * s, ", TH^2 + 25 + 2S =",
       th * th + 25 + 2 * s)
 print()
 
-for index in (2, 5):
+for index in CATALOG_INDICES:
     entries = build_catalog(index)
     print(f"index-{index} catalog: {[e.label for e in entries]}")
     for e in entries:

@@ -27,9 +27,10 @@ from .ellcurve import (
     CurveFunction,
     CurvePoint,
     WeierstrassCurve,
+    division_polynomial,
     function_with_divisor,
     point_order,
-    torsion_x_locus,
+    torsion_factors,
     verify_divisor,
 )
 from .x011 import (
@@ -40,6 +41,7 @@ from .x011 import (
     expand_xy,
     g5_family,
     g5_series,
+    torsion_point,
     x11_curve,
 )
 from .ubdetect import UbdVerdict, GrowthProfile, detect, growth_profile, analyze_catalog

@@ -23,7 +23,8 @@ from .qseries import (
     deserialize_series,
     serialize_series,
 )
-from .x011 import KAPPA, build_catalog, catalog_export, expand_xy
+from .x011 import (CATALOG_INDICES, KAPPA, build_catalog, catalog_export,
+                   expand_xy)
 from .ubdetect import analyze_catalog, detect
 from .census import LatticeTriple, s_count, ubd_lower_bound_experiment
 
@@ -34,16 +35,15 @@ class ValidationError(Exception):
 
 def _validate(args):
     """The checks argparse cannot make; --b becomes a tuple of three ints."""
-    if getattr(args, "terms", 0) < 0:
-        raise ValidationError("--terms must be nonnegative")
-    if args.command in ("report", "detect") and args.terms < 1:
-        raise ValidationError(f"{args.command} needs --terms of at least 1")
+    least = 10 if args.command == "expand-xy" else 1
+    if getattr(args, "terms", least) < least:
+        raise ValidationError(
+            f"{args.command} needs --terms of at least {least}")
     if args.command == "eta" and args.width < 1:
         raise ValidationError("--width must be a positive integer")
-    if args.command == "expand-xy" and args.terms < 10:
-        raise ValidationError("expand-xy needs --terms of at least 10")
-    if args.command in ("catalog", "report") and args.index not in (2, 5):
-        raise ValidationError("catalog index must be 2 or 5")
+    if getattr(args, "index", CATALOG_INDICES[0]) not in CATALOG_INDICES:
+        raise ValidationError(
+            f"catalog index must be {' or '.join(map(str, CATALOG_INDICES))}")
     if args.command == "detect" and bool(args.entry) == bool(args.series_file):
         raise ValidationError("provide exactly one of --entry or --series-file")
     if args.command == "census":
@@ -161,7 +161,7 @@ def cmd_catalog(args, out):
 
 def _entry_by_label(label):
     labels = []
-    for index in (2, 5):
+    for index in CATALOG_INDICES:
         for e in build_catalog(index):
             if e.label == label:
                 return e

@@ -1,12 +1,11 @@
 """Elliptic curves in long Weierstrass form over Q or a number field:
-chord-tangent group law, torsion loci, and functions with divisor
+chord-tangent group law, division polynomials, and functions with divisor
 n(P) - n(O): built in the coordinate ring by double-and-add line
 accumulation with one exact division by the verticals, and checked by
 their norm to K[x]."""
 
 from collections import namedtuple
-from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .exactnum import (
     domain_one,
@@ -18,8 +17,6 @@ from .exactnum import (
     dp_trim,
     factor_poly_q,
     lift,
-    lower_hull_slopes,
-    newton_polygon_points,
 )
 
 
@@ -163,76 +160,54 @@ def point_order(p, bound):
 
 
 # ----------------------------------------------------------------------
-# Division polynomials and torsion x-loci.
+# Division polynomials.
 # ----------------------------------------------------------------------
 
-def two_torsion_cubic(curve):
-    """Monic cubic whose roots are the x-coordinates of the 2-torsion:
-    eliminate y = -(a1*x + a3)/2 from the curve equation."""
-    if curve.field is not None:
-        raise ValueError("two_torsion_cubic expects a rational model")
-    a1, a2, a3, a4, a6 = (Fraction(c) for c in curve.coefficients())
-    return [a6 + a3 * a3 / 4, a4 + a1 * a3 / 2, a2 + a1 * a1 / 4, Fraction(1)]
+def division_polynomial(n, curve):
+    """The x-polynomial of the n-torsion: psi_2^2 = 4x^3 + b2*x^2 + 2*b4*x
+    + b6 for n = 2, psi_n for odd n and psi_n/psi_2 for even n > 2.
 
-
-def five_division_polynomial(curve):
-    """psi_5 as a polynomial in x (degree 12, leading coefficient 5)."""
+    From psi_3 and psi_4/psi_2 by the recurrences (Washington, Elliptic
+    Curves, 2nd ed., 3.2) psi_(2m+1) = psi_(m+2)*psi_m^3 - psi_(m-1)*
+    psi_(m+1)^3 and psi_(2m) = psi_m*(psi_(m+2)*psi_(m-1)^2 - psi_(m-2)*
+    psi_(m+1)^2)/psi_2, which hold with psi_2 = 2y + a1*x + a3."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
     b2, b4, b6, b8 = curve.b2, curve.b4, curve.b6, curve.b8
-    psi2sq = [b6, 2 * b4, b2, lift(curve.field, 4)]
-    psi3 = [b8, 3 * b6, 3 * b4, b2, lift(curve.field, 3)]
-    psi4h = [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4,
-             b2, lift(curve.field, 2)]  # psi4 / psi2
-    return dp_sub(dp_mul(psi4h, dp_mul(psi2sq, psi2sq)),
-                  dp_mul(dp_mul(psi3, psi3), psi3))
+    one = domain_one(curve.field)
+    cubic = [b6, 2 * b4, b2, 4 * one]
+    if n == 2:
+        return cubic
+    psi = [[], [one], [one], [b8, 3 * b6, 3 * b4, b2, 3 * one],
+           [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4,
+            b2, 2 * one]]  # psi_k/psi_2 for even k
+
+    def term(k, ks):
+        # psi_2 divides each even psi_i, and psi_k if k is even; the rest
+        # pair up into factors psi_2^2 = cubic
+        twos = sum(i % 2 == 0 for i in ks) - 2 * (k % 2 == 0)
+        return reduce(dp_mul, [psi[i] for i in ks] + [cubic] * (twos // 2))
+
+    for k in range(5, n + 1):
+        m = k // 2
+        if k % 2:
+            lhs, rhs = (m + 2, m, m, m), (m - 1, m + 1, m + 1, m + 1)
+        else:
+            lhs, rhs = (m, m + 2, m - 1, m - 1), (m, m - 2, m + 1, m + 1)
+        psi.append(dp_sub(term(k, lhs), term(k, rhs)))
+    return psi[n]
 
 
 @lru_cache(maxsize=None)
-def five_torsion_factors(curve):
-    """Irreducible factorization data of psi_5 for a rational model:
-    (sorted rational x-coordinates, the other irreducible factors as
-    primitive integer coefficient lists).  Computed once per curve; the
-    lists are shared, so callers copy them before changing them."""
+def torsion_factors(n, curve):
+    """The irreducible factors over Q of division_polynomial(n, curve) for a
+    rational model, as primitive integer coefficient tuples in the order of
+    factor_poly_q.  Computed once per (n, curve)."""
     if curve.field is not None:
-        raise ValueError("five_torsion_factors expects a rational model")
-    psi5 = five_division_polynomial(curve)
-    _, factors = factor_poly_q([Fraction(c) for c in psi5])
-    rational_x = []
-    rest = []
-    for fac, mult in factors:
-        assert mult == 1, "psi_5 should be squarefree for a nonsingular curve"
-        if len(fac) == 2:
-            rational_x.append(Fraction(-fac[0], fac[1]))
-        else:
-            rest.append(fac)
-    return sorted(rational_x), rest
-
-
-def _all_unit_slopes_at(fac, p):
-    segs = lower_hull_slopes(newton_polygon_points([Fraction(c) for c in fac], p))
-    return all(s == 0 for s, _ in segs)
-
-
-def torsion_x_locus(n, curve):
-    """x-locus of the nonzero n-torsion (or its relevant Galois orbit).
-
-    n=2: the monic cubic from eliminating y along 2y + a1*x + a3 = 0.
-    n=5: the quartic factor of psi_5 whose roots are 5-adic units; for a curve
-    with a rational 5-torsion point and ordinary reduction at 5 this is the
-    orbit of x-coordinates of generators reducing to nonzero points.
-    """
-    if n == 2:
-        return two_torsion_cubic(curve)
-    if n == 5:
-        _, irrational = five_torsion_factors(curve)
-        quartics = [f for f in irrational if len(f) == 5]
-        unit_quartics = [f for f in quartics if f[-1] == 1
-                         and _all_unit_slopes_at(f, 5)]
-        if len(unit_quartics) != 1:
-            raise ValueError(
-                "could not isolate a unique unit-reduction quartic among "
-                f"{quartics}")
-        return [Fraction(c) for c in unit_quartics[0]]
-    raise ValueError(f"unsupported torsion order {n}")
+        raise ValueError("torsion_factors expects a rational model")
+    _, factors = factor_poly_q(division_polynomial(n, curve))
+    assert all(m == 1 for _, m in factors)  # squarefree: E is nonsingular
+    return tuple(tuple(fac) for fac, _ in factors)
 
 
 # ----------------------------------------------------------------------

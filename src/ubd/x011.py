@@ -15,18 +15,21 @@ relations at every determined order run on Python ints.
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from operator import mul
 
 from .exactnum import (
     AlgebraicNumber,
     NumberField,
-    _deriv,
     _operand,
     domain_one,
+    dp_add,
+    dp_divmod,
+    dp_eval,
     dp_gcd,
     dp_monic,
+    dp_mul,
     dp_resultant,
-    dp_trim,
     integerize_monic,
     kron_mul,
     min_poly,
@@ -35,10 +38,9 @@ from .qseries import (EtaQuotient, LaurentSeries, eta_quotient_expand,
                       eta_unit_product, serialize_series)
 from .ellcurve import (
     WeierstrassCurve,
-    five_torsion_factors,
+    division_polynomial,
     function_with_divisor,
-    point_order,
-    torsion_x_locus,
+    torsion_factors,
     verify_divisor,
 )
 
@@ -102,25 +104,26 @@ def _compute_xy(T):
                 "the two defining relations (implementation bug)")
         return q
 
+    _, a2, a3, a4, a6 = CURVE_COEFFS  # a1 = 0: no x*y term
     X, Y, X2 = [1], [1], [1]
     for m in range(-5, T - 5):
         # provisional (x^2)_{m+2}: every term but 2*x_{-2}*x_{m+4}
         x2prov = _inner_square(X)
-        # [w^m] of y^2 + y - x^3 + x^2 + 10x + 20 without the unknowns
+        # [w^m] of y^2 + a3*y - x^3 - a2*x^2 - a4*x - a6 without the unknowns
         v1 = (_inner_square(Y)
               - sum(map(mul, X2[1:] + [x2prov], reversed(X))))
         if m >= -4:
-            v1 += X2[m + 4]
+            v1 -= a2 * X2[m + 4]
         if m >= -3:
-            v1 += Y[m + 3]
+            v1 += a3 * Y[m + 3]
         if m >= -2:
-            v1 += 10 * X[m + 2]
+            v1 -= a4 * X[m + 2]
         if m == 0:
-            v1 += 20
-        # [w^(m+4)] of D(x) + (2y+1)*S without the unknowns
+            v1 -= a6
+        # [w^(m+4)] of D(x) + (2y+a3)*S without the unknowns
         v2 = 2 * sum(map(mul, Y, reversed(S[2:m + 8])))
         if m >= -3:
-            v2 += S[m + 4]
+            v2 += a3 * S[m + 4]
         if m == -4:
             # exponent 0 in the derivation relation: x_0 drops out
             y_new = exact(-v2, 2, "y", m)
@@ -157,22 +160,23 @@ def expand_xy(T):
     X2 = kron_mul(X, X, n)   # X2[i] = (x^2)_(i-4)
     X3 = kron_mul(X2, X, n)  # X3[i] = (x^3)_(i-6)
     Y2 = kron_mul(Y, Y, n)   # Y2[i] = (y^2)_(i-6)
+    _, a2, a3, a4, a6 = CURVE_COEFFS  # a1 = 0: no x*y term
     for k in range(-6, T - 5):
         c = Y2[k + 6] - X3[k + 6]
         if k >= -4:
-            c += X2[k + 4]
+            c -= a2 * X2[k + 4]
         if k >= -3:
-            c += Y[k + 3]
+            c += a3 * Y[k + 3]
         if k >= -2:
-            c += 10 * X[k + 2]
-        if c != (-20 if k == 0 else 0):
+            c -= a4 * X[k + 2]
+        if c != (a6 if k == 0 else 0):
             raise RuntimeError(
                 f"curve relation fails at order {k}: inconsistency between the "
                 "two defining relations (implementation bug)")
     S = _XY_CACHE["S"][:n + 1]  # S[e] = S_e
-    Z = [2 * c for c in Y]     # Z[i] = (2y+1)_(i-3)
-    Z[3] += 1
-    P = kron_mul(Z, S, n + 1)  # P[i] = ((2y+1)*S)_(i-3)
+    Z = [2 * c for c in Y]     # Z[i] = (2y+a3)_(i-3)
+    Z[3] += a3
+    P = kron_mul(Z, S, n + 1)  # P[i] = ((2y+a3)*S)_(i-3)
     for k in range(-2, T - 1):
         if k * X[k + 2] + P[k + 3]:
             raise RuntimeError(
@@ -245,136 +249,114 @@ class GroupCatalogEntry(namedtuple('GroupCatalogEntry', [
 
 def _interpolate(points):
     """Lagrange interpolation through exact (s, value) points."""
-    n = len(points)
-    out = [Fraction(0)] * n
+    out = []
     for i, (si, vi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
+        basis, denom = [Fraction(1)], Fraction(1)
         for j, (sj, _) in enumerate(points):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, b in enumerate(basis):
-                new[k] += -sj * b
-                new[k + 1] += b
-            basis = new
-            denom *= si - sj
-        for k, b in enumerate(basis):
-            out[k] += vi * b / denom
-    return dp_trim(out)
+            if j != i:
+                basis, denom = dp_mul(basis, [-sj, 1]), denom * (si - sj)
+        out = dp_add(out, [vi * b / denom for b in basis])
+    return out
 
 
-class QPointData:
-    """The 5-torsion point Q outside <P>, over the flattened field
-    K = Q(x_Q + c*y_Q), constructed from the quadratic factor of psi_5."""
+def torsion_point(curve, g, name):
+    """The point of the rational model curve whose x is a root of g, an
+    irreducible factor of a division polynomial, over the field it generates
+    (Q, or a number field whose generator is called name).
 
-    def __init__(self, curve):
-        _, irrational = five_torsion_factors(curve)
-        quad = next(f for f in irrational if len(f) == 3)
-        q2 = dp_monic(quad)
-        for c in range(1, 8):
-            # resultant_x(q2(x), (s-x)^2 + c(s-x) - c^2 g(x)) by interpolation
-            def a_poly(s0, c=c):
-                return dp_trim([s0 * s0 + c * s0 + 20 * c * c,
-                                -2 * s0 - c + 10 * c * c,
-                                1 + c * c,
-                                Fraction(-c * c)])
-            pts = [(Fraction(s0), dp_resultant(q2, a_poly(Fraction(s0))))
-                   for s0 in range(5)]
-            m_c = dp_monic(_interpolate(pts))
-            if len(m_c) != 5:
-                continue
-            if dp_gcd(m_c, _deriv(m_c)) != [1]:
-                continue  # not squarefree; collision of conjugates
-            mint, d = integerize_monic(m_c)
-            try:
-                K = NumberField(mint, name='s')
-            except ValueError:  # m_c is reducible
-                continue
-            eta = K.gen() / d  # x_Q + c*y_Q
-            apk = [eta * eta + c * eta + 20 * c * c,
-                   -2 * eta - c + 10 * c * c,
-                   1 + c * c,
-                   -c * c]
-            gtail = dp_gcd(q2, apk)
-            if len(gtail) != 2:
-                continue
-            x_q = -gtail[0]
-            y_q = (eta - x_q) / c
-            self.field = K
-            self.curve = curve.base_change(K)
-            self.quadratic = q2
-            self.c = c
-            self.x_q = x_q
-            self.y_q = y_q
-            self.q_point = self.curve.point(x_q, y_q)
-            if point_order(self.q_point, 6) != 5:
-                raise RuntimeError("constructed Q is not of order 5")
-            return
-        raise RuntimeError("no primitive element x + c*y found for small c")
+    - g linear with 4x^3 + b2*x^2 + 2*b4*x + b6 a rational square at its
+      root: the rational point with the larger y.
+    - g dividing that cubic, so that 2y + a1*x + a3 = 0: over Q[x]/g.
+    - Otherwise over Q(s), s = x + c*y for the first c = 1..7 whose minimal
+      polynomial, the resultant over x of g and c^2 times the curve
+      equation at y = (s - x)/c, interpolated at 2*deg(g) + 1 values of s,
+      is squarefree and irreducible, with a linear gcd of g and that
+      equation over Q(s) for x.  No c passes when y lies in Q(x).
+    """
+    cubic = division_polynomial(2, curve)
+    if len(g) == 2:
+        x = Fraction(-g[0], g[1])
+        disc = dp_eval(cubic, x)
+        root = Fraction(isqrt(max(disc.numerator, 0)), isqrt(disc.denominator))
+        if root * root == disc:
+            return curve.point(x, (root - curve.a1 * x - curve.a3) / 2)
+    if not dp_divmod(cubic, g)[1]:
+        mint, d = integerize_monic(g)
+        ck = curve.base_change(NumberField(mint, name=name))
+        x = ck.field.gen() / d
+        return ck.point(x, -(ck.a1 * x + ck.a3) / 2)
+    a1, a2, a3, a4, a6 = curve.coefficients()
+    g = dp_monic(g)
+    for c in range(1, 8):
+        def equation(s):  # c^2 * E(x, (s - x)/c), a polynomial in x
+            return [s * s + a3 * c * s - c * c * a6,
+                    (a1 * c - 2) * s - a3 * c - c * c * a4,
+                    1 - a1 * c - c * c * a2, Fraction(-c * c)]
+        m_c = dp_monic(_interpolate([
+            (Fraction(s0), dp_resultant(g, equation(Fraction(s0))))
+            for s0 in range(2 * len(g) - 1)]))
+        mint, d = integerize_monic(m_c)
+        try:
+            K = NumberField(mint, name=name)
+        except ValueError:  # m_c has a repeated or a proper factor
+            continue
+        s = K.gen() / d
+        common = dp_gcd(g, equation(s))
+        if len(common) == 2:
+            x = -common[0]
+            return curve.base_change(K).point(x, (s - x) / c)
+    raise RuntimeError("no primitive element x + c*y found for small c")
+
+
+CATALOG_INDICES = (2, 5)
 
 
 @lru_cache(maxsize=None)
 def build_catalog(index):
-    """Catalog of the cyclic character groups of a given index.
+    """Catalog of the cyclic character groups of a given index: one entry
+    per cyclic subgroup of that order in the curve's torsion, with its point
+    P and f_P, div(f_P) = index*(P) - index*(O).  function_with_divisor stops
+    unless index*P = O, and both indices are prime, so P has order index.
 
-    index 2: the three 2-torsion entries x - x_{P_i}, all presented over one
-    abstract cubic field (the three labels are its three embeddings).
-    index 5: f_P over Q, f_Q (the Gamma^1(11) entry, known congruence) and the
-    four translates f_{Q+iP} over the flattened quartic field of Q.
+    index 2: one f over the cubic field of the conjugate 2-torsion points
+    presents all three groups; fP1..fP3 are its three embeddings.
+    index 5: f_P for the rational P with the smaller x, f_Q for a Q whose x
+    is a root of psi_5's quadratic factor, and the translates f_{Q+iP}.
+    fQ is flagged known-congruence: its group is Gamma^1(11), normal in
+    Gamma^0(11) with cyclic quotient (Z/11)^*/{+-1} of order 5, an argument
+    for index 5 only.  Every other entry is flagged expected-noncongruence:
+    no congruence group is known among them, and a certified unbounded
+    denominator proves the group noncongruence.
     """
+    if index not in CATALOG_INDICES:
+        raise ValueError("catalogs are built for index "
+                         f"{' and '.join(map(str, CATALOG_INDICES))} only")
     curve = x11_curve()
-    entries = []
+    factors = torsion_factors(index, curve)
 
-    def verified(n, p, label):
-        f = function_with_divisor(n, p)
-        chk = verify_divisor(f, n, p)
+    def entry(label, p, flag='expected-noncongruence'):
+        f = function_with_divisor(index, p)
+        chk = verify_divisor(f, index, p)
         if not chk.ok:
             raise RuntimeError(f"{label} failed verification: {chk.detail}")
-        return f
+        return GroupCatalogEntry(label, index, f, index, p.curve.field, flag, p)
 
     if index == 2:
-        cubic = torsion_x_locus(2, curve)
-        mint, d = integerize_monic(cubic)
-        K = NumberField(mint, name='u')
-        ck = curve.base_change(K)
-        xp = K.gen() / d
-        p2 = ck.point(xp, Fraction(-1, 2))
-        f = verified(2, p2, "index-2 generator")
-        for i in (1, 2, 3):
-            entries.append(GroupCatalogEntry(
-                label=f"fP{i}", index=2, generator_function=f, root_degree=2,
-                coefficient_field=K, congruence_flag='expected-noncongruence',
-                point=p2))
-    elif index == 5:
-        p = curve.point(5, 5)
-        f_p = verified(5, p, "f_P")
-        entries.append(GroupCatalogEntry(
-            label="fP", index=5, generator_function=f_p, root_degree=5,
-            coefficient_field=None, congruence_flag='expected-noncongruence',
-            point=p))
-        qd = QPointData(curve)
-        pk = qd.curve.point(5, 5)
-        f_q = verified(5, qd.q_point, "f_Q")
-        entries.append(GroupCatalogEntry(
-            label="fQ", index=5, generator_function=f_q, root_degree=5,
-            coefficient_field=qd.field, congruence_flag='known-congruence',
-            point=qd.q_point))
-        # Q + iP lies in neither <P> (the linear factors of psi_5) nor <Q>
-        # (its quadratic factor), so x is a root of one of its two quartics
-        quartics = [f for f in five_torsion_factors(curve)[1] if len(f) == 5]
-        for i in (1, 2, 3, 4):
-            r = qd.q_point + i * pk
-            f_r = verified(5, r, f"f_Q+{i}P")
-            if min_poly(r.x) not in quartics:
-                raise RuntimeError("x(Q+iP) is not a root of a quartic factor "
-                                   "of psi_5")
-            entries.append(GroupCatalogEntry(
-                label=f"fQ+{i}P", index=5, generator_function=f_r, root_degree=5,
-                coefficient_field=qd.field,
-                congruence_flag='expected-noncongruence', point=r))
-    else:
-        raise ValueError("catalogs are built for index 2 and 5 only")
+        e = entry("fP1", torsion_point(curve, factors[0], 'u'))
+        return [e._replace(label=f"fP{i}") for i in (1, 2, 3)]
+    p = torsion_point(curve, min((g for g in factors if len(g) == 2),
+                                 key=lambda g: Fraction(-g[0], g[1])), 's')
+    q = torsion_point(curve, next(g for g in factors if len(g) == 3), 's')
+    entries = [entry("fP", p), entry("fQ", q, 'known-congruence')]
+    # Q + iP lies in neither <P> (the linear factors of psi_5) nor <Q>
+    # (its quadratic factor), so x is a root of one of its two quartics
+    quartics = [list(g) for g in factors if len(g) == 5]
+    for i in (1, 2, 3, 4):
+        r = q + i * q.curve.point(p.x, p.y)
+        if min_poly(r.x) not in quartics:
+            raise RuntimeError("x(Q+iP) is not a root of a quartic factor "
+                               "of psi_5")
+        entries.append(entry(f"fQ+{i}P", r))
     return entries
 
 

@@ -1,8 +1,11 @@
 """Reference code that only the tests use: a series power by repeated
-squaring and the Smith-normal-form criterion for a full join."""
+squaring, the Smith-normal-form criterion for a full join, and the
+unit-root test on a Newton polygon."""
 
+from fractions import Fraction
 from math import gcd
 
+from ubd.exactnum import lower_hull_slopes, newton_polygon_points
 from ubd.qseries import LaurentSeries
 
 
@@ -29,3 +32,11 @@ def join_is_full_snf(gamma, b):
             minor = rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0]
             g = gcd(g, abs(minor))
     return g == 1
+
+
+def unit_root_factors(factors, p):
+    """The factors whose roots are all p-adic units: every slope of the
+    Newton polygon at p is 0."""
+    return [f for f in factors if all(
+        s == 0 for s, _ in lower_hull_slopes(
+            newton_polygon_points([Fraction(c) for c in f], p)))]

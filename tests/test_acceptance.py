@@ -17,7 +17,7 @@ from ubd.census import (
     join_is_full,
     s_count,
 )
-from ubd.ellcurve import function_with_divisor, point_order, torsion_x_locus
+from ubd.ellcurve import function_with_divisor, point_order, torsion_factors
 from ubd.qseries import (
     EtaQuotient,
     LaurentSeries,
@@ -27,7 +27,7 @@ from ubd.qseries import (
 from ubd.ubdetect import analyze_catalog, detect
 from ubd.x011 import build_catalog, expand_on_curve, expand_xy, g5_family, x11_curve
 
-from helpers import join_is_full_snf, series_pow
+from helpers import join_is_full_snf, series_pow, unit_root_factors
 
 
 def _report(n, took, budget, desc):
@@ -70,7 +70,9 @@ def test_criterion_03_fp_reconstruction():
 
 def test_criterion_04_quartic_orbit():
     t0 = time.time()
-    assert torsion_x_locus(5, x11_curve()) == [101, 41, 11, 1, 1]
+    # the quartic factor of psi_5 whose roots are 5-adic units
+    quartics = [f for f in torsion_factors(5, x11_curve()) if len(f) == 5]
+    assert unit_root_factors(quartics, 5) == [(101, 41, 11, 1, 1)]
     took = time.time() - t0
     _report(4, took, "-", "irrational 5-torsion factor x^4+x^3+11x^2+41x+101")
 

@@ -293,6 +293,8 @@ def test_out_of_memory_exits_2_with_an_error_line(tmp_path, monkeypatch,
     ["detect", "--entry", "fQ", "--prime", "5", "--root", "5", "--terms", "0"],
     ["detect", "--series-file", "missing.series", "--prime", "3", "--root",
      "3", "--terms", "0"],
+    ["eta", "1/11:12,1:-12", "--width", "11", "--terms", "0"],
+    ["catalog", "--index", "5", "--terms", "0"],
 ])
 def test_zero_terms_exits_2_before_scanning(tmp_path, capsys, args):
     from ubd import cli
@@ -301,6 +303,14 @@ def test_zero_terms_exits_2_before_scanning(tmp_path, capsys, args):
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and "--terms of at least 1" in err
+
+
+def test_catalog_index_outside_the_list_exits_2(tmp_path, capsys):
+    from ubd import cli
+
+    rc = cli.main(["--cache-dir", str(tmp_path), "catalog", "--index", "3"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: catalog index must be 2 or 5\n"
 
 
 def test_report_with_a_large_prime_finishes(tmp_path):

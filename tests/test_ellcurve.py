@@ -4,16 +4,18 @@ from fractions import Fraction
 import pytest
 
 from ubd.exactnum import (NumberField, domain_one, domain_zero, dp_monic,
-                          dp_mul, min_poly, trunc_mul)
+                          dp_mul, dp_sub, lift, min_poly, trunc_mul)
 from ubd.ellcurve import (
     CurveFunction,
     WeierstrassCurve,
-    five_torsion_factors,
+    division_polynomial,
     function_with_divisor,
     point_order,
-    torsion_x_locus,
+    torsion_factors,
     verify_divisor,
 )
+
+from helpers import unit_root_factors
 
 
 @pytest.fixture(scope="module")
@@ -74,17 +76,45 @@ def test_group_law_over_number_field(x11):
     assert (p2 + p5) + p2 == p5
 
 
-def test_torsion_x_locus_two(x11):
-    assert torsion_x_locus(2, x11) == [Fraction(-79, 4), -10, -1, 1]
+def _psi5_closed_form(curve):
+    """psi_5 = (psi_4/psi_2)*(psi_2^2)^2 - psi_3^3 from the closed forms of
+    psi_2^2, psi_3 and psi_4/psi_2: the reference for the recurrence."""
+    b2, b4, b6, b8 = curve.b2, curve.b4, curve.b6, curve.b8
+    psi2sq = [b6, 2 * b4, b2, lift(curve.field, 4)]
+    psi3 = [b8, 3 * b6, 3 * b4, b2, lift(curve.field, 3)]
+    psi4h = [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4,
+             b2, lift(curve.field, 2)]
+    return dp_sub(dp_mul(psi4h, dp_mul(psi2sq, psi2sq)),
+                  dp_mul(dp_mul(psi3, psi3), psi3))
 
 
-def test_torsion_x_locus_five(x11):
-    assert torsion_x_locus(5, x11) == [101, 41, 11, 1, 1]
-    rational_x, rest = five_torsion_factors(x11)
-    assert rational_x == [5, 16]
-    assert sorted(len(f) - 1 for f in rest) == [2, 4, 4]
-    assert [-29, 5, 5] in rest
-    assert [155, 200, 120, 15, 1] in rest
+@pytest.mark.parametrize("coeffs", [(0, -1, 1, -10, -20), (1, 1, 1, -10, -10),
+                                    (1, 0, 1, 4, -6)])
+def test_psi5_recurrence_matches_closed_form(coeffs):
+    curve = WeierstrassCurve(*coeffs)
+    assert division_polynomial(5, curve) == _psi5_closed_form(curve)
+
+
+def test_division_polynomials_low_orders(x11):
+    assert division_polynomial(3, x11) == [-21, -237, -60, -4, 3]
+    # psi_2^2 is 4 times the monic cubic from 2y + a1*x + a3 = 0
+    assert division_polynomial(2, x11) == [4 * c for c in
+                                           [Fraction(-79, 4), -10, -1, 1]]
+    with pytest.raises(ValueError):
+        division_polynomial(1, x11)
+
+
+def test_psi5_factors(x11):
+    factors = torsion_factors(5, x11)
+    assert factors == ((-16, 1), (-5, 1), (-29, 5, 5), (101, 41, 11, 1, 1),
+                       (155, 200, 120, 15, 1))
+    quartics = [f for f in factors if len(f) == 5]
+    assert unit_root_factors(quartics, 5) == [(101, 41, 11, 1, 1)]
+    assert torsion_factors(5, x11) is factors  # factored once
+
+
+def test_psi7_is_irreducible(x11):
+    assert [len(f) - 1 for f in torsion_factors(7, x11)] == [24]
 
 
 def test_function_with_divisor_n1(x11):

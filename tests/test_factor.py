@@ -8,7 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from ubd.ellcurve import five_division_polynomial
+from ubd.ellcurve import division_polynomial
 from ubd.exactnum import (
     NumberField,
     dp_mul,
@@ -67,7 +67,7 @@ def test_factor_constants_and_zero():
 
 
 def test_psi5_factor_degrees():
-    psi5 = five_division_polynomial(x11_curve())
+    psi5 = division_polynomial(5, x11_curve())
     cont, factors = factor_poly_q(psi5)
     assert cont == 1
     assert [len(f) - 1 for f, _ in factors] == [1, 1, 2, 4, 4]

@@ -6,16 +6,17 @@ from hypothesis import assume, given, settings, strategies as st
 from ubd.exactnum import dp_trim, min_poly
 from ubd.ellcurve import (
     CurveFunction,
-    five_torsion_factors,
+    WeierstrassCurve,
     function_with_divisor,
-    torsion_x_locus,
+    point_order,
+    torsion_factors,
     verify_divisor,
 )
 from ubd.qseries import LaurentSeries, nth_root_normalized
 from ubd.x011 import (
+    CATALOG_INDICES,
     KAPPA,
     WIDTH,
-    QPointData,
     _xy_arrays,
     build_catalog,
     catalog_export,
@@ -23,11 +24,12 @@ from ubd.x011 import (
     expand_xy,
     g5_family,
     g5_series,
+    torsion_point,
     weight2_eta_product,
     x11_curve,
 )
 
-from helpers import series_pow
+from helpers import series_pow, unit_root_factors
 
 X_HEAD = [1, 2, 4, 5, 8, 1, 7, -11, 10, -12, -18]   # w^-2 .. w^8
 Y_HEAD = [1, 3, 7, 12, 17, 26, 19, 37, -15, -16, -67]  # w^-3 .. w^7
@@ -162,12 +164,45 @@ def test_q_point_coordinates_match_nested_radical_form():
     # Q = [-1/2 + (11/10)sqrt(5), -1/2 + (11/10)sqrt(-25-2*sqrt(5))]:
     # in the flattened field, S = (10x+5)/11 and TH = (10y+5)/11 satisfy
     # S^2 = 5 and TH^2 = -25 - 2S exactly.
-    qd = QPointData(x11_curve())
-    s = (10 * qd.x_q + 5) / 11
-    th = (10 * qd.y_q + 5) / 11
+    q = build_catalog(5)[1].point
+    s = (10 * q.x + 5) / 11
+    th = (10 * q.y + 5) / 11
     assert s * s == 5
     assert th * th == -25 - 2 * s
-    assert qd.field.degree == 4
+    assert q.curve.field.degree == 4
+    # the flattening picks c = 1: the generator is 5*(x + y)
+    assert q.curve.field.defining_poly == (869405, 19255, 1360, 20, 1)
+    assert 5 * (q.x + q.y) == q.curve.field.gen()
+
+
+def test_torsion_point_flattens_a_curve_with_a1_and_a3():
+    # 15a1: y^2 + xy + y = x^3 + x^2 - 10x - 10, where psi_3 is an
+    # irreducible quartic and s = x + y generates a 3-torsion point's field
+    curve = WeierstrassCurve(1, 1, 1, -10, -10)
+    (g,) = torsion_factors(3, curve)
+    p = torsion_point(curve, g, 's')
+    assert len(g) == 5 and p.curve.field.degree == 8
+    assert min_poly(9 * (p.x + p.y)) == list(p.curve.field.defining_poly)
+    assert point_order(p, 4) == 3
+    assert verify_divisor(function_with_divisor(3, p), 3, p).ok
+
+
+def test_torsion_point_rational_and_refused():
+    # 14a1: y^2 + xy + y = x^3 + 4x - 6
+    curve = WeierstrassCurve(1, 0, 1, 4, -6)
+    assert torsion_factors(3, curve) == ((-2, 1), (1, 3), (13, 2, 1))
+    p = torsion_point(curve, (-2, 1), 's')
+    assert p == curve.point(2, 2) and point_order(p, 4) == 3
+    # y already lies in Q(x) on x^2 + 2x + 13: no x + c*y is primitive, and
+    # no point is guessed
+    with pytest.raises(RuntimeError, match="no primitive element"):
+        torsion_point(curve, (13, 2, 1), 's')
+
+
+def test_build_catalog_rejects_other_indices():
+    assert CATALOG_INDICES == (2, 5)
+    with pytest.raises(ValueError, match="index 2 and 5 only"):
+        build_catalog(3)
 
 
 def test_build_catalog_index_two():
@@ -210,7 +245,8 @@ def test_catalog_five_translates_pin_their_quartic():
     # x(Q+iP) is a root of psi_5's unit-reduction quartic for i = 2, 3 and of
     # its other quartic factor for i = 1, 4
     unit, other = (101, 41, 11, 1, 1), (155, 200, 120, 15, 1)
-    assert tuple(torsion_x_locus(5, x11_curve())) == unit
+    quartics = [f for f in torsion_factors(5, x11_curve()) if len(f) == 5]
+    assert unit_root_factors(quartics, 5) == [unit]
     got = {e.label: tuple(min_poly(e.point.x)) for e in build_catalog(5)[2:]}
     assert got == {"fQ+1P": other, "fQ+2P": unit, "fQ+3P": unit,
                    "fQ+4P": other}
@@ -219,10 +255,9 @@ def test_catalog_five_translates_pin_their_quartic():
 def test_catalog_five_rejects_an_x_off_the_quartics(monkeypatch):
     from ubd import x011
 
-    rational, rest = five_torsion_factors(x11_curve())
-    without_unit = [f for f in rest if f != [101, 41, 11, 1, 1]]
-    monkeypatch.setattr(x011, "five_torsion_factors",
-                        lambda curve: (rational, without_unit))
+    factors = torsion_factors(5, x11_curve())
+    without_unit = tuple(f for f in factors if f != (101, 41, 11, 1, 1))
+    monkeypatch.setattr(x011, "torsion_factors", lambda n, curve: without_unit)
     with pytest.raises(RuntimeError, match="quartic factor of psi_5"):
         build_catalog.__wrapped__(5)  # past the memo, which keeps its entries
 
