@@ -29,7 +29,6 @@ from .ellcurve import (
     WeierstrassCurve,
     division_polynomial,
     function_with_divisor,
-    point_order,
     torsion_factors,
     verify_divisor,
 )

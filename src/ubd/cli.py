@@ -137,7 +137,6 @@ def cmd_eta(args, out):
 
 
 def cmd_expand_xy(args, out):
-    d = cache_dir(args.cache_dir)
     solved = []  # (x, y) once either cache entry has missed
 
     def solve(i):
@@ -145,8 +144,12 @@ def cmd_expand_xy(args, out):
             solved.extend(expand_xy(args.terms))
         return solved[i]
 
-    x = cached_series("expand-xy-x", f"T={args.terms}", lambda: solve(0), d)
-    y = cached_series("expand-xy-y", f"T={args.terms}", lambda: solve(1), d)
+    try:
+        d = cache_dir(args.cache_dir)
+        x = cached_series("expand-xy-x", f"T={args.terms}", lambda: solve(0), d)
+        y = cached_series("expand-xy-y", f"T={args.terms}", lambda: solve(1), d)
+    except OSError as exc:
+        raise ValidationError(f"cannot use cache directory: {exc}")
     out.write(f"# kappa {_fmt(KAPPA)}\n")
     out.write(serialize_series(x))
     out.write(serialize_series(y))
@@ -315,7 +318,7 @@ def main(argv=None):
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:
+    except (MemoryError, OverflowError):
         print("error: out of memory; ask for fewer --terms or a smaller --xmax",
               file=sys.stderr)
         return 2

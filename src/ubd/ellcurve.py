@@ -147,18 +147,6 @@ class CurvePoint:
     __rmul__ = __mul__
 
 
-def point_order(p, bound):
-    """Least k <= bound with k*P = O, else None ("exceeds bound")."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    acc = p
-    for k in range(1, bound + 1):
-        if acc.is_infinity():
-            return k
-        acc = acc + p
-    return None
-
-
 # ----------------------------------------------------------------------
 # Division polynomials.
 # ----------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 Number fields are presented by a single monic irreducible integer polynomial,
 checked by the pure-Python factorization below.  Valuations above a rational
-prime p are read off Newton polygons of minimal polynomials, which come from
-traces by Newton's identities; a single coherent valuation is only used when
-the extension of val_p to the field is provably unique (totally ramified
-segment, or a one segment polygon with a residual polynomial that the
-factorizer's distinct-degree factorization shows irreducible mod p).
+prime p follow one rule: the negated slopes of the Newton polygon of the
+integer characteristic polynomial of den*a, which comes from traces by
+Newton's identities, less v_p(den).  Whether val_p extends uniquely to the
+field (totally ramified segment, or a one segment polygon with a residual
+polynomial that the factorizer's distinct-degree factorization shows
+irreducible mod p) is certified apart; the polygon then has one slope, which
+the norm formula of ord_at_unique_prime reproduces.
 """
 
 from fractions import Fraction
@@ -829,29 +831,42 @@ def newton_inverse(f, n, inv0, mul):
 # Minimal polynomials, norms and inverses.
 # ----------------------------------------------------------------------
 
-def min_poly(a):
-    """Monic minimal polynomial over Q of an algebraic number.
+def _integral_char_poly(a):
+    """Characteristic polynomial of B = den*a, B = a.num in the power basis,
+    low degree first: an integer polynomial, since t and so B are integral.
 
     Newton's identities (Cohen, GTM 138, 4.3) give the power sums Tr(t^k) of
-    the roots of the defining polynomial, hence the traces of a, ..., a^d,
-    and from those the characteristic polynomial chi of a.  chi is a power of
-    the minimal polynomial, which is therefore chi / gcd(chi, chi').
+    the roots of the defining polynomial, hence the traces of B, ..., B^d,
+    and from those chi_B; every division by k is exact, and checked.
     """
-    if isinstance(a, (int, Fraction)):
-        return [-Fraction(a), Fraction(1)]
-    d = a.field.degree
-    c = a.field.defining_poly[::-1]  # t^d + c[1]*t^(d-1) + ... + c[d]
+    field = a.field
+    d = field.degree
+    c = field.defining_poly[::-1]  # t^d + c[1]*t^(d-1) + ... + c[d]
     s = [d]  # s[k] = Tr(t^k)
     for k in range(1, d):
         s.append(-k * c[k] - sum(c[i] * s[k - i] for i in range(1, k)))
-    powers = [a]
+    powers = [AlgebraicNumber(field, a.num, 1)]
     while len(powers) < d:
-        powers.append(powers[-1] * a)
-    tr = [None] + [Fraction(sum(map(mul, b.num, s)), b.den) for b in powers]
-    e = [Fraction(1)]  # chi = x^d + e[1]*x^(d-1) + ... + e[d]
+        powers.append(powers[-1] * powers[0])
+    tr = [None] + [sum(map(mul, b.num, s)) for b in powers]
+    e = [1]  # chi_B = x^d + e[1]*x^(d-1) + ... + e[d]
     for k in range(1, d + 1):
-        e.append(-(tr[k] + sum(e[i] * tr[k - i] for i in range(1, k))) / k)
-    chi = e[::-1]
+        q, r = divmod(-(tr[k] + sum(e[i] * tr[k - i] for i in range(1, k))), k)
+        if r:
+            raise RuntimeError("Newton's identities left a fraction")
+        e.append(q)
+    return e[::-1]
+
+
+def min_poly(a):
+    """Monic minimal polynomial over Q of an algebraic number: chi_B rescaled
+    to the characteristic polynomial chi of a = B/den, a power of the minimal
+    polynomial, which is therefore chi / gcd(chi, chi')."""
+    if isinstance(a, (int, Fraction)):
+        return [-Fraction(a), Fraction(1)]
+    d = a.field.degree
+    chi = [Fraction(c, a.den ** (d - i))
+           for i, c in enumerate(_integral_char_poly(a))]
     return dp_divmod(chi, dp_gcd(chi, _deriv(chi)))[0]
 
 
@@ -897,8 +912,9 @@ def field_norm(a):
 # ----------------------------------------------------------------------
 
 class ValuationProfile:
-    """Multiset of possible valuations of an element at primes above p,
-    from the Newton polygon of its minimal polynomial (ord(p) = 1)."""
+    """Multiset of the valuations of an element at the embeddings above p,
+    from the Newton polygon of its characteristic polynomial (ord(p) = 1):
+    each multiplicity counts embeddings, so they sum to the field degree."""
 
     def __init__(self, prime, slopes, unique_extension):
         self.prime = prime
@@ -938,33 +954,16 @@ def lower_hull_slopes(points):
     return out
 
 
-def _segment_residual(coeffs, p, i0, i1, v0, slope):
-    """Residual polynomial of one Newton polygon segment, over F_p."""
-    e = slope.denominator
-    d = (i1 - i0) // e
-    res = []
-    for j in range(d + 1):
-        i = i0 + j * e
-        target = v0 + slope * (i - i0)
-        c = Fraction(coeffs[i])
-        if c == 0:
-            res.append(0)
-            continue
-        v = val_p(c, p)
-        if v > target:
-            res.append(0)
-        else:
-            # c / p^target reduced mod p; target is an integer on segment ticks
-            t = int(target)
-            red = Fraction(c, Fraction(p) ** t)
-            num = red.numerator % p
-            den = red.denominator % p
-            res.append((num * pow(den, -1, p)) % p)
-    return res
+def _segment_residual(coeffs, p, v0, slope):
+    """Residual polynomial over F_p of the one segment, from height v0 at 0
+    and of the given slope, under integer coefficients: c_i // p^t mod p at
+    each tick i, where the segment's height t is an integer."""
+    return [coeffs[i] // p ** int(v0 + slope * i) % p
+            for i in range(0, len(coeffs), slope.denominator)]
 
 
 def newton_polygon_points(coeffs, p):
-    return [(i, val_p(Fraction(c), p)) for i, c in enumerate(dp_trim(coeffs))]
+    return [(i, val_p(c, p)) for i, c in enumerate(dp_trim(coeffs))]
 
 
 def _polygon_certifies_unique(coeffs, p):
@@ -973,23 +972,17 @@ def _polygon_certifies_unique(coeffs, p):
     denominator = degree) or irreducible residual polynomial."""
     coeffs = dp_trim(coeffs)
     n = len(coeffs) - 1
-    segs = lower_hull_slopes(newton_polygon_points(coeffs, p))
-    if len(segs) != 1:
+    pts = newton_polygon_points(coeffs, p)
+    segs = lower_hull_slopes(pts)
+    if len(segs) != 1 or segs[0][1] != n:
         return False
-    slope, length = segs[0]
-    if length != n:
-        return False
+    slope = segs[0][0]
     if slope.denominator == n:
         return True
-    pts = newton_polygon_points(coeffs, p)
-    v0 = pts[0][1]
-    if v0 == INFINITY:
-        return False
-    res = _segment_residual([Fraction(c) for c in coeffs], p, 0, n, v0, slope)
-    res = dp_trim(res)
-    if (len(res) - 1) * slope.denominator != n:
-        return False
-    return poly_is_irreducible_modp(res, p)
+    # the segment ends at the vertex (n, v_p(c_n)): the residual has degree
+    # n / denominator
+    return poly_is_irreducible_modp(
+        _segment_residual(coeffs, p, pts[0][1], slope), p)
 
 
 @lru_cache(maxsize=None)
@@ -1005,8 +998,11 @@ def field_has_unique_prime_above(field, p):
 
 
 def newton_polygon_valuations(a, p):
-    """ValuationProfile of a nonzero element: negated lower-hull slopes of its
-    minimal polynomial, with multiplicities = horizontal segment lengths."""
+    """ValuationProfile of a nonzero element: the negated lower-hull slopes
+    of the integer characteristic polynomial of B = den*a, less v_p(den),
+    with multiplicities = horizontal segment lengths.  chi_B is monic with
+    constant term +-Norm(B) != 0, so the segments cover the field degree,
+    and a rational r has the one slope of (x - den*r)^degree."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if isinstance(a, (int, Fraction)):
@@ -1015,25 +1011,23 @@ def newton_polygon_valuations(a, p):
         return ValuationProfile(p, [(Fraction(val_p(Fraction(a), p)), 1)], True)
     if not a:
         raise ValueError("zero has no valuation profile")
-    mp = min_poly(a)
-    segs = lower_hull_slopes(newton_polygon_points(mp, p))
+    shift = val_p(a.den, p)
     slopes = {}
-    total = 0
-    for s, length in segs:
-        v = -s
-        slopes[v] = slopes.get(v, 0) + length
-        total += length
-    # leading/lowest infinite coefficients cannot occur: min poly is monic with
-    # nonzero constant term (a != 0), so segments cover the whole degree
-    assert total == len(mp) - 1
+    for s, length in lower_hull_slopes(
+            newton_polygon_points(_integral_char_poly(a), p)):
+        slopes[-s - shift] = slopes.get(-s - shift, 0) + length
     unique = field_has_unique_prime_above(a.field, p)
     return ValuationProfile(p, list(slopes.items()), unique)
 
 
 def ord_at_unique_prime(a, p):
-    """ord at the unique prime above p, normalized so ord(p) = 1.
+    """ord at the unique prime above p, normalized so ord(p) = 1:
+    val_p(Norm(a)) / degree, by the Bareiss norm.
 
-    Requires a certified unique extension; equals val_p(Norm(a)) / degree.
+    Requires a certified unique extension.  The detector reads this value as
+    the one slope of newton_polygon_valuations; this is the independent norm
+    formula the tests compare it with.  The valuation mode it names,
+    unique-prime-norm, keeps its printed label.
     """
     if isinstance(a, (int, Fraction)):
         return val_p(Fraction(a), p)

@@ -18,13 +18,14 @@ integer coordinates, one normalised coefficient per step), and detect stops
 at the first witness, so a certificate at m costs O(m^2) integer products,
 not the O(T^2) of the whole root.
 
-Valuation policy ladder per coefficient field: exact val_p on Q; the norm
-formula, with the norm a fraction-free integer determinant, when a unique
-prime above p is certified; otherwise the full Newton polygon profile,
-certifying only when every slope witnesses.  Before either, the content
-bound v_p(gcd(num)) - v_p(den), a lower bound at every prime above p since
-the generator is integral, settles every comparison it can: a coefficient
-that cannot lower v_min, make a witness or raise a running maximum is never
+One valuation rule: val_p on Q, and on a number field the slopes of the
+Newton polygon of the integer characteristic polynomial of den*b, less
+v_p(den), one value per prime above p; a witness needs every slope.  Where a
+unique prime above p is certified the polygon has one slope, and the verdict
+keeps the label unique-prime-norm.  Before any polygon, the content bound
+v_p(gcd(num)) - v_p(den), a lower bound at every prime above p since the
+generator is integral, settles every comparison it can: a coefficient that
+cannot lower v_min, make a witness or raise a running maximum is never
 valued exactly.
 """
 
@@ -38,7 +39,6 @@ from .exactnum import (
     field_has_unique_prime_above,
     is_prime,
     newton_polygon_valuations,
-    ord_at_unique_prime,
     val_p,
 )
 from .qseries import root_coefficients
@@ -81,6 +81,7 @@ class GrowthProfile(namedtuple('GrowthProfile', [
 
 
 def choose_mode(field, p):
+    """The printed valuation mode; the valuations follow one rule."""
     if field is None:
         return RATIONAL
     if field_has_unique_prime_above(field, p):
@@ -88,15 +89,11 @@ def choose_mode(field, p):
     return CONJUGATE
 
 
-def _ord_values(value, p, mode):
+def _ord_values(value, p):
     """Possible valuations of a nonzero coefficient at primes above p,
     ord(p) = 1."""
     if isinstance(value, AlgebraicNumber):
-        if value.is_rational():
-            return [Fraction(val_p(value.as_fraction(), p))]
-        if mode == UNIQUE_PRIME:
-            return [ord_at_unique_prime(value, p)]
-        return [Fraction(v) for v in newton_polygon_valuations(value, p).values()]
+        return newton_polygon_valuations(value, p).values()
     return [Fraction(val_p(value, p))]
 
 
@@ -111,7 +108,7 @@ def _content_bound(value, p):
     return val_p(value, p)
 
 
-def _threshold(unit, n, p, mode, T, vmin=0):
+def _threshold(unit, n, p, T, vmin=0):
     """tau = (worst-case ord(a_0) - worst-case v_min)/n over the scanned range
     and the given floor vmin <= 0 on v_min; ord(a_0) = 0 after unit
     normalization, so tau = -v_min/n."""
@@ -119,18 +116,18 @@ def _threshold(unit, n, p, mode, T, vmin=0):
     for m in range(1, T + 1):
         c = unit.coefficient(m)
         if _content_bound(c, p) < vmin:
-            vmin = min(vmin, *_ord_values(c, p, mode))
+            vmin = min(vmin, *_ord_values(c, p))
     return -vmin / n
 
 
-def _span_floor(span, lead, p, mode):
+def _span_floor(span, lead, p):
     """A floor on v_min = min_m ord(a_m/a_0) that holds for every m, when
     every coefficient of f is a Z-combination of those in span and lead is
     a_0: the worst ord in span less the best ord of a_0 over the primes
     above p, and never above 0."""
-    worst = min((min(_ord_values(c, p, mode)) for c in span if c),
+    worst = min((min(_ord_values(c, p)) for c in span if c),
                 default=INFINITY)
-    return min(Fraction(0), worst - max(_ord_values(lead, p, mode)))
+    return min(Fraction(0), worst - max(_ord_values(lead, p)))
 
 
 def _unit_part(f, prime_p, T):
@@ -169,19 +166,19 @@ def detect(f, root_degree, prime_p, T=300, label="", span=None):
                 f"m <= {M}; the lemma's precondition beyond the truncation "
                 "is assumed")
     else:
-        floor = _span_floor(span, f.coeffs[0], prime_p, mode)
+        floor = _span_floor(span, f.coeffs[0], prime_p)
         note = ("a_m p-integral (after the v_min offset) for every m: "
                 "the coefficients are Z-combinations of those of u and v")
-    tau = _threshold(unit, root_degree, prime_p, mode, M, floor)
+    tau = _threshold(unit, root_degree, prime_p, M, floor)
     partial = None
     for m, b in enumerate(root_coefficients(unit, root_degree), 1):
         if _content_bound(b, prime_p) >= -tau:
             continue
-        neg_ords = [-v for v in _ord_values(b, prime_p, mode)]
+        neg_ords = [-v for v in _ord_values(b, prime_p)]
         if min(neg_ords) > tau:
             return UbdVerdict('UnboundedCertified', m, min(neg_ords), tau, M,
                               mode, note, label)
-        if mode == CONJUGATE and max(neg_ords) > tau and partial is None:
+        if max(neg_ords) > tau and partial is None:
             partial = m
     if partial is not None:
         return UbdVerdict('Inconclusive', partial, None, tau, M, mode,
@@ -191,15 +188,15 @@ def detect(f, root_degree, prime_p, T=300, label="", span=None):
 
 
 def growth_profile(f, root_degree, prime_p, T=300):
-    """Running maxima of -ord(b_m/b_0); in conjugate-profile mode the sound
-    lower bound (minimum over slopes) is tracked.  A b_m whose content bound
+    """Running maxima of -ord(b_m/b_0), each the sound lower bound: the
+    minimum over the slopes, one per prime above p.  A b_m whose content bound
     is at least -best cannot raise the maximum and is not valued."""
     mode, unit, _ = _unit_part(f, prime_p, T)
     entries = []
     best = Fraction(0)
     for m, b in enumerate(root_coefficients(unit, root_degree), 1):
         if _content_bound(b, prime_p) < -best:
-            best = max(best, -max(_ord_values(b, prime_p, mode)))
+            best = max(best, -max(_ord_values(b, prime_p)))
         entries.append((m, best))
     return GrowthProfile(tuple(entries), mode)
 

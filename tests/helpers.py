@@ -1,6 +1,6 @@
 """Reference code that only the tests use: a series power by repeated
-squaring, the Smith-normal-form criterion for a full join, and the
-unit-root test on a Newton polygon."""
+squaring, the Smith-normal-form criterion for a full join, the unit-root
+test on a Newton polygon, and the order of a point by the group law."""
 
 from fractions import Fraction
 from math import gcd
@@ -40,3 +40,9 @@ def unit_root_factors(factors, p):
     return [f for f in factors if all(
         s == 0 for s, _ in lower_hull_slopes(
             newton_polygon_points([Fraction(c) for c in f], p)))]
+
+
+def has_order(p, n):
+    """n*P = O by the group law, and P, 2P, ..., (n-1)P are not O."""
+    return (n * p).is_infinity() and not any(
+        (k * p).is_infinity() for k in range(1, n))

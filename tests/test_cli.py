@@ -287,6 +287,36 @@ def test_out_of_memory_exits_2_with_an_error_line(tmp_path, monkeypatch,
     assert "Traceback" not in err
 
 
+def test_unindexable_terms_exits_2_with_the_out_of_memory_line(capsys):
+    # a length past sys.maxsize raises OverflowError before any allocation
+    from ubd import cli
+
+    rc = cli.main(["eta", "1:1", "--width", "1", "--terms",
+                   "99999999999999999999"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error: out of memory")
+
+
+@pytest.mark.parametrize("layout", ["file", "under-a-file", "record-is-a-dir"])
+def test_unusable_cache_directory_exits_2(tmp_path, capsys, layout):
+    from ubd import cli
+
+    target = tmp_path / "cache"
+    if layout == "file":
+        target.write_text("")
+    elif layout == "under-a-file":
+        target.write_text("")
+        target = target / "sub"
+    else:
+        key = cli._cache_key("expand-xy-x", "T=10")
+        (target / f"{key}.series").mkdir(parents=True)
+    rc = cli.main(["--cache-dir", str(target), "expand-xy", "--terms", "10"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error: cannot use cache directory")
+
+
 @pytest.mark.parametrize("args", [
     ["report", "--index", "5", "--terms", "0"],
     ["--format", "records", "report", "--index", "2", "--terms", "0"],

@@ -10,6 +10,7 @@ from ubd.exactnum import (
     INFINITY,
     AlgebraicNumber,
     NumberField,
+    _integral_char_poly,
     dp_add,
     dp_divmod,
     dp_eval,
@@ -24,7 +25,9 @@ from ubd.exactnum import (
     field_norm,
     integerize_monic,
     is_prime,
+    lower_hull_slopes,
     min_poly,
+    newton_polygon_points,
     newton_polygon_valuations,
     ord_at_unique_prime,
     val_p,
@@ -253,7 +256,6 @@ def test_newton_polygon_two_torsion_cubic():
 
 
 def test_newton_polygon_random_against_brute_hull():
-    from ubd.exactnum import lower_hull_slopes
     rng = random.Random(77)
     for _ in range(40):
         deg = rng.randint(2, 6)
@@ -275,7 +277,8 @@ def test_newton_polygon_of_rational_matches_val_p():
 
 
 def test_profile_product_formula(cbrt2):
-    # sum of valuation*multiplicity = val_p of the norm of the element
+    # sum of valuation*multiplicity = val_p of the norm of the element: the
+    # multiplicities count the embeddings of the field, rational a included
     rng = random.Random(23)
     for _ in range(20):
         a = cbrt2.from_coords([rng.randint(-6, 6) for _ in range(3)])
@@ -284,12 +287,58 @@ def test_profile_product_formula(cbrt2):
         for p in (2, 3, 5):
             prof = newton_polygon_valuations(a, p)
             total = sum(v * m for v, m in prof.slopes)
-            mp = min_poly(a)
-            # constant term of min poly = +/- product of conjugates of a
-            expected = val_p(mp[0], p) if mp[0] != 0 else INFINITY
-            # the element's own min poly may have degree < field degree;
-            # the product formula is over its own conjugates
-            assert total == expected
+            assert total == val_p(field_norm(a), p)
+
+
+GAUSS = NumberField([1, 0, 1])  # 5 splits
+# the index-3 point field of X_0(11): s = x + y at a root x of psi_3
+PSI3 = NumberField([-170408498003973, -2984783638077, -96519487734,
+                    -2428779411, -24296841, -1130355, -18291, 12, 1], 's')
+
+
+def valuation_cases(field, p):
+    """Nonzero rationals, elements and, where known, proper-subfield elements
+    of a field, with p, p^2 and 6p among the coordinate denominators."""
+    q = st.builds(Fraction, st.integers(-p ** 3, p ** 3),
+                  st.sampled_from([1, 2, p, p * p, 6 * p]))
+    cases = [q.map(field.from_rational),
+             st.lists(q, min_size=field.degree, max_size=field.degree)
+             .map(field.from_coords)]
+    g = SUBFIELD_GENERATORS.get(field)
+    if g is not None:
+        cases.append(st.tuples(q, q).map(lambda rs: rs[0] + rs[1] * g))
+    return st.one_of(cases).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(st.sampled_from([CBRT2, CUBIC, QUARTIC, GAUSS, BIQUADRATIC,
+                                  PSI3]),
+                 st.sampled_from([2, 3, 5, 7])).flatmap(
+    lambda kp: st.tuples(valuation_cases(*kp), st.just(kp[1]))))
+@example((SQRT5 / 5, 5))
+@example((PSI3.from_rational(Fraction(9, 2)), 3))
+@example((PSI3.gen() / 3, 3))
+def test_polygon_of_the_char_poly_matches_the_min_poly_and_the_norm(ap):
+    # chi_B of B = den*a is a power of the minimal polynomial of B, so it has
+    # the min-poly polygon's slopes, shifted by v_p(den); its segments span
+    # the field degree, and their weighted sum is the norm's valuation
+    a, p = ap
+    prof = newton_polygon_valuations(a, p)
+    slopes = lower_hull_slopes(newton_polygon_points(min_poly(a), p))
+    assert set(prof.values()) == {-s for s, _ in slopes}
+    assert sum(m for _, m in prof.slopes) == a.field.degree
+    assert sum(v * m for v, m in prof.slopes) == val_p(field_norm(a), p)
+
+
+def test_char_poly_refuses_a_fraction(monkeypatch):
+    # power sums of a polynomial other than the one that reduces products
+    # give traces that no integral B has: the division by k is checked, not
+    # floored
+    fld = NumberField([-2, 0, 0, 1])
+    assert _integral_char_poly(fld.gen() / 2) == [-2, 0, 0, 1]
+    monkeypatch.setattr(fld, "defining_poly", (-2, 0, 1, 1))
+    with pytest.raises(RuntimeError, match="fraction"):
+        _integral_char_poly(fld.gen())
 
 
 def test_ord_at_unique_prime_examples(cbrt2):

@@ -5,9 +5,11 @@ root before the scan; _unpacked_root is Miller's recurrence on unpacked
 integer coordinates, d^2 dot products per step; _reference_detect scans every
 coefficient of the reference root.  _unscreened_threshold, _unscreened_detect
 and _unscreened_growth take the exact valuation of every coefficient, where
-ubdetect first asks whether the content bound already decides it.  The fast
-paths (the packed recurrence, consumed until the first witness, and the
-screened valuations) must agree with all of them.
+ubdetect first asks whether the content bound already decides it.  All of
+them value a coefficient by _reference_ord_values, the three rules that
+ubdetect's one polygon rule replaced.  The fast paths (the packed
+recurrence, consumed until the first witness, the screened valuations and
+the one rule) must agree with all of them.
 """
 
 from fractions import Fraction
@@ -23,6 +25,11 @@ from ubd.exactnum import (
     NumberField,
     _operand,
     field_has_unique_prime_above,
+    lower_hull_slopes,
+    min_poly,
+    newton_polygon_points,
+    ord_at_unique_prime,
+    val_p,
 )
 from ubd.qseries import (
     LaurentSeries,
@@ -31,6 +38,7 @@ from ubd.qseries import (
 )
 from ubd.ubdetect import (
     CONJUGATE,
+    RATIONAL,
     UNIQUE_PRIME,
     _content_bound,
     _ord_values,
@@ -103,13 +111,28 @@ def _unpacked_root(f, n):
     return out
 
 
+def _reference_ord_values(c, p, mode):
+    """The valuations of a nonzero c at the primes above p by the rule for
+    the mode: val_p on Q and on rational field elements, the norm at a
+    certified unique prime, else the Newton polygon of the minimal
+    polynomial."""
+    if not isinstance(c, AlgebraicNumber):
+        return [Fraction(val_p(c, p))]
+    if c.is_rational():
+        return [Fraction(val_p(c.as_fraction(), p))]
+    if mode == UNIQUE_PRIME:
+        return [ord_at_unique_prime(c, p)]
+    return [-s for s, _ in lower_hull_slopes(
+        newton_polygon_points(min_poly(c), p))]
+
+
 def _unscreened_threshold(unit, n, p, mode, T, vmin=0):
     """tau = -v_min/n from the exact valuations of every nonzero a_m."""
     vmin = Fraction(vmin)
     for m in range(1, T + 1):
         c = unit.coefficient(m)
         if c:
-            vmin = min(vmin, *_ord_values(c, p, mode))
+            vmin = min(vmin, *_reference_ord_values(c, p, mode))
     return -vmin / n
 
 
@@ -131,7 +154,7 @@ def _reference_detect(f, n, p, T):
         b = root.coefficient(m)
         if not b:
             continue
-        neg = [-v for v in _ord_values(b, p, mode)]
+        neg = [-v for v in _reference_ord_values(b, p, mode)]
         if witness is None and min(neg) > tau:
             witness = (m, min(neg))
         if witness is None and partial is None and mode == CONJUGATE \
@@ -153,7 +176,7 @@ def _unscreened_detect(f, n, p, T, vmin=0):
     for m, b in enumerate(root_coefficients(unit, n), 1):
         if not b:
             continue
-        neg = [-v for v in _ord_values(b, p, mode)]
+        neg = [-v for v in _reference_ord_values(b, p, mode)]
         if min(neg) > tau:
             return ('UnboundedCertified', m, min(neg), tau, M)
         if mode == CONJUGATE and max(neg) > tau and partial is None:
@@ -169,7 +192,7 @@ def _unscreened_growth(f, n, p, T):
     best, entries = Fraction(0), []
     for m, b in enumerate(root_coefficients(unit, n), 1):
         if b:
-            best = max(best, -max(_ord_values(b, p, mode)))
+            best = max(best, -max(_reference_ord_values(b, p, mode)))
         entries.append((m, best))
     return tuple(entries)
 
@@ -331,9 +354,9 @@ def test_content_bound_is_below_every_valuation(field, p, data):
                        st.sampled_from([1, p, p ** 2, p ** 3, 7 * p, 6]))
     c = data.draw(elements(field, coords=coords).filter(bool))
     bound = _content_bound(c, p)
-    assert bound <= min(_ord_values(c, p, CONJUGATE))
+    assert bound <= min(_ord_values(c, p))
     if field_has_unique_prime_above(field, p):
-        assert bound <= min(_ord_values(c, p, UNIQUE_PRIME))
+        assert bound <= min(_reference_ord_values(c, p, UNIQUE_PRIME))
 
 
 @pytest.mark.parametrize("T", [5, 60, 300])
@@ -343,7 +366,7 @@ def test_screened_scans_equal_the_unscreened_reference(catalog_series, index,
     for e, f in catalog_series[index]:
         n = p = e.root_degree
         span = e.coefficient_span()
-        vmin = _span_floor(span, f.coeffs[0], p, choose_mode(f.field, p))
+        vmin = _span_floor(span, f.coeffs[0], p)
         assert _verdict(detect(f, n, p, T, span=span)) == \
             _unscreened_detect(f, n, p, T, vmin), e.label
         assert _verdict(detect(f, n, p, T)) == \
@@ -358,19 +381,19 @@ def test_span_floor_is_the_tau_of_a_300_term_scan(catalog_series):
     for e, f in catalog_series[2] + catalog_series[5]:
         n = p = e.root_degree
         mode, unit, M = _scan_part(f, p, 300)
-        floor = _span_floor(e.coefficient_span(), f.coeffs[0], p, mode)
+        floor = _span_floor(e.coefficient_span(), f.coeffs[0], p)
         assert -floor / n == _unscreened_threshold(unit, n, p, mode, M), \
             e.label
 
 
 def test_index5_report_takes_few_norms(catalog_series, monkeypatch):
-    # unscreened, the T = 300 report takes 1,804 norms: 1,800 in the
-    # thresholds and one per certified witness
-    calls = _count_calls(monkeypatch, ubdetect, "ord_at_unique_prime")
+    # unscreened, the T = 300 report takes 1,804 exact valuations: 1,800 in
+    # the thresholds and one per certified witness
+    calls = _count_calls(monkeypatch, ubdetect, "newton_polygon_valuations")
     entries = [e for e, _ in catalog_series[5]]
     rep = analyze_catalog(entries, 300)
     assert (rep.certified, rep.bounded) == (5, 1)
-    assert len(calls) < 50
+    assert 0 < len(calls) < 50
 
 
 @SETTINGS
@@ -452,6 +475,6 @@ def test_growth_profile_is_the_running_max_of_the_reference(f, n, p, T):
     for m in range(1, M + 1):
         b = root.coefficient(m)
         if b:
-            best = max(best, -max(_ord_values(b, p, choose_mode(None, p))))
+            best = max(best, -max(_reference_ord_values(b, p, RATIONAL)))
         want.append((m, best))
     assert growth_profile(f, n, p, T).entries == tuple(want)

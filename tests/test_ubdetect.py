@@ -19,8 +19,9 @@ from ubd.ubdetect import (
     detect,
     growth_profile,
 )
-from ubd.x011 import build_catalog, expand_on_curve, g5_series, x11_curve
-from ubd.ellcurve import function_with_divisor
+from ubd.x011 import (build_catalog, expand_on_curve, g5_series,
+                      torsion_point, x11_curve)
+from ubd.ellcurve import function_with_divisor, torsion_factors
 
 from helpers import series_pow
 
@@ -162,6 +163,19 @@ def test_conjugate_profile_inconclusive_path():
     v = detect(f, 2, 5, 3)
     assert v.status == 'Inconclusive'
     assert v.witness_index == 1
+
+
+def test_index3_flex_point_is_inconclusive_at_p3():
+    # psi_3 of X_0(11) is an irreducible quartic, and the flex P lies over a
+    # field of degree 8 where the primes above 3 disagree: -ord(b_1) is 1 at
+    # six embeddings and tau = 1/2 at two, so the verdict stays Inconclusive
+    curve = x11_curve()
+    (g,) = torsion_factors(3, curve)
+    F = function_with_divisor(3, torsion_point(curve, g, 's'))
+    assert F.curve.field.degree == 8
+    v = detect(expand_on_curve(F, 102), 3, 3, 100, span=F.u + F.v)
+    assert (v.status, v.witness_index, v.threshold, v.valuation_mode) == \
+        ('Inconclusive', 1, Fraction(1, 2), CONJUGATE)
 
 
 def test_analyze_catalog_index_two():
