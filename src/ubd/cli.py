@@ -1,20 +1,21 @@
-"""Command-line orchestration: eta expansions, x/y expansion, catalogs,
-unbounded-denominator detection, and the sublattice census.  expand-xy keeps
-x and y as text records keyed by run parameters: reading them back is an
-order of magnitude faster than the solve.  Catalog entries are expanded in
-process, since parsing a stored expansion costs more than redoing it.
+"""Command-line front end: eta expansions, x/y expansion, catalogs,
+unbounded-denominator detection, and the sublattice census, read from argv
+by one table (UBD, COMMANDS) that also gives the --help text.  expand-xy
+keeps x and y as text records named by their run parameters: reading them
+back is an order of magnitude faster than the solve.  Catalog entries are
+expanded in process: parsing a stored expansion costs more than redoing it.
 
-Exit codes: 0 success, 2 validation error or out of memory, 3 detection ran
-but was Inconclusive only, 4 internal inconsistency (a defining relation
-failed).
+Exit codes: 0 success, 2 malformed arguments (usage: and error: lines),
+validation error or out of memory, 3 detection ran but was Inconclusive
+only, 4 internal inconsistency (a defining relation failed).
 """
 
-import argparse
-import hashlib
 import os
 import sys
 import tempfile
+from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .qseries import (
@@ -34,7 +35,7 @@ class ValidationError(Exception):
 
 
 def _validate(args):
-    """The checks argparse cannot make; --b becomes a tuple of three ints."""
+    """The checks the table cannot make; --b becomes a tuple of three ints."""
     least = 10 if args.command == "expand-xy" else 1
     if getattr(args, "terms", least) < least:
         raise ValidationError(
@@ -72,8 +73,7 @@ def cache_dir(override=None):
 
 
 def _cache_key(op, params):
-    tag = f"{op}|{params}|{__version__}"
-    return hashlib.sha256(tag.encode()).hexdigest()[:24]
+    return f"{op}-{params}-{__version__}"
 
 
 def cached_series(op, params, compute, directory):
@@ -263,55 +263,115 @@ def cmd_report(args, out):
     return 3 if rep.inconclusive and not rep.certified else 0
 
 
-def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="ubd",
-        description="Exact expansions and unbounded-denominator certificates "
-                    "for character groups of Gamma^0(11)")
-    ap.add_argument("--cache-dir", default=None,
-                    help="cache directory (default: $UBD_CACHE_DIR or ~/.cache/ubd)")
-    ap.add_argument("--format", choices=("table", "records"), default="table")
-    sub = ap.add_subparsers(dest="command", required=True)
+# The command line in one table.  An option's kind is a converter or a tuple
+# of choices; a name without dashes is a positional argument.  UBD is the row
+# of ubd itself: the global options, which come before the command, and the
+# command.
+Option = namedtuple("Option", "name kind default required help",
+                    defaults=(int, None, False, ""))
+Command = namedtuple("Command", "func help options")
 
-    p = sub.add_parser("eta", help="expand an eta quotient")
-    p.add_argument("quotient", help="terms 'delta:exp,...', delta rational like 1/11")
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--terms", type=int, default=50)
-    p.set_defaults(func=cmd_eta)
+COMMANDS = {
+    "eta": Command(cmd_eta, "expand an eta quotient", (
+        Option("quotient", str, required=True,
+               help="terms 'delta:exp,...', delta rational like 1/11"),
+        Option("--width", required=True), Option("--terms", default=50))),
+    "expand-xy": Command(cmd_expand_xy, "expand x(w), y(w) for Gamma^0(11)",
+                         (Option("--terms", default=50),)),
+    "catalog": Command(cmd_catalog, "build a character-group catalog", (
+        Option("--index", required=True), Option("--terms", default=20))),
+    "detect": Command(cmd_detect, "unbounded-denominator detection", (
+        Option("--entry", str), Option("--series-file", str),
+        Option("--prime", required=True), Option("--root", required=True),
+        Option("--terms", default=300))),
+    "census": Command(cmd_census, "count type II(A) sublattice triples", (
+        Option("--xmax", required=True),
+        Option("--b", str, help="comparison triple 's,u,v'"))),
+    "report": Command(cmd_report, "detection report over a catalog", (
+        Option("--index", required=True), Option("--terms", default=300),
+        Option("--prime"))),
+}
+UBD = Command(None, "Exact expansions and unbounded-denominator certificates "
+              "for character groups of Gamma^0(11); ubd COMMAND --help lists "
+              "the options of one command.", (
+                  Option("--cache-dir", str, help="cache directory (default: "
+                         "$UBD_CACHE_DIR or ~/.cache/ubd)"),
+                  Option("--format", ("table", "records"), "table"),
+                  Option("command", tuple(COMMANDS), required=True)))
 
-    p = sub.add_parser("expand-xy", help="expand x(w), y(w) for Gamma^0(11)")
-    p.add_argument("--terms", type=int, default=50)
-    p.set_defaults(func=cmd_expand_xy)
 
-    p = sub.add_parser("catalog", help="build a character-group catalog")
-    p.add_argument("--index", type=int, required=True)
-    p.add_argument("--terms", type=int, default=20)
-    p.set_defaults(func=cmd_catalog)
+class UsageError(Exception):
+    """Malformed argv: args are the command (or None) and the message."""
 
-    p = sub.add_parser("detect", help="unbounded-denominator detection")
-    p.add_argument("--entry", default=None)
-    p.add_argument("--series-file", default=None)
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--root", type=int, required=True)
-    p.add_argument("--terms", type=int, default=300)
-    p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("census", help="count type II(A) sublattice triples")
-    p.add_argument("--xmax", type=int, required=True)
-    p.add_argument("--b", default=None, help="comparison triple 's,u,v'")
-    p.set_defaults(func=cmd_census)
+def _spell(o):
+    """An option as usage shows it, such as --terms INT; a positional by its
+    name, or by its choices if it has them."""
+    choices = "{" + ",".join(o.kind) + "}" if isinstance(o.kind, tuple) else ""
+    if not o.name.startswith("-"):
+        return choices or o.name
+    return f"{o.name} {choices or o.kind.__name__.upper()}"
 
-    p = sub.add_parser("report", help="detection report over a catalog")
-    p.add_argument("--index", type=int, required=True)
-    p.add_argument("--terms", type=int, default=300)
-    p.add_argument("--prime", type=int, default=None)
-    p.set_defaults(func=cmd_report)
-    return ap
+
+def _usage(command, full=False):
+    """The usage line of ubd or of one command; with full, the -h help."""
+    row = COMMANDS.get(command, UBD)
+    lines = [" ".join(["usage: ubd", command or "[-h]", *(
+        _spell(o) if o.required else f"[{_spell(o)}]" for o in row.options),
+        "[-h]" if command else "..."])]
+    if full:
+        rows = [(_spell(o), o.help) for o in row.options] + [
+            (name, r.help) for name, r in COMMANDS.items() if row is UBD]
+        lines += ["", row.help, ""] + [f"  {a:28s}{b}".rstrip() for a, b in rows]
+    return "\n".join(lines) + "\n"
+
+
+def parse_args(argv):
+    """argv read against the table as a namespace, or the help text when
+    -h/--help comes first; raises UsageError on anything malformed."""
+    command, options, values, tokens = None, UBD.options, {}, iter(argv)
+    pending = [o for o in options if not o.name.startswith("-")]
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _usage(command, full=True)
+        if token.startswith("--"):
+            name, eq, value = token.partition("=")
+            option = next((o for o in options if o.name == name), None)
+            if option is None:
+                raise UsageError(command, f"unknown option {name}")
+            value = value if eq else next(tokens, None)
+            if value is None:
+                raise UsageError(command, f"{name} needs a value")
+        elif pending:
+            option, value = pending.pop(0), token
+        else:
+            raise UsageError(command, f"unexpected argument {token!r}")
+        kind = option.kind
+        try:  # tuple.index raises ValueError for a value outside the choices
+            values[option.name] = (kind[kind.index(value)]
+                                   if isinstance(kind, tuple) else kind(value))
+        except ValueError:
+            raise UsageError(command, f"invalid {_spell(option)}: {value!r}")
+        if option.name == "command":
+            command, options = value, COMMANDS[value].options
+            pending = [o for o in options if not o.name.startswith("-")]
+    missing = [_spell(o) for o in options if o.required and o.name not in values]
+    if missing:
+        raise UsageError(command, f"missing {', '.join(missing)}")
+    return SimpleNamespace(func=COMMANDS[command].func, **{
+        o.name.lstrip("-").replace("-", "_"): values.get(o.name, o.default)
+        for o in UBD.options + options})
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        print(f"{_usage(exc.args[0])}error: {exc.args[1]}", file=sys.stderr)
+        return 2
+    if isinstance(args, str):
+        sys.stdout.write(args)
+        return 0
     try:
         _validate(args)
         return args.func(args, sys.stdout)

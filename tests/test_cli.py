@@ -3,7 +3,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ubd import __version__
 from ubd.qseries import deserialize_series
 
 
@@ -229,7 +231,9 @@ def test_only_expand_xy_touches_the_cache(tmp_path):
         run_cli(args, cache)
         assert not cache.exists(), args
     run_cli(["expand-xy", "--terms", "30"], cache)
-    assert sorted(p.suffix for p in cache.iterdir()) == [".series", ".series"]
+    assert sorted(p.name for p in cache.iterdir()) == [
+        f"expand-xy-x-T=30-{__version__}.series",
+        f"expand-xy-y-T=30-{__version__}.series"]
 
 
 def test_short_series_scan_warns_on_stderr(tmp_path):
@@ -437,3 +441,134 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().split() == ["[]"]
+
+
+def test_cli_command_leaves_parser_and_hash_modules_unloaded():
+    # argparse's first gettext lookup imports locale, and hashlib loads
+    # OpenSSL: a short command would pay for both before it starts
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "from ubd import cli\n"
+              "assert cli.main(['census', '--xmax', '100']) == 0\n"
+              "heavy = {'argparse', 'gettext', 'locale', 'hashlib'}\n"
+              "print(sorted(heavy & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().splitlines()[-1] == "[]"
+
+
+def test_help_names_every_command_and_option(capsys):
+    from ubd import cli
+
+    assert cli.main(["--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: ubd") and err == ""
+    for name in [o.name for o in cli.UBD.options if o.name.startswith("--")
+                 ] + list(cli.COMMANDS):
+        assert name in out, name
+    for command, row in cli.COMMANDS.items():
+        assert cli.main([command, "--help"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(f"usage: ubd {command} ") and err == ""
+        for option in row.options:
+            assert option.name in out, (command, option.name)
+
+
+@pytest.mark.parametrize("argv", [
+    ["census"],                                     # a required option
+    ["census", "--xmax", "10", "--ymax", "3"],      # an unknown option
+    ["census", "--xmax", "ten"],                    # a bad int
+    ["--format", "json", "census", "--xmax", "10"],  # a bad choice
+    ["census", "--xmax"],                           # an option without value
+    ["censor", "--xmax", "10"],                     # an unknown command
+    [],                                             # no command
+    ["--format", "records"],                        # still no command
+    ["census", "--xmax", "10", "--format", "records"],  # global after command
+    ["eta", "--width", "1"],                        # a missing positional
+    ["census", "--xmax", "10", "extra"],            # a stray token
+    ["--xmax", "10", "census"],                     # command option first
+    ["census", "--xm", "10"],                       # no prefix abbreviations
+])
+def test_malformed_argv_exits_2_with_usage_and_error(capsys, argv):
+    from ubd import cli
+
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2, err
+    assert lines[0].startswith("usage: ubd") and lines[1].startswith("error: ")
+
+
+def test_option_equals_value_reads_like_two_tokens(capsys):
+    from ubd import cli
+
+    for argv in (["eta", "1:24", "--width", "1", "--terms", "5"],
+                 ["eta", "1:24", "--width=1", "--terms=5"],
+                 ["eta", "--terms=5", "1:24", "--width", "1"]):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == (
+            "series 1\nwidth 1\nlead 1\ntruncation 5\nfield rational\n"
+            "1/1\n-24/1\n252/1\n-1472/1\n4830/1\n-6048/1\n")
+
+
+# small values, so that every fuzzed command is quick; the first six are ints
+ARGV_VALUES = ["0", "1", "-1", "2", "5", "12", "x", "", "1.5", "2,1,2", "1:2",
+               "fP"]
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """argv built from the command table: global options, a command (or a
+    stray token in its place), then the command's positionals and options in
+    any order, each as two tokens or as --opt=value, some repeated or left
+    out, and a few stray tokens: option names with no value, values, -h."""
+    from ubd import cli
+
+    def spelled(option):
+        # an int or choice option gets a well-formed value half the time, so
+        # that the draws reach the checks and the commands, not only the parser
+        well_formed = (option.kind if isinstance(option.kind, tuple)
+                       else ARGV_VALUES[:6] if option.kind is int
+                       else ARGV_VALUES)
+        value = draw(st.sampled_from(ARGV_VALUES)
+                     | st.sampled_from(well_formed))
+        if not option.name.startswith("--"):
+            return [value]
+        return draw(st.sampled_from([[option.name, value],
+                                     [f"{option.name}={value}"]]))
+
+    global_options = [o for o in cli.UBD.options if o.name.startswith("--")]
+    argv = [t for o in draw(st.lists(st.sampled_from(global_options),
+                                     max_size=2)) for t in spelled(o)]
+    command = draw(st.sampled_from(list(cli.COMMANDS) + ["x", ""]))
+    options = cli.COMMANDS[command].options if command in cli.COMMANDS else ()
+    groups = [spelled(o) for o in options if o.required or draw(st.booleans())]
+    if options:
+        groups += [spelled(o) for o in draw(st.lists(st.sampled_from(options),
+                                                   max_size=2))]
+    strays = [o.name for o in options + tuple(global_options)] + ARGV_VALUES
+    groups += [[t] for t in draw(st.lists(st.sampled_from(strays + ["-h"]),
+                                          max_size=1))]
+    return argv + [command] + [t for g in draw(st.permutations(groups))
+                               for t in g]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzzed_argv())
+def test_fuzzed_argv_returns_a_documented_exit_code(tmp_path, monkeypatch,
+                                                    capsys, argv):
+    from ubd import cli
+
+    monkeypatch.setenv("UBD_CACHE_DIR", str(tmp_path))
+    monkeypatch.chdir(tmp_path)   # a relative --cache-dir lands here
+    try:
+        rc = cli.main(argv)
+    except (Exception, SystemExit) as exc:
+        pytest.fail(f"{argv!r} raised {exc!r}")
+    out, err = capsys.readouterr()
+    assert rc in (0, 2, 3, 4), (argv, rc, err)
+    assert "Traceback" not in err
+    if rc == 2:
+        assert err.splitlines()[-1].startswith("error: "), (argv, err)
