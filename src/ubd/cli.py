@@ -2,7 +2,7 @@
 unbounded-denominator detection, and the sublattice census, read from argv
 by one table (UBD, COMMANDS) that also gives the --help text.  expand-xy
 keeps x and y as text records named by their run parameters: reading them
-back is an order of magnitude faster than the solve.  Catalog entries are
+back is 7 times faster than the solve and check.  Catalog entries are
 expanded in process: parsing a stored expansion costs more than redoing it.
 
 Exit codes: 0 success, 2 malformed arguments (usage: and error: lines),

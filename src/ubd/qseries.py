@@ -315,20 +315,24 @@ class EtaQuotient:
 
 
 def _pentagonal_coeffs(length):
-    """Coefficients of prod_{n>=1} (1 - x^n) up to x^(length-1)."""
+    """Coefficients of prod_{n>=1} (1 - x^n) up to x^(length-1), by Euler's
+    pentagonal number theorem: k(3k-1)/2 >= k^2, so k <= isqrt(length)."""
     c = [0] * length
     c[0] = 1
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 >= length and g2 >= length:
-            break
-        s = -1 if k % 2 else 1
-        if g1 < length:
-            c[g1] += s
-        if g2 < length:
-            c[g2] += s
+    for k in range(1, math.isqrt(length) + 1):
+        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if g < length:
+                c[g] = -1 if k % 2 else 1
+    return c
+
+
+def _jacobi_coeffs(length):
+    """Coefficients of prod_{n>=1} (1 - x^n)^3 up to x^(length-1), by
+    Jacobi's identity: sum_k (-1)^k (2k+1) x^(k(k+1)/2)."""
+    c = [0] * length
+    k = 0
+    while k * (k + 1) // 2 < length:
+        c[k * (k + 1) // 2] = -2 * k - 1 if k % 2 else 2 * k + 1
         k += 1
     return c
 
@@ -341,7 +345,8 @@ def eta_unit_product(eq, width, T):
     A factor with step s = N*delta is a series in u = w^s, so it is powered
     at length ceil((T+1)/s) in u and multiplied into the unit one residue
     class of exponents mod s at a time; the first factor is laid out on its
-    residue class 0 as it is."""
+    residue class 0 as it is.  With P = prod (1 - u^n) and |r| = 3q + t, the
+    power is J^q * P^t for Jacobi's J = P^3, inverted once when r < 0."""
     if T < 0:
         raise ValueError("truncation must be nonnegative")
     steps = []
@@ -358,16 +363,17 @@ def eta_unit_product(eq, width, T):
         if not r:
             continue
         m = -(-length // step)  # terms of the factor in u = w^step
-        base = _pentagonal_coeffs(m)
-        if r < 0:
-            base, r = newton_inverse(base, m, 1, kron_mul), -r
+        q, t = divmod(abs(r), 3)
         f = None
-        while r:  # f = base^r by binary powering
-            if r & 1:
-                f = base if f is None else kron_mul(f, base, m)
-            r >>= 1
-            if r:
-                base = kron_mul(base, base, m)
+        for base, e in ((_jacobi_coeffs(m), q), (_pentagonal_coeffs(m), t)):
+            while e:  # f = f * base^e by binary powering
+                if e & 1:
+                    f = base if f is None else kron_mul(f, base, m)
+                e >>= 1
+                if e:
+                    base = kron_mul(base, base, m)
+        if r < 0:
+            f = newton_inverse(f, m, 1, kron_mul)
         if unit is None:  # the first factor is the whole product so far
             unit = [0] * length
             unit[::step] = f

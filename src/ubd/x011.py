@@ -2,21 +2,20 @@
 expansions of curve functions, the index-2 and index-5 character-group
 catalogs, and the G5 eta family.
 
-x and y are pinned down by two relations solved jointly order by order:
-the curve equation y^2 + y = x^3 - x^2 - 10x - 20 and the derivation
-relation D(x) = kappa*(2y+1)*S(w), where D = w*d/dw, S is the weight-2
-eta product eta(z)^2*eta(z/11)^2 expanded in w = e^(2*pi*i*z/11), and
-kappa is the constant KAPPA = -1: matching the forced leading behavior
-x = w^-2 + ..., y = w^-3 + ... gives -2 = 2*kappa*S_1, and the solve checks
-that S_1 = 1.  x, y and S are integral, so the solve and the check of both
-relations at every determined order run on Python ints.
+x and y are pinned down by two relations: the curve equation
+y^2 + y = x^3 - x^2 - 10x - 20 and the derivation relation
+D(x) = kappa*(2y+1)*S(w), where D = w*d/dw, S is the weight-2 eta product
+eta(z)^2*eta(z/11)^2 expanded in w = e^(2*pi*i*z/11), and kappa is the
+constant KAPPA = -1.  x comes in closed form from weight-4 modular forms on
+Gamma_0(11), y from the derivation relation, and both relations are then
+checked at every determined order.  x, y and S are integral, so all of it
+runs on Python ints.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from operator import mul
 
 from .exactnum import (
     AlgebraicNumber,
@@ -33,6 +32,7 @@ from .exactnum import (
     integerize_monic,
     kron_mul,
     min_poly,
+    newton_inverse,
 )
 from .qseries import (EtaQuotient, LaurentSeries, eta_quotient_expand,
                       eta_unit_product, serialize_series)
@@ -54,11 +54,18 @@ def x11_curve(field=None):
 
 
 # ----------------------------------------------------------------------
-# x(w), y(w) by the coupled curve/derivation recursion.
+# x(w), y(w) from weight-4 forms on Gamma_0(11).  In w, x has its only pole,
+# of order 2, at the cusp infinity, and S vanishes only at the two cusps, to
+# order 1; so x*S^2 is holomorphic, in M_4(Gamma_0(11)), of dimension 4 and
+# Sturm bound 4 (4/12 times the index 12): its coefficients through w^4 fix
+# it; on E_4(w), E_4(w^11), S^2 and S*E_2' with E_2' = 11*E_2(w^11) - E_2(w):
+#     14640*x*S^2 = -E_4(w) + 14641*E_4(w^11) - 15504*S^2 - 2904*S*E_2'.
 # ----------------------------------------------------------------------
 
-_XY_CACHE = {"T": -1, "xs": None, "ys": None, "S": None}
+_XY_CACHE = {"T": -1, "xs": None, "ys": None, "S": None, "monomials": {}}
 KAPPA = Fraction(-1)
+# 14640, then the coefficients of E_4(w), E_4(w^11), S^2 and S*E_2'
+XS2_IDENTITY = (14640, -1, 14641, -15504, -2904)
 
 
 def weight2_eta_product(T):
@@ -67,80 +74,59 @@ def weight2_eta_product(T):
                                WIDTH, T)
 
 
-def _inner_square(V):
-    """sum of V[i]*V[n+1-i] over 1 <= i <= n = len(V) - 1: half the pairs,
-    doubled, plus the middle square when n is odd."""
-    n = len(V) - 1
-    h = n // 2
-    s = 2 * sum(map(mul, V[1:h + 1], V[n:n - h:-1]))
-    return s + V[h + 1] * V[h + 1] if n % 2 else s
+def _exact_quotients(nums, den, what, lead):
+    """[c // den for c in nums]; a remainder raises RuntimeError."""
+    for k, c in enumerate(nums, lead):
+        if c % den:
+            raise RuntimeError(
+                f"{what} is not integral at order {k}: the weight-4 identity "
+                "or the derivation relation is wrong (implementation bug)")
+    return [c // den for c in nums]
 
 
 def _compute_xy(T):
-    """Coefficient arrays for x (exponents -2..T-2), y (-3..T-3) and the
-    eta product S (S[e] = S_e for e < T + 8).
+    """Integer arrays for x (exponents -2..T-2), y (-3..T-3) and the eta
+    product S (S[e] = S_e for e < T + 2); T >= 3.
 
-    x, y and S are integral and kappa = -1, so the solve runs on Python ints:
-    X[i] = x_(i-2), Y[i] = y_(i-3) and X2[i] = (x^2)_(i-4).  At order m the
-    unknowns y_(m+3) and x_(m+4) enter the curve relation at w^m as
-    2*y - 3*x and the derivation relation at w^(m+4) as (m+4)*x + 2*y, so
-    each is one exact integer division; a remainder means the relations
-    are inconsistent.  The known parts of (x^2)_(m+2) and (y^2)_m are
-    symmetric sums, taken one pair at a time by _inner_square; the x^3 part
-    and (2y+1)*S are full dot products over the growing arrays.
+    G = x*S^2 by the identity of this section, from sigma_1 and sigma_3 by
+    one sieve, E_4 = 1 + 240*sum sigma_3(n) w^n, E_2 = 1 - 24*sum sigma_1(n)
+    w^n; x = G*V^-2 by one Newton inverse of V = S/w.  y comes from
+    D(x) = KAPPA*(2y + a3)*S with the same V^-1; matching the leads gives
+    -2 = 2*KAPPA*S_1, so S_1 must be 1.  A remainder in the division by
+    14640 or by 2 raises RuntimeError; expand_xy checks both relations.
     """
-    s_series = weight2_eta_product(T + 8)
-    S = [s_series.coefficient(e).numerator for e in range(T + 8)]
-    # kappa = KAPPA from matching the forced leads on D(x) = kappa*(2y+1)*S:
-    # -2*x_{-2} = kappa * 2*y_{-3} * S_1 with S_1 = 1
+    n = T + 1
+    s_series = weight2_eta_product(T + 1)
+    S = [s_series.coefficient(e).numerator for e in range(T + 2)]
     if S[1] != 1:
         raise RuntimeError("eta product does not start with w^1")
-
-    def exact(num, den, what, m):
-        q, r = divmod(num, den)
-        if r:
-            raise RuntimeError(
-                f"{what} is not integral at order {m}: inconsistency between "
-                "the two defining relations (implementation bug)")
-        return q
-
-    _, a2, a3, a4, a6 = CURVE_COEFFS  # a1 = 0: no x*y term
-    X, Y, X2 = [1], [1], [1]
-    for m in range(-5, T - 5):
-        # provisional (x^2)_{m+2}: every term but 2*x_{-2}*x_{m+4}
-        x2prov = _inner_square(X)
-        # [w^m] of y^2 + a3*y - x^3 - a2*x^2 - a4*x - a6 without the unknowns
-        v1 = (_inner_square(Y)
-              - sum(map(mul, X2[1:] + [x2prov], reversed(X))))
-        if m >= -4:
-            v1 -= a2 * X2[m + 4]
-        if m >= -3:
-            v1 += a3 * Y[m + 3]
-        if m >= -2:
-            v1 -= a4 * X[m + 2]
-        if m == 0:
-            v1 -= a6
-        # [w^(m+4)] of D(x) + (2y+a3)*S without the unknowns
-        v2 = 2 * sum(map(mul, Y, reversed(S[2:m + 8])))
-        if m >= -3:
-            v2 += a3 * S[m + 4]
-        if m == -4:
-            # exponent 0 in the derivation relation: x_0 drops out
-            y_new = exact(-v2, 2, "y", m)
-            x_new = exact(2 * y_new + v1, 3, "x", m)
-        else:
-            y_new = exact(-((m + 4) * v1 + 3 * v2), 2 * m + 14, "y", m)
-            x_new = exact(-2 * y_new - v2, m + 4, "x", m)
-        Y.append(y_new)
-        X.append(x_new)
-        X2.append(x2prov + 2 * x_new)
-    return X, Y, S
+    sigma1, sigma3 = [0] * n, [0] * n
+    for d in range(1, n):
+        sigma1[d::d] = [c + d for c in sigma1[d::d]]
+        cube = d ** 3
+        sigma3[d::d] = [c + cube for c in sigma3[d::d]]
+    den, e4, e4_11, s2, s_e2 = XS2_IDENTITY
+    e2 = [10] + [24 * c for c in sigma1[1:]]  # E_2'
+    for i in range(11, n, 11):
+        e2[i] -= 264 * sigma1[i // 11]
+    g = kron_mul(S, [s2 * a + s_e2 * b for a, b in zip(S, e2)], n)
+    g[0] += e4 + e4_11
+    for i in range(1, n):
+        g[i] += 240 * (e4 * sigma3[i] + (e4_11 * sigma3[i // 11]
+                                         if i % 11 == 0 else 0))
+    G = _exact_quotients(g, den, "x", -2)  # G[i] = (x*S^2)_i
+    V_inv = newton_inverse(S[1:], n, 1, kron_mul)
+    X = kron_mul(G, kron_mul(V_inv, V_inv, n), n)  # X[i] = x_(i-2)
+    # Z[i] = (2y + a3)_(i-3): D(x)*w^2 * V^-1 over KAPPA = -1, its own inverse
+    Z = kron_mul([int(KAPPA) * i * c for i, c in enumerate(X, -2)], V_inv, n)
+    Z[3] -= CURVE_COEFFS[2]
+    return X, _exact_quotients(Z, 2, "y", -3), S
 
 
 def _xy_arrays(T):
     if _XY_CACHE["T"] < T:
         xs, ys, S = _compute_xy(T)
-        _XY_CACHE.update(T=T, xs=xs, ys=ys, S=S)
+        _XY_CACHE.update(T=T, xs=xs, ys=ys, S=S, monomials={})
     return _XY_CACHE["xs"], _XY_CACHE["ys"]
 
 
@@ -198,16 +184,21 @@ def expand_on_curve(F, T):
     the integer series x^i and x^i*y, summed in integer coordinates over one
     denominator.
     """
-    degs = max(len(F.u), len(F.v) + 1)
-    xs, ys = _xy_arrays(T + 2 * degs + F.pole_order_at_O() + 10)
+    # x^i * w^(2i) and x^i * y * w^(2i+3) through w^T need the first N of xs
+    # and ys (_compute_xy takes T >= 3); built once per N, dropped with x, y
+    xs, ys = _xy_arrays(max(T, 3))
     field, N = F.curve.field, T + 1
-    powers = [[1] + [0] * T]  # x^i * w^(2i), N ints each
+    powers, y_powers = _XY_CACHE["monomials"].setdefault(
+        N, ([[1] + [0] * T], []))
     while len(powers) < max(len(F.u), len(F.v)):
-        powers.append(kron_mul(powers[-1], xs, N))
+        powers.append(kron_mul(powers[-1], xs, N) if len(powers) > 1
+                      else xs[:N])
+    while len(y_powers) < len(F.v):
+        i = len(y_powers)
+        y_powers.append(kron_mul(powers[i], ys, N) if i else ys[:N])
     # (coefficient, integer series, pole order) of each term
     terms = [(c, powers[i], 2 * i) for i, c in enumerate(F.u) if c]
-    terms += [(c, kron_mul(powers[i], ys, N), 2 * i + 3)
-              for i, c in enumerate(F.v) if c]
+    terms += [(c, y_powers[i], 2 * i + 3) for i, c in enumerate(F.v) if c]
     top = max(n for _, _, n in terms)
     den, d, flat = _operand([c for c, _, _ in terms], field)
     coords = [[0] * N for _ in range(d)]

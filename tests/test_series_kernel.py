@@ -3,17 +3,21 @@
 kron_mul multiplies two integer operands by Kronecker substitution;
 LaurentSeries.__mul__, LaurentSeries.invert (Newton), dp_mul, the eta
 products and the integer x/y solve are built on it.  The references below
-are the element-wise loops those call sites used before, kept here only.
+are the element-wise loops those call sites used before, kept here only:
+among them the order-by-order x/y solve, and S as the newform of the curve
+from point counts over F_p.
 """
 
 from fractions import Fraction
 import math
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ubd.exactnum import NumberField, dp_mul, kron_mul, lift
-from ubd.qseries import EtaQuotient, LaurentSeries, eta_unit_product
-from ubd.x011 import KAPPA, _compute_xy, weight2_eta_product
+from ubd.qseries import (EtaQuotient, LaurentSeries, _jacobi_coeffs,
+                         _pentagonal_coeffs, eta_unit_product)
+from ubd.x011 import KAPPA, XS2_IDENTITY, _compute_xy, weight2_eta_product
 
 QUARTIC = NumberField([869405, 19255, 1360, 20, 1], 's')  # index-5 catalog
 CUBIC = NumberField([-158, -40, -2, 1], 'u')              # index-2 catalog
@@ -168,6 +172,56 @@ def _reference_compute_xy(T):
             kappa)
 
 
+def _point_count_newform(N):
+    """a_0..a_N of the newform of y^2 + y = x^3 - x^2 - 10x - 20 (a_0 = 0):
+    a_p = p + 1 - #E(F_p) for p != 11 and a_11 = 1, a_(p^(k+1)) =
+    a_p*a_(p^k) - p*a_(p^(k-1)) at the good primes and a_(11^k) = 1, and a_n
+    multiplicative.  #E(F_p) counts, for each x, the y with y^2 + y equal to
+    the right-hand side mod p, plus the point at infinity."""
+    spf = list(range(N + 1))  # smallest prime factor
+    for d in range(2, math.isqrt(N) + 1):
+        if spf[d] == d:
+            for m in range(d * d, N + 1, d):
+                spf[m] = min(spf[m], d)
+    a = [0, 1] + [None] * (N - 1)
+    for n in range(2, N + 1):
+        p, m, k = spf[n], n, 0
+        while m % p == 0:
+            m, k = m // p, k + 1
+        if m > 1:  # coprime parts
+            a[n] = a[m] * a[n // m]
+        elif p == 11:
+            a[n] = 1
+        elif k == 1:
+            roots = [0] * p
+            for y in range(p):
+                roots[(y * y + y) % p] += 1
+            count = 1 + sum(roots[(x ** 3 - x * x - 10 * x - 20) % p]
+                            for x in range(p))
+            a[n] = p + 1 - count
+        else:
+            a[n] = a[p] * a[n // p] - p * a[n // (p * p)]
+    return a
+
+
+def _divisor_sum(n, k):
+    return sum(d ** k for d in range(1, n + 1) if n % d == 0)
+
+
+def _solve(rows, rhs):
+    """Gauss-Jordan elimination over Fraction; rows must be invertible."""
+    m = [[Fraction(v) for v in row] + [Fraction(b)]
+         for row, b in zip(rows, rhs)]
+    for i in range(len(m)):
+        piv = next(r for r in range(i, len(m)) if m[r][i])
+        m[i], m[piv] = m[piv], m[i]
+        m[i] = [v / m[i][i] for v in m[i]]
+        for r in range(len(m)):
+            if r != i and m[r][i]:
+                m[r] = [v - m[r][i] * w for v, w in zip(m[r], m[i])]
+    return [row[-1] for row in m]
+
+
 # ----------------------------------------------------------------------
 # Strategies.
 # ----------------------------------------------------------------------
@@ -219,6 +273,8 @@ def test_kron_mul_matches_the_convolution(data):
     b = data.draw(st.lists(ints, min_size=lb * db, max_size=lb * db))
     n = data.draw(st.integers(0, la + lb + 2))
     assert kron_mul(a, b, n, da, db) == _reference_kron(a, b, n, da, db)
+    # one operand twice takes the squaring path
+    assert kron_mul(a, a, n, da, da) == _reference_kron(a, a, n, da, da)
 
 
 def test_kron_mul_drops_negative_high_slots():
@@ -263,12 +319,79 @@ def test_dp_mul_matches_reference_with_mixed_entries():
 
 
 def test_integer_xy_solve_matches_the_fraction_reference():
-    for T in (50, 310):
+    # 10 is the least T expand-xy takes; 11 and 12 put a multiple of 11, the
+    # first term of E_4(w^11) and E_2(w^11), at the end of the arrays
+    for T in (10, 11, 12, 50, 310, 600):
         xs, ys, _ = _compute_xy(T)
         assert all(type(c) is int for c in xs + ys)
         ref = _reference_compute_xy(T)
         assert (xs, ys) == ref[:2]
         assert KAPPA == ref[2]
+
+
+def test_weight4_identity_is_rederived_from_the_reference_x():
+    """x*S^2 lies in M_4(Gamma_0(11)), of dimension 4 and Sturm bound 4:
+    its coefficients at w^0..w^3 fix its coordinates on E_4(w), E_4(w^11),
+    S^2 and S*E_2', and those must be the solve's constants over 14640; the
+    coefficients at w^4 (the Sturm bound) and beyond must then agree too.
+    x comes from the order-by-order reference, S from point counts."""
+    T = 60
+    xs = _reference_compute_xy(T)[0]  # x_-2 .. x_(T-2)
+    S = _point_count_newform(T + 2)
+    S2 = _imul_trunc(S, S, T + 1)
+    xs2 = [sum(xs[j] * S2[i - j + 2] for j in range(i + 1))
+           for i in range(T - 1)]  # (x*S^2)_i, i <= T - 2
+    e4 = [1] + [240 * _divisor_sum(i, 3) for i in range(1, T)]
+    e2 = [1] + [-24 * _divisor_sum(i, 1) for i in range(1, T)]
+    e2_prime = [11 * (e2[i // 11] if i % 11 == 0 else 0) - e2[i]
+                for i in range(T)]
+    basis = [e4, [e4[i // 11] if i % 11 == 0 else 0 for i in range(T)],
+             S2, _imul_trunc(S, e2_prime, T)]
+    c = _solve([[b[i] for b in basis] for i in range(4)], xs2[:4])
+    den, *coeffs = XS2_IDENTITY
+    assert c == [Fraction(k, den) for k in coeffs]
+    assert all(sum(ck * b[i] for ck, b in zip(c, basis)) == xs2[i]
+               for i in range(4, T - 1))
+
+
+def test_point_count_newform_is_the_eta_product_S():
+    a = _point_count_newform(2000)
+    assert a[:12] == [0, 1, -2, -1, 2, 1, 2, -2, 0, -2, -2, 1]
+    s = weight2_eta_product(2001)
+    assert [s.coefficient(e) for e in range(2001)] == a
+    assert _compute_xy(300)[2] == a[:302]
+
+
+@pytest.mark.parametrize("which", range(len(XS2_IDENTITY)))
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_a_wrong_identity_constant_stops_the_solve(monkeypatch, tmp_path,
+                                                    which, delta):
+    from ubd import cli, x011
+
+    wrong = list(XS2_IDENTITY)
+    wrong[which] += delta
+    monkeypatch.setattr(x011, "XS2_IDENTITY", tuple(wrong))
+    monkeypatch.setattr(x011, "_XY_CACHE", {"T": -1})
+    with pytest.raises(RuntimeError):
+        x011.expand_xy(20)
+    assert cli.main(["--cache-dir", str(tmp_path), "expand-xy",
+                     "--terms", "20"]) == 4
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 50, 1200])
+def test_jacobi_coeffs_are_the_cube_of_the_pentagonal_ones(m):
+    p = _pentagonal_coeffs(m)
+    assert _jacobi_coeffs(m) == _imul_trunc(_imul_trunc(p, p, m), p, m)
+
+
+@pytest.mark.parametrize("step", [1, 11])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 12, 13, 14])
+def test_eta_powers_match_the_reference_in_every_class_mod_3(step, r):
+    # |r| = 3q + t with t = 0, 1, 2: J^q * P^t, inverted once for r < 0
+    for e in (r, -r):
+        eq = EtaQuotient([(step, e)])
+        _, unit = eta_unit_product(eq, 1, 150)
+        assert unit.coefficients(0, 151) == _reference_eta_unit(eq, 1, 150)
 
 
 def test_eta_products_match_reference_at_500_terms():
