@@ -43,7 +43,8 @@ from .x011 import (
     torsion_point,
     x11_curve,
 )
-from .ubdetect import UbdVerdict, GrowthProfile, detect, growth_profile, analyze_catalog
+from .ubdetect import (UbdVerdict, GrowthProfile, analyze_catalog, detect,
+                       detect_entry, growth_profile)
 from .census import (
     LatticeTriple,
     CensusResult,

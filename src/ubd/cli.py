@@ -26,7 +26,7 @@ from .qseries import (
 )
 from .x011 import (CATALOG_INDICES, KAPPA, build_catalog, catalog_export,
                    expand_xy)
-from .ubdetect import analyze_catalog, detect
+from .ubdetect import analyze_catalog, detect, detect_entry
 from .census import LatticeTriple, s_count, ubd_lower_bound_experiment
 
 
@@ -200,18 +200,18 @@ def _warn_if_short(v, requested):
 def cmd_detect(args, out):
     if args.entry:
         e = _entry_by_label(args.entry)
-        series = e.expansion(args.terms + 2)
-        label, span = e.label, e.coefficient_span()
     else:
         try:
             with open(args.series_file) as fh:
                 series = deserialize_series(fh.read())
         except (OSError, ValueError) as exc:
             raise ValidationError(f"cannot read series file: {exc}")
-        label, span = os.path.basename(args.series_file), None
     try:
-        v = detect(series, args.root, args.prime, args.terms, label=label,
-                   span=span)
+        if args.entry:
+            v = detect_entry(e, args.root, args.prime, args.terms)
+        else:
+            v = detect(series, args.root, args.prime, args.terms,
+                       label=os.path.basename(args.series_file))
     except ValueError as exc:
         raise ValidationError(str(exc))
     _warn_if_short(v, args.terms)

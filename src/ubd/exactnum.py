@@ -247,10 +247,11 @@ def poly_is_irreducible_modp(c, p):
 
 # ----------------------------------------------------------------------
 # Factorization over Q (von zur Gathen & Gerhard, Modern Computer Algebra,
-# ch. 14-15): Yun's squarefree decomposition, distinct- and equal-degree
-# factorization modulo a small prime, Hensel lifting and recombination.
-# Polynomials modulo m are int lists in [0, m), low degree first, trimmed;
-# a divisor's leading coefficient is a unit mod m.
+# ch. 14-15): Yun's squarefree decomposition over Z, distinct- and
+# equal-degree factorization modulo a small prime, Hensel lifting and
+# recombination.  Polynomials over Z are int lists, low degree first,
+# trimmed; polynomials modulo m are int lists in [0, m), and a divisor's
+# leading coefficient is a unit mod m.
 # ----------------------------------------------------------------------
 
 def _zm(a, m):
@@ -372,19 +373,65 @@ def _hensel(f, mods, p, steps):
     return _hensel(h, mods[:k], p, steps) + _hensel(g, mods[k:], p, steps)
 
 
+def _zx_primitive(a):
+    """A nonzero integer polynomial over its content, leading coefficient
+    positive."""
+    g = math.gcd(*a) * (1 if a[-1] > 0 else -1)
+    return [x // g for x in a]
+
+
+def _zx_exquo(a, b):
+    """a/b for integer polynomials, b nonzero; None unless b divides a in
+    Z[x] (for a primitive b, as soon as it divides a in Q[x])."""
+    a, nb = list(a), len(b)
+    q = [0] * max(0, len(a) - nb + 1)
+    for k in range(len(a) - nb, -1, -1):
+        c, r = divmod(a[k + nb - 1], b[-1])
+        if r:
+            return None
+        q[k] = c
+        for i, bi in enumerate(b):
+            a[k + i] -= c * bi
+    return None if any(a) else dp_trim(q)
+
+
+def _zx_gcd(a, b):
+    """The primitive gcd, leading coefficient positive, of a nonzero integer
+    polynomial a and an integer polynomial b: the primitive remainder
+    sequence, each pseudo-remainder over its content."""
+    a = _zx_primitive(a)
+    b = _zx_primitive(b) if b else []
+    while b:
+        r, nb = a, len(b)
+        while len(r) >= nb:  # r = lc(b)*r - r_top*x^k*b, top term cancelled
+            c, k = r[-1], len(r) - nb
+            r = [b[-1] * x for x in r[:-1]]
+            for i, bi in enumerate(b[:-1]):
+                r[k + i] -= c * bi
+            r = dp_trim(r)
+        a, b = b, (_zx_primitive(r) if r else [])
+    return a
+
+
 def _squarefree(f):
     """Yun's squarefree decomposition of a primitive integer polynomial with
     positive leading coefficient: [(a_i, i)] with f = prod a_i^i, the a_i
-    primitive, squarefree and coprime."""
-    a = dp_gcd(f, _deriv(f))
-    b, c = dp_divmod(f, a)[0], dp_divmod(_deriv(f), a)[0]
+    primitive, squarefree and coprime.  Every gcd is primitive, so every
+    quotient is exact in Z[x] (Gauss)."""
+    if len(f) < 2:
+        return []
+    df = _deriv(f)
+    a = _zx_gcd(f, df)
+    if len(a) == 1:
+        return [(f, 1)]
+    b, c = _zx_exquo(f, a), _zx_exquo(df, a)
     out, i = [], 1
     while len(b) > 1:
         d = dp_sub(c, _deriv(b))
-        a = dp_gcd(b, d)
+        a = _zx_gcd(b, d)
         if len(a) > 1:
-            out.append((content_primitive(a)[1], i))
-        b, c, i = dp_divmod(b, a)[0], dp_divmod(d, a)[0], i + 1
+            out.append((a, i))
+        b, c, i = _zx_exquo(b, a), _zx_exquo(d, a), i + 1
     return out
 
 
@@ -423,13 +470,13 @@ def _factor_squarefree(f):
     while 2 * size <= len(lifted):
         for subset in combinations(range(len(lifted)), size):
             g = _zm_prod(f[-1], [lifted[i] for i in subset], M)
-            g = content_primitive([x - M if 2 * x > M else x for x in g])[1]
+            g = _zx_primitive([x - M if 2 * x > M else x for x in g])
             if g[0] and f[0] % g[0]:
                 continue  # the constant terms rule g out
-            q, r = dp_divmod(f, g)
-            if not r:  # g is primitive, so q is integral (Gauss)
+            q = _zx_exquo(f, g)
+            if q is not None:
                 out.append(g)
-                f = [int(x) for x in q]
+                f = q
                 lifted = [a for i, a in enumerate(lifted) if i not in subset]
                 break
         else:
@@ -861,15 +908,15 @@ def _integral_char_poly(a):
 
 
 def min_poly(a):
-    """Monic minimal polynomial over Q of an algebraic number: chi_B rescaled
-    to the characteristic polynomial chi of a = B/den, a power of the minimal
-    polynomial, which is therefore chi / gcd(chi, chi')."""
+    """Monic minimal polynomial over Q of an algebraic number a = B/den: the
+    characteristic polynomial chi_B is a power of the minimal polynomial of
+    B, which is therefore chi_B / gcd(chi_B, chi_B'), rescaled to a."""
     if isinstance(a, (int, Fraction)):
         return [-Fraction(a), Fraction(1)]
-    d = a.field.degree
-    chi = [Fraction(c, a.den ** (d - i))
-           for i, c in enumerate(_integral_char_poly(a))]
-    return dp_divmod(chi, dp_gcd(chi, _deriv(chi)))[0]
+    chi = _integral_char_poly(a)  # of B = den*a, monic over Z
+    m = _zx_exquo(chi, _zx_gcd(chi, _deriv(chi)))
+    k = len(m) - 1
+    return [Fraction(c, a.den ** (k - i)) for i, c in enumerate(m)]
 
 
 def _eliminate(a, rhs=0):

@@ -340,7 +340,13 @@ def _jacobi_coeffs(length):
 def eta_unit_product(eq, width, T):
     """The product part prod_delta prod_n (1 - w^(N*delta*n))^(r_delta) and the
     (possibly fractional) exponent of the stripped w^(N*sum r*delta/24)
-    prefactor; needs only N*delta integral for every term.
+    prefactor; needs only N*delta integral for every term."""
+    lead, unit = _eta_product_ints(eq, width, T)
+    return lead, LaurentSeries(width, 0, unit, None, T + 1)
+
+
+def _eta_product_ints(eq, width, T):
+    """(lead, the product part's integer coefficients of w^0..w^T).
 
     A factor with step s = N*delta is a series in u = w^s, so it is powered
     at length ceil((T+1)/s) in u and multiplied into the unit one residue
@@ -383,7 +389,7 @@ def eta_unit_product(eq, width, T):
                 unit[i::step] = kron_mul(cls, f, len(cls))
     if unit is None:
         unit = [1] + [0] * T
-    return lead, LaurentSeries(width, 0, unit, None, length)
+    return lead, unit
 
 
 def eta_quotient_expand(eq, width, T):
@@ -392,12 +398,13 @@ def eta_quotient_expand(eq, width, T):
     The width must make every factor's product part land on integer powers of
     w and the total q^(1/24)-prefactor land on an integer exponent.
     """
-    lead, unit = eta_unit_product(eq, width, T)
+    lead, unit = _eta_product_ints(eq, width, T)
     if lead.denominator != 1:
         raise ValueError(
             f"width {width} incompatible: leading exponent {lead} is not an integer "
             f"(minimal valid width is {eq.minimal_width()})")
-    return unit.shift(int(lead))
+    lead = int(lead)
+    return LaurentSeries(width, lead, unit, None, lead + T + 1)
 
 
 # ----------------------------------------------------------------------

@@ -10,13 +10,15 @@ boundedness beyond the scanned range.  v_min is read from a_1..a_M, the
 scanned range, unless the caller gives a span: coefficients whose
 Z-combinations give every a_m (u and v of a catalog function u(x) + v(x)*y,
 x and y integral), whose worst ord less ord(a_0) is then a floor on v_min
-for every m.
+for every m, and tau is read from that floor alone.
 
 The scan is online: the root coefficients b_1, b_2, ... come one at a time
 from qseries.root_coefficients (Miller's one-sum power recurrence on packed
 integer coordinates, one normalised coefficient per step), and detect stops
 at the first witness, so a certificate at m costs O(m^2) integer products,
-not the O(T^2) of the whole root.
+not the O(T^2) of the whole root.  A catalog entry (detect_entry) is first
+expanded and scanned to isqrt(T) + 1 terms only, so a certificate there
+costs no O(T) expansion or normalisation either.
 
 One valuation rule: val_p on Q, and on a number field the slopes of the
 Newton polygon of the integer characteristic polynomial of den*b, less
@@ -155,21 +157,22 @@ def detect(f, root_degree, prime_p, T=300, label="", span=None):
 
     span, when given, lists coefficients whose Z-combinations give every
     coefficient of f (u and v of f = u(x) + v(x)*y with x, y integral); they
-    then bound v_min for every m, not only for the scanned ones.
+    then bound v_min for every m, not only for the scanned ones, and tau is
+    read from that floor alone, whatever T is.
     """
     if root_degree < 2:
         raise ValueError("root degree must be at least 2")
     mode, unit, M = _unit_part(f, prime_p, T)
     if span is None:
-        floor = 0
+        tau = _threshold(unit, root_degree, prime_p, M)
         note = (f"a_m verified p-integral (after the v_min offset) for "
                 f"m <= {M}; the lemma's precondition beyond the truncation "
                 "is assumed")
     else:
-        floor = _span_floor(span, f.coeffs[0], prime_p)
+        # the floor bounds ord(a_m/a_0) for every m, so no a_m can lower it
+        tau = -_span_floor(span, f.coeffs[0], prime_p) / root_degree
         note = ("a_m p-integral (after the v_min offset) for every m: "
                 "the coefficients are Z-combinations of those of u and v")
-    tau = _threshold(unit, root_degree, prime_p, M, floor)
     partial = None
     for m, b in enumerate(root_coefficients(unit, root_degree), 1):
         if _content_bound(b, prime_p) >= -tau:
@@ -216,9 +219,28 @@ class CatalogReport(namedtuple('CatalogReport', 'index truncation verdicts '
         return out
 
 
+def detect_entry(e, root_degree, prime_p, T=300):
+    """detect on a catalog entry's expansion, with its coefficient span,
+    over b_1..b_T.
+
+    With a span, tau does not depend on T, and the first witness among
+    b_1..b_t is the first of b_1..b_T; so a probe on t = isqrt(T) + 1 terms
+    runs first, and a certificate there is the full scan's.  Any other
+    probe verdict (a partial witness may still be followed by a certificate)
+    falls through to the full expansion of T + 2 terms.  A failed probe
+    costs O(t^2) = O(T) root products.
+    """
+    span = e.coefficient_span()
+    t = math.isqrt(T) + 1
+    if t < T:
+        v = detect(e.expansion(t + 2), root_degree, prime_p, t, e.label, span)
+        if v.certified():
+            return v._replace(truncation_used=T)
+    return detect(e.expansion(T + 2), root_degree, prime_p, T, e.label, span)
+
+
 def analyze_catalog(entries, T=300, prime_p=None):
-    """Run the detector over catalog entries at their root degrees, each
-    expanded here to T + 2 terms.
+    """Run detect_entry over catalog entries at their root degrees.
 
     The main theorem's index-p hypothesis is confirmed when every
     expected-noncongruence entry is certified and no known-congruence entry
@@ -227,8 +249,7 @@ def analyze_catalog(entries, T=300, prime_p=None):
     verdicts = []
     for e in entries:
         p = prime_p if prime_p is not None else e.root_degree
-        verdicts.append(detect(e.expansion(T + 2), e.root_degree, p, T,
-                               label=e.label, span=e.coefficient_span()))
+        verdicts.append(detect_entry(e, e.root_degree, p, T))
     certified = sum(1 for v in verdicts if v.status == 'UnboundedCertified')
     bounded = sum(1 for v in verdicts if v.status == 'BoundedSoFar')
     inconclusive = sum(1 for v in verdicts if v.status == 'Inconclusive')

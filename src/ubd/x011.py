@@ -96,10 +96,11 @@ def _compute_xy(T):
     14640 or by 2 raises RuntimeError; expand_xy checks both relations.
     """
     n = T + 1
-    s_series = weight2_eta_product(T + 1)
-    S = [s_series.coefficient(e).numerator for e in range(T + 2)]
-    if S[1] != 1:
+    s_series = weight2_eta_product(T)  # S_1..S_(T+1)
+    if s_series.lead != 1 or s_series.coeffs[0] != 1:
         raise RuntimeError("eta product does not start with w^1")
+    S = [0] + [c.numerator for c in s_series.coeffs]
+    S += [0] * (T + 2 - len(S))  # trailing zeros are implicit in the series
     sigma1, sigma3 = [0] * n, [0] * n
     for d in range(1, n):
         sigma1[d::d] = [c + d for c in sigma1[d::d]]

@@ -1,0 +1,99 @@
+"""detect_entry, the probe of isqrt(T) + 1 terms before the full expansion,
+against the plain detect on the full T + 2 term expansion that it replaced.
+
+A probe certificate is the full scan's: with a span, tau comes from the span
+floor alone, and the first witness of a prefix is the first witness of the
+whole range.  Every other probe verdict must fall through to the full scan.
+"""
+
+from collections import namedtuple
+import math
+
+import pytest
+
+from ubd import x011
+from ubd.exactnum import NumberField
+from ubd.qseries import LaurentSeries
+from ubd.ubdetect import (_span_floor, _threshold, _unit_part, analyze_catalog,
+                          detect, detect_entry)
+from ubd.x011 import build_catalog
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+TERMS = (1, 2, 3, 4, 5, 17, 18, 19, 60, 300)
+
+
+@pytest.fixture(scope="module")
+def entries():
+    """The nine catalog entries, each with its 302-term expansion."""
+    return [(e, e.expansion(302)) for index in (2, 5)
+            for e in build_catalog(index)]
+
+
+def _full_detect(e, f, n, p, T):
+    """detect on the first T + 2 terms of f, as analyze_catalog ran it."""
+    return detect(f.truncate(f.lead + T + 3), n, p, T, e.label,
+                  e.coefficient_span())
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_probe_equals_the_full_scan_on_the_catalogs(entries, p):
+    assert len(entries) == 9
+    for e, f in entries:
+        for T in TERMS:
+            n = e.root_degree
+            assert detect_entry(e, n, p, T) == _full_detect(e, f, n, p, T), \
+                (e.label, T)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_no_coefficient_lowers_the_span_floor(entries, p):
+    # tau = -floor/n without a pass over a_1..a_T: the pass never lowers it
+    for e, f in entries:
+        n = e.root_degree
+        floor = _span_floor(e.coefficient_span(), f.coeffs[0], p)
+        _, unit, M = _unit_part(f, p, 300)
+        assert _threshold(unit, n, p, M, floor) == -floor / n, e.label
+
+
+GAUSS = NumberField([1, 0, 1])  # 5 = (2 + i)(2 - i) splits
+
+
+class SyntheticEntry(namedtuple("SyntheticEntry", "label coeffs")):
+    """A polynomial over GAUSS posing as a catalog entry: its coefficients
+    are their own span."""
+
+    def expansion(self, T):
+        return LaurentSeries(1, 0, self.coeffs[:T + 1], GAUSS, T + 1)
+
+    def coefficient_span(self):
+        return list(self.coeffs)
+
+
+def test_an_inconclusive_probe_falls_through_to_the_full_scan():
+    # 1 + a_1 w + w^20/5 at p = 5, n = 2: the span floor is -1, tau = 1/2.
+    # a_1 = (2 - i)/5 has ord -1 and 0 at the two primes above 5, so b_1 is
+    # a partial witness, and the b_k before b_20 have ord >= 0 at 2 - i;
+    # b_20 = a_20/2 + ... is the first certificate, beyond the probe's 11
+    i = GAUSS.gen()
+    e = SyntheticEntry("syn", (GAUSS.one(), (2 - i) / 5)
+                       + (GAUSS.zero(),) * 18 + (GAUSS.one() / 5,))
+    T, t = 100, math.isqrt(100) + 1
+    probe = detect(e.expansion(t + 2), 2, 5, t, e.label, e.coefficient_span())
+    assert (probe.status, probe.witness_index) == ("Inconclusive", 1)
+    v = detect_entry(e, 2, 5, T)
+    assert (v.status, v.witness_index, v.truncation_used) == \
+        ("UnboundedCertified", 20, T)
+    assert v == detect(e.expansion(T + 2), 2, 5, T, e.label,
+                       e.coefficient_span())
+
+
+def test_index2_report_solves_x_and_y_only_to_the_probe(monkeypatch):
+    # all three index-2 entries certify at m <= 2, inside the probe of
+    # t = 18 terms, so x and y are solved to t + 2 = 20 terms, not 302
+    monkeypatch.setattr(x011, "_XY_CACHE",
+                        {"T": -1, "xs": None, "ys": None, "S": None,
+                         "monomials": {}})
+    rep = analyze_catalog(build_catalog(2), 300)
+    assert rep.certified == 3
+    assert all(v.truncation_used == 300 for v in rep.verdicts)
+    assert x011._XY_CACHE["T"] <= math.isqrt(300) + 1 + 2

@@ -1,5 +1,7 @@
 """The pure-Python factorization over Z[x] and the irreducibility tests
-against sympy, which the tests keep as an oracle only."""
+against sympy, which the tests keep as an oracle only, and Yun's
+decomposition on primitive remainder sequences against Yun's on Fraction
+remainder sequences, which it replaced."""
 
 import math
 from fractions import Fraction
@@ -11,7 +13,13 @@ from hypothesis import given, settings, strategies as st
 from ubd.ellcurve import division_polynomial
 from ubd.exactnum import (
     NumberField,
+    _deriv,
+    _squarefree,
+    content_primitive,
+    dp_divmod,
+    dp_gcd,
     dp_mul,
+    dp_sub,
     factor_poly_q,
     poly_is_irreducible_modp,
     poly_is_irreducible_q,
@@ -120,3 +128,45 @@ def test_number_field_rejects_reducible_polynomials():
         with pytest.raises(ValueError):
             NumberField(coeffs)
     NumberField([1, 0, -10, 0, 1])
+
+
+def _reference_squarefree(f):
+    """Yun's squarefree decomposition with monic gcds over Q."""
+    a = dp_gcd(f, _deriv(f))
+    b, c = dp_divmod(f, a)[0], dp_divmod(_deriv(f), a)[0]
+    out, i = [], 1
+    while len(b) > 1:
+        d = dp_sub(c, _deriv(b))
+        a = dp_gcd(b, d)
+        if len(a) > 1:
+            out.append((content_primitive(a)[1], i))
+        b, c, i = dp_divmod(b, a)[0], dp_divmod(d, a)[0], i + 1
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(small_poly, st.integers(1, 4)), min_size=1,
+                max_size=4),
+       st.integers(-6, 6).filter(bool))
+def test_squarefree_over_z_matches_the_rational_yun(parts, scale):
+    # repeated factors, shared factors between parts, and a content
+    c = [scale]
+    for g, mult in parts:
+        for _ in range(mult):
+            if len(c) + len(g) <= 16:
+                c = dp_mul(c, g)
+    f = content_primitive(c)[1]
+    out = _squarefree(f)
+    assert out == _reference_squarefree(f)
+    prod = [1]
+    for a, i in out:
+        assert a[-1] > 0 and math.gcd(*a) == 1
+        for _ in range(i):
+            prod = dp_mul(prod, a)
+    assert prod == f
+
+
+def test_squarefree_of_psi5_and_of_a_constant():
+    psi5 = content_primitive(division_polynomial(5, x11_curve()))[1]
+    assert _squarefree(psi5) == [(psi5, 1)] == _reference_squarefree(psi5)
+    assert _squarefree([1]) == [] == _reference_squarefree([1])

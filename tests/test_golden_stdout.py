@@ -4,8 +4,11 @@ The series hashes were taken from the element-wise series arithmetic that the
 product kernel replaced, the census hashes from the census that enumerated
 every triple, the catalog and index-5 report hashes from the quotient curve
 functions (u + v*y)/den that the coordinate ring replaced, and the report
-table hashes from the report that kept its catalog expansions in the cache; a
-fault that changes any printed coefficient, verdict or count changes a hash.
+table hashes from the report that kept its catalog expansions in the cache,
+and the T = 300 report, the --prime 11 report (where no short probe
+certifies) and the fQ detect from the scan that expanded every catalog entry
+to T + 2 terms; a fault that changes any printed coefficient, verdict or
+count changes a hash.
 Each command runs on an empty cache and again on the cache it filled.
 """
 
@@ -39,6 +42,14 @@ GOLDEN = [
      "b157835c9ed880f3ea2a24c40231439dd7866a3fb36895802aa966ffff10b25e"),
     (["report", "--index", "5", "--terms", "20"],
      "623c58ac1d29908f06d1841080402e0ac15dc6e17471fc890aebd2d0e97d5bdb"),
+    (["--format", "records", "report", "--index", "5", "--terms", "300"],
+     "d7bf576839d52c6f924fbcff02fd00c21169e6b505f1417f46bdf257329e6dd4"),
+    (["--format", "records", "report", "--index", "5", "--terms", "100",
+      "--prime", "11"],
+     "463ce6e49ca45a32c9c71d4e1c8f9eb78e753d580f917a898b2e878b489796ef"),
+    (["--format", "records", "detect", "--entry", "fQ", "--prime", "5",
+      "--root", "5", "--terms", "300"],
+     "4633e4951038aa8829e318e13d52dbe912d945c0c9d8ecea96ca674486956e12"),
 ]
 
 
@@ -46,7 +57,8 @@ GOLDEN = [
                          ids=["report", "expand-xy", "eta", "census-b-1400",
                               "census-b-100", "census-1e6", "catalog-5",
                               "catalog-2", "report-5", "report-table-2",
-                              "report-table-5"])
+                              "report-table-5", "report-5-300",
+                              "report-5-prime-11", "detect-fQ-300"])
 def test_golden_stdout(tmp_path, args, digest):
     for _ in ("cold", "warm"):
         proc = subprocess.run([sys.executable, "-m", "ubd", *args],
