@@ -50,6 +50,5 @@ from .census import (
     CensusResult,
     enumerate_triples,
     s_count,
-    join_is_full,
     ubd_lower_bound_experiment,
 )

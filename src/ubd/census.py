@@ -2,14 +2,16 @@
 
 A finite-index sublattice of Z^2 has a unique basis <l*a + n*b, m*b> with
 l > 0, 0 <= n < m, so groups of index < X correspond to triples (l, n, m)
-with l*m < X.  The closed double sum and the lower-bound experiment each take
-O(sqrt(X)) steps and O(1) memory; enumeration and the gcd criterion for a
-full join are kept as reference oracles.
+with l*m < X.  Both counts are read off one kernel, the divisor summatory
+function D_sigma(N) = sum_{n <= N} sigma(n) = sum_{k*j <= N} j, which
+Dirichlet's hyperbola method gives in isqrt(N) steps and O(1) memory:
+S(X) = D_sigma(X - 1), and the full joins with b combine D_sigma over the
+squarefree divisors of s and v.  Enumeration is kept as a reference oracle.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd
+from math import isqrt
 
 
 class LatticeTriple(namedtuple('LatticeTriple', 'l n m')):
@@ -42,26 +44,23 @@ def enumerate_triples(X):
             for m in range(1, (X - 1) // l + 1) for n in range(m)]
 
 
+def _sigma_sum(N):
+    """D_sigma(N) = sum_{k*j <= N} j by the hyperbola method, r = isqrt(N):
+    sum_{k <= r} [T(N//k) + k*(N//k)] less r*T(r), the square k, j <= r."""
+    r = isqrt(N)
+    total = 0
+    for k in range(1, r + 1):
+        q = N // k
+        total += q * (q + 1) // 2 + k * q
+    return total - r * r * (r + 1) // 2
+
+
 def s_count(X):
-    """S(X) = sum_{l=1}^{X-1} c(c-1)/2, c = ceil(X/l) = (X-1)//l + 1, the triple
-    count, summed over the blocks of l on which c is constant."""
+    """S(X) = sum_{l=1}^{X-1} c(c-1)/2, c = ceil(X/l): the triple count, which
+    sums m over the pairs l*m <= X - 1, so D_sigma(X - 1)."""
     if X < 2:
         raise ValueError("X must be at least 2")
-    total, l = 0, 1
-    while l < X:
-        c = (X - 1) // l + 1
-        last = (X - 1) // (c - 1)
-        total += (last - l + 1) * (c * (c - 1) // 2)
-        l = last + 1
-    return CensusResult(X, total)
-
-
-def join_is_full(gamma, b):
-    """gcd(s, l) = 1 = gcd(v, m, s*n - u*l): the join of the two sublattices
-    <l*a+n*b, m*b> and <s*a+u*b, v*b> is the full lattice."""
-    l, n, m = gamma.l, gamma.n, gamma.m
-    s, u, v = b.l, b.n, b.m
-    return gcd(s, l) == 1 and gcd(gcd(v, m), abs(s * n - u * l)) == 1
+    return CensusResult(X, _sigma_sum(X - 1))
 
 
 def _prime_factors(n):
@@ -101,8 +100,11 @@ def ubd_lower_bound_experiment(b, X):
     w(m) = m * prod_{q | gcd(v, m)} c_q of the n in [0, m) join fully, with
     c_q = 1 - 1/q or [q !| u] whatever l is.  So the count is the sum of
     H((X-1)//l) over l coprime to s, H(M) = sum_{d | rad v} d*w(d)*T(M//d),
-    T(k) = k(k+1)/2, taken over the blocks of l with one quotient, each
-    block's l counted by inclusion-exclusion over rad s: O(sqrt(X)) steps."""
+    T(k) = k(k+1)/2.  Writing l = e*l' over e | rad s with weight mu(e), and
+    summing T(N//l') over all l' >= 1 to D_sigma(N), the count is
+    sum_{e, d} mu(e) * d*w(d) * D_sigma((X-1)//(e*d)), one kernel call per
+    distinct e*d (s and v sharing k primes give 3^k of them, not 4^k):
+    O(sqrt(X)) steps."""
     if X < 4:
         raise ValueError("X must be at least 4")
     s, u = b.l, b.n
@@ -112,14 +114,11 @@ def ubd_lower_bound_experiment(b, X):
     for q in _prime_factors(b.m):
         c = -1 if s % q else -q if u % q == 0 else 0
         dw += [(d * q, w * c) for d, w in dw]
-    full, l = 0, 1
-    while l < X:
-        M = (X - 1) // l
-        last = (X - 1) // M
-        H = sum(w * (M // d) * (M // d + 1) // 2 for d, w in dw)
-        # times the number of l' in [l, last] with gcd(s, l') = 1
-        full += H * sum(mu * (last // e - (l - 1) // e) for e, mu in mobius)
-        l = last + 1
+    weight = {}  # g -> sum of mu(e)*d*w(d) over e*d = g
+    for e, mu in mobius:
+        for d, w in dw:
+            weight[e * d] = weight.get(e * d, 0) + mu * w
+    full = sum(k * _sigma_sum((X - 1) // g) for g, k in weight.items() if k)
     restricted = sum(mu * e * ((X - 1) // e * ((X - 1) // e + 1)
                                - X // 2 // e * (X // 2 // e + 1)) // 2
                      for e, mu in mobius)

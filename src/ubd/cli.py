@@ -34,6 +34,14 @@ class ValidationError(Exception):
     pass
 
 
+# census ceilings: at X = 10^13 the slowest --b found, s = v = 2*3*...*31 and
+# u = 0 (3^11 kernel calls, one per divisor of s*v), takes 48 s, and each
+# tenfold X costs about 3.3 times more; factoring s or v <= 10^12 takes at
+# most 10^6 trial divisions
+XMAX_CEILING = 10 ** 13
+SV_CEILING = 10 ** 12
+
+
 def _validate(args):
     """The checks the table cannot make; --b becomes a tuple of three ints."""
     least = 10 if args.command == "expand-xy" else 1
@@ -57,6 +65,10 @@ def _validate(args):
                 raise ValidationError(f"bad --b triple: {exc}")
         if args.xmax < 2:
             raise ValidationError("--xmax must be at least 2")
+        if args.xmax > XMAX_CEILING:
+            raise ValidationError("--xmax must be at most 10^13")
+        if args.b is not None and max(args.b[0], args.b[2]) > SV_CEILING:
+            raise ValidationError("--b needs s and v of at most 10^12")
         if args.b is not None and args.xmax < 4:
             raise ValidationError("--xmax must be at least 4 with --b")
 

@@ -1,6 +1,7 @@
 """Reference code that only the tests use: a series power by repeated
-squaring, the Smith-normal-form criterion for a full join, the unit-root
-test on a Newton polygon, and the order of a point by the group law."""
+squaring, the gcd and Smith-normal-form criteria for a full join, the
+unit-root test on a Newton polygon, and the order of a point by the group
+law."""
 
 from fractions import Fraction
 from math import gcd
@@ -20,6 +21,14 @@ def series_pow(f, k):
         base = base * base
         k >>= 1
     return acc
+
+
+def join_is_full(gamma, b):
+    """gcd(s, l) = 1 = gcd(v, m, s*n - u*l): the join of the two sublattices
+    <l*a+n*b, m*b> and <s*a+u*b, v*b> is the full lattice."""
+    l, n, m = gamma.l, gamma.n, gamma.m
+    s, u, v = b.l, b.n, b.m
+    return gcd(s, l) == 1 and gcd(gcd(v, m), abs(s * n - u * l)) == 1
 
 
 def join_is_full_snf(gamma, b):

@@ -14,7 +14,6 @@ import pytest
 from ubd.census import (
     LatticeTriple,
     enumerate_triples,
-    join_is_full,
     s_count,
 )
 from ubd.ellcurve import function_with_divisor, torsion_factors
@@ -27,7 +26,8 @@ from ubd.qseries import (
 from ubd.ubdetect import analyze_catalog, detect
 from ubd.x011 import build_catalog, expand_on_curve, expand_xy, g5_family, x11_curve
 
-from helpers import has_order, join_is_full_snf, series_pow, unit_root_factors
+from helpers import (has_order, join_is_full, join_is_full_snf, series_pow,
+                     unit_root_factors)
 
 
 def _report(n, took, budget, desc):

@@ -15,12 +15,12 @@ from ubd.census import (
     LatticeTriple,
     enumerate_triples,
     euler_phi,
-    join_is_full,
     s_count,
     ubd_lower_bound_experiment,
+    _sigma_sum,
 )
 
-from helpers import join_is_full_snf
+from helpers import join_is_full, join_is_full_snf
 
 
 def test_triple_validation():
@@ -130,7 +130,7 @@ def test_sorted_prefix_matches_enumeration():
 # ----------------------------------------------------------------------
 
 def _reference_s_count(X):
-    """The O(X) loop over l that s_count's quotient blocks replaced."""
+    """The O(X) loop over l of the displayed sum for S(X)."""
     total = 0
     for l in range(1, X):
         c = -(-X // l)
@@ -144,8 +144,8 @@ def _prime_divisors(n):
 
 
 def _reference_experiment(b, X):
-    """The O(X log X) loop over the pairs (l, m) that the quotient blocks
-    replaced: (full count, restricted count)."""
+    """The O(X log X) loop over the pairs (l, m): (full count, restricted
+    count)."""
     s, u, primes = b.l, b.n, _prime_divisors(b.m)
     full = 0
     for l in (l for l in range(1, X) if gcd(s, l) == 1):
@@ -218,13 +218,17 @@ def test_s_count_at_a_million_equals_the_divisor_sum():
 
 
 def test_experiment_memory_stays_bounded():
-    tracemalloc.start()
-    try:
-        ubd_lower_bound_experiment(LatticeTriple(11, 3, 12), 20000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 ** 20
+    # a kernel that lists the isqrt(N) = 10^5 quotients peaks near 4 MiB
+    for X in (20000, 10 ** 10):
+        for count in (lambda: s_count(X), lambda: ubd_lower_bound_experiment(
+                LatticeTriple(11, 3, 12), X)):
+            tracemalloc.start()
+            try:
+                count()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 ** 20
 
 
 def test_census_at_ten_billion_finishes(tmp_path):
@@ -234,3 +238,70 @@ def test_census_at_ten_billion_finishes(tmp_path):
         env=dict(os.environ, UBD_CACHE_DIR=str(tmp_path)))
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.startswith(b"10000000000\t")
+
+
+# ----------------------------------------------------------------------
+# The divisor-sum kernel D_sigma(N) = sum_{n <= N} sigma(n) and the two
+# identities that read the census counts off it.
+# ----------------------------------------------------------------------
+
+def test_sigma_sum_equals_the_summed_divisor_sums():
+    N = 2000
+    sigma = [0] * (N + 1)
+    for d in range(1, N + 1):
+        for n in range(d, N + 1, d):
+            sigma[n] += d
+    total = 0
+    for n in range(N + 1):
+        total += sigma[n]
+        assert _sigma_sum(n) == total, n
+
+
+def _join_weights(b):
+    """The (e, mu(e)) over e | rad s and the (d, d*w(d)) over d | rad v that
+    the experiment's docstring defines."""
+    s, u = b.l, b.n
+    mobius, dw = [(1, 1)], [(1, 1)]
+    for q in _prime_divisors(s):
+        mobius += [(e * q, -mu) for e, mu in mobius]
+    for q in _prime_divisors(b.m):
+        c = -1 if s % q else -q if u % q == 0 else 0
+        dw += [(d * q, w * c) for d, w in dw]
+    return mobius, dw
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 210), st.integers(0, 209), st.integers(1, 210),
+       st.integers(4, 3000))
+def test_both_counts_are_kernel_sums(s, u, v, X):
+    # S(X) = D_sigma(X - 1); full = sum mu(e)*d*w(d)*D_sigma((X-1)//(e*d))
+    assert _sigma_sum(X - 1) == _reference_s_count(X)
+    b = LatticeTriple(s, u % v, v)
+    mobius, dw = _join_weights(b)
+    assert sum(mu * w * _sigma_sum((X - 1) // (e * d))
+               for e, mu in mobius for d, w in dw) == \
+        _reference_experiment(b, X)[0]
+
+
+# pi lies strictly between these two 15-digit truncations
+PI_LOW = Fraction(314159265358979, 10 ** 14)
+PI_HIGH = Fraction(314159265358980, 10 ** 14)
+
+
+def _c(b):
+    """c(b) = sum mu(e) * d*w(d) / (e*d)^2, the limit of full_count / X^2
+    divided by pi^2/12, since D_sigma(N) / N^2 tends to pi^2/12."""
+    mobius, dw = _join_weights(b)
+    return sum(Fraction(mu * w, (e * d) ** 2)
+               for e, mu in mobius for d, w in dw)
+
+
+@pytest.mark.parametrize("b,c", [
+    ((11, 3, 12), Fraction(80, 121)), ((2, 1, 2), Fraction(3, 4)),
+    ((6, 1, 10), Fraction(16, 25)), ((13, 5, 7), Fraction(1152, 1183))])
+def test_full_count_over_x_squared_tends_to_c_pi_squared_over_12(b, c):
+    b = LatticeTriple(*b)
+    assert _c(b) == c
+    X, tol = 10 ** 8, Fraction(1, 10 ** 6)
+    ratio = ubd_lower_bound_experiment(b, X).ratio
+    assert c * PI_LOW ** 2 / 12 - tol < ratio < c * PI_HIGH ** 2 / 12 + tol

@@ -95,6 +95,24 @@ def test_census_phi_bound_failure_exits_4(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_census_ceilings_exit_2_at_once(capsys):
+    from ubd import cli
+
+    for argv in (["census", "--xmax", str(cli.XMAX_CEILING + 1)],
+                 ["census", "--xmax", str(10 ** 30)],
+                 ["census", "--xmax", "100", "--b", "1,0,1000000000000000003"],
+                 ["census", "--xmax", "100", "--b",
+                  f"{cli.SV_CEILING + 1},0,5"]):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "at most 10^1" in err, err
+    # s and v at the ceiling: the largest prime below 10^12, factored by
+    # 10^6 trial divisions
+    assert cli.main(["census", "--xmax", "100", "--b",
+                     "999999999989,0,999999999989"]) == 0
+    assert capsys.readouterr().out.startswith("100\t")
+
+
 def len_100_count():
     from ubd.census import s_count
     return s_count(100).count
@@ -515,6 +533,11 @@ def test_option_equals_value_reads_like_two_tokens(capsys):
 # small values, so that every fuzzed command is quick; the first six are ints
 ARGV_VALUES = ["0", "1", "-1", "2", "5", "12", "x", "", "1.5", "2,1,2", "1:2",
                "fP"]
+# census values past its ceilings, which must exit 2 at once: factoring the
+# prime 10^18 + 3 by trial division would take minutes
+CENSUS_INTS = ["10000000000001", "1" + "0" * 30]
+CENSUS_VALUES = CENSUS_INTS + ["1,0,1000000000000000003",
+                               "1000000000000000003,0,1"]
 
 
 @st.composite
@@ -525,14 +548,14 @@ def fuzzed_argv(draw):
     out, and a few stray tokens: option names with no value, values, -h."""
     from ubd import cli
 
-    def spelled(option):
+    def spelled(option, census=False):
         # an int or choice option gets a well-formed value half the time, so
         # that the draws reach the checks and the commands, not only the parser
+        values = ARGV_VALUES + (CENSUS_VALUES if census else [])
         well_formed = (option.kind if isinstance(option.kind, tuple)
-                       else ARGV_VALUES[:6] if option.kind is int
-                       else ARGV_VALUES)
-        value = draw(st.sampled_from(ARGV_VALUES)
-                     | st.sampled_from(well_formed))
+                       else ARGV_VALUES[:6] + (CENSUS_INTS if census else [])
+                       if option.kind is int else values)
+        value = draw(st.sampled_from(values) | st.sampled_from(well_formed))
         if not option.name.startswith("--"):
             return [value]
         return draw(st.sampled_from([[option.name, value],
@@ -543,10 +566,12 @@ def fuzzed_argv(draw):
                                      max_size=2)) for t in spelled(o)]
     command = draw(st.sampled_from(list(cli.COMMANDS) + ["x", ""]))
     options = cli.COMMANDS[command].options if command in cli.COMMANDS else ()
-    groups = [spelled(o) for o in options if o.required or draw(st.booleans())]
+    census = command == "census"
+    groups = [spelled(o, census) for o in options
+              if o.required or draw(st.booleans())]
     if options:
-        groups += [spelled(o) for o in draw(st.lists(st.sampled_from(options),
-                                                   max_size=2))]
+        groups += [spelled(o, census) for o in
+                   draw(st.lists(st.sampled_from(options), max_size=2))]
     strays = [o.name for o in options + tuple(global_options)] + ARGV_VALUES
     groups += [[t] for t in draw(st.lists(st.sampled_from(strays + ["-h"]),
                                           max_size=1))]
@@ -572,3 +597,34 @@ def test_fuzzed_argv_returns_a_documented_exit_code(tmp_path, monkeypatch,
     assert "Traceback" not in err
     if rc == 2:
         assert err.splitlines()[-1].startswith("error: "), (argv, err)
+
+
+@st.composite
+def census_past_a_ceiling(draw):
+    """Well-formed census argv with --xmax, or the s or v of --b, up to
+    10^40 and past its ceiling; the other values anywhere up to 10^40."""
+    from ubd import cli
+
+    past = draw(st.sampled_from(("xmax", "s", "v")))
+
+    def value(name, least, ceiling):
+        return draw(st.integers(ceiling + 1, 10 ** 40) if name == past
+                    else st.integers(least, 10 ** 40))
+
+    argv = ["census", "--xmax", str(value("xmax", 2, cli.XMAX_CEILING))]
+    if past != "xmax" or draw(st.booleans()):
+        s = value("s", 1, cli.SV_CEILING)
+        v = value("v", 1, cli.SV_CEILING)
+        argv += ["--b", f"{s},{draw(st.integers(0, v - 1))},{v}"]
+    return argv
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(census_past_a_ceiling())
+def test_census_past_a_ceiling_exits_2(capsys, argv):
+    from ubd import cli
+
+    assert cli.main(argv) == 2, argv
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: "), (argv, err)

@@ -7,7 +7,9 @@ functions (u + v*y)/den that the coordinate ring replaced, and the report
 table hashes from the report that kept its catalog expansions in the cache,
 and the T = 300 report, the --prime 11 report (where no short probe
 certifies) and the fQ detect from the scan that expanded every catalog entry
-to T + 2 terms; a fault that changes any printed coefficient, verdict or
+to T + 2 terms, and the census at X = 10^10 and at X = 1000000007 with
+--b 13,5,30 from the quotient-block loops that the divisor-sum kernel
+replaced; a fault that changes any printed coefficient, verdict or
 count changes a hash.
 Each command runs on an empty cache and again on the cache it filled.
 """
@@ -50,6 +52,10 @@ GOLDEN = [
     (["--format", "records", "detect", "--entry", "fQ", "--prime", "5",
       "--root", "5", "--terms", "300"],
      "4633e4951038aa8829e318e13d52dbe912d945c0c9d8ecea96ca674486956e12"),
+    (["census", "--xmax", "10000000000"],
+     "4f6ff63c4fd00736223810ae1b51667101658e63e534727efd640b8968572c11"),
+    (["census", "--xmax", "1000000007", "--b", "13,5,30"],
+     "8dae7b9189fdfa037043a3b6a5591162a59ed475678c097d77c944a16c7ac5d6"),
 ]
 
 
@@ -58,7 +64,8 @@ GOLDEN = [
                               "census-b-100", "census-1e6", "catalog-5",
                               "catalog-2", "report-5", "report-table-2",
                               "report-table-5", "report-5-300",
-                              "report-5-prime-11", "detect-fQ-300"])
+                              "report-5-prime-11", "detect-fQ-300",
+                              "census-1e10", "census-b-1e9"])
 def test_golden_stdout(tmp_path, args, digest):
     for _ in ("cold", "warm"):
         proc = subprocess.run([sys.executable, "-m", "ubd", *args],
