@@ -29,8 +29,11 @@ for index in CATALOG_INDICES:
             print(f"  {e.label}: x-coordinate minimal polynomial "
                   f"{[int(c) for c in mp]}")
     rep = analyze_catalog(entries, T=120, prime_p=2 if index == 2 else None)
-    for line in rep.lines():
-        print("  " + line)
+    for v in rep.verdicts:
+        w = (f"m={v.witness_index}, -ord={v.witness_valuation}"
+             if v.witness_index is not None else "-")
+        print(f"  {v.label:8s} {v.status:20s} witness[{w}] "
+              f"tau={v.threshold} T={v.truncation_used} mode={v.valuation_mode}")
     print(f"  certified {rep.certified}, bounded {rep.bounded}, "
           f"inconclusive {rep.inconclusive}; "
           f"hypothesis confirmed: {rep.hypothesis_confirmed}")

@@ -8,7 +8,6 @@ from .exactnum import (
     INFINITY,
     NumberField,
     AlgebraicNumber,
-    ValuationProfile,
     val_p,
     min_poly,
     newton_polygon_valuations,
@@ -17,7 +16,6 @@ from .exactnum import (
 from .qseries import (
     EtaQuotient,
     LaurentSeries,
-    derivation_wdw,
     deserialize_series,
     eta_quotient_expand,
     nth_root_normalized,

@@ -103,22 +103,25 @@ def ubd_lower_bound_experiment(b, X):
     T(k) = k(k+1)/2.  Writing l = e*l' over e | rad s with weight mu(e), and
     summing T(N//l') over all l' >= 1 to D_sigma(N), the count is
     sum_{e, d} mu(e) * d*w(d) * D_sigma((X-1)//(e*d)), one kernel call per
-    distinct e*d (s and v sharing k primes give 3^k of them, not 4^k):
-    O(sqrt(X)) steps."""
+    distinct e*d of O(sqrt(X)) steps.  The weights are built one prime at a
+    time, so s and v sharing k primes take 3^k steps and kernel calls, not
+    the 4^k pairs (e, d)."""
     if X < 4:
         raise ValueError("X must be at least 4")
     s, u = b.l, b.n
-    mobius, dw = [(1, 1)], [(1, 1)]  # (e, mu(e)) and (d, d*w(d)) as above
+    mobius = [(1, 1)]  # (e, mu(e)) over e | rad s
     for q in _prime_factors(s):
         mobius += [(e * q, -mu) for e, mu in mobius]
+    # g -> sum of mu(e)*d*w(d) over e*d = g: mu(e) is the product of
+    # (1 - [q]) over q | s and d*w(d) that of (1 + c*[q]) over q | v, where
+    # [q]: g -> g*q and c = q*(c_q - 1), so multiply in one q | v at a time
+    weight = dict(mobius)
     for q in _prime_factors(b.m):
         c = -1 if s % q else -q if u % q == 0 else 0
-        dw += [(d * q, w * c) for d, w in dw]
-    weight = {}  # g -> sum of mu(e)*d*w(d) over e*d = g
-    for e, mu in mobius:
-        for d, w in dw:
-            weight[e * d] = weight.get(e * d, 0) + mu * w
-    full = sum(k * _sigma_sum((X - 1) // g) for g, k in weight.items() if k)
+        if c:
+            for g, k in list(weight.items()):
+                weight[g * q] = weight.get(g * q, 0) + c * k
+    full = sum(k * _sigma_sum((X - 1) // g) for g, k in weight.items())
     restricted = sum(mu * e * ((X - 1) // e * ((X - 1) // e + 1)
                                - X // 2 // e * (X // 2 // e + 1)) // 2
                      for e, mu in mobius)

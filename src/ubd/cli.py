@@ -35,9 +35,9 @@ class ValidationError(Exception):
 
 
 # census ceilings: at X = 10^13 the slowest --b found, s = v = 2*3*...*31 and
-# u = 0 (3^11 kernel calls, one per divisor of s*v), takes 48 s, and each
-# tenfold X costs about 3.3 times more; factoring s or v <= 10^12 takes at
-# most 10^6 trial divisions
+# u = 0 (3^11 kernel calls, one per divisor of s*v), takes 35-39 s on a
+# 2-vCPU machine, and each tenfold X costs about 3.3 times more; factoring s
+# or v <= 10^12 takes at most 10^6 trial divisions
 XMAX_CEILING = 10 ** 13
 SV_CEILING = 10 ** 12
 

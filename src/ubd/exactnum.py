@@ -1,14 +1,16 @@
 """Exact coefficient arithmetic: rationals, number fields, p-adic valuations.
 
 Number fields are presented by a single monic irreducible integer polynomial,
-checked by the pure-Python factorization below.  Valuations above a rational
-prime p follow one rule: the negated slopes of the Newton polygon of the
-integer characteristic polynomial of den*a, which comes from traces by
-Newton's identities, less v_p(den).  Whether val_p extends uniquely to the
-field (totally ramified segment, or a one segment polygon with a residual
-polynomial that the factorizer's distinct-degree factorization shows
-irreducible mod p) is certified apart; the polygon then has one slope, which
-the norm formula of ord_at_unique_prime reproduces.
+checked by the pure-Python factorization below.  Every field question reads
+one object, the integer characteristic polynomial chi_B of B = den*a, which
+comes from traces by Newton's identities: the minimal polynomial divides it
+out, the inverse is Cayley-Hamilton on it, and the valuations above a
+rational prime p are the negated slopes of its Newton polygon, less
+v_p(den).  Whether val_p extends uniquely to the field (totally ramified
+segment, or a one segment polygon with a residual polynomial that the
+factorizer's distinct-degree factorization shows irreducible mod p) is
+certified apart; the polygon then has one slope, which the resultant norm
+of ord_at_unique_prime reproduces.
 """
 
 from fractions import Fraction
@@ -664,17 +666,16 @@ class AlgebraicNumber:
     __rmul__ = __mul__
 
     def inverse(self):
-        """den/num, solving num*x = den by fraction-free elimination."""
+        """den/B by Cayley-Hamilton on chi_B = sum e_i x^i of B = den*a:
+        B*(e_1 + e_2*B + ... + B^(d-1)) = -e_0, and e_0 = (-1)^d Norm(B) is
+        a nonzero integer."""
         if not self:
             raise ZeroDivisionError("division by zero in number field")
-        det, rows = _eliminate(self, self.den)
-        d = len(rows)
-        x = [0] * d
-        for i in range(d - 1, -1, -1):  # back substitution, each step exact
-            row = rows[i]
-            x[i] = (det * row[d] - sum(row[j] * x[j] for j in range(i + 1, d))) \
-                // row[i]
-        return AlgebraicNumber(self.field, x, det)
+        e, powers = _integral_char_poly(self)
+        num = [e[1]] + [0] * (self.field.degree - 1)
+        for ei, b in zip(e[2:], powers):
+            num = [x + ei * y for x, y in zip(num, b)]
+        return AlgebraicNumber(self.field, [-self.den * x for x in num], e[0])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -877,12 +878,13 @@ def newton_inverse(f, n, inv0, mul):
 
 
 # ----------------------------------------------------------------------
-# Minimal polynomials, norms and inverses.
+# The characteristic polynomial, minimal polynomials and Newton polygons.
 # ----------------------------------------------------------------------
 
 def _integral_char_poly(a):
-    """Characteristic polynomial of B = den*a, B = a.num in the power basis,
-    low degree first: an integer polynomial, since t and so B are integral.
+    """(chi_B, [B, B^2, ..., B^d]) for B = den*a, B = a.num in the power
+    basis: chi_B low degree first, an integer polynomial, since t and so B
+    are integral, and the powers as integer coordinate lists.
 
     Newton's identities (Cohen, GTM 138, 4.3) give the power sums Tr(t^k) of
     the roots of the defining polynomial, hence the traces of B, ..., B^d,
@@ -894,17 +896,20 @@ def _integral_char_poly(a):
     s = [d]  # s[k] = Tr(t^k)
     for k in range(1, d):
         s.append(-k * c[k] - sum(c[i] * s[k - i] for i in range(1, k)))
-    powers = [AlgebraicNumber(field, a.num, 1)]
+    cols = [list(a.num)]  # B*t^j: the matrix of multiplication by B
+    for _ in range(d - 1):
+        cols.append(field._reduce([0] + cols[-1]))
+    rows, powers = list(zip(*cols)), [cols[0]]
     while len(powers) < d:
-        powers.append(powers[-1] * powers[0])
-    tr = [None] + [sum(map(mul, b.num, s)) for b in powers]
+        powers.append([sum(map(mul, r, powers[-1])) for r in rows])
+    tr = [None] + [sum(map(mul, b, s)) for b in powers]
     e = [1]  # chi_B = x^d + e[1]*x^(d-1) + ... + e[d]
     for k in range(1, d + 1):
         q, r = divmod(-(tr[k] + sum(e[i] * tr[k - i] for i in range(1, k))), k)
         if r:
             raise RuntimeError("Newton's identities left a fraction")
         e.append(q)
-    return e[::-1]
+    return e[::-1], powers
 
 
 def min_poly(a):
@@ -913,69 +918,10 @@ def min_poly(a):
     B, which is therefore chi_B / gcd(chi_B, chi_B'), rescaled to a."""
     if isinstance(a, (int, Fraction)):
         return [-Fraction(a), Fraction(1)]
-    chi = _integral_char_poly(a)  # of B = den*a, monic over Z
+    chi = _integral_char_poly(a)[0]  # of B = den*a, monic over Z
     m = _zx_exquo(chi, _zx_gcd(chi, _deriv(chi)))
     k = len(m) - 1
     return [Fraction(c, a.den ** (k - i)) for i, c in enumerate(m)]
-
-
-def _eliminate(a, rhs=0):
-    """Bareiss's fraction-free elimination (Cohen, GTM 138, 2.2) of [M | e],
-    M the integer matrix of multiplication by a.num (column j holds the
-    coordinates of a.num*t^j) and e = (rhs, 0, ..., 0).  Returns det M and
-    the rows, upper triangular in M with every division exact."""
-    field = a.field
-    cols = [list(a.num)]
-    for _ in range(field.degree - 1):  # a.num*t^j from a.num*t^(j-1)
-        cols.append(field._reduce([0] + cols[-1]))
-    rows = [list(r) + [0] for r in zip(*cols)]
-    rows[0][-1] = rhs
-    d, sign, prev = len(rows), 1, 1
-    for k in range(d - 1):
-        if not rows[k][k]:
-            swap = next((i for i in range(k + 1, d) if rows[i][k]), None)
-            if swap is None:
-                return 0, rows
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        rk = rows[k]
-        p = rk[k]
-        for ri in rows[k + 1:]:
-            f = ri[k]
-            for j in range(k + 1, d + 1):
-                ri[j] = (p * ri[j] - f * rk[j]) // prev
-        prev = p
-    return sign * rows[-1][d - 1], rows
-
-
-def field_norm(a):
-    """Norm from the field of a down to Q: det(multiplication by a.num),
-    by fraction-free elimination, over den^degree."""
-    if isinstance(a, (int, Fraction)):
-        return Fraction(a)
-    return Fraction(_eliminate(a)[0], a.den ** a.field.degree)
-
-
-# ----------------------------------------------------------------------
-# Newton polygons and valuation profiles.
-# ----------------------------------------------------------------------
-
-class ValuationProfile:
-    """Multiset of the valuations of an element at the embeddings above p,
-    from the Newton polygon of its characteristic polynomial (ord(p) = 1):
-    each multiplicity counts embeddings, so they sum to the field degree."""
-
-    def __init__(self, prime, slopes, unique_extension):
-        self.prime = prime
-        self.slopes = tuple(sorted(slopes))  # (valuation, multiplicity)
-        self.unique_extension = unique_extension
-
-    def values(self):
-        return [v for v, _ in self.slopes]
-
-    def __repr__(self):
-        s = ", ".join(f"({v} x{m})" for v, m in self.slopes)
-        return f"ValuationProfile(p={self.prime}, slopes=[{s}], unique={self.unique_extension})"
 
 
 def lower_hull_slopes(points):
@@ -1047,44 +993,42 @@ def field_has_unique_prime_above(field, p):
 
 
 def newton_polygon_valuations(a, p):
-    """ValuationProfile of a nonzero element: the negated lower-hull slopes
-    of the integer characteristic polynomial of B = den*a, less v_p(den),
-    with multiplicities = horizontal segment lengths.  chi_B is monic with
-    constant term +-Norm(B) != 0, so the segments cover the field degree,
-    and a rational r has the one slope of (x - den*r)^degree."""
+    """The valuations of a nonzero element at the embeddings above p, ord(p)
+    = 1, as sorted (valuation, multiplicity) pairs: the negated lower-hull
+    slopes of the integer characteristic polynomial of B = den*a, less
+    v_p(den), with multiplicities = horizontal segment lengths.  chi_B is
+    monic with constant term +-Norm(B) != 0, so the multiplicities sum to
+    the field degree, and a rational r has the one slope of
+    (x - den*r)^degree."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if isinstance(a, (int, Fraction)):
-        if a == 0:
-            raise ValueError("zero has no valuation profile")
-        return ValuationProfile(p, [(Fraction(val_p(Fraction(a), p)), 1)], True)
     if not a:
-        raise ValueError("zero has no valuation profile")
-    shift = val_p(a.den, p)
-    slopes = {}
-    for s, length in lower_hull_slopes(
-            newton_polygon_points(_integral_char_poly(a), p)):
-        slopes[-s - shift] = slopes.get(-s - shift, 0) + length
-    unique = field_has_unique_prime_above(a.field, p)
-    return ValuationProfile(p, list(slopes.items()), unique)
+        raise ValueError("zero has no valuation")
+    if isinstance(a, (int, Fraction)):
+        return [(Fraction(val_p(Fraction(a), p)), 1)]
+    shift = val_p(a.den, p)  # the hull's slopes are distinct
+    return sorted((-s - shift, length) for s, length in lower_hull_slopes(
+        newton_polygon_points(_integral_char_poly(a)[0], p)))
 
 
 def ord_at_unique_prime(a, p):
     """ord at the unique prime above p, normalized so ord(p) = 1:
-    val_p(Norm(a)) / degree, by the Bareiss norm.
+    val_p(Norm(a)) / degree, the norm Res(f, B)/den^degree of the defining
+    polynomial f and B = den*a.
 
     Requires a certified unique extension.  The detector reads this value as
     the one slope of newton_polygon_valuations; this is the independent norm
-    formula the tests compare it with.  The valuation mode it names,
-    unique-prime-norm, keeps its printed label.
+    formula the tests compare it with, apart from chi_B.  The valuation mode
+    it names, unique-prime-norm, keeps its printed label.
     """
     if isinstance(a, (int, Fraction)):
         return val_p(Fraction(a), p)
     if not field_has_unique_prime_above(a.field, p):
         raise ValueError(
             f"uniqueness of the prime above {p} is not certified for {a.field}; "
-            "fall back to the full ValuationProfile")
+            "fall back to newton_polygon_valuations")
     if not a:
         return INFINITY
-    n = field_norm(a)
-    return Fraction(val_p(n, p), a.field.degree)
+    d = a.field.degree
+    norm = Fraction(dp_resultant(a.field.defining_poly, a.num), a.den ** d)
+    return Fraction(val_p(norm, p), d)

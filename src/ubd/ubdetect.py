@@ -94,9 +94,7 @@ def choose_mode(field, p):
 def _ord_values(value, p):
     """Possible valuations of a nonzero coefficient at primes above p,
     ord(p) = 1."""
-    if isinstance(value, AlgebraicNumber):
-        return newton_polygon_valuations(value, p).values()
-    return [Fraction(val_p(value, p))]
+    return [v for v, _ in newton_polygon_valuations(value, p)]
 
 
 def _content_bound(value, p):
@@ -204,19 +202,9 @@ def growth_profile(f, root_degree, prime_p, T=300):
     return GrowthProfile(tuple(entries), mode)
 
 
-class CatalogReport(namedtuple('CatalogReport', 'index truncation verdicts '
-                               'certified bounded inconclusive '
-                               'hypothesis_confirmed')):
-    __slots__ = ()
-
-    def lines(self):
-        out = []
-        for v in self.verdicts:
-            w = f"m={v.witness_index}, -ord={v.witness_valuation}" \
-                if v.witness_index is not None else "-"
-            out.append(f"{v.label:8s} {v.status:20s} witness[{w}] "
-                       f"tau={v.threshold} T={v.truncation_used} mode={v.valuation_mode}")
-        return out
+CatalogReport = namedtuple('CatalogReport', 'index truncation verdicts '
+                           'certified bounded inconclusive '
+                           'hypothesis_confirmed')
 
 
 def detect_entry(e, root_degree, prime_p, T=300):

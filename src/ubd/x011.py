@@ -62,7 +62,7 @@ def x11_curve(field=None):
 #     14640*x*S^2 = -E_4(w) + 14641*E_4(w^11) - 15504*S^2 - 2904*S*E_2'.
 # ----------------------------------------------------------------------
 
-_XY_CACHE = {"T": -1, "xs": None, "ys": None, "S": None, "monomials": {}}
+_XY_CACHE = {"T": -1, "xs": None, "ys": None, "S": None}
 KAPPA = Fraction(-1)
 # 14640, then the coefficients of E_4(w), E_4(w^11), S^2 and S*E_2'
 XS2_IDENTITY = (14640, -1, 14641, -15504, -2904)
@@ -127,7 +127,7 @@ def _compute_xy(T):
 def _xy_arrays(T):
     if _XY_CACHE["T"] < T:
         xs, ys, S = _compute_xy(T)
-        _XY_CACHE.update(T=T, xs=xs, ys=ys, S=S, monomials={})
+        _XY_CACHE.update(T=T, xs=xs, ys=ys, S=S)
     return _XY_CACHE["xs"], _XY_CACHE["ys"]
 
 
@@ -186,17 +186,15 @@ def expand_on_curve(F, T):
     denominator.
     """
     # x^i * w^(2i) and x^i * y * w^(2i+3) through w^T need the first N of xs
-    # and ys (_compute_xy takes T >= 3); built once per N, dropped with x, y
+    # and ys (_compute_xy takes T >= 3)
     xs, ys = _xy_arrays(max(T, 3))
     field, N = F.curve.field, T + 1
-    powers, y_powers = _XY_CACHE["monomials"].setdefault(
-        N, ([[1] + [0] * T], []))
+    powers = [[1] + [0] * T]
     while len(powers) < max(len(F.u), len(F.v)):
         powers.append(kron_mul(powers[-1], xs, N) if len(powers) > 1
                       else xs[:N])
-    while len(y_powers) < len(F.v):
-        i = len(y_powers)
-        y_powers.append(kron_mul(powers[i], ys, N) if i else ys[:N])
+    y_powers = [kron_mul(x_i, ys, N) if i else ys[:N]
+                for i, x_i in enumerate(powers[:len(F.v)])]
     # (coefficient, integer series, pole order) of each term
     terms = [(c, powers[i], 2 * i) for i, c in enumerate(F.u) if c]
     terms += [(c, y_powers[i], 2 * i + 3) for i, c in enumerate(F.v) if c]

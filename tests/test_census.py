@@ -5,7 +5,7 @@ import sys
 import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,6 +192,27 @@ def test_restricted_count_equals_enumeration_filter(case):
 def test_experiment_equals_the_loop_over_pairs(s, u, v, X):
     # s and v up to 2310 = 2*3*5*7*11 reach four and five distinct primes
     b = LatticeTriple(s, u % v, v)
+    exp = ubd_lower_bound_experiment(b, X)
+    assert (exp.full_count, exp.restricted_count) == _reference_experiment(b, X)
+
+
+@st.composite
+def shared_prime_triples(draw):
+    """(b, X) with s, v and u built from subsets of the first six primes, so
+    that s and v share primes and every local weight factor occurs: q | s
+    alone, q | v alone, and q | s*v with q | u (three terms) or not."""
+    def subset_product():
+        return prod(q for q in (2, 3, 5, 7, 11, 13) if draw(st.booleans()))
+    s = subset_product() * draw(st.integers(1, 4))
+    v = subset_product() * draw(st.integers(1, 4))
+    u = subset_product() * draw(st.integers(0, 3)) % v
+    return LatticeTriple(s, u, v), draw(st.integers(4, 2000))
+
+
+@settings(max_examples=80, deadline=None)
+@given(shared_prime_triples())
+def test_weights_built_prime_by_prime_equal_the_loop_over_pairs(case):
+    b, X = case
     exp = ubd_lower_bound_experiment(b, X)
     assert (exp.full_count, exp.restricted_count) == _reference_experiment(b, X)
 

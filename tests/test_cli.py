@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ubd import __version__
-from ubd.qseries import deserialize_series
+from ubd.qseries import COEFF_DIGITS_CEILING, deserialize_series
 
 
 def run_cli(args, cache, check=True):
@@ -197,6 +198,62 @@ def test_detect_garbage_series_file(tmp_path):
                      "--root", "3"], tmp_path, check=False)
         assert p.returncode == 2, (name, p.stderr.decode())
         assert p.stderr.startswith(b"error: cannot read series file:"), name
+
+
+def _one_coefficient_file(path, coeff, field="rational", zero="0/1"):
+    """A record of a_0 = 1, a_1 = coeff and two zeros."""
+    one = ",".join(["1"] + ["0"] * zero.count(","))
+    path.write_text(f"series 1\nwidth 1\nlead 0\ntruncation 3\n"
+                    f"field {field}\n{one}\n{coeff}\n{zero}\n{zero}\n")
+    return path
+
+
+def _detect_file(path, p, root, timeout):
+    return subprocess.run(
+        [sys.executable, "-m", "ubd", "detect", "--series-file", str(path),
+         "--prime", str(p), "--root", str(root), "--terms", "3"],
+        capture_output=True, timeout=timeout)
+
+
+def test_huge_series_coefficient_exits_2_at_once(tmp_path):
+    # a_1 = 1e999999 once kept detect dividing a 3.3-million-bit int by 5,
+    # once per unit of valuation, past any timeout; exponent and decimal
+    # forms are not record forms, and a coordinate past the digit ceiling is
+    # refused before its int is built
+    big = "9" * (COEFF_DIGITS_CEILING + 1)
+    cases = {"exp": "1e999999", "decimal": "0.5", "underscore": "1_000",
+             "num": big + "/1", "den": "-1/" + big}
+    for name, coeff in cases.items():
+        path = _one_coefficient_file(tmp_path / f"{name}.series", coeff)
+        p = _detect_file(path, 5, 2, timeout=10)
+        assert p.returncode == 2, (name, p.stderr.decode())
+        assert p.stderr.startswith(b"error: cannot read series file:"), name
+    quartic = "869405,19255,1360,20,1"
+    path = _one_coefficient_file(tmp_path / "field.series", f"0,{big},0,1",
+                                 quartic, "0/1,0/1,0/1,0/1")
+    assert _detect_file(path, 5, 5, timeout=10).returncode == 2
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_a_coefficient_at_the_digit_ceiling_is_read(tmp_path, p):
+    # the largest power of p with COEFF_DIGITS_CEILING digits, as numerator
+    # and as denominator, over Q and in the index-5 quartic field: the
+    # slowest such file took 0.7 s on a 2-vCPU machine
+    k = int(COEFF_DIGITS_CEILING / math.log10(p)) + 1
+    while len(str(p ** k)) > COEFF_DIGITS_CEILING:
+        k -= 1
+    b = p ** k
+    assert len(str(b)) == COEFF_DIGITS_CEILING
+    for name, coeff, field, zero in [
+            ("num", f"{b}", "rational", "0"),
+            ("den", f"-1/{b}", "rational", "0/1"),
+            ("field", f"{b}/1,{b - 1}/{b + 1},1/1,1/{b}",
+             "869405,19255,1360,20,1", "0/1,0/1,0/1,0/1")]:
+        path = _one_coefficient_file(tmp_path / f"{name}.series", coeff,
+                                     field, zero)
+        proc = _detect_file(path, p, 2 if field == "rational" else 5,
+                            timeout=30)
+        assert proc.returncode == 0, (name, proc.stderr.decode())
 
 
 def test_detect_inconclusive_exit_code(tmp_path):

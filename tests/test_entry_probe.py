@@ -91,8 +91,7 @@ def test_index2_report_solves_x_and_y_only_to_the_probe(monkeypatch):
     # all three index-2 entries certify at m <= 2, inside the probe of
     # t = 18 terms, so x and y are solved to t + 2 = 20 terms, not 302
     monkeypatch.setattr(x011, "_XY_CACHE",
-                        {"T": -1, "xs": None, "ys": None, "S": None,
-                         "monomials": {}})
+                        {"T": -1, "xs": None, "ys": None, "S": None})
     rep = analyze_catalog(build_catalog(2), 300)
     assert rep.certified == 3
     assert all(v.truncation_used == 300 for v in rep.verdicts)

@@ -22,7 +22,6 @@ from ubd.exactnum import (
     dp_sub,
     dp_trim,
     field_has_unique_prime_above,
-    field_norm,
     integerize_monic,
     is_prime,
     lower_hull_slopes,
@@ -82,7 +81,8 @@ fields = st.one_of(
 
 
 def elements(field):
-    # small coordinates give zeros, so the elimination must swap rows
+    # small coordinates give zeros and rational elements, large ones big
+    # characteristic polynomials
     big = st.one_of(st.integers(-2, 2), st.integers(-2 ** 300, 2 ** 300))
     return st.builds(lambda num, den: AlgebraicNumber(field, num, den),
                      st.lists(big, min_size=field.degree,
@@ -229,12 +229,10 @@ def brute_lower_hull(points):
 
 def test_newton_polygon_examples(cbrt2):
     t = cbrt2.gen()
-    prof = newton_polygon_valuations(t, 2)
-    assert prof.slopes == ((Fraction(1, 3), 3),)
-    assert prof.unique_extension
+    assert newton_polygon_valuations(t, 2) == [(Fraction(1, 3), 3)]
+    assert field_has_unique_prime_above(cbrt2, 2)
 
-    prof8 = newton_polygon_valuations(Fraction(8), 2)
-    assert prof8.slopes == ((Fraction(3), 1),)
+    assert newton_polygon_valuations(Fraction(8), 2) == [(Fraction(3), 1)]
 
 
 def test_newton_polygon_two_torsion_cubic():
@@ -246,13 +244,13 @@ def test_newton_polygon_two_torsion_cubic():
     fld = NumberField(coeffs)
     x = fld.gen() / 2
     prof = newton_polygon_valuations(x, 2)
-    assert prof.slopes == ((Fraction(-2, 3), 3),)
+    assert prof == [(Fraction(-2, 3), 3)]
     # cross-check the hull against the brute-force oracle on the raw points:
     # one segment of raw slope 2/3, so the root valuations are all -2/3
     pts = [(0, val_p(Fraction(-79, 4), 2)), (1, val_p(-10, 2)),
            (2, val_p(-1, 2)), (3, 0)]
     assert brute_lower_hull(pts) == [(Fraction(2, 3), 3)]
-    assert [(-s, m) for s, m in brute_lower_hull(pts)] == list(prof.slopes)
+    assert [(-s, m) for s, m in brute_lower_hull(pts)] == prof
 
 
 def test_newton_polygon_random_against_brute_hull():
@@ -272,8 +270,8 @@ def test_newton_polygon_of_rational_matches_val_p():
     for _ in range(50):
         r = Fraction(rng.randint(-200, 200) or 1, rng.randint(1, 200))
         for p in (2, 3, 5):
-            prof = newton_polygon_valuations(r, p)
-            assert prof.slopes == ((Fraction(val_p(r, p)), 1),)
+            assert newton_polygon_valuations(r, p) == \
+                [(Fraction(val_p(r, p)), 1)]
 
 
 def test_profile_product_formula(cbrt2):
@@ -285,9 +283,8 @@ def test_profile_product_formula(cbrt2):
         if not a:
             continue
         for p in (2, 3, 5):
-            prof = newton_polygon_valuations(a, p)
-            total = sum(v * m for v, m in prof.slopes)
-            assert total == val_p(field_norm(a), p)
+            total = sum(v * m for v, m in newton_polygon_valuations(a, p))
+            assert total == val_p(resultant_norm(a), p)
 
 
 GAUSS = NumberField([1, 0, 1])  # 5 splits
@@ -325,9 +322,9 @@ def test_polygon_of_the_char_poly_matches_the_min_poly_and_the_norm(ap):
     a, p = ap
     prof = newton_polygon_valuations(a, p)
     slopes = lower_hull_slopes(newton_polygon_points(min_poly(a), p))
-    assert set(prof.values()) == {-s for s, _ in slopes}
-    assert sum(m for _, m in prof.slopes) == a.field.degree
-    assert sum(v * m for v, m in prof.slopes) == val_p(field_norm(a), p)
+    assert [v for v, _ in prof] == sorted(-s for s, _ in slopes)
+    assert sum(m for _, m in prof) == a.field.degree
+    assert sum(v * m for v, m in prof) == val_p(resultant_norm(a), p)
 
 
 def test_char_poly_refuses_a_fraction(monkeypatch):
@@ -335,7 +332,7 @@ def test_char_poly_refuses_a_fraction(monkeypatch):
     # give traces that no integral B has: the division by k is checked, not
     # floored
     fld = NumberField([-2, 0, 0, 1])
-    assert _integral_char_poly(fld.gen() / 2) == [-2, 0, 0, 1]
+    assert _integral_char_poly(fld.gen() / 2)[0] == [-2, 0, 0, 1]
     monkeypatch.setattr(fld, "defining_poly", (-2, 0, 1, 1))
     with pytest.raises(RuntimeError, match="fraction"):
         _integral_char_poly(fld.gen())
@@ -356,12 +353,12 @@ def test_ord_matches_polygon_for_generators(cbrt2):
         a = cbrt2.from_coords([rng.randint(-4, 4) for _ in range(3)])
         if not a:
             continue
-        prof = newton_polygon_valuations(a, 2)
+        values = [v for v, _ in newton_polygon_valuations(a, 2)]
         if len(min_poly(a)) - 1 == cbrt2.degree:
             vals = {ord_at_unique_prime(a, 2)}
-            assert set(prof.values()) == vals or len(prof.values()) > 1
-            if len(prof.values()) == 1:
-                assert prof.values()[0] == ord_at_unique_prime(a, 2)
+            assert set(values) == vals or len(values) > 1
+            if len(values) == 1:
+                assert values[0] == ord_at_unique_prime(a, 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -372,9 +369,9 @@ def test_ord_matches_polygon_for_generators_hypothesis(ap):
     # polygon has a single slope, and it is the norm's valuation / degree
     a, p = ap
     assume(a)
-    prof = newton_polygon_valuations(a, p)
-    assert prof.unique_extension
-    assert prof.values() == [ord_at_unique_prime(a, p)]
+    assert field_has_unique_prime_above(a.field, p)
+    assert newton_polygon_valuations(a, p) == \
+        [(ord_at_unique_prime(a, p), a.field.degree)]
 
 
 def test_ord_refuses_without_certificate():
@@ -385,8 +382,8 @@ def test_ord_refuses_without_certificate():
         ord_at_unique_prime(gauss.gen(), 5)
     # the profile is still available and shows both extension valuations
     prof = newton_polygon_valuations(2 + gauss.gen(), 5)
-    assert sorted(prof.values()) == [0, 1]
-    assert not prof.unique_extension
+    assert prof == [(0, 1), (1, 1)]
+    assert not field_has_unique_prime_above(gauss, 5)
 
 
 def test_unique_prime_certificate_quartic_needs_shift():
@@ -401,8 +398,20 @@ def test_field_norm_multiplicative(cbrt2):
     for _ in range(20):
         a = cbrt2.from_coords([rng.randint(-4, 4) for _ in range(3)])
         b = cbrt2.from_coords([rng.randint(-4, 4) for _ in range(3)])
-        assert field_norm(a * b) == field_norm(a) * field_norm(b)
-    assert field_norm(cbrt2.gen()) == 2
+        assert char_poly_norm(a * b) == char_poly_norm(a) * char_poly_norm(b)
+    assert char_poly_norm(cbrt2.gen()) == 2
+
+
+def char_poly_norm(a):
+    """Norm(a) = (-1)^d chi_B(0) / den^d, chi_B the characteristic
+    polynomial of B = den*a, by the detector's own routine."""
+    d = a.field.degree
+    return Fraction((-1) ** d * _integral_char_poly(a)[0][0], a.den ** d)
+
+
+def resultant_norm(a):
+    """Norm(a) = Res(f, a(t)) for the monic defining polynomial f."""
+    return dp_resultant(a.field.defining_poly, a.coords())
 
 
 def _euclid_inverse(a):
@@ -421,15 +430,26 @@ def _euclid_inverse(a):
 
 @settings(max_examples=60, deadline=None)
 @given(fields.flatmap(lambda k: st.tuples(elements(k), elements(k))))
-def test_field_norm_is_the_resultant_norm(ab):
+@example((QUARTIC.from_coords([Fraction(1, 10), 0, 3, Fraction(-1, 7)]),
+          QUARTIC.from_rational(Fraction(-5, 2))))
+@example((NumberField([-3, 1]).from_rational(Fraction(4, 9)),
+          NumberField([-3, 1]).zero()))
+def test_char_poly_norm_is_the_resultant_norm(ab):
+    # (-1)^d chi_B(0) / den^d against Res(f, a): the two norms share no code
     a, b = ab
     f = a.field.defining_poly
-    assert field_norm(a) == dp_resultant(f, a.coords())
-    assert field_norm(a * b) == field_norm(a) * field_norm(b)
+    assert char_poly_norm(a) == dp_resultant(f, a.coords()) == \
+        resultant_norm(a)
+    assert char_poly_norm(a * b) == char_poly_norm(a) * char_poly_norm(b)
 
 
 @settings(max_examples=60, deadline=None)
 @given(fields.flatmap(elements))
+@example(NumberField([7, 1]).from_rational(Fraction(-6, 35)))
+@example(NumberField([-2, 1]).from_rational(2))
+@example(CUBIC.from_coords([Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6)]))
+@example(QUARTIC.from_coords([0, Fraction(1, 3), 0, Fraction(2, 9)]))
+@example(GAUSS.from_coords([Fraction(2, 5), Fraction(-1, 5)]))
 def test_inverse_is_the_euclid_inverse(a):
     with pytest.raises(ZeroDivisionError):
         a.field.zero().inverse()

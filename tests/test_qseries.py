@@ -8,7 +8,7 @@ from ubd.exactnum import NumberField
 from ubd.qseries import (
     EtaQuotient,
     LaurentSeries,
-    derivation_wdw,
+    COEFF_DIGITS_CEILING,
     deserialize_series,
     eta_quotient_expand,
     nth_root_normalized,
@@ -123,6 +123,13 @@ def test_nth_root_of_nth_power_has_integer_coefficients():
         assert r.agrees_with(u)
         assert all(Fraction(c).denominator == 1
                    for c in r.coefficients(0, r.prec))
+
+
+def derivation_wdw(f):
+    """The derivation D = w * d/dw: multiply the w^k coefficient by k."""
+    out = [c * Fraction(k) if f.field is None else c * k
+           for k, c in zip(range(f.lead, f.prec), f.coeffs)]
+    return LaurentSeries(f.width, f.lead, out, f.field, f.prec)
 
 
 def test_derivation_examples():
@@ -241,6 +248,22 @@ def test_serialization_roundtrip_property(f):
     g = deserialize_series(text)
     assert g == f
     assert serialize_series(g) == text
+
+
+def _record(*coeffs):
+    return ("series 1\nwidth 1\nlead 0\ntruncation %d\nfield rational\n"
+            % (len(coeffs) - 1)) + "\n".join(coeffs) + "\n"
+
+
+def test_record_coordinates_are_integers_or_p_over_q():
+    top = "9" * COEFF_DIGITS_CEILING
+    f = deserialize_series(_record("5", "-3/4", " +0/7 ", top, f"-1/{top}"))
+    assert f.coefficients(0, 5) == [5, Fraction(-3, 4), 0, int(top),
+                                    Fraction(-1, int(top))]
+    for bad in ("1e3", "0.5", "1_0", "3/-4", "/4", "1//2", "inf", top + "9",
+                f"1/{top}9"):
+        with pytest.raises(ValueError):
+            deserialize_series(_record("1", bad))
 
 
 @st.composite
