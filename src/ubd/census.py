@@ -13,6 +13,8 @@ from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
+from .exactnum import prime_factors
+
 
 class LatticeTriple(namedtuple('LatticeTriple', 'l n m')):
     """<l*a + n*b, m*b> with l > 0 and 0 <= n < m; index = l*m."""
@@ -63,20 +65,8 @@ def s_count(X):
     return CensusResult(X, _sigma_sum(X - 1))
 
 
-def _prime_factors(n):
-    """The distinct primes dividing n >= 1, by trial division."""
-    out, f = [], 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    return out + [n] if n > 1 else out
-
-
 def euler_phi(n):
-    for q in _prime_factors(n):
+    for q in prime_factors(n):
         n -= n // q
     return n
 
@@ -110,13 +100,13 @@ def ubd_lower_bound_experiment(b, X):
         raise ValueError("X must be at least 4")
     s, u = b.l, b.n
     mobius = [(1, 1)]  # (e, mu(e)) over e | rad s
-    for q in _prime_factors(s):
+    for q in prime_factors(s):
         mobius += [(e * q, -mu) for e, mu in mobius]
     # g -> sum of mu(e)*d*w(d) over e*d = g: mu(e) is the product of
     # (1 - [q]) over q | s and d*w(d) that of (1 + c*[q]) over q | v, where
     # [q]: g -> g*q and c = q*(c_q - 1), so multiply in one q | v at a time
     weight = dict(mobius)
-    for q in _prime_factors(b.m):
+    for q in prime_factors(b.m):
         c = -1 if s % q else -q if u % q == 0 else 0
         if c:
             for g, k in list(weight.items()):

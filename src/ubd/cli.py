@@ -185,21 +185,20 @@ def _entry_by_label(label):
         f"unknown entry {label!r}; available: {', '.join(labels)}")
 
 
-def _verdict_lines(v, fmt):
+def _verdict_line(v, fmt):
     if fmt == "records":
         wv = _fmt(v.witness_valuation) if v.witness_valuation is not None else "-"
         wi = v.witness_index if v.witness_index is not None else "-"
-        return [f"entry={v.label or '-'} status={v.status} witness_index={wi} "
+        return (f"entry={v.label or '-'} status={v.status} witness_index={wi} "
                 f"witness_valuation={wv} threshold={_fmt(v.threshold)} "
-                f"truncation={v.truncation_used} mode={v.valuation_mode}"]
+                f"truncation={v.truncation_used} mode={v.valuation_mode}")
     head = f"{v.label or '-':10s} {v.status:20s}"
     if v.witness_index is not None and v.witness_valuation is not None:
         head += f" witness m={v.witness_index}, -ord={_fmt(v.witness_valuation)}"
     elif v.witness_index is not None:
         head += f" partial witness m={v.witness_index}"
-    head += (f"  [tau={_fmt(v.threshold)}, T={v.truncation_used}, "
-             f"mode={v.valuation_mode}]")
-    return [head]
+    return head + (f"  [tau={_fmt(v.threshold)}, T={v.truncation_used}, "
+                   f"mode={v.valuation_mode}]")
 
 
 def _warn_if_short(v, requested):
@@ -227,8 +226,7 @@ def cmd_detect(args, out):
     except ValueError as exc:
         raise ValidationError(str(exc))
     _warn_if_short(v, args.terms)
-    for line in _verdict_lines(v, args.format):
-        out.write(line + "\n")
+    out.write(_verdict_line(v, args.format) + "\n")
     return 3 if v.status == "Inconclusive" else 0
 
 
@@ -258,16 +256,14 @@ def cmd_report(args, out):
         _warn_if_short(v, args.terms)
     if args.format == "records":
         for v in rep.verdicts:
-            for line in _verdict_lines(v, "records"):
-                out.write(line + "\n")
+            out.write(_verdict_line(v, "records") + "\n")
         out.write(f"summary index={rep.index} certified={rep.certified} "
                   f"bounded={rep.bounded} inconclusive={rep.inconclusive} "
                   f"hypothesis_confirmed={rep.hypothesis_confirmed}\n")
     else:
         out.write(f"index-{rep.index} catalog at T={rep.truncation}\n")
         for v in rep.verdicts:
-            for line in _verdict_lines(v, "table"):
-                out.write(line + "\n")
+            out.write(_verdict_line(v, "table") + "\n")
         out.write(f"certified: {rep.certified}  bounded: {rep.bounded}  "
                   f"inconclusive: {rep.inconclusive}\n")
         out.write("theorem hypothesis confirmed: "

@@ -1,8 +1,8 @@
 """Elliptic curves in long Weierstrass form over Q or a number field:
 chord-tangent group law, division polynomials, and functions with divisor
-n(P) - n(O): built in the coordinate ring by double-and-add line
-accumulation with one exact division by the verticals, and checked by
-their norm to K[x]."""
+n(P) - n(O): built in the coordinate ring by accumulating the lines of the
+addition chain P, 2P, ..., nP, whose slopes also give the sums, with one
+exact division by the verticals, and checked by their norm to K[x]."""
 
 from collections import namedtuple
 from functools import lru_cache, reduce
@@ -116,19 +116,7 @@ class CurvePoint:
             return other
         if other.is_infinity():
             return self
-        c = self.curve
-        x1, y1, x2, y2 = self.x, self.y, other.x, other.y
-        if x1 == x2:
-            if y2 == -y1 - c.a1 * x1 - c.a3:
-                return c.infinity()
-            lam = ((3 * x1 * x1 + 2 * c.a2 * x1 + c.a4 - c.a1 * y1)
-                   / (2 * y1 + c.a1 * x1 + c.a3))
-        else:
-            lam = (y2 - y1) / (x2 - x1)
-        nu = y1 - lam * x1
-        x3 = lam * lam + c.a1 * lam - c.a2 - x1 - x2
-        y3 = -(lam + c.a1) * x3 - nu - c.a3
-        return CurvePoint(c, x3, y3)
+        return _chord(self, other)[1]
 
     def __mul__(self, k):
         if not isinstance(k, int):
@@ -145,6 +133,24 @@ class CurvePoint:
         return acc
 
     __rmul__ = __mul__
+
+
+def _chord(a, b):
+    """The line through affine A and B, the tangent if A = B, and the sum:
+    ((lam, nu), A + B) for y = lam*x + nu, or (None, O) when the line is
+    vertical, B = -A."""
+    c = a.curve
+    x1, y1, x2 = a.x, a.y, b.x
+    if x1 == x2:
+        if b.y == -y1 - c.a1 * x1 - c.a3:
+            return None, c.infinity()
+        lam = ((3 * x1 * x1 + 2 * c.a2 * x1 + c.a4 - c.a1 * y1)
+               / (2 * y1 + c.a1 * x1 + c.a3))
+    else:
+        lam = (b.y - y1) / (x2 - x1)
+    nu = y1 - lam * x1
+    x3 = lam * lam + c.a1 * lam - c.a2 - x1 - x2
+    return (lam, nu), CurvePoint(c, x3, -(lam + c.a1) * x3 - nu - c.a3)
 
 
 # ----------------------------------------------------------------------
@@ -289,32 +295,30 @@ class CurveFunction:
 
 
 def line_through(curve, a, b):
-    """The line function with divisor (A) + (B) + (-(A+B)) - 3(O); for a
-    vertical configuration this degenerates to x - x_A with divisor
-    (A) + (-A) - 2(O)."""
-    one = domain_one(curve.field)
+    """(l, A + B) for the line function l with divisor (A) + (B) + (-(A+B))
+    - 3(O); for a vertical configuration l degenerates to x - x_A with
+    divisor (A) + (-A) - 2(O), and A + B = O."""
     if a.is_infinity() or b.is_infinity():
         raise ValueError("lines need affine points")
-    if a.x == b.x and (a != b or not (2 * a.y + curve.a1 * a.x + curve.a3)):
-        return CurveFunction(curve, [-a.x, one], [])
-    if a == b:
-        lam = ((3 * a.x * a.x + 2 * curve.a2 * a.x + curve.a4 - curve.a1 * a.y)
-               / (2 * a.y + curve.a1 * a.x + curve.a3))
-    else:
-        lam = (b.y - a.y) / (b.x - a.x)
-    nu = a.y - lam * a.x
-    return CurveFunction(curve, [-nu, -lam], [one])
+    one = domain_one(curve.field)
+    chord, total = _chord(a, b)
+    if chord is None:
+        return CurveFunction(curve, [-a.x, one], []), total
+    lam, nu = chord
+    return CurveFunction(curve, [-nu, -lam], [one]), total
 
 
 def function_with_divisor(n, p):
     """Miller-style accumulation of a function with divisor n(P) - n(O).
 
-    Maintains f_k = num / den with divisor k(P) - ([k]P) - (k-1)(O): num is
-    the product of the lines in K[x, y]/(E), den the product of the
-    verticals x - x_R in K[x].  Requires n*P = O, detected at the final
-    vertical-line cancellation; then f has its only pole at O, so den
-    divides u and v exactly, once, at the end.  The result is normalized so
-    its w-expansion at O has leading coefficient 1.
+    Walks the addition chain P, 2P, ..., nP, keeping f_k = num / den with
+    divisor k(P) - ([k]P) - (k-1)(O): each step multiplies in the line
+    through [k]P and P, in K[x, y]/(E), and the vertical x - x_R at
+    R = [k+1]P, in K[x], unless R = O.  Where [k]P = O, f_k has divisor
+    k(P) - k(O) and the chain starts again from P.  Requires n*P = O,
+    detected at the final vertical-line cancellation; then f has its only
+    pole at O, so den divides u and v exactly, once, at the end.  The
+    result is normalized so its w-expansion at O has leading coefficient 1.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -326,25 +330,15 @@ def function_with_divisor(n, p):
         return CurveFunction(curve, [one], [])
     if p.is_infinity():
         raise ValueError("P must be affine for n > 1")
-    num, den = CurveFunction(curve, [one], []), [one]
-    v = p
-    for bit in bin(n)[3:]:
-        # doubling: f^2 * line(V,V) / vertical(2V); from V = O just square
-        num, den = num * num, dp_mul(den, den)
+    num, den, v = CurveFunction(curve, [one], []), [one], p
+    for _ in range(n - 1):
+        if v.is_infinity():
+            v = p
+            continue
+        line, v = line_through(curve, v, p)
+        num = num * line
         if not v.is_infinity():
-            num = num * line_through(curve, v, v)
-            v = v + v
-            if not v.is_infinity():
-                den = dp_mul(den, [-v.x, one])
-        if bit == '1':
-            if v.is_infinity():
-                # div(f) = k(P) - k(O) already absorbs the extra (P) - ([k+1]P)
-                v = p
-            else:
-                num = num * line_through(curve, v, p)
-                v = v + p
-                if not v.is_infinity():
-                    den = dp_mul(den, [-v.x, one])
+            den = dp_mul(den, [-v.x, one])
     if not v.is_infinity():
         raise ValueError("P is not n-torsion: the final vertical does not cancel")
     (qu, ru), (qv, rv) = dp_divmod(num.u, den), dp_divmod(num.v, den)

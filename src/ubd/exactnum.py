@@ -59,6 +59,18 @@ def is_prime(p):
     return True
 
 
+def prime_factors(n):
+    """The distinct primes dividing n >= 1, by trial division."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out + [n] if n > 1 else out
+
+
 def val_p(r, p):
     """p-adic valuation of a rational; INFINITY for 0."""
     if not is_prime(p):
@@ -191,27 +203,16 @@ def content_primitive(c):
 
 def integerize_monic(c):
     """Rescale a monic rational polynomial so that d*root satisfies a monic
-    integer polynomial; returns (integer coefficients, d)."""
+    integer polynomial; returns (integer coefficients, d), d the least: each
+    prime q of a denominator enters d to the least power e with
+    e*(n - i) >= v_q(den c_i) for every i < n."""
     c = dp_monic(c)
     n = len(c) - 1
-    need = {}
-    for i, ci in enumerate(c[:-1]):
-        den = Fraction(ci).denominator
-        k = n - i  # c_i picks up a factor d^k
-        f = 2
-        while f * f <= den:
-            e = 0
-            while den % f == 0:
-                den //= f
-                e += 1
-            if e:
-                need[f] = max(need.get(f, 0), (e + k - 1) // k)
-            f += 1
-        if den > 1:
-            need[den] = max(need.get(den, 0), 1)
+    dens = [Fraction(ci).denominator for ci in c]
     d = 1
-    for q, e in need.items():
-        d *= q ** e
+    for q in prime_factors(math.lcm(*dens)):
+        d *= q ** max(-(-val_p(den, q) // (n - i))
+                      for i, den in enumerate(dens[:-1]))
     out = [Fraction(ci) * Fraction(d) ** (n - i) for i, ci in enumerate(c)]
     assert all(x.denominator == 1 for x in out)
     return [int(x) for x in out], d

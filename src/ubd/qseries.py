@@ -414,15 +414,19 @@ def _fmt_coords(c):
     return ",".join(parts)
 
 
+def _field_line(field):
+    """The field line of a record: rational, or the defining polynomial."""
+    if field is None:
+        return "field rational"
+    return "field " + ",".join(str(c) for c in field.defining_poly)
+
+
 def serialize_series(f):
     lines = ["series 1",
              f"width {f.width}",
              f"lead {f.lead}",
-             f"truncation {f.prec - f.lead - 1}"]
-    if f.field is None:
-        lines.append("field rational")
-    else:
-        lines.append("field " + ",".join(str(c) for c in f.field.defining_poly))
+             f"truncation {f.prec - f.lead - 1}",
+             _field_line(f.field)]
     for k in range(f.lead, f.prec):
         c = f.coefficient(k)
         if f.field is None:

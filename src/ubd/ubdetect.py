@@ -6,11 +6,12 @@ formally, and certify unboundedness as soon as some root-coefficient ratio
 satisfies -ord(b_m/b_0) > tau = (ord(a_0) - v_min)/n.  A bounded root forces
 -ord(b_m/b_0) <= tau for every m (the diagonal term of the n-th-power
 convolution dominates), so a certificate is sound; BoundedSoFar never claims
-boundedness beyond the scanned range.  v_min is read from a_1..a_M, the
-scanned range, unless the caller gives a span: coefficients whose
-Z-combinations give every a_m (u and v of a catalog function u(x) + v(x)*y,
-x and y integral), whose worst ord less ord(a_0) is then a floor on v_min
-for every m, and tau is read from that floor alone.
+boundedness beyond the scanned range.  v_min is read by one floor,
+_span_floor: the worst ord over a span less the best ord(a_0).  The span is
+what the caller gives, coefficients whose Z-combinations give every a_m (u
+and v of a catalog function u(x) + v(x)*y, x and y integral), so that the
+floor holds for every m and tau is read from it alone; without one it is
+a_1..a_M, the scanned range of the unit part, with a_0 = 1.
 
 The scan is online: the root coefficients b_1, b_2, ... come one at a time
 from qseries.root_coefficients (Miller's one-sum power recurrence on packed
@@ -36,7 +37,6 @@ from fractions import Fraction
 import math
 
 from .exactnum import (
-    INFINITY,
     AlgebraicNumber,
     field_has_unique_prime_above,
     is_prime,
@@ -108,26 +108,18 @@ def _content_bound(value, p):
     return val_p(value, p)
 
 
-def _threshold(unit, n, p, T, vmin=0):
-    """tau = (worst-case ord(a_0) - worst-case v_min)/n over the scanned range
-    and the given floor vmin <= 0 on v_min; ord(a_0) = 0 after unit
-    normalization, so tau = -v_min/n."""
-    vmin = Fraction(vmin)  # a_0 = 1 contributes ord 0
-    for m in range(1, T + 1):
-        c = unit.coefficient(m)
-        if _content_bound(c, p) < vmin:
-            vmin = min(vmin, *_ord_values(c, p))
-    return -vmin / n
-
-
 def _span_floor(span, lead, p):
-    """A floor on v_min = min_m ord(a_m/a_0) that holds for every m, when
-    every coefficient of f is a Z-combination of those in span and lead is
-    a_0: the worst ord in span less the best ord of a_0 over the primes
-    above p, and never above 0."""
-    worst = min((min(_ord_values(c, p)) for c in span if c),
-                default=INFINITY)
-    return min(Fraction(0), worst - max(_ord_values(lead, p)))
+    """A floor on v_min = min_m ord(a_m/a_0), never above 0, that holds for
+    every m when every a_m is a Z-combination of the coefficients in span and
+    lead is a_0: the worst ord in span less the best ord of a_0 over the
+    primes above p.  A coefficient whose content bound cannot lower the
+    floor is not valued."""
+    top = max(_ord_values(lead, p))
+    worst = top
+    for c in span:
+        if _content_bound(c, p) < worst:
+            worst = min(worst, *_ord_values(c, p))
+    return worst - top
 
 
 def _unit_part(f, prime_p, T):
@@ -162,15 +154,17 @@ def detect(f, root_degree, prime_p, T=300, label="", span=None):
         raise ValueError("root degree must be at least 2")
     mode, unit, M = _unit_part(f, prime_p, T)
     if span is None:
-        tau = _threshold(unit, root_degree, prime_p, M)
+        # the scanned a_1..a_M of the unit part, a_0 = 1, are their own span
+        floor = _span_floor(unit.coefficients(1, M + 1), 1, prime_p)
         note = (f"a_m verified p-integral (after the v_min offset) for "
                 f"m <= {M}; the lemma's precondition beyond the truncation "
                 "is assumed")
     else:
         # the floor bounds ord(a_m/a_0) for every m, so no a_m can lower it
-        tau = -_span_floor(span, f.coeffs[0], prime_p) / root_degree
+        floor = _span_floor(span, f.coeffs[0], prime_p)
         note = ("a_m p-integral (after the v_min offset) for every m: "
                 "the coefficients are Z-combinations of those of u and v")
+    tau = -floor / root_degree
     partial = None
     for m, b in enumerate(root_coefficients(unit, root_degree), 1):
         if _content_bound(b, prime_p) >= -tau:

@@ -34,8 +34,8 @@ from .exactnum import (
     min_poly,
     newton_inverse,
 )
-from .qseries import (EtaQuotient, LaurentSeries, eta_quotient_expand,
-                      eta_unit_product, serialize_series)
+from .qseries import (EtaQuotient, LaurentSeries, _field_line, _fmt_coords,
+                      eta_quotient_expand, eta_unit_product, serialize_series)
 from .ellcurve import (
     WeierstrassCurve,
     division_polynomial,
@@ -358,20 +358,13 @@ def catalog_export(entries, T=20):
         lines = [f"entry {e.label}",
                  f"index {e.index}",
                  f"root_degree {e.root_degree}",
-                 f"congruence {e.congruence_flag}"]
-        if e.coefficient_field is None:
-            lines.append("field rational")
-        else:
-            lines.append("field " + ",".join(str(c) for c in e.coefficient_field.defining_poly))
-
-        def poly_str(cs):
-            return ";".join(
-                (str(c) if not hasattr(c, 'coords') else
-                 ",".join(f"{x.numerator}/{x.denominator}" for x in c.coords()))
-                for c in cs)
-        lines.append("u " + poly_str(e.generator_function.u))
-        lines.append("v " + poly_str(e.generator_function.v))
-        lines.append("den " + poly_str([domain_one(e.coefficient_field)]))
+                 f"congruence {e.congruence_flag}",
+                 _field_line(e.coefficient_field)]
+        fmt = str if e.coefficient_field is None else _fmt_coords
+        g = e.generator_function
+        for name, cs in (("u", g.u), ("v", g.v),
+                         ("den", [domain_one(e.coefficient_field)])):
+            lines.append(f"{name} " + ";".join(map(fmt, cs)))
         series = e.expansion(T)
         lines.append(serialize_series(series).rstrip("\n"))
         blocks.append("\n".join(lines))

@@ -10,6 +10,7 @@ from ubd.ellcurve import (
     WeierstrassCurve,
     division_polynomial,
     function_with_divisor,
+    line_through,
     torsion_factors,
     verify_divisor,
 )
@@ -163,6 +164,47 @@ def test_function_with_divisor_composite_multiple(x11):
     # the cube of x - x_P, normalized
     xp = k.gen() / 2
     assert list(f6.u) == [-xp ** 3, 3 * xp * xp, -3 * xp, k.one()]
+
+
+# rational torsion points of orders 3, 4, 6 and 7, which no catalog index
+# uses yet: Cremona's 14a1 (Z/6), 15a1 (Z/4 x Z/2) and 26b1 (Z/7)
+CURVE_14A1, CURVE_15A1, CURVE_26B1 = (1, 0, 1, 4, -6), (1, 1, 1, -10, -10), \
+    (1, -1, 1, -3, 3)
+TORSION = [(CURVE_14A1, (2, -5), 3), (CURVE_15A1, (8, 18), 4),
+           (CURVE_14A1, (9, 23), 6), (CURVE_26B1, (1, 0), 7)]
+
+
+@pytest.mark.parametrize("coeffs,xy,n", TORSION, ids=["3", "4", "6", "7"])
+def test_function_with_divisor_on_rational_torsion(coeffs, xy, n):
+    p = WeierstrassCurve(*coeffs).point(*xy)
+    f = function_with_divisor(n, p)
+    chk = verify_divisor(f, n, p)
+    assert chk.ok and chk.pole_order == n, chk.detail
+    # at 2n the chain passes through O and starts again from P: f^2
+    f2 = function_with_divisor(2 * n, p)
+    assert verify_divisor(f2, 2 * n, p).ok
+    sq = (f * f).normalized()
+    assert (f2.u, f2.v) == (sq.u, sq.v)
+    with pytest.raises(ValueError):
+        function_with_divisor(n - 1, p)
+
+
+def test_line_through_gives_the_sum(x11):
+    # the chord's line vanishes at A, B and -(A + B), and its sum is the
+    # group law's, tangent and vertical cases included
+    e = WeierstrassCurve(*CURVE_14A1)
+    pts = [x11.point(5, 5), x11.point(16, -61), e.point(9, 23),
+           e.point(1, -1)]
+    for a in pts:
+        for b in (a, -a, 2 * a, 3 * a):
+            if b.is_infinity():
+                continue
+            line, total = line_through(a.curve, a, b)
+            assert total == a + b
+            zeros = [a, b] + ([] if total.is_infinity() else [-total])
+            assert all(not line.evaluate(z) for z in zeros), (a, b)
+            if total.is_infinity():
+                assert (line.u, line.v) == ((-a.x, 1), ())
 
 
 def test_verify_divisor_failure_cases(x11):

@@ -14,8 +14,7 @@ import pytest
 from ubd import x011
 from ubd.exactnum import NumberField
 from ubd.qseries import LaurentSeries
-from ubd.ubdetect import (_span_floor, _threshold, _unit_part, analyze_catalog,
-                          detect, detect_entry)
+from ubd.ubdetect import _span_floor, analyze_catalog, detect, detect_entry
 from ubd.x011 import build_catalog
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -47,12 +46,14 @@ def test_probe_equals_the_full_scan_on_the_catalogs(entries, p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_no_coefficient_lowers_the_span_floor(entries, p):
-    # tau = -floor/n without a pass over a_1..a_T: the pass never lowers it
+    # tau = -floor/n without a pass over a_1..a_T: the floor of the span
+    # together with a_1..a_300 is the floor of the span alone
     for e, f in entries:
-        n = e.root_degree
-        floor = _span_floor(e.coefficient_span(), f.coeffs[0], p)
-        _, unit, M = _unit_part(f, p, 300)
-        assert _threshold(unit, n, p, M, floor) == -floor / n, e.label
+        span = e.coefficient_span()
+        floor = _span_floor(span, f.coeffs[0], p)
+        assert floor <= 0
+        assert _span_floor(span + f.coeffs[1:301], f.coeffs[0], p) == floor, \
+            e.label
 
 
 GAUSS = NumberField([1, 0, 1])  # 5 = (2 + i)(2 - i) splits

@@ -29,8 +29,49 @@ from ubd.exactnum import (
     newton_polygon_points,
     newton_polygon_valuations,
     ord_at_unique_prime,
+    prime_factors,
     val_p,
 )
+
+
+def test_prime_factors_by_trial_division():
+    for n in range(1, 600):
+        brute = [q for q in range(2, n + 1)
+                 if n % q == 0 and all(q % r for r in range(2, q))]
+        assert prime_factors(n) == brute, n
+
+
+# the primes of the drawn denominators, so d factors over them
+DEN_PRIMES = (2, 3, 5, 7, 11)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(Fraction, st.integers(-60, 60),
+                          st.sampled_from([1, 2, 3, 4, 8, 9, 12, 25, 27, 32,
+                                           49, 121, 250, 1331])),
+                min_size=0, max_size=6),
+       st.sampled_from([1, 3, Fraction(1, 4)]))
+@example([Fraction(-79, 4), -10, -1], 1)
+def test_integerize_monic_gives_the_least_d(lower, lead):
+    # monic up to the leading coefficient lead, which integerize_monic
+    # divides out first
+    c = [x * lead for x in lower] + [Fraction(lead)]
+    monic = lower + [Fraction(1)]
+    n = len(monic) - 1
+    coeffs, d = integerize_monic(c)
+
+    def scaled(d):
+        return [Fraction(d) ** (n - i) * ci for i, ci in enumerate(monic)]
+
+    assert all(x.denominator == 1 for x in scaled(d))
+    assert coeffs == [int(x) for x in scaled(d)]
+    rest = d
+    for q in DEN_PRIMES:
+        while rest % q == 0:
+            rest //= q
+        if d % q == 0:
+            assert any(x.denominator != 1 for x in scaled(d // q)), (d, q)
+    assert rest == 1
 
 
 def test_val_p_examples():

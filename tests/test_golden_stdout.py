@@ -9,6 +9,8 @@ and the T = 300 report, the --prime 11 report (where no short probe
 certifies) and the fQ detect from the scan that expanded every catalog entry
 to T + 2 terms, and the census at X = 10^10 and at X = 1000000007 with
 --b 13,5,30 from the quotient-block loops that the divisor-sum kernel
+replaced, and the index-2 report at T = 300 and the index-5 catalog at
+T = 300 from the double-and-add Miller loop that the addition chain
 replaced; a fault that changes any printed coefficient, verdict or
 count changes a hash.
 Each command runs on an empty cache and again on the cache it filled.
@@ -56,6 +58,10 @@ GOLDEN = [
      "4f6ff63c4fd00736223810ae1b51667101658e63e534727efd640b8968572c11"),
     (["census", "--xmax", "1000000007", "--b", "13,5,30"],
      "8dae7b9189fdfa037043a3b6a5591162a59ed475678c097d77c944a16c7ac5d6"),
+    (["--format", "records", "report", "--index", "2", "--terms", "300"],
+     "506c3122af18b52a6d0774e939984f5e3d52c8f0d8c01312124af0d5d23f976c"),
+    (["catalog", "--index", "5", "--terms", "300"],
+     "6593c34ddaaa21da63ffc5bf272935d7fc64a85df38f96bcbaef6628166a5019"),
 ]
 
 
@@ -65,7 +71,8 @@ GOLDEN = [
                               "catalog-2", "report-5", "report-table-2",
                               "report-table-5", "report-5-300",
                               "report-5-prime-11", "detect-fQ-300",
-                              "census-1e10", "census-b-1e9"])
+                              "census-1e10", "census-b-1e9", "report-2-300",
+                              "catalog-5-300"])
 def test_golden_stdout(tmp_path, args, digest):
     for _ in ("cold", "warm"):
         proc = subprocess.run([sys.executable, "-m", "ubd", *args],

@@ -359,6 +359,24 @@ def test_content_bound_is_below_every_valuation(field, p, data):
         assert bound <= min(_reference_ord_values(c, p, UNIQUE_PRIME))
 
 
+def _scanned_range_series(field):
+    dens = (1, 2, 3, 4, 5, 7, 9, 11, 25, 49, 121)
+    coeff = rationals(dens) if field is None else elements(field, dens)
+    return unit_series(coeff, field, max_len=8 if field is None else 4)
+
+
+@SETTINGS
+@given(st.sampled_from([None, GAUSS, CUBIC, QUARTIC]).flatmap(
+           _scanned_range_series),
+       st.integers(2, 5), st.sampled_from([2, 3, 5, 7, 11]))
+def test_floor_of_the_scanned_range_is_the_unscreened_threshold(f, n, p):
+    # a series file has no span: its a_1..a_M, with lead a_0 = 1, are one
+    mode, unit, M = _scan_part(f, p, 300)
+    floor = _span_floor(unit.coefficients(1, M + 1), 1, p)
+    assert -floor / n == _unscreened_threshold(unit, n, p, mode, M)
+    assert detect(f, n, p, 300).threshold == -floor / n
+
+
 @pytest.mark.parametrize("T", [5, 60, 300])
 @pytest.mark.parametrize("index", [2, 5])
 def test_screened_scans_equal_the_unscreened_reference(catalog_series, index,

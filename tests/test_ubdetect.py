@@ -14,6 +14,7 @@ from ubd.ubdetect import (
     CONJUGATE,
     RATIONAL,
     UNIQUE_PRIME,
+    _span_floor,
     analyze_catalog,
     choose_mode,
     detect,
@@ -97,6 +98,18 @@ def test_span_floor_is_scale_invariant():
     for s in (1, Fraction(5), Fraction(1, 25), gen, gen / 5):
         v = detect(f.scalar_mul(s), 5, 5, 3, span=[c * s for c in span])
         assert (v.status, v.threshold) == ('BoundedSoFar', Fraction(1, 4)), s
+
+
+def test_span_floor_takes_the_largest_ord_of_the_lead():
+    # 2 + i has ord 1 at one prime above 5 and ord 0 at the other, so a unit
+    # a_m gives ord(a_m/a_0) = -1 at the first: the floor reads the largest
+    # ord of a_0, not the smallest
+    gauss = NumberField([1, 0, 1])
+    one, lead = gauss.one(), 2 + gauss.gen()
+    assert _span_floor([one], lead, 5) == -1
+    assert _span_floor([one, 0, 5 * one], 5 * lead, 5) == -2
+    assert _span_floor([5 * one], 1, 5) == 0  # never above 0
+    assert _span_floor([one / 25, 5 * one], 1, 5) == -2
 
 
 def test_detect_root_degree_coprimality():
