@@ -6,8 +6,10 @@ back is 7 times faster than the solve and check.  Catalog entries are
 expanded in process: parsing a stored expansion costs more than redoing it.
 
 Exit codes: 0 success, 2 malformed arguments (usage: and error: lines),
-validation error or out of memory, 3 detection ran but was Inconclusive
-only, 4 internal inconsistency (a defining relation failed).
+an argument past a ceiling, any ValueError a command raises (main is the
+one boundary that prints it as an error: line) or out of memory,
+3 detection ran but was Inconclusive only, 4 internal inconsistency (a
+defining relation failed).
 """
 
 import os
@@ -30,31 +32,33 @@ from .ubdetect import analyze_catalog, detect, detect_entry
 from .census import LatticeTriple, s_count, ubd_lower_bound_experiment
 
 
-class ValidationError(Exception):
-    pass
-
-
 # census ceilings: at X = 10^13 the slowest --b found, s = v = 2*3*...*31 and
 # u = 0 (3^11 kernel calls, one per divisor of s*v), takes 35-39 s on a
 # 2-vCPU machine, and each tenfold X costs about 3.3 times more; factoring s
 # or v <= 10^12 takes at most 10^6 trial divisions
 XMAX_CEILING = 10 ** 13
 SV_CEILING = 10 ** 12
+# --terms: 3000 is the most the perfbench workloads ask for; at 3000 the
+# slowest command found, report --index 5 at a prime other than 5 (six full
+# roots, growing about as T^3), takes 9.3 min on a 2-vCPU machine
+TERMS_CEILING = 3000
 
 
 def _validate(args):
     """The checks the table cannot make; --b becomes a tuple of three ints."""
     least = 10 if args.command == "expand-xy" else 1
-    if getattr(args, "terms", least) < least:
-        raise ValidationError(
-            f"{args.command} needs --terms of at least {least}")
+    terms = getattr(args, "terms", least)
+    if not least <= terms <= TERMS_CEILING:
+        bound = (f"at least {least}" if terms < least
+                 else f"at most {TERMS_CEILING}")
+        raise ValueError(f"{args.command} needs --terms of {bound}")
     if args.command == "eta" and args.width < 1:
-        raise ValidationError("--width must be a positive integer")
+        raise ValueError("--width must be a positive integer")
     if getattr(args, "index", CATALOG_INDICES[0]) not in CATALOG_INDICES:
-        raise ValidationError(
+        raise ValueError(
             f"catalog index must be {' or '.join(map(str, CATALOG_INDICES))}")
     if args.command == "detect" and bool(args.entry) == bool(args.series_file):
-        raise ValidationError("provide exactly one of --entry or --series-file")
+        raise ValueError("provide exactly one of --entry or --series-file")
     if args.command == "census":
         if args.b is not None:
             try:
@@ -62,15 +66,15 @@ def _validate(args):
                 if len(args.b) != 3:
                     raise ValueError("need three components")
             except ValueError as exc:
-                raise ValidationError(f"bad --b triple: {exc}")
+                raise ValueError(f"bad --b triple: {exc}")
         if args.xmax < 2:
-            raise ValidationError("--xmax must be at least 2")
+            raise ValueError("--xmax must be at least 2")
         if args.xmax > XMAX_CEILING:
-            raise ValidationError("--xmax must be at most 10^13")
+            raise ValueError("--xmax must be at most 10^13")
         if args.b is not None and max(args.b[0], args.b[2]) > SV_CEILING:
-            raise ValidationError("--b needs s and v of at most 10^12")
+            raise ValueError("--b needs s and v of at most 10^12")
         if args.b is not None and args.xmax < 4:
-            raise ValidationError("--xmax must be at least 4 with --b")
+            raise ValueError("--xmax must be at least 4 with --b")
 
 
 # ----------------------------------------------------------------------
@@ -124,11 +128,8 @@ def _parse_eta_spec(text):
             d, r = part.split(":")
             terms.append((Fraction(d), int(r)))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"bad eta term {part!r}: {exc}")
-    try:
-        return EtaQuotient(terms)
-    except ValueError as exc:
-        raise ValidationError(str(exc))
+            raise ValueError(f"bad eta term {part!r}: {exc}")
+    return EtaQuotient(terms)
 
 
 def _fmt(v):
@@ -139,11 +140,8 @@ def _fmt(v):
 
 
 def cmd_eta(args, out):
-    eq = _parse_eta_spec(args.quotient)
-    try:
-        series = eta_quotient_expand(eq, args.width, args.terms)
-    except ValueError as exc:
-        raise ValidationError(str(exc))
+    series = eta_quotient_expand(_parse_eta_spec(args.quotient), args.width,
+                                 args.terms)
     out.write(serialize_series(series))
     return 0
 
@@ -161,7 +159,7 @@ def cmd_expand_xy(args, out):
         x = cached_series("expand-xy-x", f"T={args.terms}", lambda: solve(0), d)
         y = cached_series("expand-xy-y", f"T={args.terms}", lambda: solve(1), d)
     except OSError as exc:
-        raise ValidationError(f"cannot use cache directory: {exc}")
+        raise ValueError(f"cannot use cache directory: {exc}")
     out.write(f"# kappa {_fmt(KAPPA)}\n")
     out.write(serialize_series(x))
     out.write(serialize_series(y))
@@ -181,7 +179,7 @@ def _entry_by_label(label):
             if e.label == label:
                 return e
             labels.append(e.label)
-    raise ValidationError(
+    raise ValueError(
         f"unknown entry {label!r}; available: {', '.join(labels)}")
 
 
@@ -210,21 +208,16 @@ def _warn_if_short(v, requested):
 
 def cmd_detect(args, out):
     if args.entry:
-        e = _entry_by_label(args.entry)
+        v = detect_entry(_entry_by_label(args.entry), args.root, args.prime,
+                         args.terms)
     else:
         try:
             with open(args.series_file) as fh:
                 series = deserialize_series(fh.read())
         except (OSError, ValueError) as exc:
-            raise ValidationError(f"cannot read series file: {exc}")
-    try:
-        if args.entry:
-            v = detect_entry(e, args.root, args.prime, args.terms)
-        else:
-            v = detect(series, args.root, args.prime, args.terms,
-                       label=os.path.basename(args.series_file))
-    except ValueError as exc:
-        raise ValidationError(str(exc))
+            raise ValueError(f"cannot read series file: {exc}")
+        v = detect(series, args.root, args.prime, args.terms,
+                   label=os.path.basename(args.series_file))
     _warn_if_short(v, args.terms)
     out.write(_verdict_line(v, args.format) + "\n")
     return 3 if v.status == "Inconclusive" else 0
@@ -235,7 +228,7 @@ def cmd_census(args, out):
         try:
             b = LatticeTriple(*args.b)
         except ValueError as exc:
-            raise ValidationError(f"bad --b triple: {exc}")
+            raise ValueError(f"bad --b triple: {exc}")
         exp = ubd_lower_bound_experiment(b, args.xmax)
         out.write(f"{exp.X}\t{exp.full_count}\t{_fmt(exp.ratio)}\t"
                   f"b={b.l},{b.n},{b.m}\trestricted={exp.restricted_count}\t"
@@ -247,11 +240,8 @@ def cmd_census(args, out):
 
 
 def cmd_report(args, out):
-    entries = build_catalog(args.index)
-    try:
-        rep = analyze_catalog(entries, T=args.terms, prime_p=args.prime)
-    except ValueError as exc:
-        raise ValidationError(str(exc))
+    rep = analyze_catalog(build_catalog(args.index), T=args.terms,
+                          prime_p=args.prime)
     for v in rep.verdicts:
         _warn_if_short(v, args.terms)
     if args.format == "records":
@@ -383,7 +373,7 @@ def main(argv=None):
     try:
         _validate(args)
         return args.func(args, sys.stdout)
-    except ValidationError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MemoryError, OverflowError):

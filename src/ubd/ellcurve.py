@@ -8,7 +8,6 @@ from collections import namedtuple
 from functools import lru_cache, reduce
 
 from .exactnum import (
-    domain_one,
     dp_add,
     dp_divmod,
     dp_eval,
@@ -168,7 +167,7 @@ def division_polynomial(n, curve):
     if n < 2:
         raise ValueError("n must be at least 2")
     b2, b4, b6, b8 = curve.b2, curve.b4, curve.b6, curve.b8
-    one = domain_one(curve.field)
+    one = lift(curve.field, 1)
     cubic = [b6, 2 * b4, b2, 4 * one]
     if n == 2:
         return cubic
@@ -235,7 +234,7 @@ class CurveFunction:
     # -- arithmetic ---------------------------------------------------
     def _g_poly(self):
         c = self.curve
-        return [c.a6, c.a4, c.a2, domain_one(c.field)]
+        return [c.a6, c.a4, c.a2, lift(c.field, 1)]
 
     def _a13(self):
         c = self.curve
@@ -300,7 +299,7 @@ def line_through(curve, a, b):
     divisor (A) + (-A) - 2(O), and A + B = O."""
     if a.is_infinity() or b.is_infinity():
         raise ValueError("lines need affine points")
-    one = domain_one(curve.field)
+    one = lift(curve.field, 1)
     chord, total = _chord(a, b)
     if chord is None:
         return CurveFunction(curve, [-a.x, one], []), total
@@ -323,7 +322,7 @@ def function_with_divisor(n, p):
     if n < 1:
         raise ValueError("n must be a positive integer")
     curve = p.curve
-    one = domain_one(curve.field)
+    one = lift(curve.field, 1)
     if n == 1:
         if not p.is_infinity():
             raise ValueError("P is not 1-torsion")

@@ -743,14 +743,6 @@ def lift(field, v):
     return field.from_rational(v)
 
 
-def domain_zero(field):
-    return Fraction(0) if field is None else field.zero()
-
-
-def domain_one(field):
-    return Fraction(1) if field is None else field.one()
-
-
 def common_field(f1, f2):
     if f1 is None:
         return f2

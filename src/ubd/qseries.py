@@ -14,7 +14,6 @@ from .exactnum import (
     NumberField,
     _operand,
     common_field as _common_field,
-    domain_zero as _zero,
     kron_mul,
     lift as _lift,
     newton_inverse,
@@ -62,7 +61,7 @@ class LaurentSeries:
         if k >= self.prec:
             raise ValueError(f"coefficient w^{k} is beyond precision {self.prec}")
         if k < self.lead or k - self.lead >= len(self.coeffs):
-            return _zero(self.field)
+            return _lift(self.field, 0)
         return self.coeffs[k - self.lead]
 
     def coefficients(self, lo, hi):
@@ -105,8 +104,7 @@ class LaurentSeries:
         field = self._check_compat(other)
         prec = min(self.prec, other.prec)
         lead = min(self.lead, other.lead, prec)
-        a = self.coefficients(lead, prec) if lead < prec else []
-        b = other.coefficients(lead, prec) if lead < prec else []
+        a, b = self.coefficients(lead, prec), other.coefficients(lead, prec)
         return LaurentSeries(self.width, lead, [x + y for x, y in zip(a, b)],
                              field, prec)
 
@@ -118,16 +116,9 @@ class LaurentSeries:
         return self + (-other)
 
     def __mul__(self, other):
+        # a factor that is 0 to precision has lead = prec, so lead below is
+        # prec too and the product is 0 to that precision
         field = self._check_compat(other)
-        if self.is_zero() or other.is_zero():
-            # f = O(w^pf) times a series of lead l is O(w^(pf+l))
-            if self.is_zero() and other.is_zero():
-                prec = self.prec + other.prec
-            elif self.is_zero():
-                prec = self.prec + other.lead
-            else:
-                prec = other.prec + self.lead
-            return LaurentSeries(self.width, prec, [], field, prec)
         lead = self.lead + other.lead
         prec = min(self.prec + other.lead, other.prec + self.lead)
         out = trunc_mul(self.coeffs, other.coeffs, prec - lead, field)
@@ -138,8 +129,6 @@ class LaurentSeries:
         if isinstance(s, AlgebraicNumber):
             field = _common_field(field, s.field)
         s = _lift(field, s)
-        if not s:
-            return LaurentSeries(self.width, self.prec, [], field, self.prec)
         return LaurentSeries(self.width, self.lead,
                              [_lift(field, c) * s for c in self.coeffs],
                              field, self.prec)
@@ -331,16 +320,11 @@ def _jacobi_coeffs(length):
     return c
 
 
-def eta_unit_product(eq, width, T):
-    """The product part prod_delta prod_n (1 - w^(N*delta*n))^(r_delta) and the
-    (possibly fractional) exponent of the stripped w^(N*sum r*delta/24)
-    prefactor; needs only N*delta integral for every term."""
-    lead, unit = _eta_product_ints(eq, width, T)
-    return lead, LaurentSeries(width, 0, unit, None, T + 1)
-
-
 def _eta_product_ints(eq, width, T):
-    """(lead, the product part's integer coefficients of w^0..w^T).
+    """(lead, unit): the integer coefficients of w^0..w^T of the product
+    part prod_delta prod_n (1 - w^(N*delta*n))^(r_delta), and the exponent
+    lead = N*sum(r*delta)/24, possibly fractional, of the stripped prefactor;
+    needs only N*delta integral for every term.
 
     A factor with step s = N*delta is a series in u = w^s, so it is powered
     at length ceil((T+1)/s) in u and multiplied into the unit one residue

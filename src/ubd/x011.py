@@ -21,7 +21,6 @@ from .exactnum import (
     AlgebraicNumber,
     NumberField,
     _operand,
-    domain_one,
     dp_add,
     dp_divmod,
     dp_eval,
@@ -31,11 +30,13 @@ from .exactnum import (
     dp_resultant,
     integerize_monic,
     kron_mul,
+    lift,
     min_poly,
     newton_inverse,
 )
-from .qseries import (EtaQuotient, LaurentSeries, _field_line, _fmt_coords,
-                      eta_quotient_expand, eta_unit_product, serialize_series)
+from .qseries import (EtaQuotient, LaurentSeries, _eta_product_ints,
+                      _field_line, _fmt_coords, eta_quotient_expand,
+                      serialize_series)
 from .ellcurve import (
     WeierstrassCurve,
     division_polynomial,
@@ -66,12 +67,8 @@ _XY_CACHE = {"T": -1, "xs": None, "ys": None, "S": None}
 KAPPA = Fraction(-1)
 # 14640, then the coefficients of E_4(w), E_4(w^11), S^2 and S*E_2'
 XS2_IDENTITY = (14640, -1, 14641, -15504, -2904)
-
-
-def weight2_eta_product(T):
-    """S(w) = eta(z)^2 * eta(z/11)^2 at width 11; leading term w^1."""
-    return eta_quotient_expand(EtaQuotient([(1, 2), (Fraction(1, 11), 2)]),
-                               WIDTH, T)
+# S(w) = eta(z)^2 * eta(z/11)^2 at width 11, w times an integer unit series
+S_QUOTIENT = EtaQuotient([(1, 2), (Fraction(1, 11), 2)])
 
 
 def _exact_quotients(nums, den, what, lead):
@@ -96,11 +93,10 @@ def _compute_xy(T):
     14640 or by 2 raises RuntimeError; expand_xy checks both relations.
     """
     n = T + 1
-    s_series = weight2_eta_product(T)  # S_1..S_(T+1)
-    if s_series.lead != 1 or s_series.coeffs[0] != 1:
+    lead, unit = _eta_product_ints(S_QUOTIENT, WIDTH, T)
+    if lead != 1 or unit[0] != 1:
         raise RuntimeError("eta product does not start with w^1")
-    S = [0] + [c.numerator for c in s_series.coeffs]
-    S += [0] * (T + 2 - len(S))  # trailing zeros are implicit in the series
+    S = [0] + unit  # S[e] = S_e for e < T + 2
     sigma1, sigma3 = [0] * n, [0] * n
     for d in range(1, n):
         sigma1[d::d] = [c + d for c in sigma1[d::d]]
@@ -363,7 +359,7 @@ def catalog_export(entries, T=20):
         fmt = str if e.coefficient_field is None else _fmt_coords
         g = e.generator_function
         for name, cs in (("u", g.u), ("v", g.v),
-                         ("den", [domain_one(e.coefficient_field)])):
+                         ("den", [lift(e.coefficient_field, 1)])):
             lines.append(f"{name} " + ";".join(map(fmt, cs)))
         series = e.expansion(T)
         lines.append(serialize_series(series).rstrip("\n"))
@@ -399,7 +395,7 @@ def g5_family(n, T):
     root = None
     if n in (1, 2, 3, 4, 6, 12):
         k = 12 // n
-        lead, unit = eta_unit_product(
+        lead, unit = _eta_product_ints(
             EtaQuotient([(Fraction(1, 11), k), (1, -k)]), WIDTH, T)
-        root = EtaRoot(lead, unit)
+        root = EtaRoot(lead, LaurentSeries(WIDTH, 0, unit, None, T + 1))
     return g5, root

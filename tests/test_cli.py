@@ -366,10 +366,13 @@ def test_out_of_memory_exits_2_with_an_error_line(tmp_path, monkeypatch,
     assert "Traceback" not in err
 
 
-def test_unindexable_terms_exits_2_with_the_out_of_memory_line(capsys):
-    # a length past sys.maxsize raises OverflowError before any allocation
+def test_unindexable_terms_exits_2_with_the_out_of_memory_line(monkeypatch,
+                                                               capsys):
+    # a length past sys.maxsize raises OverflowError before any allocation,
+    # once past the --terms ceiling that refuses it first
     from ubd import cli
 
+    monkeypatch.setattr(cli, "TERMS_CEILING", 10 ** 30)
     rc = cli.main(["eta", "1:1", "--width", "1", "--terms",
                    "99999999999999999999"])
     out, err = capsys.readouterr()

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from ubd.exactnum import (NumberField, domain_one, domain_zero, dp_monic,
-                          dp_mul, dp_sub, lift, min_poly, trunc_mul)
+from ubd.exactnum import (NumberField, dp_monic, dp_mul, dp_sub, lift,
+                          min_poly, trunc_mul)
 from ubd.ellcurve import (
     CurveFunction,
     WeierstrassCurve,
@@ -288,7 +288,7 @@ def _curve_residual(curve, xs, ys, L):
 def _reference_local_parameterization(curve, p, L):
     """The branch at P by recomputing the whole truncated residual at every
     step and correcting coefficient k by residual[k] / (dR/dy or dR/dx)."""
-    zero, one = domain_zero(curve.field), domain_one(curve.field)
+    zero, one = lift(curve.field, 0), lift(curve.field, 1)
     ey = 2 * p.y + curve.a1 * p.x + curve.a3
     ex = curve.a1 * p.y - (3 * p.x * p.x + 2 * curve.a2 * p.x + curve.a4)
     xs, ys = [zero] * L, [zero] * L
@@ -318,7 +318,7 @@ def _reference_order_at(f, branch, L):
     field = f.curve.field
 
     def at_x(poly):
-        acc = [domain_zero(field)] * L
+        acc = [lift(field, 0)] * L
         for c in reversed(poly):
             acc = trunc_mul(acc, xs, L, field)
             acc[0] = acc[0] + c

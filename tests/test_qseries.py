@@ -289,3 +289,5 @@ def test_unit_normalized_scales_back_to_f(f):
     assert unit.lead == 0 and unit.coefficient(0) == 1
     back = unit.scalar_mul(c0).shift(lead)
     assert back.prec == f.prec and back.agrees_with(f)
+    # the scalar 0 leaves the series 0 to its precision
+    assert f.scalar_mul(0) == S(f.width, f.prec, [], f.field, f.prec)

@@ -11,10 +11,12 @@ from ubd.ellcurve import (
     torsion_factors,
     verify_divisor,
 )
-from ubd.qseries import LaurentSeries, nth_root_normalized
+from ubd.qseries import (LaurentSeries, eta_quotient_expand,
+                         nth_root_normalized)
 from ubd.x011 import (
     CATALOG_INDICES,
     KAPPA,
+    S_QUOTIENT,
     WIDTH,
     _xy_arrays,
     build_catalog,
@@ -24,7 +26,6 @@ from ubd.x011 import (
     g5_family,
     g5_series,
     torsion_point,
-    weight2_eta_product,
     x11_curve,
 )
 
@@ -63,8 +64,8 @@ def test_relations_hold_to_truncation():
                for k in range(diff.lead, diff.prec))
 
 
-def test_weight2_eta_product_lead():
-    s = weight2_eta_product(30)
+def test_s_quotient_starts_at_w():
+    s = eta_quotient_expand(S_QUOTIENT, WIDTH, 30)
     assert s.lead == 1 and s.coefficient(1) == 1
     assert s.coefficient(2) == -2
 
@@ -332,19 +333,17 @@ def test_catalog_export_format():
 
 def test_xy_solve_stops_on_a_non_integral_order(monkeypatch, tmp_path):
     from ubd import cli, x011
-    from ubd.qseries import LaurentSeries
 
-    real = x011.weight2_eta_product
+    real = x011._eta_product_ints
 
-    def perturbed(T):
-        s = real(T)
-        coeffs = list(s.coeffs)
+    def perturbed(eq, width, T):
+        lead, unit = real(eq, width, T)
         # S_2 = -2 becomes -1: (x*S^2)_2 moves by -2904*10/14640, and x_0
         # is no longer integral
-        coeffs[1] += 1
-        return LaurentSeries(s.width, s.lead, coeffs, None, s.prec)
+        unit[1] += 1
+        return lead, unit
 
-    monkeypatch.setattr(x011, "weight2_eta_product", perturbed)
+    monkeypatch.setattr(x011, "_eta_product_ints", perturbed)
     with pytest.raises(RuntimeError, match="not integral at order 0"):
         x011._compute_xy(20)
     monkeypatch.setattr(x011, "_XY_CACHE", {"T": -1})
