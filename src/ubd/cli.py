@@ -42,6 +42,12 @@ SV_CEILING = 10 ** 12
 # slowest command found, report --index 5 at a prime other than 5 (six full
 # roots, growing about as T^3), takes 9.3 min on a 2-vCPU machine
 TERMS_CEILING = 3000
+# detect --series-file: the coefficients it scans may hold at most this many
+# digits in all, numerators and denominators as a record writes them; a
+# root costs about T^3 * D^2 for T coefficients of D digits, so the slowest
+# file at the ceiling is the longest, 3001 coefficients of 8 digits, which
+# takes about a minute on a 2-vCPU machine
+SCAN_DIGITS_CEILING = 27000
 
 
 def _validate(args):
@@ -93,28 +99,30 @@ def _cache_key(op, params):
 
 
 def cached_series(op, params, compute, directory):
-    """Load a series from the cache or compute and store it; a corrupt cache
-    entry is recomputed with a warning."""
+    """The text record of a series, read from the cache or computed, stored
+    and returned as the same text.  A cached record is parsed and written
+    again, so a parseable but non-canonical one comes back canonical; a
+    corrupt one is recomputed with a warning."""
     path = os.path.join(directory, _cache_key(op, params) + ".series")
     if os.path.exists(path):
         try:
             with open(path) as fh:
-                return deserialize_series(fh.read())
+                return serialize_series(deserialize_series(fh.read()))
         except ValueError:
             print(f"warning: corrupt cache entry {os.path.basename(path)}; "
                   "recomputing", file=sys.stderr)
-    series = compute()
+    record = serialize_series(compute())
     # each writer has a temporary file of its own, and the rename is atomic:
     # a reader sees a whole record or none, and the last writer wins
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(serialize_series(series))
+            fh.write(record)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
-    return series
+    return record
 
 
 # ----------------------------------------------------------------------
@@ -161,8 +169,8 @@ def cmd_expand_xy(args, out):
     except OSError as exc:
         raise ValueError(f"cannot use cache directory: {exc}")
     out.write(f"# kappa {_fmt(KAPPA)}\n")
-    out.write(serialize_series(x))
-    out.write(serialize_series(y))
+    out.write(x)
+    out.write(y)
     return 0
 
 
@@ -206,6 +214,21 @@ def _warn_if_short(v, requested):
               "requested coefficients (series too short)", file=sys.stderr)
 
 
+def _scan_digits(series, terms):
+    """The digits of the terms + 1 coefficients from the lead on that detect
+    scans, numerators and denominators as a record writes them (coordinate
+    by coordinate, each reduced), counted until they pass
+    SCAN_DIGITS_CEILING."""
+    total = 0
+    for c in series.coeffs[:terms + 1]:
+        parts = [c] if series.field is None else c.coords()
+        total += sum(len(str(abs(q.numerator))) + len(str(q.denominator))
+                     for q in parts)
+        if total > SCAN_DIGITS_CEILING:
+            break
+    return total
+
+
 def cmd_detect(args, out):
     if args.entry:
         v = detect_entry(_entry_by_label(args.entry), args.root, args.prime,
@@ -216,6 +239,11 @@ def cmd_detect(args, out):
                 series = deserialize_series(fh.read())
         except (OSError, ValueError) as exc:
             raise ValueError(f"cannot read series file: {exc}")
+        if _scan_digits(series, args.terms) > SCAN_DIGITS_CEILING:
+            raise ValueError(
+                f"--terms {args.terms} would scan more than "
+                f"{SCAN_DIGITS_CEILING} digits of series-file coefficients; "
+                "ask for fewer --terms")
         v = detect(series, args.root, args.prime, args.terms,
                    label=os.path.basename(args.series_file))
     _warn_if_short(v, args.terms)

@@ -2,7 +2,8 @@
 formal n-th roots of unit series (computed coefficient by coefficient on
 demand, by Miller's power recurrence on packed integer coordinates over a
 running common denominator), Dedekind-eta quotient expansion via the
-pentagonal-number theorem, and a text record of a series."""
+pentagonal-number theorem and the partition numbers, and a text record of
+a series."""
 
 from fractions import Fraction
 import math
@@ -21,16 +22,24 @@ from .exactnum import (
 )
 
 
+def _coeff(field, c):
+    """c in the coefficient domain; over Q an int stays an int, so integral
+    series build no Fraction (every division is by a Fraction, never a true
+    division of two ints)."""
+    return c if field is None and type(c) is int else _lift(field, c)
+
+
 class LaurentSeries:
     """Exact coefficients for exponents lead..prec-1; zero beyond is unknown,
-    not asserted.  coeffs[0] is nonzero unless the series is 0 to precision."""
+    not asserted.  coeffs[0] is nonzero unless the series is 0 to precision.
+    Over Q a coefficient is an int or a Fraction."""
 
     __slots__ = ('width', 'lead', 'coeffs', 'field', 'prec')
 
     def __init__(self, width, lead, coeffs, field=None, prec=None):
         if width < 1:
             raise ValueError("width must be a positive integer")
-        coeffs = [_lift(field, c) for c in coeffs]
+        coeffs = [_coeff(field, c) for c in coeffs]
         if prec is None:
             prec = lead + len(coeffs)
         if prec < lead + len(coeffs):
@@ -61,7 +70,7 @@ class LaurentSeries:
         if k >= self.prec:
             raise ValueError(f"coefficient w^{k} is beyond precision {self.prec}")
         if k < self.lead or k - self.lead >= len(self.coeffs):
-            return _lift(self.field, 0)
+            return _coeff(self.field, 0)
         return self.coeffs[k - self.lead]
 
     def coefficients(self, lo, hi):
@@ -128,9 +137,9 @@ class LaurentSeries:
         field = self.field
         if isinstance(s, AlgebraicNumber):
             field = _common_field(field, s.field)
-        s = _lift(field, s)
+        s = _coeff(field, s)
         return LaurentSeries(self.width, self.lead,
-                             [_lift(field, c) * s for c in self.coeffs],
+                             [_coeff(field, c) * s for c in self.coeffs],
                              field, self.prec)
 
     def shift(self, k):
@@ -150,7 +159,7 @@ class LaurentSeries:
             raise ZeroDivisionError("cannot invert a series that is 0 to precision")
         field = self.field
         n = self.prec - self.lead
-        inv = newton_inverse(self.coeffs, n, 1 / self.coeffs[0],
+        inv = newton_inverse(self.coeffs, n, Fraction(1) / self.coeffs[0],
                              lambda a, b, m: trunc_mul(a, b, m, field))
         return LaurentSeries(self.width, -self.lead, inv, field,
                              -self.lead + n)
@@ -165,7 +174,8 @@ class LaurentSeries:
         if self.is_zero():
             raise ValueError("zero series has no unit normalization")
         c0 = self.coeffs[0]
-        return self.scalar_mul(1 / c0).shift(-self.lead), self.lead, c0
+        return (self.scalar_mul(Fraction(1) / c0).shift(-self.lead),
+                self.lead, c0)
 
 
 def root_coefficients(f, n):
@@ -320,6 +330,28 @@ def _jacobi_coeffs(length):
     return c
 
 
+def _partition_coeffs(length):
+    """The partition numbers p(0..length-1), the coefficients of
+    1/prod_{n>=1} (1 - x^n), by Euler's recurrence
+    p(n) = sum_{k>=1} (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)):
+    O(length^1.5) additions, no product and no inverse."""
+    offsets = []  # generalised pentagonal numbers, ascending, with signs
+    k = 1
+    while k * (3 * k - 1) // 2 < length:
+        sign = 1 if k % 2 else -1
+        offsets += [(k * (3 * k - 1) // 2, sign), (k * (3 * k + 1) // 2, sign)]
+        k += 1
+    p = [1] * length
+    for n in range(1, length):
+        t = 0
+        for g, sign in offsets:
+            if g > n:
+                break
+            t = t + p[n - g] if sign > 0 else t - p[n - g]
+        p[n] = t
+    return p
+
+
 def _eta_product_ints(eq, width, T):
     """(lead, unit): the integer coefficients of w^0..w^T of the product
     part prod_delta prod_n (1 - w^(N*delta*n))^(r_delta), and the exponent
@@ -329,8 +361,9 @@ def _eta_product_ints(eq, width, T):
     A factor with step s = N*delta is a series in u = w^s, so it is powered
     at length ceil((T+1)/s) in u and multiplied into the unit one residue
     class of exponents mod s at a time; the first factor is laid out on its
-    residue class 0 as it is.  With P = prod (1 - u^n) and |r| = 3q + t, the
-    power is J^q * P^t for Jacobi's J = P^3, inverted once when r < 0."""
+    residue class 0 as it is.  With P = prod (1 - u^n), a positive power
+    r = 3q + t is J^q * P^t for Jacobi's J = P^3, and a negative one is
+    p^|r| for the partition numbers p = 1/P."""
     if T < 0:
         raise ValueError("truncation must be nonnegative")
     steps = []
@@ -347,17 +380,19 @@ def _eta_product_ints(eq, width, T):
         if not r:
             continue
         m = -(-length // step)  # terms of the factor in u = w^step
-        q, t = divmod(abs(r), 3)
+        if r > 0:
+            q, t = divmod(r, 3)
+            powers = ((_jacobi_coeffs(m), q), (_pentagonal_coeffs(m), t))
+        else:
+            powers = ((_partition_coeffs(m), -r),)
         f = None
-        for base, e in ((_jacobi_coeffs(m), q), (_pentagonal_coeffs(m), t)):
+        for base, e in powers:
             while e:  # f = f * base^e by binary powering
                 if e & 1:
                     f = base if f is None else kron_mul(f, base, m)
                 e >>= 1
                 if e:
                     base = kron_mul(base, base, m)
-        if r < 0:
-            f = newton_inverse(f, m, 1, kron_mul)
         if unit is None:  # the first factor is the whole product so far
             unit = [0] * length
             unit[::step] = f
@@ -440,7 +475,8 @@ COEFF_DIGITS_CEILING = 4000
 
 def _read_rational(text):
     """A coordinate of a record, refused past the digit ceiling before any
-    int is built: exponent and decimal forms are not record forms."""
+    int is built: exponent and decimal forms are not record forms.  An
+    integer coordinate (no denominator, or /1) is read as an int."""
     m = _COORD.fullmatch(text)
     if m is None:
         raise ValueError(f"bad coefficient {text[:40]!r}: expected an "
@@ -449,7 +485,8 @@ def _read_rational(text):
     if max(len(num), len(den or "")) > COEFF_DIGITS_CEILING:
         raise ValueError(f"coefficient has more than {COEFF_DIGITS_CEILING} "
                          "digits")
-    return Fraction(int(sign + num), int(den or 1))
+    num, den = int(sign + num), int(den or 1)
+    return num if den == 1 else Fraction(num, den)
 
 
 def _parse_series(text):

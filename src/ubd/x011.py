@@ -32,7 +32,6 @@ from .exactnum import (
     kron_mul,
     lift,
     min_poly,
-    newton_inverse,
 )
 from .qseries import (EtaQuotient, LaurentSeries, _eta_product_ints,
                       _field_line, _fmt_coords, eta_quotient_expand,
@@ -69,6 +68,8 @@ KAPPA = Fraction(-1)
 XS2_IDENTITY = (14640, -1, 14641, -15504, -2904)
 # S(w) = eta(z)^2 * eta(z/11)^2 at width 11, w times an integer unit series
 S_QUOTIENT = EtaQuotient([(1, 2), (Fraction(1, 11), 2)])
+# w/S = eta(z)^-2 * eta(z/11)^-2, w^-1 times the inverse unit series
+V_INV_QUOTIENT = EtaQuotient([(1, -2), (Fraction(1, 11), -2)])
 
 
 def _exact_quotients(nums, den, what, lead):
@@ -87,10 +88,13 @@ def _compute_xy(T):
 
     G = x*S^2 by the identity of this section, from sigma_1 and sigma_3 by
     one sieve, E_4 = 1 + 240*sum sigma_3(n) w^n, E_2 = 1 - 24*sum sigma_1(n)
-    w^n; x = G*V^-2 by one Newton inverse of V = S/w.  y comes from
-    D(x) = KAPPA*(2y + a3)*S with the same V^-1; matching the leads gives
-    -2 = 2*KAPPA*S_1, so S_1 must be 1.  A remainder in the division by
-    14640 or by 2 raises RuntimeError; expand_xy checks both relations.
+    w^n; x = G*V^-2 with V = S/w, where V^-1 = w/S is the eta quotient
+    eta(z)^-2*eta(z/11)^-2, read from the partition numbers by the same
+    kernel as S.  y comes from D(x) = KAPPA*(2y + a3)*S with the same V^-1;
+    matching the leads gives -2 = 2*KAPPA*S_1, so S_1 must be 1.  A
+    remainder in the division by 14640 or by 2 raises RuntimeError;
+    expand_xy checks both relations, and the derivation relation, taken
+    with S itself, verifies V^-1*S = w at every order.
     """
     n = T + 1
     lead, unit = _eta_product_ints(S_QUOTIENT, WIDTH, T)
@@ -112,7 +116,7 @@ def _compute_xy(T):
         g[i] += 240 * (e4 * sigma3[i] + (e4_11 * sigma3[i // 11]
                                          if i % 11 == 0 else 0))
     G = _exact_quotients(g, den, "x", -2)  # G[i] = (x*S^2)_i
-    V_inv = newton_inverse(S[1:], n, 1, kron_mul)
+    V_inv = _eta_product_ints(V_INV_QUOTIENT, WIDTH, T)[1]
     X = kron_mul(G, kron_mul(V_inv, V_inv, n), n)  # X[i] = x_(i-2)
     # Z[i] = (2y + a3)_(i-3): D(x)*w^2 * V^-1 over KAPPA = -1, its own inverse
     Z = kron_mul([int(KAPPA) * i * c for i, c in enumerate(X, -2)], V_inv, n)
@@ -200,8 +204,9 @@ def expand_on_curve(F, T):
     for t, (_, s, n) in enumerate(terms):
         for col, a in zip(coords, flat[t * d:(t + 1) * d]):
             col[top - n:] = [c + a * sk for c, sk in zip(col[top - n:], s)]
-    if field is None:
-        coeffs = [Fraction(c, den) for c in coords[0]]
+    if field is None:  # an integral coefficient stays an int
+        coeffs = (coords[0] if den == 1
+                  else [Fraction(c, den) for c in coords[0]])
     else:
         coeffs = [AlgebraicNumber(field, c, den) for c in zip(*coords)]
     return LaurentSeries(WIDTH, -top, coeffs, field, N - top)

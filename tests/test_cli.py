@@ -256,6 +256,53 @@ def test_a_coefficient_at_the_digit_ceiling_is_read(tmp_path, p):
         assert proc.returncode == 0, (name, proc.stderr.decode())
 
 
+def test_series_file_past_the_scan_digit_ceiling_exits_2(tmp_path, capsys):
+    """detect --series-file reads a file whose scanned coefficients hold
+    SCAN_DIGITS_CEILING digits, numerators and denominators as written, and
+    refuses one more digit with one error: line; digits past --terms are
+    not scanned, so they do not count."""
+    from ubd import cli
+
+    def record(last):
+        # 1/1, six coefficients of 4000 digits, one of last + 1 digits
+        coeffs = ["1/1"] + ["9" * 3999 + "/1"] * 6 + ["9" * last + "/1"]
+        return ("series 1\nwidth 1\nlead 0\ntruncation 7\nfield rational\n"
+                + "\n".join(coeffs) + "\n")
+
+    last = cli.SCAN_DIGITS_CEILING - 2 - 6 * 4000 - 1
+    path = tmp_path / "f.series"
+    argv = ["--format", "records", "detect", "--series-file", str(path),
+            "--prime", "5", "--root", "2", "--terms", "7"]
+    path.write_text(record(last))
+    assert cli.main(argv) == 0
+    assert "status=BoundedSoFar" in capsys.readouterr().out
+    path.write_text(record(last + 1))
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: --terms 7 would scan more than {cli.SCAN_DIGITS_CEILING} "
+        "digits of series-file coefficients; ask for fewer --terms\n"))
+    assert cli.main(argv[:-1] + ["6"]) == 0
+    assert "truncation=6" in capsys.readouterr().out
+
+
+def test_scan_digits_are_the_digits_a_record_writes():
+    from fractions import Fraction
+
+    from ubd import cli
+    from ubd.exactnum import NumberField
+    from ubd.qseries import LaurentSeries, serialize_series
+
+    K = NumberField([869405, 19255, 1360, 20, 1], "s")
+    t = K.gen()
+    for s in (LaurentSeries(1, 0, [K.one(), t / 3 - Fraction(5, 7), 0,
+                                   12 * t ** 3], K),
+              LaurentSeries(11, -5, [1, -12, Fraction(54, 7), 0, -88])):
+        lines = serialize_series(s).splitlines()[5:]
+        for terms in range(len(lines)):
+            assert cli._scan_digits(s, terms) == sum(
+                ch.isdigit() for ln in lines[:terms + 1] for ch in ln)
+
+
 def test_detect_inconclusive_exit_code(tmp_path):
     # a Q(i)-coefficient series whose conjugate valuations straddle the
     # threshold at the split prime 5: detection must exit 3
@@ -291,6 +338,22 @@ def test_cache_roundtrip_and_corruption(tmp_path):
         second = run_cli(args, tmp_path)
         assert b"corrupt cache entry" in second.stderr
         assert second.stdout == first.stdout
+
+
+def test_cache_records_are_the_printed_text_and_print_canonically(tmp_path):
+    args = ["expand-xy", "--terms", "30"]
+    first = run_cli(args, tmp_path)
+    records = {p.name: p.read_text() for p in tmp_path.glob("*.series")}
+    x, y = (records[n] for n in sorted(records))  # expand-xy-x, expand-xy-y
+    assert first.stdout.decode() == "# kappa -1/1\n" + x + y
+    # integers without "/1", signed and padded, still parse: the warm run
+    # prints them as the cold run did
+    for name, text in records.items():
+        (tmp_path / name).write_text(
+            text.replace("/1\n", "\n").replace("\n1\n", "\n +1 \n"))
+    second = run_cli(args, tmp_path)
+    assert second.stderr == b""
+    assert second.stdout == first.stdout
 
 
 def test_only_expand_xy_touches_the_cache(tmp_path):
@@ -441,10 +504,11 @@ def test_cache_concurrent_writers_leave_one_whole_record(tmp_path):
     import threading
 
     from ubd import cli
-    from ubd.qseries import LaurentSeries
+    from ubd.qseries import LaurentSeries, serialize_series
 
     writers = 6  # more than the cores of a small machine
     series = LaurentSeries(11, -2, list(range(1, 400)), None)
+    record = serialize_series(series)
     all_computed = threading.Barrier(writers)
 
     def compute():
@@ -465,10 +529,11 @@ def test_cache_concurrent_writers_leave_one_whole_record(tmp_path):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert results == [series] * writers
+    assert results == [record] * writers
     names = os.listdir(tmp_path)
     assert len(names) == 1 and names[0].endswith(".series")
-    assert deserialize_series((tmp_path / names[0]).read_text()) == series
+    assert (tmp_path / names[0]).read_text() == record
+    assert deserialize_series(record) == series
 
 
 def test_no_command_imports_sympy(tmp_path):

@@ -291,3 +291,35 @@ def test_unit_normalized_scales_back_to_f(f):
     assert back.prec == f.prec and back.agrees_with(f)
     # the scalar 0 leaves the series 0 to its precision
     assert f.scalar_mul(0) == S(f.width, f.prec, [], f.field, f.prec)
+
+
+def _int_or_fraction(f):
+    coeffs = f.coefficients(f.lead, f.prec)
+    return coeffs and all(type(c) in (int, Fraction) for c in coeffs)
+
+
+def test_integral_series_over_q_never_get_float_coefficients():
+    """Over Q an integral coefficient stays an int, so a true division of
+    two ints would make a float: after each operation below every
+    coefficient is an int or a Fraction, and the kernels' and a record's
+    integral coefficients are ints."""
+    from ubd.x011 import expand_xy
+
+    g5 = eta_quotient_expand(EtaQuotient([(Fraction(1, 11), 12), (1, -12)]),
+                             11, 40)
+    assert all(type(c) is int for c in g5.coeffs)
+    assert all(type(c) is int for s in expand_xy(20) for c in s.coeffs)
+    back = deserialize_series(serialize_series(g5))
+    assert back == g5 and all(type(c) is int for c in back.coeffs)
+    assert deserialize_series(serialize_series(g5.scalar_mul(Fraction(1, 3)))
+                              ) == g5.scalar_mul(Fraction(1, 3))
+    three_g5 = g5.scalar_mul(3)
+    assert all(type(c) is int for c in three_g5.coeffs)
+    for f in (g5, three_g5, S(1, 0, [-2, 7, 0, 5])):
+        unit, lead, c0 = f.unit_normalized()
+        inv = f.invert()
+        for s in (unit, inv, f.scalar_mul(Fraction(2, 7)), f * f, f * inv):
+            assert _int_or_fraction(s)
+        assert unit.scalar_mul(c0).shift(lead) == f
+        one = f * inv
+        assert one.coefficients(0, one.prec) == [1] + [0] * (one.prec - 1)

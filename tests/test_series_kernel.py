@@ -1,11 +1,13 @@
 """The product kernel against the element-wise loops it replaced.
 
-kron_mul multiplies two integer operands by Kronecker substitution;
+kron_mul multiplies two integer operands by Kronecker substitution, at one
+point or, for two large distinct operands, at two;
 LaurentSeries.__mul__, LaurentSeries.invert (Newton), dp_mul, the eta
 products and the integer x/y solve are built on it.  The references below
 are the element-wise loops those call sites used before, kept here only:
-among them the order-by-order x/y solve, and S as the newform of the curve
-from point counts over F_p.
+among them the order-by-order x/y solve, S as the newform of the curve
+from point counts over F_p, and the partition numbers as a product of
+geometric series.
 """
 
 from fractions import Fraction
@@ -14,11 +16,14 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ubd.exactnum import NumberField, dp_mul, kron_mul, lift
+from ubd import exactnum
+from ubd.exactnum import (KS2_BITS, NumberField, dp_mul, kron_mul, lift,
+                          newton_inverse)
 from ubd.qseries import (EtaQuotient, LaurentSeries, _eta_product_ints,
-                         _jacobi_coeffs, _pentagonal_coeffs,
-                         eta_quotient_expand)
-from ubd.x011 import KAPPA, S_QUOTIENT, XS2_IDENTITY, _compute_xy
+                         _jacobi_coeffs, _partition_coeffs,
+                         _pentagonal_coeffs, eta_quotient_expand)
+from ubd.x011 import (KAPPA, S_QUOTIENT, V_INV_QUOTIENT, XS2_IDENTITY,
+                      _compute_xy)
 
 QUARTIC = NumberField([869405, 19255, 1360, 20, 1], 's')  # index-5 catalog
 CUBIC = NumberField([-158, -40, -2, 1], 'u')              # index-2 catalog
@@ -285,6 +290,55 @@ def test_kron_mul_matches_the_convolution(data):
     assert kron_mul(a, a, n, da, da) == _reference_kron(a, a, n, da, da)
 
 
+# 2^400 in an operand makes a slot of more than 800 bits, so 11 or more
+# coefficients on each side pack past the two-point crossover
+BIG = 2 ** 400
+
+
+@SETTINGS
+@given(st.data())
+def test_two_point_kron_mul_matches_the_convolution(data):
+    """Two distinct operands past KS2_BITS, multiplied at +-2^h: odd and
+    even n, n below and above la + lb - 1, signed and zero entries and
+    unequal lengths; the square of one of them stays on one-point KS."""
+    ints = st.one_of(st.integers(-9, 9), st.just(0),
+                     st.integers(-BIG, BIG))
+    la, lb = data.draw(st.integers(11, 40)), data.draw(st.integers(11, 40))
+    a = data.draw(st.lists(ints, min_size=la, max_size=la))
+    b = data.draw(st.lists(ints, min_size=lb, max_size=lb))
+    for v in (a, b):
+        v[data.draw(st.integers(0, len(v) - 1))] = data.draw(
+            st.sampled_from([BIG, -BIG]))
+    assert 8 * 100 * min(la, lb) > KS2_BITS
+    n = data.draw(st.integers(1, la + lb + 1))
+    assert kron_mul(a, b, n) == _reference_kron(a, b, n, 1, 1)
+    assert kron_mul(b, a, n) == _reference_kron(b, a, n, 1, 1)
+    assert kron_mul(a, a, n) == _reference_kron(a, a, n, 1, 1)
+    assert kron_mul(a, [0] * lb, n) == [0] * n
+
+
+def _unpacks(monkeypatch, *args):
+    """The slot counts of the _unpack calls of one kron_mul(*args)."""
+    calls = []
+    unpack = exactnum._unpack
+    monkeypatch.setattr(exactnum, "_unpack",
+                        lambda x, k, w: calls.append(k) or unpack(x, k, w))
+    kron_mul(*args)
+    monkeypatch.setattr(exactnum, "_unpack", unpack)
+    return calls
+
+
+def test_kron_mul_takes_two_points_only_for_large_distinct_operands(
+        monkeypatch):
+    a, b = [BIG] * 11, [-BIG] * 11
+    assert _unpacks(monkeypatch, a, b, 21) == [11, 10]    # even, odd
+    assert _unpacks(monkeypatch, a, b[:10], 20) == [20]   # 10 slots: below
+    assert _unpacks(monkeypatch, a, a, 21) == [21]        # a square
+    assert _unpacks(monkeypatch, [3] * 400, [-5] * 400, 799) == [799]
+    # several coordinates per coefficient stay on one-point KS
+    assert _unpacks(monkeypatch, a * 2, b * 2, 11, 2, 2) == [33]
+
+
 def test_kron_mul_drops_negative_high_slots():
     # the kept slots are nonnegative and every dropped one is negative
     assert kron_mul([1, 0, -5], [1, 0, 7], 2) == [1, 0]
@@ -432,3 +486,39 @@ def test_eta_product_ints_matches_reference(args):
     _, unit = _eta_product_ints(eq, width, T)
     assert unit == _reference_eta_unit(eq, width, T)
 
+
+
+def _reference_partitions(m):
+    """p(0..m-1) as the product of the geometric series 1/(1 - x^k)."""
+    p = [1] + [0] * (m - 1)
+    for k in range(1, m):
+        for i in range(k, m):
+            p[i] += p[i - k]
+    return p
+
+
+def test_partition_numbers_are_the_product_of_geometric_series():
+    ref = _reference_partitions(201)
+    for m in range(1, 202):
+        assert _partition_coeffs(m) == ref[:m]
+    assert ref[100] == 190569292 and ref[200] == 3972999029388
+
+
+@SETTINGS
+@given(eta_quotients())
+@example((EtaQuotient([(1, -24)]), 1, 80))
+def test_negative_eta_powers_are_the_newton_inverse_of_positive_ones(args):
+    """A negative exponent is read from the partition numbers; negating
+    every exponent must give the Newton inverse of the product part."""
+    eq, width, T = args
+    _, unit = _eta_product_ints(eq, width, T)
+    inverse = EtaQuotient([(d, -r) for d, r in eq.terms])
+    _, inv = _eta_product_ints(inverse, width, T)
+    assert inv == newton_inverse(unit, T + 1, 1, kron_mul)
+
+
+def test_xy_solve_reads_w_over_s_as_the_inverse_of_s():
+    S = _compute_xy(600)[2]
+    lead, inv = _eta_product_ints(V_INV_QUOTIENT, 11, 600)
+    assert lead == -1
+    assert inv == newton_inverse(S[1:], 601, 1, kron_mul)
