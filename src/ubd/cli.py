@@ -7,9 +7,9 @@ expanded in process: parsing a stored expansion costs more than redoing it.
 
 Exit codes: 0 success, 2 malformed arguments (usage: and error: lines),
 an argument past a ceiling, any ValueError a command raises (main is the
-one boundary that prints it as an error: line) or out of memory,
-3 detection ran but was Inconclusive only, 4 internal inconsistency (a
-defining relation failed).
+one boundary that prints it as an error: line; a formal root past
+qseries.ROOT_WORK_BUDGET is one) or out of memory, 3 detection ran but was
+Inconclusive only, 4 internal inconsistency (a defining relation failed).
 """
 
 import os
@@ -38,16 +38,9 @@ from .census import LatticeTriple, s_count, ubd_lower_bound_experiment
 # or v <= 10^12 takes at most 10^6 trial divisions
 XMAX_CEILING = 10 ** 13
 SV_CEILING = 10 ** 12
-# --terms: 3000 is the most the perfbench workloads ask for; at 3000 the
-# slowest command found, report --index 5 at a prime other than 5 (six full
-# roots, growing about as T^3), takes 9.3 min on a 2-vCPU machine
+# --terms: 3000 is the most the perfbench workloads ask for; it bounds the
+# expansions, and qseries.ROOT_WORK_BUDGET bounds each formal root
 TERMS_CEILING = 3000
-# detect --series-file: the coefficients it scans may hold at most this many
-# digits in all, numerators and denominators as a record writes them; a
-# root costs about T^3 * D^2 for T coefficients of D digits, so the slowest
-# file at the ceiling is the longest, 3001 coefficients of 8 digits, which
-# takes about a minute on a 2-vCPU machine
-SCAN_DIGITS_CEILING = 27000
 
 
 def _validate(args):
@@ -214,21 +207,6 @@ def _warn_if_short(v, requested):
               "requested coefficients (series too short)", file=sys.stderr)
 
 
-def _scan_digits(series, terms):
-    """The digits of the terms + 1 coefficients from the lead on that detect
-    scans, numerators and denominators as a record writes them (coordinate
-    by coordinate, each reduced), counted until they pass
-    SCAN_DIGITS_CEILING."""
-    total = 0
-    for c in series.coeffs[:terms + 1]:
-        parts = [c] if series.field is None else c.coords()
-        total += sum(len(str(abs(q.numerator))) + len(str(q.denominator))
-                     for q in parts)
-        if total > SCAN_DIGITS_CEILING:
-            break
-    return total
-
-
 def cmd_detect(args, out):
     if args.entry:
         v = detect_entry(_entry_by_label(args.entry), args.root, args.prime,
@@ -239,11 +217,6 @@ def cmd_detect(args, out):
                 series = deserialize_series(fh.read())
         except (OSError, ValueError) as exc:
             raise ValueError(f"cannot read series file: {exc}")
-        if _scan_digits(series, args.terms) > SCAN_DIGITS_CEILING:
-            raise ValueError(
-                f"--terms {args.terms} would scan more than "
-                f"{SCAN_DIGITS_CEILING} digits of series-file coefficients; "
-                "ask for fewer --terms")
         v = detect(series, args.root, args.prime, args.terms,
                    label=os.path.basename(args.series_file))
     _warn_if_short(v, args.terms)

@@ -1,7 +1,8 @@
 """Truncated Laurent series in w = e^{2*pi*i*z/N} over exact coefficients,
 formal n-th roots of unit series (computed coefficient by coefficient on
 demand, by Miller's power recurrence on packed integer coordinates over a
-running common denominator), Dedekind-eta quotient expansion via the
+running common denominator, within one deterministic work budget per
+root), Dedekind-eta quotient expansion via the
 pentagonal-number theorem and the partition numbers, and a text record of
 a series."""
 
@@ -178,6 +179,15 @@ class LaurentSeries:
                 self.lead, c0)
 
 
+# The most work one formal root may do (see _miller_root): step k, with m
+# terms of d coordinates, M the running denominator and L the bits of the
+# packed M*b_(k-1), costs 64*d*m*(L + 64) units for its dot products and
+# (bits(M) + L)^2 for the normalisation of b_k.  A 2-vCPU machine did
+# 1.2*10^11 to 10^12 units/s, so a root stops after 10-85 s; report
+# --index 5 at T = 300 spends 7.3*10^9 units on its costliest root.
+ROOT_WORK_BUDGET = 10 ** 13
+
+
 def root_coefficients(f, n):
     """Iterator over b_1, b_2, ..., b_(prec-1) of the formal n-th root
     g = 1 + sum b_k w^k of f = 1 + sum a_j w^j, computed one at a time.
@@ -197,6 +207,11 @@ def root_coefficients(f, n):
     of weighted b's and one dot product per coordinate of a.
     Every b_k stays inside the coefficient field of f, and a caller that
     stops at the first coefficient it needs pays for no more than that.
+
+    Before each step its cost, counted from the sizes of its operands, is
+    added to the root's work; a step that would take it past
+    ROOT_WORK_BUDGET raises ValueError instead, naming m and T.  The count
+    depends on f and n only, so a root stops at the same m on every run.
     """
     if n < 1:
         raise ValueError("root degree must be a positive integer")
@@ -225,8 +240,16 @@ def _miller_root(a, n, field, prec):
     qbits = 1
     W = 0                      # slot width of Q; d = 1 needs none
     Q = [1]                    # Q[m]: M*b_m, its coordinates packed in W
+    work = 0                   # in the units of ROOT_WORK_BUDGET
     for k in range(1, prec):
         m = min(k, len(a) - 1)
+        L = Q[k - 1].bit_length()
+        work += 64 * d * m * (L + 64) + (M.bit_length() + L) ** 2
+        if work > ROOT_WORK_BUDGET:
+            raise ValueError(
+                f"formal root stopped at m = {k} of T = {prec - 1}: "
+                f"computing b_{k} would pass its work budget of "
+                f"{ROOT_WORK_BUDGET} units; ask for fewer --terms")
         if d > 1:
             # every slot of a dot product below is a sum of m terms
             # a_j * w_j * (M*b_(k-j)) with |w_j| <= n*k

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -256,51 +257,97 @@ def test_a_coefficient_at_the_digit_ceiling_is_read(tmp_path, p):
         assert proc.returncode == 0, (name, proc.stderr.decode())
 
 
-def test_series_file_past_the_scan_digit_ceiling_exits_2(tmp_path, capsys):
-    """detect --series-file reads a file whose scanned coefficients hold
-    SCAN_DIGITS_CEILING digits, numerators and denominators as written, and
-    refuses one more digit with one error: line; digits past --terms are
-    not scanned, so they do not count."""
-    from ubd import cli
+def _inverse_q_record(terms, start=10 ** 20):
+    """1, then 1/q for distinct q > start prime to 5: every coefficient is
+    5-integral, so the square root at p = 5 stays BoundedSoFar, but the
+    root's common denominator grows at every step."""
+    qs = [q for q in range(start + 7, start + 14 * terms, 7) if q % 5]
+    return ("series 1\nwidth 1\nlead 0\ntruncation %d\nfield rational\n1/1\n"
+            % terms + "".join(f"1/{q}\n" for q in qs[:terms]))
 
-    def record(last):
-        # 1/1, six coefficients of 4000 digits, one of last + 1 digits
-        coeffs = ["1/1"] + ["9" * 3999 + "/1"] * 6 + ["9" * last + "/1"]
-        return ("series 1\nwidth 1\nlead 0\ntruncation 7\nfield rational\n"
-                + "\n".join(coeffs) + "\n")
 
-    last = cli.SCAN_DIGITS_CEILING - 2 - 6 * 4000 - 1
-    path = tmp_path / "f.series"
-    argv = ["--format", "records", "detect", "--series-file", str(path),
-            "--prime", "5", "--root", "2", "--terms", "7"]
-    path.write_text(record(last))
+def _detect_argv(path, terms, prime=5, root=2):
+    return ["--format", "records", "detect", "--series-file", str(path),
+            "--prime", str(prime), "--root", str(root), "--terms", str(terms)]
+
+
+def _budget_line(m, terms, budget):
+    return (f"error: formal root stopped at m = {m} of T = {terms}: computing "
+            f"b_{m} would pass its work budget of {budget} units; ask for "
+            "fewer --terms\n")
+
+
+def test_root_work_budget_just_under_and_just_over(tmp_path, monkeypatch,
+                                                   capsys):
+    """At budget B the root of a 1/q file stops before b_26; asked for 25
+    terms it spends just under B and prints its verdict, asked for 26 it
+    exits 2 with one error: line naming m and T, and nothing on stdout."""
+    from ubd import cli, qseries
+
+    budget = 10 ** 9
+    monkeypatch.setattr(qseries, "ROOT_WORK_BUDGET", budget)
+    path = tmp_path / "inverse-q.series"
+    path.write_text(_inverse_q_record(40))
+    assert cli.main(_detect_argv(path, 40)) == 2
+    assert capsys.readouterr() == ("", _budget_line(26, 40, budget))
+    assert cli.main(_detect_argv(path, 25)) == 0
+    assert capsys.readouterr() == (
+        "entry=inverse-q.series status=BoundedSoFar witness_index=- "
+        "witness_valuation=- threshold=0/1 truncation=25 mode=rational\n", "")
+    assert cli.main(_detect_argv(path, 26)) == 2
+    assert capsys.readouterr() == ("", _budget_line(26, 26, budget))
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(terms=st.integers(20, 40), start=st.integers(10 ** 19, 10 ** 21),
+       budget=st.integers(10 ** 6, 10 ** 8))
+def test_a_budget_stop_is_the_same_on_every_run(tmp_path, monkeypatch, capsys,
+                                                terms, start, budget):
+    from ubd import cli, qseries
+
+    monkeypatch.setattr(qseries, "ROOT_WORK_BUDGET", budget)
+    path = tmp_path / "inverse-q.series"
+    path.write_text(_inverse_q_record(terms, start))
+    runs = []
+    for _ in range(2):
+        rc = cli.main(_detect_argv(path, terms))
+        runs.append((rc, capsys.readouterr()))
+    assert runs[0][0] == 2 and runs[0][1].out == ""
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("index", [5, 2])
+def test_catalog_reports_keep_a_hundredfold_budget_margin(monkeypatch, capsys,
+                                                          index):
+    from test_golden_stdout import GOLDEN
+    from ubd import cli, qseries
+
+    monkeypatch.setattr(qseries, "ROOT_WORK_BUDGET",
+                        qseries.ROOT_WORK_BUDGET // 100)
+    argv = ["--format", "records", "report", "--index", str(index),
+            "--terms", "300"]
     assert cli.main(argv) == 0
-    assert "status=BoundedSoFar" in capsys.readouterr().out
-    path.write_text(record(last + 1))
-    assert cli.main(argv) == 2
-    assert capsys.readouterr() == ("", (
-        f"error: --terms 7 would scan more than {cli.SCAN_DIGITS_CEILING} "
-        "digits of series-file coefficients; ask for fewer --terms\n"))
-    assert cli.main(argv[:-1] + ["6"]) == 0
-    assert "truncation=6" in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == dict(
+        (tuple(a), d) for a, d in GOLDEN)[tuple(argv)]
 
 
-def test_scan_digits_are_the_digits_a_record_writes():
-    from fractions import Fraction
-
+def test_a_3000_term_g5_record_certifies_at_m_1(tmp_path, capsys):
+    # 118240 digits of coefficients, but the root is spent at b_1
     from ubd import cli
-    from ubd.exactnum import NumberField
-    from ubd.qseries import LaurentSeries, serialize_series
 
-    K = NumberField([869405, 19255, 1360, 20, 1], "s")
-    t = K.gen()
-    for s in (LaurentSeries(1, 0, [K.one(), t / 3 - Fraction(5, 7), 0,
-                                   12 * t ** 3], K),
-              LaurentSeries(11, -5, [1, -12, Fraction(54, 7), 0, -88])):
-        lines = serialize_series(s).splitlines()[5:]
-        for terms in range(len(lines)):
-            assert cli._scan_digits(s, terms) == sum(
-                ch.isdigit() for ln in lines[:terms + 1] for ch in ln)
+    assert cli.main(["eta", "1/11:12,1:-12", "--width", "11",
+                     "--terms", "3000"]) == 0
+    path = tmp_path / "G5.series"
+    path.write_text(capsys.readouterr().out)
+    assert cli.main(_detect_argv(path, 3000, prime=7, root=7)) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith("entry=G5.series status=UnboundedCertified "
+                          "witness_index=1 ")
+    assert "truncation=3000 " in out
 
 
 def test_detect_inconclusive_exit_code(tmp_path):
