@@ -5,7 +5,7 @@ addition chain P, 2P, ..., nP, whose slopes also give the sums, with one
 exact division by the verticals, and checked by their norm to K[x]."""
 
 from collections import namedtuple
-from functools import lru_cache, reduce
+from functools import reduce
 
 from .exactnum import (
     dp_add,
@@ -16,6 +16,7 @@ from .exactnum import (
     dp_trim,
     factor_poly_q,
     lift,
+    power,
 )
 
 
@@ -52,9 +53,6 @@ class WeierstrassCurve:
         return (isinstance(other, WeierstrassCurve)
                 and self.coefficients() == other.coefficients()
                 and self.field == other.field)
-
-    def __hash__(self):
-        return hash(self.coefficients())
 
     def __repr__(self):
         return (f"WeierstrassCurve(a1={self.a1}, a2={self.a2}, a3={self.a3}, "
@@ -122,14 +120,8 @@ class CurvePoint:
             return NotImplemented
         if k < 0:
             return (-self) * (-k)
-        acc = self.curve.infinity()
-        base = self
-        while k:
-            if k & 1:
-                acc = acc + base
-            base = base + base
-            k >>= 1
-        return acc
+        return (power(self, k, CurvePoint.__add__) if k
+                else self.curve.infinity())
 
     __rmul__ = __mul__
 
@@ -191,11 +183,10 @@ def division_polynomial(n, curve):
     return psi[n]
 
 
-@lru_cache(maxsize=None)
 def torsion_factors(n, curve):
     """The irreducible factors over Q of division_polynomial(n, curve) for a
     rational model, as primitive integer coefficient tuples in the order of
-    factor_poly_q.  Computed once per (n, curve)."""
+    factor_poly_q."""
     if curve.field is not None:
         raise ValueError("torsion_factors expects a rational model")
     _, factors = factor_poly_q(division_polynomial(n, curve))
@@ -272,21 +263,22 @@ class CurveFunction:
         return dp_eval(self.u, point.x) + dp_eval(self.v, point.x) * point.y
 
     # -- behaviour at O -----------------------------------------------
-    def pole_order_at_O(self):
-        """Pole order at O: x has a double, y a triple pole, and the parity
-        of 2*deg(u) vs 3 + 2*deg(v) means the leading terms never cancel."""
+    def _leading_at_O(self):
+        """(pole order, coefficient) of the leading term at O: x has a
+        double, y a triple pole, and the parity of 2*deg(u) vs 3 + 2*deg(v)
+        means the leading terms of u and v*y never cancel."""
         if self.is_zero():
             raise ValueError("zero function")
-        du = 2 * (len(self.u) - 1) if self.u else None
-        dv = 3 + 2 * (len(self.v) - 1) if self.v else None
-        return max(d for d in (du, dv) if d is not None)
+        terms = [(2 * len(self.u) - 2, self.u[-1])] if self.u else []
+        if self.v:
+            terms.append((2 * len(self.v) + 1, self.v[-1]))
+        return max(terms, key=lambda t: t[0])
+
+    def pole_order_at_O(self):
+        return self._leading_at_O()[0]
 
     def leading_coeff_at_O(self):
-        du = 2 * (len(self.u) - 1) if self.u else None
-        dv = 3 + 2 * (len(self.v) - 1) if self.v else None
-        if dv is None or (du is not None and du > dv):
-            return self.u[-1]
-        return self.v[-1]
+        return self._leading_at_O()[1]
 
     def normalized(self):
         """Scale so the w-expansion at O has leading coefficient 1."""

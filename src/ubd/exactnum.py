@@ -71,6 +71,21 @@ def prime_factors(n):
     return out + [n] if n > 1 else out
 
 
+def power(x, e, mul, acc=None):
+    """acc * x^e for an int e >= 0 and an associative product mul, by
+    binary powering from the low bit up.  acc None is the empty product, so
+    no product with an identity is taken (and e = 0 gives None back): e
+    costs bit_length(e) - 1 squares, each mul(x, x) on one object, and one
+    product per set bit, less one when acc is None."""
+    while e:
+        if e & 1:
+            acc = x if acc is None else mul(acc, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return acc
+
+
 def val_p(r, p):
     """p-adic valuation of a rational; INFINITY for 0."""
     if not is_prime(p):
@@ -195,7 +210,7 @@ def _deriv(c):
 def content_primitive(c):
     """(content, primitive integer part with a positive leading coefficient)
     of a nonzero rational polynomial."""
-    den = math.lcm(*(Fraction(x).denominator for x in c))
+    den = math.lcm(*(x.denominator for x in c))
     c = [int(x * den) for x in dp_trim(c)]
     g = math.gcd(*c) * (1 if c[-1] > 0 else -1)
     return Fraction(g, den), [x // g for x in c]
@@ -287,12 +302,8 @@ def _zm_divmod(a, b, m):
 
 
 def _zm_powmod(a, e, f, m):
-    r = [1]
-    for bit in bin(e)[2:]:
-        r = _zm_divmod(_zm_mul(r, r, m), f, m)[1]
-        if bit == "1":
-            r = _zm_divmod(_zm_mul(r, a, m), f, m)[1]
-    return r
+    return power(a, e, lambda u, v: _zm_divmod(_zm_mul(u, v, m), f, m)[1],
+                 [1])
 
 
 def _fp_monic(a, p):
@@ -376,34 +387,22 @@ def _hensel(f, mods, p, steps):
     return _hensel(h, mods[:k], p, steps) + _hensel(g, mods[k:], p, steps)
 
 
-def _zx_primitive(a):
-    """A nonzero integer polynomial over its content, leading coefficient
-    positive."""
-    g = math.gcd(*a) * (1 if a[-1] > 0 else -1)
-    return [x // g for x in a]
-
-
 def _zx_exquo(a, b):
     """a/b for integer polynomials, b nonzero; None unless b divides a in
-    Z[x] (for a primitive b, as soon as it divides a in Q[x])."""
-    a, nb = list(a), len(b)
-    q = [0] * max(0, len(a) - nb + 1)
-    for k in range(len(a) - nb, -1, -1):
-        c, r = divmod(a[k + nb - 1], b[-1])
-        if r:
-            return None
-        q[k] = c
-        for i, bi in enumerate(b):
-            a[k + i] -= c * bi
-    return None if any(a) else dp_trim(q)
+    Z[x]: the quotient over Q, kept if the remainder is 0 and it is
+    integral."""
+    q, r = dp_divmod(a, b)
+    if r or any(c.denominator != 1 for c in q):
+        return None
+    return [c.numerator for c in q]
 
 
 def _zx_gcd(a, b):
     """The primitive gcd, leading coefficient positive, of a nonzero integer
     polynomial a and an integer polynomial b: the primitive remainder
     sequence, each pseudo-remainder over its content."""
-    a = _zx_primitive(a)
-    b = _zx_primitive(b) if b else []
+    a = content_primitive(a)[1]
+    b = content_primitive(b)[1] if b else []
     while b:
         r, nb = a, len(b)
         while len(r) >= nb:  # r = lc(b)*r - r_top*x^k*b, top term cancelled
@@ -412,7 +411,7 @@ def _zx_gcd(a, b):
             for i, bi in enumerate(b[:-1]):
                 r[k + i] -= c * bi
             r = dp_trim(r)
-        a, b = b, (_zx_primitive(r) if r else [])
+        a, b = b, (content_primitive(r)[1] if r else [])
     return a
 
 
@@ -473,7 +472,7 @@ def _factor_squarefree(f):
     while 2 * size <= len(lifted):
         for subset in combinations(range(len(lifted)), size):
             g = _zm_prod(f[-1], [lifted[i] for i in subset], M)
-            g = _zx_primitive([x - M if 2 * x > M else x for x in g])
+            g = content_primitive([x - M if 2 * x > M else x for x in g])[1]
             if g[0] and f[0] % g[0]:
                 continue  # the constant terms rule g out
             q = _zx_exquo(f, g)
@@ -564,14 +563,11 @@ class NumberField:
         return AlgebraicNumber(self, tuple(num), r.denominator)
 
     def from_coords(self, coords):
-        coords = [Fraction(c) for c in coords]
+        """The element with these rational (int or Fraction) coordinates."""
         if len(coords) != self.degree:
             raise ValueError("coordinate vector length must equal field degree")
-        den = 1
-        for c in coords:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return AlgebraicNumber(self, tuple(c.numerator * (den // c.denominator)
-                                           for c in coords), den)
+        den, _, num = _operand(coords, None)
+        return AlgebraicNumber(self, num, den)
 
 
 class AlgebraicNumber:
@@ -682,10 +678,7 @@ class AlgebraicNumber:
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division by zero in number field")
-            r = Fraction(other)
-            return AlgebraicNumber(self.field,
-                                   tuple(x * r.denominator for x in self.num),
-                                   self.den * r.numerator)
+            return self * (1 / Fraction(other))
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -697,14 +690,7 @@ class AlgebraicNumber:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        acc = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+        return power(self, k, mul) if k else self.field.one()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -861,24 +847,15 @@ def _operand(coeffs, field):
     return den, field.degree, [x * (den // c.den) for c in coeffs for x in c.num]
 
 
-def trunc_mul(a, b, n, field=None):
-    """First n coefficients of the product of two coefficient lists over Q
-    (field None) or over a number field, where either list may be rational.
-    A rational list times a field list multiplies 1 coordinate by degree
-    coordinates, with no lift; powers t^d and above are reduced once per
-    output coefficient."""
-    if n <= 0:
-        return []
-    dena, da, fa = _operand(a[:n], field)
-    denb, db, fb = _operand(b[:n], field)
-    flat = kron_mul(fa, fb, n, da, db)
-    den = dena * denb
-    D = da + db - 1
-    if field is None:  # an integral coefficient stays an int
+def _coefficients(den, D, flat, field):
+    """The coefficients of flat integer coordinates, D per coefficient,
+    over the common denominator den: the inverse of _operand.  Over Q (D =
+    1) an integral coefficient stays an int; over a field, powers t^d and
+    above of D > d coordinates are reduced once per coefficient."""
+    if field is None:
         return flat if den == 1 else [Fraction(v, den) for v in flat]
-    d = field.degree
-    out = []
-    for k in range(0, n * D, D):
+    d, out = field.degree, []
+    for k in range(0, len(flat), D):
         c = flat[k:k + D]
         if D > d:
             c = field._reduce(c)
@@ -886,6 +863,19 @@ def trunc_mul(a, b, n, field=None):
             c += [0] * (d - D)
         out.append(AlgebraicNumber(field, c, den))
     return out
+
+
+def trunc_mul(a, b, n, field=None):
+    """First n coefficients of the product of two coefficient lists over Q
+    (field None) or over a number field, where either list may be rational.
+    A rational list times a field list multiplies 1 coordinate by degree
+    coordinates, with no lift."""
+    if n <= 0:
+        return []
+    dena, da, fa = _operand(a[:n], field)
+    denb, db, fb = _operand(b[:n], field)
+    return _coefficients(dena * denb, da + db - 1,
+                         kron_mul(fa, fb, n, da, db), field)
 
 
 def newton_inverse(f, n, inv0, mul):

@@ -14,11 +14,14 @@ import re
 from .exactnum import (
     AlgebraicNumber,
     NumberField,
+    _coefficients,
     _operand,
+    _unpack,
     common_field as _common_field,
     kron_mul,
     lift as _lift,
     newton_inverse,
+    power,
     trunc_mul,
 )
 
@@ -202,9 +205,11 @@ def root_coefficients(f, n):
     the running lcm M of the denominators of b_0..b_(k-1), so the weights
     are the small ints (n+1)*j - n*k, and b_k is normalised once; when M
     grows by g, every stored M*b_m is multiplied by g once.  Each M*b_m is
-    kept as one int, its coordinates in slots of a common width (Kronecker
-    substitution on one operand, as in kron_mul), so a step makes one list
-    of weighted b's and one dot product per coordinate of a.
+    kept as one int, its coordinates in slots of a common whole-byte width
+    (Kronecker substitution on one operand), so a step makes one list of
+    weighted b's and one dot product per coordinate of a; shifted by their
+    coordinates, the dot products add up to the raw coordinates of b_k,
+    read back by kron_mul's _unpack.
     Every b_k stays inside the coefficient field of f, and a caller that
     stops at the first coefficient it needs pays for no more than that.
 
@@ -221,7 +226,9 @@ def root_coefficients(f, n):
 
 
 def _pack_slots(coords, width):
-    """The int sum of coords[i] * 2^(width*i); one coordinate needs no width."""
+    """The int sum of coords[i] * 2^(width*i); one coordinate needs no width.
+    A fresh M*b_k may be wider than the slots until the next step widens
+    them, which this sum allows and a byte packing would not."""
     x = coords[-1]
     for c in reversed(coords[:-1]):
         x = (x << width) + c
@@ -238,8 +245,8 @@ def _miller_root(a, n, field, prec):
     # M/E[m] < 2^(bits(M) - bits(E[m]) + 1), so every coordinate of M*b_m
     # is under 2^(bits(M) + qbits)
     qbits = 1
-    W = 0                      # slot width of Q; d = 1 needs none
-    Q = [1]                    # Q[m]: M*b_m, its coordinates packed in W
+    W = 0                      # slot width of Q in bytes; d = 1 needs none
+    Q = [1]                    # Q[m]: M*b_m, coordinates in slots of 8*W bits
     work = 0                   # in the units of ROOT_WORK_BUDGET
     for k in range(1, prec):
         m = min(k, len(a) - 1)
@@ -251,29 +258,22 @@ def _miller_root(a, n, field, prec):
                 f"computing b_{k} would pass its work budget of "
                 f"{ROOT_WORK_BUDGET} units; ask for fewer --terms")
         if d > 1:
-            # every slot of a dot product below is a sum of m terms
-            # a_j * w_j * (M*b_(k-j)) with |w_j| <= n*k
-            need = (abits + m.bit_length() + (n * k).bit_length()
-                    + M.bit_length() + qbits + 2)
-            if need > W:
-                W = max(need, 2 * W)
-                mask, top = (1 << W) - 1, 1 << (W - 1)
-                Q = [M // e * _pack_slots(c, W) for c, e in zip(B, E)]
+            # every slot of conv below sums at most d*m products of a
+            # coordinate of den_a*a_j, a weight |w_j| <= n*k and a coordinate
+            # of M*b_(k-j); one bit more for the sign
+            need = (abits + m.bit_length() + d.bit_length()
+                    + (n * k).bit_length() + M.bit_length() + qbits + 1)
+            if need > 8 * W:
+                W = max(-(-need // 8), 2 * W)
+                Q = [M // e * _pack_slots(c, 8 * W) for c, e in zip(B, E)]
         w = range(n + 1 - n * k, (n + 1) * m - n * k + 1, n + 1)
         wb = list(map(mul, w, Q[k - 1::-1]))
-        conv = [0] * (2 * d - 1)
-        for i, Ai in enumerate(A):
-            s = sum(map(mul, Ai[1:m + 1], wb))
-            for i2 in range(i, i + d - 1):  # signed slots, bottom up
-                v = s & mask
-                if v >= top:
-                    v -= 1 << W
-                conv[i2] += v
-                s = (s - v) >> W
-            conv[i + d - 1] += s
-        den = den_a * M * n * k
-        bk = (Fraction(conv[0], den) if field is None
-              else AlgebraicNumber(field, field._reduce(conv), den))
+        # the dot product with coordinate i of a, shifted by i slots: slot t
+        # of the sum is coordinate t of den_a*M*n*k*b_k before reduction
+        s = sum(sum(map(mul, Ai[1:m + 1], wb)) << (8 * W * i)
+                for i, Ai in enumerate(A))
+        conv = _unpack(s, 2 * d - 1, W) if d > 1 else [s]
+        (bk,) = _coefficients(den_a * M * n * k, 2 * d - 1, conv, field)
         den, _, coords = _operand([bk], field)
         g = den // math.gcd(M, den)
         if g > 1:
@@ -283,7 +283,7 @@ def _miller_root(a, n, field, prec):
         E.append(den)
         qbits = max(qbits, max(map(int.bit_length, coords))
                     - den.bit_length() + 1)
-        Q.append(M // den * _pack_slots(coords, W))
+        Q.append(M // den * _pack_slots(coords, 8 * W))
         yield bk
 
 
@@ -357,20 +357,18 @@ def _partition_coeffs(length):
     """The partition numbers p(0..length-1), the coefficients of
     1/prod_{n>=1} (1 - x^n), by Euler's recurrence
     p(n) = sum_{k>=1} (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)):
-    O(length^1.5) additions, no product and no inverse."""
-    offsets = []  # generalised pentagonal numbers, ascending, with signs
-    k = 1
-    while k * (3 * k - 1) // 2 < length:
-        sign = 1 if k % 2 else -1
-        offsets += [(k * (3 * k - 1) // 2, sign), (k * (3 * k + 1) // 2, sign)]
-        k += 1
+    O(length^1.5) additions, no product and no inverse.  The signs are
+    those of the pentagonal series negated, since p*prod (1 - x^n) = 1."""
+    # the nonzero terms of prod (1 - x^n) past x^0, ascending
+    offsets = [(g, c) for g, c in enumerate(_pentagonal_coeffs(length))
+               if g and c]
     p = [1] * length
     for n in range(1, length):
         t = 0
-        for g, sign in offsets:
+        for g, c in offsets:
             if g > n:
                 break
-            t = t + p[n - g] if sign > 0 else t - p[n - g]
+            t = t - p[n - g] if c > 0 else t + p[n - g]
         p[n] = t
     return p
 
@@ -410,12 +408,7 @@ def _eta_product_ints(eq, width, T):
             powers = ((_partition_coeffs(m), -r),)
         f = None
         for base, e in powers:
-            while e:  # f = f * base^e by binary powering
-                if e & 1:
-                    f = base if f is None else kron_mul(f, base, m)
-                e >>= 1
-                if e:
-                    base = kron_mul(base, base, m)
+            f = power(base, e, lambda a, b: kron_mul(a, b, m), f)
         if unit is None:  # the first factor is the whole product so far
             unit = [0] * length
             unit[::step] = f

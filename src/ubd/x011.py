@@ -18,8 +18,8 @@ from functools import lru_cache
 from math import isqrt
 
 from .exactnum import (
-    AlgebraicNumber,
     NumberField,
+    _coefficients,
     _operand,
     dp_add,
     dp_divmod,
@@ -200,16 +200,13 @@ def expand_on_curve(F, T):
     terms += [(c, y_powers[i], 2 * i + 3) for i, c in enumerate(F.v) if c]
     top = max(n for _, _, n in terms)
     den, d, flat = _operand([c for c, _, _ in terms], field)
-    coords = [[0] * N for _ in range(d)]
+    out = [0] * (N * d)  # coordinate i of coefficient k at out[k*d + i]
     for t, (_, s, n) in enumerate(terms):
-        for col, a in zip(coords, flat[t * d:(t + 1) * d]):
-            col[top - n:] = [c + a * sk for c, sk in zip(col[top - n:], s)]
-    if field is None:  # an integral coefficient stays an int
-        coeffs = (coords[0] if den == 1
-                  else [Fraction(c, den) for c in coords[0]])
-    else:
-        coeffs = [AlgebraicNumber(field, c, den) for c in zip(*coords)]
-    return LaurentSeries(WIDTH, -top, coeffs, field, N - top)
+        for i, a in enumerate(flat[t * d:(t + 1) * d]):
+            col = slice((top - n) * d + i, None, d)
+            out[col] = [c + a * sk for c, sk in zip(out[col], s)]
+    return LaurentSeries(WIDTH, -top, _coefficients(den, d, out, field),
+                         field, N - top)
 
 
 # ----------------------------------------------------------------------

@@ -109,7 +109,7 @@ def test_psi5_factors(x11):
                        (155, 200, 120, 15, 1))
     quartics = [f for f in factors if len(f) == 5]
     assert unit_root_factors(quartics, 5) == [(101, 41, 11, 1, 1)]
-    assert torsion_factors(5, x11) is factors  # factored once
+    assert torsion_factors(5, x11) == factors  # the same on a second call
 
 
 def test_psi7_is_irreducible(x11):

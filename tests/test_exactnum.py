@@ -1,3 +1,4 @@
+import operator
 import random
 import time
 from fractions import Fraction
@@ -29,9 +30,11 @@ from ubd.exactnum import (
     newton_polygon_points,
     newton_polygon_valuations,
     ord_at_unique_prime,
+    power,
     prime_factors,
     val_p,
 )
+from ubd.ellcurve import CurvePoint, WeierstrassCurve
 
 
 def test_prime_factors_by_trial_division():
@@ -610,3 +613,54 @@ def test_is_prime_refuses_beyond_the_proven_bound():
     assert not is_prime(2 ** 100)  # a small factor is still found
     with pytest.raises(ValueError):
         is_prime(2 ** 89 - 1)
+
+
+# y^2 + y = x^3 - x, conductor 37: (0, 0) has infinite order, so its
+# multiples up to 70 are distinct and their heights grow
+CURVE37 = WeierstrassCurve(0, 0, 1, -1, 0)
+
+
+def _repeated(x, e, mul, acc):
+    for _ in range(e):
+        acc = mul(acc, x)
+    return acc
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 70), st.sampled_from(["int", "quartic", "curve"]),
+       st.integers(-9, 9))
+def test_power_is_repeated_multiplication(e, domain, c):
+    x, mul, one = {
+        "int": (c, operator.mul, 1),
+        "quartic": (QUARTIC.from_coords([c, 1, Fraction(1, 3), 0]),
+                    operator.mul, QUARTIC.one()),
+        "curve": (CURVE37.point(0, 0), CurvePoint.__add__,
+                  CURVE37.infinity()),
+    }[domain]
+    want = _repeated(x, e, mul, one)
+    assert power(x, e, mul, one) == want
+    assert power(x, e, mul) == (want if e else None)
+    acc = _repeated(x, 3, mul, one)  # a product already under way
+    assert power(x, e, mul, acc) == _repeated(x, e, mul, acc)
+
+
+class _Box:
+    """An int no other box shares, so `is` tells a square from a product."""
+
+    def __init__(self, v):
+        self.v = v
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 2 ** 20), st.integers(-3, 3))
+def test_power_takes_no_identity_product_and_no_last_square(e, c):
+    calls = []
+
+    def mul(a, b):
+        calls.append(a is b)
+        return _Box(a.v * b.v)
+
+    assert power(_Box(c), e, mul).v == c ** e
+    squares = e.bit_length() - 1
+    assert len(calls) == squares + bin(e).count("1") - 1
+    assert sum(calls) == squares  # each square is mul(x, x) on one object

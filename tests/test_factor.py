@@ -1,7 +1,8 @@
 """The pure-Python factorization over Z[x] and the irreducibility tests
 against sympy, which the tests keep as an oracle only, and Yun's
 decomposition on primitive remainder sequences against Yun's on Fraction
-remainder sequences, which it replaced."""
+remainder sequences, which it replaced; the exact quotient in Z[x] and the
+primitive part that the factorizer shares with the rational code."""
 
 import math
 from fractions import Fraction
@@ -15,11 +16,14 @@ from ubd.exactnum import (
     NumberField,
     _deriv,
     _squarefree,
+    _zx_exquo,
     content_primitive,
+    dp_add,
     dp_divmod,
     dp_gcd,
     dp_mul,
     dp_sub,
+    dp_trim,
     factor_poly_q,
     poly_is_irreducible_modp,
     poly_is_irreducible_q,
@@ -170,3 +174,29 @@ def test_squarefree_of_psi5_and_of_a_constant():
     psi5 = content_primitive(division_polynomial(5, x11_curve()))[1]
     assert _squarefree(psi5) == [(psi5, 1)] == _reference_squarefree(psi5)
     assert _squarefree([1]) == [] == _reference_squarefree([1])
+
+
+int_polys = st.lists(st.integers(-30, 30), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_polys, int_polys.map(dp_trim).filter(bool), int_polys)
+def test_exact_quotient_in_z_x(q, b, r):
+    assert _zx_exquo(dp_mul(q, b), b) == dp_trim(q)
+    r = dp_trim(r[:len(b) - 1])  # a remainder, deg r < deg b
+    if r:
+        assert _zx_exquo(dp_add(dp_mul(q, b), r), b) is None
+
+
+def test_exact_quotient_refuses_a_divisor_only_over_q():
+    assert _zx_exquo([1, 1], [2, 2]) is None  # (x + 1)/(2x + 2) = 1/2
+    assert _zx_exquo([2, 2], [1, 1]) == [2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_polys.map(dp_trim).filter(bool))
+def test_content_primitive_reads_ints_and_fractions_alike(c):
+    cont, prim = content_primitive(c)
+    assert (cont, prim) == content_primitive([Fraction(x) for x in c])
+    assert all(type(x) is int for x in prim) and prim[-1] > 0
+    assert math.gcd(*prim) == 1 and [cont * x for x in prim] == c

@@ -19,7 +19,7 @@ from operator import mul
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ubd import exactnum, ubdetect
+from ubd import exactnum, qseries, ubdetect
 from ubd.exactnum import (
     AlgebraicNumber,
     NumberField,
@@ -310,6 +310,29 @@ def test_packed_slots_widen_on_fq_plus_1p(index5):
     steps = [(b, gen.gi_frame.f_locals["W"]) for b in gen]
     assert [b for b, _ in steps] == _reference_root(unit, 5).coefficients(1, 61)
     assert steps[-1][1] > steps[0][1]
+
+
+# a_1 .. a_4 of a quartic series whose 11th root fills its slots at step 2
+# to within 6 bits of the slot width: a_1 and a_2 came from a seeded search
+# over short quartic series with coordinates near a power of 2
+SLOT_FILLING = [[-62, -62, -62, -62], [-61, -61, -63, -61], [1, 2, 3, 4],
+                [-5, 0, 7, 1]]
+
+
+def test_packed_root_agrees_where_its_slots_are_nearly_full(monkeypatch):
+    # a byte less of slot width would overflow the fullest slot of step 2
+    f = LaurentSeries(1, 0, [QUARTIC.one()] + [
+        QUARTIC.from_coords(cs) for cs in SLOT_FILLING], QUARTIC)
+    slack, unpack = [], qseries._unpack
+
+    def measured(x, k, w):
+        out = unpack(x, k, w)
+        slack.append(8 * w - max(abs(v).bit_length() for v in out))
+        return out
+
+    monkeypatch.setattr(qseries, "_unpack", measured)
+    assert list(root_coefficients(f, 11)) == _unpacked_root(f, 11)
+    assert slack[1] <= 8  # one _unpack per step
 
 
 def _count_calls(monkeypatch, owner, name):
