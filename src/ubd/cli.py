@@ -245,20 +245,24 @@ def cmd_report(args, out):
                           prime_p=args.prime)
     for v in rep.verdicts:
         _warn_if_short(v, args.terms)
+    # the hypothesis is about p = index; elsewhere BoundedSoFar is expected
+    tested = args.prime in (None, args.index)
     if args.format == "records":
         for v in rep.verdicts:
             out.write(_verdict_line(v, "records") + "\n")
+        confirmed = rep.hypothesis_confirmed if tested else "-"
         out.write(f"summary index={rep.index} certified={rep.certified} "
                   f"bounded={rep.bounded} inconclusive={rep.inconclusive} "
-                  f"hypothesis_confirmed={rep.hypothesis_confirmed}\n")
+                  f"hypothesis_confirmed={confirmed}\n")
     else:
         out.write(f"index-{rep.index} catalog at T={rep.truncation}\n")
         for v in rep.verdicts:
             out.write(_verdict_line(v, "table") + "\n")
         out.write(f"certified: {rep.certified}  bounded: {rep.bounded}  "
                   f"inconclusive: {rep.inconclusive}\n")
-        out.write("theorem hypothesis confirmed: "
-                  f"{'yes' if rep.hypothesis_confirmed else 'no'}\n")
+        confirmed = (("yes" if rep.hypothesis_confirmed else "no") if tested
+                     else f"not tested at p = {args.prime}")
+        out.write(f"theorem hypothesis confirmed: {confirmed}\n")
     return 3 if rep.inconclusive and not rep.certified else 0
 
 

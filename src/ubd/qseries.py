@@ -1,10 +1,10 @@
 """Truncated Laurent series in w = e^{2*pi*i*z/N} over exact coefficients,
 formal n-th roots of unit series (computed coefficient by coefficient on
-demand, by Miller's power recurrence on packed integer coordinates over a
-running common denominator, within one deterministic work budget per
-root), Dedekind-eta quotient expansion via the
-pentagonal-number theorem and the partition numbers, and a text record of
-a series."""
+demand, by Miller's power recurrence, each b_m stored once as the packed
+integer coordinates of M*b_m over a running common denominator M, every
+coordinate inside its slot, within one deterministic work budget per root),
+Dedekind-eta quotient expansion via the pentagonal-number theorem and the
+partition numbers, and a text record of a series."""
 
 from fractions import Fraction
 import math
@@ -201,15 +201,18 @@ def root_coefficients(f, n):
         n*k*b_k = sum_{j=1..k} ((n+1)*j - n*k) * a_j * b_(k-j).
 
     The sum runs on integer coordinates (one for Q, degree for a number
-    field): the a_j share one denominator, every b_m is stored as M*b_m over
-    the running lcm M of the denominators of b_0..b_(k-1), so the weights
-    are the small ints (n+1)*j - n*k, and b_k is normalised once; when M
-    grows by g, every stored M*b_m is multiplied by g once.  Each M*b_m is
-    kept as one int, its coordinates in slots of a common whole-byte width
-    (Kronecker substitution on one operand), so a step makes one list of
-    weighted b's and one dot product per coordinate of a; shifted by their
-    coordinates, the dot products add up to the raw coordinates of b_k,
-    read back by kron_mul's _unpack.
+    field): the a_j share one denominator, and each b_m is stored once, as
+    M*b_m over the running lcm M of the denominators of b_0..b_(k-1), so the
+    weights are the small ints (n+1)*j - n*k; b_k is normalised once, as the
+    coefficient that decodes it, and a growth of M by g multiplies every
+    stored M*b_m by g.  Each M*b_m is one int, its coordinates in slots of a
+    common whole-byte width W (Kronecker substitution on one operand), so a
+    step makes one list of weighted b's and one dot product per coordinate
+    of a; shifted by their coordinates, the dot products add up to the raw
+    coordinates of b_k, read back by kron_mul's _unpack.  W is sized for a
+    step's dot products before g rescales the stored M*b_m, so each stored
+    coordinate c keeps |c| < 2^(8W - 1), and a widening (at least twice as
+    wide) reads every M*b_m back from its own slots.
     Every b_k stays inside the coefficient field of f, and a caller that
     stops at the first coefficient it needs pays for no more than that.
 
@@ -225,31 +228,34 @@ def root_coefficients(f, n):
     return _miller_root(f.coeffs, n, f.field, f.prec)
 
 
-def _pack_slots(coords, width):
-    """The int sum of coords[i] * 2^(width*i); one coordinate needs no width.
-    A fresh M*b_k may be wider than the slots until the next step widens
-    them, which this sum allows and a byte packing would not."""
-    x = coords[-1]
-    for c in reversed(coords[:-1]):
-        x = (x << width) + c
-    return x
-
-
 def _miller_root(a, n, field, prec):
     den_a, d, flat = _operand(a, field)
     A = [flat[i::d] for i in range(d)]  # A[i][j]: coordinate i of den_a*a_j
     abits = max(map(abs, flat)).bit_length()
-    B = [[1] + [0] * (d - 1)]  # B[m]: the coordinates of E[m]*b_m
-    E = [1]                    # E[m]: the denominator of b_m
-    M = 1                      # the lcm of the E's so far
-    # M/E[m] < 2^(bits(M) - bits(E[m]) + 1), so every coordinate of M*b_m
-    # is under 2^(bits(M) + qbits)
-    qbits = 1
-    W = 0                      # slot width of Q in bytes; d = 1 needs none
-    Q = [1]                    # Q[m]: M*b_m, coordinates in slots of 8*W bits
-    work = 0                   # in the units of ROOT_WORK_BUDGET
+    M = 1          # the lcm of the denominators of b_0..b_(k-1)
+    top = 1        # the largest |coordinate| of M*b_m over m < k
+    W = 0          # slot width of Q in bytes; d = 1 needs none
+    Q = []         # Q[m]: M*b_m, coordinates in slots of 8*W bits
+    # b_(k-1) as step k finds it: the growth g of M it brought, M/den and
+    # its coordinates; Q takes it once W is wide enough
+    g, c, coords = 1, 1, [1]
+    work = 0       # in the units of ROOT_WORK_BUDGET
     for k in range(1, prec):
         m = min(k, len(a) - 1)
+        if d > 1:
+            # every slot of conv below sums at most d*m products of a
+            # coordinate of den_a*a_j, a weight |w_j| <= n*k and a stored
+            # coordinate, at most top once g rescales Q; one bit for the sign
+            need = (abits + m.bit_length() + d.bit_length()
+                    + (n * k).bit_length() + top.bit_length() + 1)
+            if need > 8 * W:
+                V = max(-(-need // 8), 2 * W)
+                Q = [sum(x << (8 * V * i)
+                         for i, x in enumerate(_unpack(q, d, W))) for q in Q]
+                W = V
+        if g > 1:
+            Q = [g * q for q in Q]
+        Q.append(c * sum(x << (8 * W * i) for i, x in enumerate(coords)))
         L = Q[k - 1].bit_length()
         work += 64 * d * m * (L + 64) + (M.bit_length() + L) ** 2
         if work > ROOT_WORK_BUDGET:
@@ -257,15 +263,6 @@ def _miller_root(a, n, field, prec):
                 f"formal root stopped at m = {k} of T = {prec - 1}: "
                 f"computing b_{k} would pass its work budget of "
                 f"{ROOT_WORK_BUDGET} units; ask for fewer --terms")
-        if d > 1:
-            # every slot of conv below sums at most d*m products of a
-            # coordinate of den_a*a_j, a weight |w_j| <= n*k and a coordinate
-            # of M*b_(k-j); one bit more for the sign
-            need = (abits + m.bit_length() + d.bit_length()
-                    + (n * k).bit_length() + M.bit_length() + qbits + 1)
-            if need > 8 * W:
-                W = max(-(-need // 8), 2 * W)
-                Q = [M // e * _pack_slots(c, 8 * W) for c, e in zip(B, E)]
         w = range(n + 1 - n * k, (n + 1) * m - n * k + 1, n + 1)
         wb = list(map(mul, w, Q[k - 1::-1]))
         # the dot product with coordinate i of a, shifted by i slots: slot t
@@ -274,16 +271,13 @@ def _miller_root(a, n, field, prec):
                 for i, Ai in enumerate(A))
         conv = _unpack(s, 2 * d - 1, W) if d > 1 else [s]
         (bk,) = _coefficients(den_a * M * n * k, 2 * d - 1, conv, field)
-        den, _, coords = _operand([bk], field)
+        den, coords = ((bk.denominator, [bk.numerator]) if field is None
+                       else (bk.den, bk.num))
         g = den // math.gcd(M, den)
-        if g > 1:
-            M *= g
-            Q = [g * q for q in Q]
-        B.append(coords)
-        E.append(den)
-        qbits = max(qbits, max(map(int.bit_length, coords))
-                    - den.bit_length() + 1)
-        Q.append(M // den * _pack_slots(coords, 8 * W))
+        M *= g
+        c = M // den
+        if d > 1:
+            top = max(top * g, c * max(map(abs, coords)))
         yield bk
 
 
@@ -457,18 +451,19 @@ def _field_line(field):
 
 
 def serialize_series(f):
-    lines = ["series 1",
-             f"width {f.width}",
-             f"lead {f.lead}",
-             f"truncation {f.prec - f.lead - 1}",
-             _field_line(f.field)]
-    for k in range(f.lead, f.prec):
-        c = f.coefficient(k)
-        if f.field is None:
-            lines.append(f"{c.numerator}/{c.denominator}")
-        else:
-            lines.append(_fmt_coords(c))
-    return "\n".join(lines) + "\n"
+    if f.field is None:
+        body = [f"{c.numerator}/{c.denominator}" for c in f.coeffs]
+        zero = "0/1"
+    else:
+        body = list(map(_fmt_coords, f.coeffs))
+        zero = ",".join(["0/1"] * f.field.degree)
+    # the trailing zeros that coeffs keeps implicitly, up to prec
+    body += [zero] * (f.prec - f.lead - len(f.coeffs))
+    return "\n".join(["series 1",
+                      f"width {f.width}",
+                      f"lead {f.lead}",
+                      f"truncation {f.prec - f.lead - 1}",
+                      _field_line(f.field), *body]) + "\n"
 
 
 def deserialize_series(text):

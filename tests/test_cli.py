@@ -142,6 +142,23 @@ def test_report_records(tmp_path):
     assert "hypothesis_confirmed=True" in out
 
 
+@pytest.mark.parametrize("fmt,prime,summary", [
+    ("table", "3", "theorem hypothesis confirmed: not tested at p = 3\n"),
+    ("records", "3", " hypothesis_confirmed=-\n"),
+    ("table", "2", "theorem hypothesis confirmed: yes\n"),
+    ("records", "2", " hypothesis_confirmed=True\n")])
+def test_report_judges_the_hypothesis_only_at_the_index(tmp_path, capsys,
+                                                        fmt, prime, summary):
+    # the hypothesis is about p = index; at another prime BoundedSoFar is
+    # what theory expects, so the summary does not say "no"
+    from ubd import cli
+
+    rc = cli.main(["--cache-dir", str(tmp_path), "--format", fmt, "report",
+                   "--index", "2", "--terms", "20", "--prime", prime])
+    out = capsys.readouterr().out
+    assert rc == 0 and out.endswith(summary)
+
+
 @pytest.mark.parametrize("args", [
     ["eta", "1:2,13:-2", "--width", "1", "--terms", "20"],
     ["expand-xy", "--terms", "12"],
@@ -488,6 +505,38 @@ def test_unindexable_terms_exits_2_with_the_out_of_memory_line(monkeypatch,
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err.startswith("error: out of memory")
+
+
+def _run_with_address_space(args, megabytes, cache):
+    """run_cli with the child's address space limited to whole megabytes."""
+    resource = pytest.importorskip("resource")
+    limit = megabytes << 20
+
+    def set_limit():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run([sys.executable, "-m", "ubd", *args],
+                          capture_output=True, preexec_fn=set_limit,
+                          env=dict(os.environ, UBD_CACHE_DIR=str(cache)))
+
+
+def test_real_out_of_memory_exits_2_with_one_error_line(tmp_path):
+    # the limit is the smallest whole MB at which ubd starts and counts a
+    # small census; a cold 3000-term x/y solve does not fit in it
+    census = ["census", "--xmax", "100"]
+    lo, hi = 1, 256
+    assert _run_with_address_space(census, hi, tmp_path).returncode == 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _run_with_address_space(census, mid, tmp_path).returncode == 0:
+            hi = mid
+        else:
+            lo = mid
+    proc = _run_with_address_space(["expand-xy", "--terms", "3000"], hi,
+                                   tmp_path)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr == (b"error: out of memory; ask for fewer --terms or "
+                           b"a smaller --xmax\n")
 
 
 @pytest.mark.parametrize("layout", ["file", "under-a-file", "record-is-a-dir"])

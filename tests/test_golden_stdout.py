@@ -50,7 +50,7 @@ GOLDEN = [
      "d7bf576839d52c6f924fbcff02fd00c21169e6b505f1417f46bdf257329e6dd4"),
     (["--format", "records", "report", "--index", "5", "--terms", "100",
       "--prime", "11"],
-     "463ce6e49ca45a32c9c71d4e1c8f9eb78e753d580f917a898b2e878b489796ef"),
+     "d9b4b1f0c0ea472e878ce950e463674cf41ad4d04674382e98f662230f67711b"),
     (["--format", "records", "detect", "--entry", "fQ", "--prime", "5",
       "--root", "5", "--terms", "300"],
      "4633e4951038aa8829e318e13d52dbe912d945c0c9d8ecea96ca674486956e12"),
