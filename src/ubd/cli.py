@@ -41,6 +41,12 @@ SV_CEILING = 10 ** 12
 # --terms: 3000 is the most the perfbench workloads ask for; it bounds the
 # expansions, and qseries.ROOT_WORK_BUDGET bounds each formal root
 TERMS_CEILING = 3000
+# eta: the sum of |r| over all factors, ten times the 24 that the commands
+# and tests use.  Each factor multiplies the whole expansion, so at --terms
+# 3000 the slowest spec found, eta(z)^-180 times eta(dz)^-1 for d = 2..61 at
+# width 1, took 30 s on a 2-vCPU machine; at 1000, eta(z)^-500 times 500
+# such factors took 127 s
+ETA_EXPONENT_CEILING = 240
 
 
 def _validate(args):
@@ -130,6 +136,9 @@ def _parse_eta_spec(text):
             terms.append((Fraction(d), int(r)))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad eta term {part!r}: {exc}")
+    if sum(abs(r) for _, r in terms) > ETA_EXPONENT_CEILING:
+        raise ValueError("eta exponents must sum to at most "
+                         f"{ETA_EXPONENT_CEILING} in absolute value")
     return EtaQuotient(terms)
 
 

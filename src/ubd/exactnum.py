@@ -6,11 +6,11 @@ one object, the integer characteristic polynomial chi_B of B = den*a, which
 comes from traces by Newton's identities: the minimal polynomial divides it
 out, the inverse is Cayley-Hamilton on it, and the valuations above a
 rational prime p are the negated slopes of its Newton polygon, less
-v_p(den).  Whether val_p extends uniquely to the field (totally ramified
-segment, or a one segment polygon with a residual polynomial that the
-factorizer's distinct-degree factorization shows irreducible mod p) is
-certified apart; the polygon then has one slope, which the resultant norm
-of ord_at_unique_prime reproduces.
+v_p(den).  Whether val_p extends uniquely to the field is certified on chi
+of t - a, the shifted defining polynomial f(x + a) for t the generator (one
+segment, totally ramified or with a residual polynomial that distinct-degree
+factorization shows irreducible mod p); every polygon then has one slope,
+which the resultant norm of ord_at_unique_prime reproduces.
 """
 
 from fractions import Fraction
@@ -176,14 +176,6 @@ def dp_eval(c, x):
     for ci in reversed(c):
         acc = acc * x + ci
     return acc
-
-
-def dp_shift(c, a):
-    """Coefficients of f(x + a)."""
-    out = []
-    for ci in reversed(c):
-        out = dp_add(dp_mul(out, [a, 1]), [ci])
-    return out
 
 
 def dp_resultant(f, g):
@@ -753,14 +745,14 @@ def common_field(f1, f2):
 KS2_BITS = 8192
 
 
-def _pack(vals, d, D, w):
-    """The int sum of vals[k*d + i] * 2^(8w*(k*D + i)): coefficient k of an
-    operand with d integer coordinates fills slots k*D .. k*D + d - 1."""
+def _pack(vals, d, w):
+    """The int sum of vals[k*d + i] * 2^(8w*(k*D + i)), D = 2d - 1: coefficient
+    k of an operand with d integer coordinates fills slots k*D .. k*D + d - 1."""
     to_bytes = int.to_bytes
-    pad = bytes(w * (D - d))
+    pad = bytes(w * (d - 1))
 
     def joined(chunks):
-        if d < D:
+        if d > 1:
             chunks = [b"".join(chunks[k:k + d]) + pad
                       for k in range(0, len(chunks), d)]
         return int.from_bytes(b"".join(chunks), "little")
@@ -788,40 +780,40 @@ def _unpack(x, k, w):
             for i in range(0, nbytes, w)]
 
 
-def kron_mul(a, b, n, da=1, db=1):
+def kron_mul(a, b, n, d=1):
     """First n coefficients of the product of two integer operands.
 
-    a holds coefficients of da integer coordinates each, flat and
-    coefficient-major (coordinate i of coefficient k is a[k*da + i]); b
-    likewise with db.  Coordinates are multiplied as polynomials, so each
-    output coefficient has da + db - 1 coordinates, flat in the same order.
-    Both operands go into one int each, with byte-aligned slots indexed
-    k*(da + db - 1) + i, wide enough (8w bits) that no slot of the product
-    overflows.  Two distinct one-coordinate operands past KS2_BITS are
-    evaluated at +-2^h instead, h = 4w, as A_even(2^(8w)) +- 2^h*A_odd(2^(8w)):
-    the two products H+ and H- are half as wide, and (H+ + H-)/2 and
+    a and b hold coefficients of d integer coordinates each, flat and
+    coefficient-major (coordinate i of coefficient k is a[k*d + i]).
+    Coordinates are multiplied as polynomials, so each output coefficient
+    has D = 2d - 1 coordinates, flat in the same order.  Both operands go
+    into one int each, with byte-aligned slots indexed k*D + i, wide enough
+    (8w bits) that no slot of the product overflows; a is b is a square.
+    Two distinct one-coordinate operands past KS2_BITS are evaluated at
+    +-2^h instead, h = 4w, as A_even(2^(8w)) +- 2^h*A_odd(2^(8w)): the two
+    products H+ and H- are half as wide, and (H+ + H-)/2 and
     (H+ - H-)/2^(h+1) hold the even and the odd coefficients in slots of 8w.
     """
-    D = da + db - 1
+    D = 2 * d - 1
     if n <= 0:
         return []
-    square = a is b and da == db  # one operand: CPython squares it faster
-    a, b = a[:n * da], b[:n * db]
-    la, lb = len(a) // da, len(b) // db
+    square = a is b  # one operand: CPython squares it faster
+    a, b = a[:n * d], b[:n * d]
+    la, lb = len(a) // d, len(b) // d
     ma = max(map(abs, a), default=0)
     mb = max(map(abs, b), default=0)
     if not ma or not mb:
         return [0] * (n * D)
     bits = (ma.bit_length() + mb.bit_length()
-            + (min(la, lb) * min(da, db)).bit_length() + 2)
+            + (min(la, lb) * d).bit_length() + 2)
     w = (bits + 7) // 8
-    if square or D > 1 or 8 * w * min(la, lb) <= KS2_BITS:
-        x = _pack(a, da, D, w)
-        return _unpack(x * (x if square else _pack(b, db, D, w)), n * D, w)
+    if square or d > 1 or 8 * w * min(la, lb) <= KS2_BITS:
+        x = _pack(a, d, w)
+        return _unpack(x * (x if square else _pack(b, d, w)), n * D, w)
     h = 4 * w
 
     def at_two_points(v):
-        even, odd = _pack(v[::2], 1, 1, w), _pack(v[1::2], 1, 1, w) << h
+        even, odd = _pack(v[::2], 1, w), _pack(v[1::2], 1, w) << h
         return even + odd, even - odd
 
     ap, am = at_two_points(a)
@@ -835,9 +827,10 @@ def kron_mul(a, b, n, da=1, db=1):
 
 def _operand(coeffs, field):
     """(den, coordinates per coefficient, flat integer coordinates) with one
-    positive denominator shared by every coefficient: a list of rationals is
-    one coordinate each, a list over a number field has degree coordinates."""
-    if field is None or not any(isinstance(c, AlgebraicNumber) for c in coeffs):
+    positive denominator shared by every coefficient: one coordinate each
+    over Q (field None), degree coordinates each over a number field, where
+    a rational coefficient is lifted."""
+    if field is None:
         den = math.lcm(*(c.denominator for c in coeffs))
         if den == 1:
             return 1, 1, [c.numerator for c in coeffs]
@@ -850,8 +843,8 @@ def _operand(coeffs, field):
 def _coefficients(den, D, flat, field):
     """The coefficients of flat integer coordinates, D per coefficient,
     over the common denominator den: the inverse of _operand.  Over Q (D =
-    1) an integral coefficient stays an int; over a field, powers t^d and
-    above of D > d coordinates are reduced once per coefficient."""
+    1) an integral coefficient stays an int; over a field, D is d or 2d - 1,
+    and powers t^d and above are reduced once per coefficient."""
     if field is None:
         return flat if den == 1 else [Fraction(v, den) for v in flat]
     d, out = field.degree, []
@@ -859,23 +852,20 @@ def _coefficients(den, D, flat, field):
         c = flat[k:k + D]
         if D > d:
             c = field._reduce(c)
-        elif D < d:
-            c += [0] * (d - D)
         out.append(AlgebraicNumber(field, c, den))
     return out
 
 
 def trunc_mul(a, b, n, field=None):
     """First n coefficients of the product of two coefficient lists over Q
-    (field None) or over a number field, where either list may be rational.
-    A rational list times a field list multiplies 1 coordinate by degree
-    coordinates, with no lift."""
+    (field None) or over a number field, where a rational coefficient is
+    lifted: kron_mul multiplies d coordinates by d and reads 2d - 1."""
     if n <= 0:
         return []
-    dena, da, fa = _operand(a[:n], field)
-    denb, db, fb = _operand(b[:n], field)
-    return _coefficients(dena * denb, da + db - 1,
-                         kron_mul(fa, fb, n, da, db), field)
+    dena, d, fa = _operand(a[:n], field)
+    denb, _, fb = _operand(b[:n], field)
+    return _coefficients(dena * denb, 2 * d - 1, kron_mul(fa, fb, n, d),
+                         field)
 
 
 def newton_inverse(f, n, inv0, mul):
@@ -999,11 +989,12 @@ def _polygon_certifies_unique(coeffs, p):
 def field_has_unique_prime_above(field, p):
     """Certify that val_p extends uniquely to the field.
 
-    Tries the defining polynomial and its shifts by 0, 1, ..., 15 (fewer
-    when p < 16); a failure to certify returns False (it never guesses).
+    Tries the polygons of f(x + a), chi of t - a for t the generator, at
+    a = 0, 1, ..., 15 (fewer when p < 16); a failure to certify returns
+    False (it never guesses).
     """
-    coeffs = list(field.defining_poly)
-    return any(_polygon_certifies_unique(dp_shift(coeffs, a), p)
+    t = field.gen()
+    return any(_polygon_certifies_unique(_integral_char_poly(t - a)[0], p)
                for a in range(min(p, 16)))
 
 

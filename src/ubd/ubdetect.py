@@ -226,12 +226,16 @@ def analyze_catalog(entries, T=300, prime_p=None):
 
     The main theorem's index-p hypothesis is confirmed when every
     expected-noncongruence entry is certified and no known-congruence entry
-    is (falsely) certified.
+    is (falsely) certified.  Entries that share one generator function (the
+    three embeddings at index 2) are scanned once and relabelled.
     """
-    verdicts = []
+    verdicts, scanned = [], {}
     for e in entries:
         p = prime_p if prime_p is not None else e.root_degree
-        verdicts.append(detect_entry(e, e.root_degree, p, T))
+        key = (id(e.generator_function), e.root_degree, p)
+        if key not in scanned:
+            scanned[key] = detect_entry(e, e.root_degree, p, T)
+        verdicts.append(scanned[key]._replace(label=e.label))
     certified = sum(1 for v in verdicts if v.status == 'UnboundedCertified')
     bounded = sum(1 for v in verdicts if v.status == 'BoundedSoFar')
     inconclusive = sum(1 for v in verdicts if v.status == 'Inconclusive')

@@ -682,6 +682,19 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout.decode().split() == ["[]"]
 
 
+def test_importing_the_cli_loads_every_module_the_tracer_patches():
+    # perfbench/tracing.py finds these seven in sys.modules after
+    # `import ubd.cli`; the package itself imports none of them
+    script = ("import sys\n"
+              "import ubd.cli\n"
+              "print(sorted(m for m in sys.modules if m.startswith('ubd.')))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split("\n")[0] == str(sorted(
+        f"ubd.{name}" for name in ("exactnum", "qseries", "ellcurve", "x011",
+                                   "ubdetect", "census", "cli")))
+
+
 def test_cli_command_leaves_parser_and_hash_modules_unloaded():
     # argparse's first gettext lookup imports locale, and hashlib loads
     # OpenSSL: a short command would pay for both before it starts

@@ -4,7 +4,7 @@ input below is pinned byte for byte."""
 
 import pytest
 
-from ubd import cli
+from ubd import cli, exactnum, qseries
 
 SERIES_FILES = {
     "bad.series": b"garbage\n",
@@ -199,3 +199,49 @@ def test_terms_past_the_ceiling_exits_2_at_once(workdir, monkeypatch, capsys,
     assert cli.main([*TERMS_ARGV[command], "--terms", terms]) == 2
     assert capsys.readouterr() == (
         "", f"error: {command} needs --terms of at most {cli.TERMS_CEILING}\n")
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("reached past a ceiling")
+
+
+def _field_record(poly):
+    """A record over the field of poly: a_0 = 1 and a_1 = 0."""
+    zeros = ["0/1"] * (len(poly) - 2)
+    return (f"series 1\nwidth 1\nlead 0\ntruncation 1\n"
+            f"field {','.join(map(str, poly))}\n"
+            f"{','.join(['1/1'] + zeros)}\n{','.join(['0/1'] + zeros)}\n")
+
+
+def test_a_record_field_past_the_degree_ceiling_exits_2_before_factoring(
+        workdir, monkeypatch, capsys):
+    # t^17 + 1 is reducible, but its degree is refused first
+    monkeypatch.setattr(exactnum, "poly_is_irreducible_q", _never)
+    (workdir / "deg17.series").write_text(_field_record([1] + [0] * 16 + [1]))
+    assert cli.main(["detect", "--series-file", "deg17.series", *DETECT]) == 2
+    assert capsys.readouterr() == (
+        "", "error: cannot read series file: field has degree more than 16\n")
+
+
+def test_a_record_field_at_the_degree_ceiling_is_read():
+    # the 17th cyclotomic polynomial
+    series = qseries.deserialize_series(_field_record([1] * 17))
+    assert series.field.degree == qseries.FIELD_DEGREE_CEILING == 16
+
+
+def test_an_eta_spec_past_the_exponent_ceiling_exits_2_before_expanding(
+        workdir, monkeypatch, capsys):
+    # 120 + 121: the ceiling bounds the sum of |r|, not |sum of r|
+    monkeypatch.setattr(qseries, "_eta_product_ints", _never)
+    assert cli.main(["eta", "1:120,1:-121", "--width", "24",
+                     "--terms", "5"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: eta exponents must sum to at most 240 in absolute value\n")
+
+
+def test_an_eta_spec_at_the_exponent_ceiling_is_expanded(workdir, capsys):
+    assert cli.main(["eta", "1:120,1:-120", "--width", "24",
+                     "--terms", "5"]) == 0
+    assert cli.main(["eta", "1:0", "--width", "24", "--terms", "5"]) == 0
+    first, second = capsys.readouterr().out.split("series 1")[1:]
+    assert first == second

@@ -19,7 +19,6 @@ from ubd.exactnum import (
     dp_monic,
     dp_mul,
     dp_resultant,
-    dp_shift,
     dp_sub,
     dp_trim,
     field_has_unique_prime_above,
@@ -508,7 +507,6 @@ def test_qp_helpers():
     # resultant of x^2-2 and x^2-3 is (2-3)^2... product of differences
     assert dp_resultant([-2, 0, 1], [-3, 0, 1]) == 1
     assert dp_gcd([-1, 0, 1], [1, 1]) == [1, 1]
-    assert dp_shift([0, 0, 1], 1) == [1, 2, 1]
     assert dp_mul([1, 1], [-1, 1]) == [-1, 0, 1]
 
 
@@ -568,17 +566,20 @@ def test_int_inputs_never_yield_a_float(a, b, c):
     b = dp_trim(b)
     assume(b)
     q, r = dp_divmod(a, b)
-    outs = [q, r, dp_gcd(a, b), dp_monic(a), dp_shift(a, c), dp_mul(a, b),
+    outs = [q, r, dp_gcd(a, b), dp_monic(a), dp_mul(a, b),
             dp_sub(a, b), [dp_resultant(a, b), dp_eval(a, c)]]
     assert all(type(x) in (int, Fraction) for out in outs for x in out)
 
 
 @POLY_SETTINGS
-@given(domains.flatmap(lambda k: st.tuples(polys(k), coefficients(k),
-                                           coefficients(k))))
-def test_dp_shift_is_a_translation(fcx):
-    f, c, x = fcx
-    assert dp_eval(dp_shift(f, c), x) == dp_eval(f, x + c)
+@given(st.one_of(st.just(NumberField([-3, 1])), fields),
+       st.integers(-40, 40), coefficients(None))
+def test_char_poly_of_gen_minus_a_is_the_shifted_defining_poly(field, a, x):
+    # field_has_unique_prime_above reads the polygons of f(x + a) this way,
+    # in integers; a degree-1 field is Q
+    shifted = _integral_char_poly(field.gen() - a)[0]
+    assert all(type(c) is int for c in shifted)
+    assert dp_eval(shifted, x) == dp_eval(field.defining_poly, x + a)
 
 
 def _trial_division(n):

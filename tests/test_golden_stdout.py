@@ -11,8 +11,10 @@ to T + 2 terms, and the census at X = 10^10 and at X = 1000000007 with
 --b 13,5,30 from the quotient-block loops that the divisor-sum kernel
 replaced, and the index-2 report at T = 300 and the index-5 catalog at
 T = 300 from the double-and-add Miller loop that the addition chain
-replaced; a fault that changes any printed coefficient, verdict or
-count changes a hash.
+replaced, and the index-2 report at --prime 3 (no probe certifies, so
+the full scan runs) from the report that scanned each of its three labels
+apart; a fault that changes any printed coefficient, verdict or count
+changes a hash.
 Each command runs on an empty cache and again on the cache it filled.
 """
 
@@ -62,6 +64,9 @@ GOLDEN = [
      "506c3122af18b52a6d0774e939984f5e3d52c8f0d8c01312124af0d5d23f976c"),
     (["catalog", "--index", "5", "--terms", "300"],
      "6593c34ddaaa21da63ffc5bf272935d7fc64a85df38f96bcbaef6628166a5019"),
+    (["--format", "records", "report", "--index", "2", "--terms", "100",
+      "--prime", "3"],
+     "e2f4d07f2918c325170f8cfef8ee8954aa2f589e2a2c7e6aba1d3315c5cfa125"),
 ]
 
 
@@ -72,7 +77,7 @@ GOLDEN = [
                               "report-table-5", "report-5-300",
                               "report-5-prime-11", "detect-fQ-300",
                               "census-1e10", "census-b-1e9", "report-2-300",
-                              "catalog-5-300"])
+                              "catalog-5-300", "report-2-prime-3"])
 def test_golden_stdout(tmp_path, args, digest):
     for _ in ("cold", "warm"):
         proc = subprocess.run([sys.executable, "-m", "ubd", *args],

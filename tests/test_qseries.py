@@ -160,6 +160,21 @@ def test_eta_alone_pentagonal():
     assert nz[:5] == [1, 25, 49, 121, 169]
 
 
+def test_eta_terms_of_one_scale_are_one_power(monkeypatch):
+    # a spec that repeats a scale is expanded as one power of the summed
+    # exponent: 24 factors of eta(z)^-1 make the products of eta(z)^-24
+    from ubd import qseries
+
+    calls = []
+    kron_mul = qseries.kron_mul
+    monkeypatch.setattr(qseries, "kron_mul", lambda a, b, n: calls.append(
+        (len(a), len(b), n)) or kron_mul(a, b, n))
+    spread = eta_quotient_expand(EtaQuotient([(1, -1)] * 24), 1, 80)
+    spread_calls, calls[:] = calls[:], []
+    assert spread == eta_quotient_expand(EtaQuotient([(1, -24)]), 1, 80)
+    assert spread_calls == calls
+
+
 def test_eta_quotient_zeta_gamma013():
     zeta = eta_quotient_expand(EtaQuotient([(1, 2), (13, -2)]), 1, 10)
     assert zeta.lead == -1

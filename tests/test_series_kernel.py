@@ -279,15 +279,15 @@ field_names = st.sampled_from(sorted(FIELDS))
 @SETTINGS
 @given(st.data())
 def test_kron_mul_matches_the_convolution(data):
-    da, db = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    d = data.draw(st.integers(1, 4))
     ints = st.one_of(st.integers(-9, 9), st.integers(-2 ** 300, 2 ** 300))
     la, lb = data.draw(st.integers(0, 9)), data.draw(st.integers(0, 9))
-    a = data.draw(st.lists(ints, min_size=la * da, max_size=la * da))
-    b = data.draw(st.lists(ints, min_size=lb * db, max_size=lb * db))
+    a = data.draw(st.lists(ints, min_size=la * d, max_size=la * d))
+    b = data.draw(st.lists(ints, min_size=lb * d, max_size=lb * d))
     n = data.draw(st.integers(0, la + lb + 2))
-    assert kron_mul(a, b, n, da, db) == _reference_kron(a, b, n, da, db)
+    assert kron_mul(a, b, n, d) == _reference_kron(a, b, n, d, d)
     # one operand twice takes the squaring path
-    assert kron_mul(a, a, n, da, da) == _reference_kron(a, a, n, da, da)
+    assert kron_mul(a, a, n, d) == _reference_kron(a, a, n, d, d)
 
 
 # 2^400 in an operand makes a slot of more than 800 bits, so 11 or more
@@ -336,13 +336,13 @@ def test_kron_mul_takes_two_points_only_for_large_distinct_operands(
     assert _unpacks(monkeypatch, a, a, 21) == [21]        # a square
     assert _unpacks(monkeypatch, [3] * 400, [-5] * 400, 799) == [799]
     # several coordinates per coefficient stay on one-point KS
-    assert _unpacks(monkeypatch, a * 2, b * 2, 11, 2, 2) == [33]
+    assert _unpacks(monkeypatch, a * 2, b * 2, 11, 2) == [33]
 
 
 def test_kron_mul_drops_negative_high_slots():
     # the kept slots are nonnegative and every dropped one is negative
     assert kron_mul([1, 0, -5], [1, 0, 7], 2) == [1, 0]
-    assert kron_mul([2, 1, 0, 0, -9, -9], [3, 1, 0, 0, 9, 9], 2, 2, 2) == [
+    assert kron_mul([2, 1, 0, 0, -9, -9], [3, 1, 0, 0, 9, 9], 2, 2) == [
         6, 5, 1, 0, 0, 0]
     assert kron_mul([-1, -1], [1, 1], 3) == [-1, -2, -1]
 

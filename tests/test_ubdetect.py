@@ -202,6 +202,24 @@ def test_analyze_catalog_index_two():
         assert v.witness_valuation == Fraction(5, 3)
 
 
+@pytest.mark.parametrize("prime", [None, 3])
+def test_analyze_catalog_scans_a_shared_function_once(monkeypatch, prime):
+    # fP1, fP2 and fP3 are one function under three labels: one scan, and
+    # each label gets the verdict that detect_entry gives it alone
+    from ubd import ubdetect
+
+    entries, calls = build_catalog(2), []
+    detect_entry = ubdetect.detect_entry
+    monkeypatch.setattr(ubdetect, "detect_entry",
+                        lambda e, *args: calls.append(e.label)
+                        or detect_entry(e, *args))
+    rep = analyze_catalog(entries, T=40, prime_p=prime)
+    assert calls == ["fP1"]
+    assert rep.verdicts == [detect_entry(e, 2, prime or 2, 40)
+                            for e in entries]
+    assert [v.label for v in rep.verdicts] == ["fP1", "fP2", "fP3"]
+
+
 def test_analyze_catalog_index_five():
     rep = analyze_catalog(build_catalog(5), T=50)
     assert rep.certified == 5 and rep.bounded == 1
