@@ -186,12 +186,12 @@ def division_polynomial(n, curve):
 def torsion_factors(n, curve):
     """The irreducible factors over Q of division_polynomial(n, curve) for a
     rational model, as primitive integer coefficient tuples in the order of
-    factor_poly_q."""
+    factor_poly_q.  E is nonsingular, so the division polynomial is
+    squarefree."""
     if curve.field is not None:
         raise ValueError("torsion_factors expects a rational model")
     _, factors = factor_poly_q(division_polynomial(n, curve))
-    assert all(m == 1 for _, m in factors)  # squarefree: E is nonsingular
-    return tuple(tuple(fac) for fac, _ in factors)
+    return tuple(map(tuple, factors))
 
 
 # ----------------------------------------------------------------------

@@ -226,25 +226,28 @@ def integerize_monic(c):
 
 
 def factor_poly_q(c):
-    """Irreducible factorization over Q of a rational polynomial.
+    """Irreducible factorization over Q of a squarefree rational polynomial.
 
-    Returns (rational content, [(primitive integer factor, multiplicity)]),
-    each factor with a positive leading coefficient, ordered by degree, then
-    multiplicity, then coefficients from the top."""
+    Returns (rational content, [primitive integer factors]), each factor with
+    a positive leading coefficient, ordered by degree, then coefficients from
+    the top; raises ValueError unless c is squarefree."""
     c = dp_trim(c)
     if not c:
         return Fraction(0), []
     cont, f = content_primitive(c)
-    out = []
-    for a, mult in _squarefree(f):
-        out += [(g, mult) for g in _factor_squarefree(a)]
-    out.sort(key=lambda gm: (len(gm[0]), gm[1], gm[0][::-1]))
-    return cont, out
+    if len(_zx_gcd(f, _deriv(f))) > 1:
+        raise ValueError("polynomial is not squarefree")
+    factors = _factor_squarefree(f) if len(f) > 1 else []
+    return cont, sorted(factors, key=lambda g: (len(g), g[::-1]))
 
 
 def poly_is_irreducible_q(c):
-    factors = factor_poly_q(c)[1]
-    return len(factors) == 1 and factors[0][1] == 1
+    """f is irreducible over Q iff gcd(f, f') is a constant and Zassenhaus
+    finds one factor."""
+    try:
+        return len(factor_poly_q(c)[1]) == 1
+    except ValueError:
+        return False
 
 
 def poly_is_irreducible_modp(c, p):
@@ -257,7 +260,7 @@ def poly_is_irreducible_modp(c, p):
 
 # ----------------------------------------------------------------------
 # Factorization over Q (von zur Gathen & Gerhard, Modern Computer Algebra,
-# ch. 14-15): Yun's squarefree decomposition over Z, distinct- and
+# ch. 14-15): a squarefree check by gcd(f, f') over Z, distinct- and
 # equal-degree factorization modulo a small prime, Hensel lifting and
 # recombination.  Polynomials over Z are int lists, low degree first,
 # trimmed; polynomials modulo m are int lists in [0, m), and a divisor's
@@ -405,28 +408,6 @@ def _zx_gcd(a, b):
             r = dp_trim(r)
         a, b = b, (content_primitive(r)[1] if r else [])
     return a
-
-
-def _squarefree(f):
-    """Yun's squarefree decomposition of a primitive integer polynomial with
-    positive leading coefficient: [(a_i, i)] with f = prod a_i^i, the a_i
-    primitive, squarefree and coprime.  Every gcd is primitive, so every
-    quotient is exact in Z[x] (Gauss)."""
-    if len(f) < 2:
-        return []
-    df = _deriv(f)
-    a = _zx_gcd(f, df)
-    if len(a) == 1:
-        return [(f, 1)]
-    b, c = _zx_exquo(f, a), _zx_exquo(df, a)
-    out, i = [], 1
-    while len(b) > 1:
-        d = dp_sub(c, _deriv(b))
-        a = _zx_gcd(b, d)
-        if len(a) > 1:
-            out.append((a, i))
-        b, c, i = _zx_exquo(b, a), _zx_exquo(d, a), i + 1
-    return out
 
 
 def _factor_squarefree(f):

@@ -368,6 +368,19 @@ def _partition_coeffs(length):
     return p
 
 
+def _eta_steps(eq, width):
+    """({step N*delta: summed r}, lead N*sum(r*delta)/24) of an eta quotient
+    at width N; raises ValueError unless every N*delta is an integer."""
+    steps = {}  # step -> r, the terms of one scale summed: one power each
+    for d, r in eq.terms:
+        nd = Fraction(width) * d
+        if nd.denominator != 1:
+            raise ValueError(
+                f"width {width} incompatible with eta({d}z): needs width divisible by {d.denominator}")
+        steps[int(nd)] = steps.get(int(nd), 0) + r
+    return steps, sum(Fraction(r) * d * width for d, r in eq.terms) / 24
+
+
 def _eta_product_ints(eq, width, T):
     """(lead, unit): the integer coefficients of w^0..w^T of the product
     part prod_delta prod_n (1 - w^(N*delta*n))^(r_delta), and the exponent
@@ -382,14 +395,7 @@ def _eta_product_ints(eq, width, T):
     p^|r| for the partition numbers p = 1/P."""
     if T < 0:
         raise ValueError("truncation must be nonnegative")
-    steps = {}  # step -> r, the terms of one scale summed: one power each
-    for d, r in eq.terms:
-        nd = Fraction(width) * d
-        if nd.denominator != 1:
-            raise ValueError(
-                f"width {width} incompatible with eta({d}z): needs width divisible by {d.denominator}")
-        steps[int(nd)] = steps.get(int(nd), 0) + r
-    lead = sum(Fraction(r) * d * width for d, r in eq.terms) / 24
+    steps, lead = _eta_steps(eq, width)
     length = T + 1
     unit = None
     for step, r in steps.items():
@@ -420,14 +426,16 @@ def eta_quotient_expand(eq, width, T):
     """Exact integer-coefficient expansion of an eta quotient at a given width.
 
     The width must make every factor's product part land on integer powers of
-    w and the total q^(1/24)-prefactor land on an integer exponent.
+    w and the total q^(1/24)-prefactor land on an integer exponent; both are
+    checked before anything is expanded.
     """
-    lead, unit = _eta_product_ints(eq, width, T)
+    lead = _eta_steps(eq, width)[1]
     if lead.denominator != 1:
         raise ValueError(
             f"width {width} incompatible: leading exponent {lead} is not an integer "
             f"(minimal valid width is {eq.minimal_width()})")
     lead = int(lead)
+    unit = _eta_product_ints(eq, width, T)[1]
     return LaurentSeries(width, lead, unit, None, lead + T + 1)
 
 
@@ -463,7 +471,7 @@ def serialize_series(f):
     return "\n".join(["series 1",
                       f"width {f.width}",
                       f"lead {f.lead}",
-                      f"truncation {f.prec - f.lead - 1}",
+                      f"truncation {f.truncation}",
                       _field_line(f.field), *body]) + "\n"
 
 
@@ -479,9 +487,9 @@ def deserialize_series(text):
 
 # a record coordinate: an integer or p/q, as serialize_series writes them
 _COORD = re.compile(r"\s*([+-]?)(\d+)(?:/(\d+))?\s*")
-# the commands write at most 59 digits (eta 1/11:12,1:-12 --width 11 --terms
-# 3000); detect on one coefficient of this many digits, at p = 2 or 5, over Q
-# or a quartic field, took at most 0.7 s on a 2-vCPU machine
+# the commands write at most 792 digits (eta 1:-240 --width 1 --terms 3000);
+# detect on one coefficient of this many digits, at p = 2 or 5, over Q or a
+# quartic field, took at most 0.7 s on a 2-vCPU machine
 COEFF_DIGITS_CEILING = 4000
 # the commands write fields of degree 3 and 4; NumberField's irreducibility
 # test recombines modular factors subset by subset: it validated degree-16
@@ -513,6 +521,8 @@ def _parse_series(text):
     i = 1
     while i < len(lines) and lines[i].split(maxsplit=1)[0] in ("width", "lead", "truncation", "field"):
         k, v = lines[i].split(maxsplit=1)
+        if k in header:
+            raise ValueError(f"repeated {k} line")
         header[k] = v
         i += 1
     width = int(header["width"])

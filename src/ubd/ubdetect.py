@@ -65,23 +65,6 @@ class UbdVerdict(namedtuple('UbdVerdict', [
         return self.status == 'UnboundedCertified'
 
 
-class GrowthProfile(namedtuple('GrowthProfile', [
-        'entries',  # ((m, running max of -ord(b_m/b_0)), ...)
-        'valuation_mode'])):
-    __slots__ = ()
-
-    def final(self):
-        return self.entries[-1][1] if self.entries else Fraction(0)
-
-    def value_at(self, m):
-        best = Fraction(0)
-        for i, v in self.entries:
-            if i > m:
-                break
-            best = v
-        return best
-
-
 def choose_mode(field, p):
     """The printed valuation mode; the valuations follow one rule."""
     if field is None:
@@ -180,20 +163,6 @@ def detect(f, root_degree, prime_p, T=300, label="", span=None):
                           note + "; some but not all conjugate slopes witness",
                           label)
     return UbdVerdict('BoundedSoFar', None, None, tau, M, mode, note, label)
-
-
-def growth_profile(f, root_degree, prime_p, T=300):
-    """Running maxima of -ord(b_m/b_0), each the sound lower bound: the
-    minimum over the slopes, one per prime above p.  A b_m whose content bound
-    is at least -best cannot raise the maximum and is not valued."""
-    mode, unit, _ = _unit_part(f, prime_p, T)
-    entries = []
-    best = Fraction(0)
-    for m, b in enumerate(root_coefficients(unit, root_degree), 1):
-        if _content_bound(b, prime_p) < -best:
-            best = max(best, -max(_ord_values(b, prime_p)))
-        entries.append((m, best))
-    return GrowthProfile(tuple(entries), mode)
 
 
 CatalogReport = namedtuple('CatalogReport', 'index truncation verdicts '

@@ -1,6 +1,6 @@
 """The Gamma^0(11) dataset: w-expansions of the coordinate functions x and y,
-expansions of curve functions, the index-2 and index-5 character-group
-catalogs, and the G5 eta family.
+expansions of curve functions, and the index-2 and index-5 character-group
+catalogs.
 
 x and y are pinned down by two relations: the curve equation
 y^2 + y = x^3 - x^2 - 10x - 20 and the derivation relation
@@ -14,7 +14,6 @@ runs on Python ints.
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 
 from .exactnum import (
@@ -34,8 +33,7 @@ from .exactnum import (
     min_poly,
 )
 from .qseries import (EtaQuotient, LaurentSeries, _eta_product_ints,
-                      _field_line, _fmt_coords, eta_quotient_expand,
-                      serialize_series)
+                      _field_line, _fmt_coords, serialize_series)
 from .ellcurve import (
     WeierstrassCurve,
     division_polynomial,
@@ -299,7 +297,6 @@ def torsion_point(curve, g, name):
 CATALOG_INDICES = (2, 5)
 
 
-@lru_cache(maxsize=None)
 def build_catalog(index):
     """Catalog of the cyclic character groups of a given index: one entry
     per cyclic subgroup of that order in the curve's torsion, with its point
@@ -367,37 +364,3 @@ def catalog_export(entries, T=20):
         lines.append(serialize_series(series).rstrip("\n"))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
-
-
-# ----------------------------------------------------------------------
-# The G5 eta family and its roots.
-# ----------------------------------------------------------------------
-
-G5_QUOTIENT = EtaQuotient([(Fraction(1, 11), 12), (1, -12)])
-
-EtaRoot = namedtuple('EtaRoot', ['lead', 'unit'])
-
-
-def g5_series(T):
-    """G5 = (eta(z/11)/eta(z))^12 = w^-5 (1 - 12w + 54w^2 - ...)."""
-    s = eta_quotient_expand(G5_QUOTIENT, WIDTH, T)
-    assert s.lead == -5
-    return s
-
-
-def g5_family(n, T):
-    """G5 and, when n divides 12, the closed-form eta quotient for its n-th
-    root, e.g. n = 12 gives eta(z/11)/eta(z).
-
-    The root's leading exponent -5/n is fractional in w = q^(1/11), so the
-    closed form is returned as (lead, unit product part at width 11); the
-    formal root of G5's unit part must match the unit coefficients exactly.
-    """
-    g5 = g5_series(T)
-    root = None
-    if n in (1, 2, 3, 4, 6, 12):
-        k = 12 // n
-        lead, unit = _eta_product_ints(
-            EtaQuotient([(Fraction(1, 11), k), (1, -k)]), WIDTH, T)
-        root = EtaRoot(lead, LaurentSeries(WIDTH, 0, unit, None, T + 1))
-    return g5, root

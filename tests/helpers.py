@@ -1,13 +1,14 @@
 """Reference code that only the tests use: a series power by repeated
-squaring, the gcd and Smith-normal-form criteria for a full join, the
-unit-root test on a Newton polygon, and the order of a point by the group
-law."""
+squaring, G5 and the closed forms of its roots, the gcd and
+Smith-normal-form criteria for a full join, the unit-root test on a Newton
+polygon, and the order of a point by the group law."""
 
 from fractions import Fraction
 from math import gcd
 
 from ubd.exactnum import lower_hull_slopes, newton_polygon_points
-from ubd.qseries import LaurentSeries
+from ubd.qseries import (EtaQuotient, LaurentSeries, _eta_product_ints,
+                         eta_quotient_expand)
 
 
 def series_pow(f, k):
@@ -21,6 +22,22 @@ def series_pow(f, k):
         base = base * base
         k >>= 1
     return acc
+
+
+def g5_series(T):
+    """G5 = (eta(z/11)/eta(z))^12 = w^-5 (1 - 12w + 54w^2 - ...), w = q^(1/11)."""
+    return eta_quotient_expand(
+        EtaQuotient([(Fraction(1, 11), 12), (1, -12)]), 11, T)
+
+
+def g5_root(n, T):
+    """The closed form of G5's n-th root for n dividing 12,
+    (eta(z/11)/eta(z))^(12/n): (its leading exponent -5/n, fractional in w,
+    and its unit part through w^T at width 11)."""
+    k = 12 // n
+    lead, unit = _eta_product_ints(
+        EtaQuotient([(Fraction(1, 11), k), (1, -k)]), 11, T)
+    return lead, LaurentSeries(11, 0, unit, None, T + 1)
 
 
 def join_is_full(gamma, b):

@@ -24,10 +24,10 @@ from ubd.qseries import (
     nth_root_normalized,
 )
 from ubd.ubdetect import analyze_catalog, detect
-from ubd.x011 import build_catalog, expand_on_curve, expand_xy, g5_family, x11_curve
+from ubd.x011 import build_catalog, expand_on_curve, expand_xy, x11_curve
 
-from helpers import (has_order, join_is_full, join_is_full_snf, series_pow,
-                     unit_root_factors)
+from helpers import (g5_root, g5_series, has_order, join_is_full,
+                     join_is_full_snf, series_pow, unit_root_factors)
 
 
 def _report(n, took, budget, desc):
@@ -118,12 +118,13 @@ def test_criterion_07_index2_detection():
 
 def test_criterion_08_eta_root_controls():
     t0 = time.time()
-    g5, closed = g5_family(12, 200)
+    g5 = g5_series(200)
     unit, lead, c0 = g5.unit_normalized()
     assert lead == -5 and c0 == 1
     root = nth_root_normalized(unit, 12)
-    assert closed.lead == Fraction(-5, 12)
-    assert root.agrees_with(closed.unit, 0, 199)
+    closed_lead, closed = g5_root(12, 200)
+    assert closed_lead == Fraction(-5, 12)
+    assert root.agrees_with(closed, 0, 199)
     v = detect(g5, 7, 7, 200)
     assert v.status == 'UnboundedCertified'
     took = time.time() - t0

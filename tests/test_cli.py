@@ -500,7 +500,7 @@ def test_unindexable_terms_exits_2_with_the_out_of_memory_line(monkeypatch,
     from ubd import cli
 
     monkeypatch.setattr(cli, "TERMS_CEILING", 10 ** 30)
-    rc = cli.main(["eta", "1:1", "--width", "1", "--terms",
+    rc = cli.main(["eta", "1:24", "--width", "1", "--terms",
                    "99999999999999999999"])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""

@@ -16,6 +16,8 @@ SERIES_FILES = {
                   b"field rational\n1\n1e999999\n0/1\n0/1\n",
     "zero.series": b"series 1\nwidth 1\nlead 0\ntruncation 3\n"
                    b"field rational\n0\n0\n0/1\n0/1\n",
+    "twice.series": b"series 1\nwidth 1\nwidth 2\nlead 0\ntruncation 1\n"
+                    b"field rational\n1\n1/2\n",
     "afile": b"",
 }
 CENSUS_USAGE = "usage: ubd census --xmax INT [--b STR] [-h]\n"
@@ -127,6 +129,9 @@ MALFORMED = [
      CENSUS_USAGE + "error: unexpected argument 'extra'\n"),
     (["--cache-dir", "afile", "expand-xy", "--terms", "10"],
      "error: cannot use cache directory: [Errno 17] File exists: 'afile'\n"),
+    (["detect", "--series-file", "twice.series", "--prime", "2", "--root",
+      "2", "--terms", "1"],
+     "error: cannot read series file: repeated width line\n"),
 ]
 
 
@@ -237,6 +242,22 @@ def test_an_eta_spec_past_the_exponent_ceiling_exits_2_before_expanding(
                      "--terms", "5"]) == 2
     assert capsys.readouterr() == (
         "", "error: eta exponents must sum to at most 240 in absolute value\n")
+
+
+@pytest.mark.parametrize("spec, err", [
+    # sum r*delta = -180 - 1890: the lead -345/4 is not an integer at width 1
+    ("1:-180," + ",".join(f"{d}:-1" for d in range(2, 62)),
+     "error: width 1 incompatible: leading exponent -345/4 is not an integer "
+     "(minimal valid width is 4)\n"),
+    # eta(z/3) needs a width divisible by 3, and that is said first
+    ("1/3:1,1:1", "error: width 1 incompatible with eta(1/3z): needs width "
+     "divisible by 3\n"),
+])
+def test_an_eta_spec_at_a_wrong_width_exits_2_before_expanding(
+        workdir, monkeypatch, capsys, spec, err):
+    monkeypatch.setattr(qseries, "_eta_product_ints", _never)
+    assert cli.main(["eta", spec, "--width", "1", "--terms", "3000"]) == 2
+    assert capsys.readouterr() == ("", err)
 
 
 def test_an_eta_spec_at_the_exponent_ceiling_is_expanded(workdir, capsys):

@@ -1,7 +1,6 @@
-"""The pure-Python factorization over Z[x] and the irreducibility tests
-against sympy, which the tests keep as an oracle only, and Yun's
-decomposition on primitive remainder sequences against Yun's on Fraction
-remainder sequences, which it replaced; the exact quotient in Z[x] and the
+"""The pure-Python factorization over Z[x] of squarefree polynomials and the
+irreducibility tests against sympy, which the tests keep as an oracle only;
+the refusal of a repeated factor; the exact quotient in Z[x] and the
 primitive part that the factorizer shares with the rational code."""
 
 import math
@@ -9,20 +8,15 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ubd.ellcurve import division_polynomial
 from ubd.exactnum import (
     NumberField,
-    _deriv,
-    _squarefree,
     _zx_exquo,
     content_primitive,
     dp_add,
-    dp_divmod,
-    dp_gcd,
     dp_mul,
-    dp_sub,
     dp_trim,
     factor_poly_q,
     poly_is_irreducible_modp,
@@ -54,55 +48,70 @@ small_poly = st.integers(1, 4).flatmap(lambda d: st.tuples(
     st.sampled_from([1, 1, 2, 3, -1, -4])).map(lambda t: t[0] + [t[1]]))
 
 
+def _product(content, parts):
+    c = [content]
+    for f in parts:
+        if len(c) - 1 + len(f) - 1 <= 12:
+            c = dp_mul(c, f)
+    return c
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(small_poly, st.integers(1, 3)), min_size=1, max_size=4),
+@given(st.lists(small_poly, min_size=1, max_size=4),
        st.fractions(min_value=-20, max_value=20, max_denominator=12)
        .filter(lambda r: r != 0))
 def test_factor_list_matches_sympy(parts, content):
-    c = [content]
-    for f, mult in parts:
-        for _ in range(mult):
-            if len(c) - 1 + len(f) - 1 <= 12:
-                c = dp_mul(c, f)
+    c = _product(content, parts)
+    want = _sympy_factor_list(c)
+    assume(all(mult == 1 for _, mult in want[1]))  # squarefree products only
     cont, factors = factor_poly_q(c)
-    assert (cont, sorted(factors)) == _sympy_factor_list(c)
-    assert all(f[-1] > 0 and math.gcd(*f) == 1 for f, _ in factors)
-    # the order is deterministic: degree, multiplicity, coefficients from the top
-    assert factors == sorted(factors, key=lambda fm: (len(fm[0]), fm[1], fm[0][::-1]))
+    assert (cont, sorted((f, 1) for f in factors)) == want
+    assert all(f[-1] > 0 and math.gcd(*f) == 1 for f in factors)
+    # the order is deterministic: degree, then coefficients from the top
+    assert factors == sorted(factors, key=lambda f: (len(f), f[::-1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_poly, st.lists(small_poly, max_size=2),
+       st.integers(-6, 6).filter(bool))
+def test_factor_refuses_a_repeated_factor(g, parts, scale):
+    c = dp_mul(dp_mul(g, g), _product(scale, parts))
+    with pytest.raises(ValueError, match="not squarefree"):
+        factor_poly_q(c)
+    assert not poly_is_irreducible_q(c)
 
 
 def test_factor_constants_and_zero():
     assert factor_poly_q([]) == (0, [])
     assert factor_poly_q([Fraction(-3, 7)]) == (Fraction(-3, 7), [])
     assert factor_poly_q([Fraction(-3, 2), 0, Fraction(3, 2)]) == \
-        (Fraction(3, 2), [([-1, 1], 1), ([1, 1], 1)])
+        (Fraction(3, 2), [[-1, 1], [1, 1]])
 
 
 def test_psi5_factor_degrees():
     psi5 = division_polynomial(5, x11_curve())
     cont, factors = factor_poly_q(psi5)
     assert cont == 1
-    assert [len(f) - 1 for f, _ in factors] == [1, 1, 2, 4, 4]
-    assert all(m == 1 for _, m in factors)
+    assert [len(f) - 1 for f in factors] == [1, 1, 2, 4, 4]
 
 
 def test_swinnerton_dyer_quartic_is_irreducible():
     # x^4 - 10x^2 + 1 splits modulo every prime, so only recombination
     # shows it irreducible
     assert poly_is_irreducible_q([1, 0, -10, 0, 1])
-    assert factor_poly_q([1, 0, -10, 0, 1]) == (1, [([1, 0, -10, 0, 1], 1)])
+    assert factor_poly_q([1, 0, -10, 0, 1]) == (1, [[1, 0, -10, 0, 1]])
     assert all(not poly_is_irreducible_modp([1, 0, -10, 0, 1], p)
                for p in (2, 3, 5, 7, 11, 13, 101))
     # the degree-8 one for sqrt 2, 3, 5 has at least four factors modulo
     # every prime, so pairs of lifted factors are tried as well
     s8 = [576, 0, -960, 0, 352, 0, -40, 0, 1]
     assert factor_poly_q(dp_mul(s8, [1, 0, -10, 0, 1])) == \
-        (1, [([1, 0, -10, 0, 1], 1), (s8, 1)])
+        (1, [[1, 0, -10, 0, 1], s8])
 
 
 def test_x4_plus_4_is_reducible():
     assert not poly_is_irreducible_q([4, 0, 0, 0, 1])
-    assert factor_poly_q([4, 0, 0, 0, 1])[1] == [([2, -2, 1], 1), ([2, 2, 1], 1)]
+    assert factor_poly_q([4, 0, 0, 0, 1])[1] == [[2, -2, 1], [2, 2, 1]]
 
 
 def test_irreducible_q_examples():
@@ -134,46 +143,20 @@ def test_number_field_rejects_reducible_polynomials():
     NumberField([1, 0, -10, 0, 1])
 
 
-def _reference_squarefree(f):
-    """Yun's squarefree decomposition with monic gcds over Q."""
-    a = dp_gcd(f, _deriv(f))
-    b, c = dp_divmod(f, a)[0], dp_divmod(_deriv(f), a)[0]
-    out, i = [], 1
-    while len(b) > 1:
-        d = dp_sub(c, _deriv(b))
-        a = dp_gcd(b, d)
-        if len(a) > 1:
-            out.append((content_primitive(a)[1], i))
-        b, c, i = dp_divmod(b, a)[0], dp_divmod(d, a)[0], i + 1
-    return out
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(small_poly, st.integers(1, 4)), min_size=1,
-                max_size=4),
-       st.integers(-6, 6).filter(bool))
-def test_squarefree_over_z_matches_the_rational_yun(parts, scale):
-    # repeated factors, shared factors between parts, and a content
-    c = [scale]
-    for g, mult in parts:
-        for _ in range(mult):
-            if len(c) + len(g) <= 16:
-                c = dp_mul(c, g)
-    f = content_primitive(c)[1]
-    out = _squarefree(f)
-    assert out == _reference_squarefree(f)
-    prod = [1]
-    for a, i in out:
-        assert a[-1] > 0 and math.gcd(*a) == 1
-        for _ in range(i):
-            prod = dp_mul(prod, a)
-    assert prod == f
+def test_number_field_refuses_a_square():
+    # (x^2 + 1)^2 and (x - 1)^2 (x + 2): repeated factors, not irreducible
+    for coeffs in ([1, 0, 2, 0, 1], [2, -3, 0, 1]):
+        with pytest.raises(ValueError, match="reducible over Q"):
+            NumberField(coeffs)
 
 
 def test_squarefree_of_psi5_and_of_a_constant():
-    psi5 = content_primitive(division_polynomial(5, x11_curve()))[1]
-    assert _squarefree(psi5) == [(psi5, 1)] == _reference_squarefree(psi5)
-    assert _squarefree([1]) == [] == _reference_squarefree([1])
+    # E is nonsingular, so psi_5 is squarefree and factors; a nonzero
+    # constant is squarefree and has no factor
+    psi5 = division_polynomial(5, x11_curve())
+    assert len(factor_poly_q(psi5)[1]) == 5
+    assert factor_poly_q([1]) == (1, [])
+    assert not poly_is_irreducible_q([3])
 
 
 int_polys = st.lists(st.integers(-30, 30), max_size=6)

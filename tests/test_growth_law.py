@@ -22,7 +22,7 @@ from fractions import Fraction
 import pytest
 
 from ubd.qseries import root_coefficients
-from ubd.ubdetect import _ord_values, growth_profile
+from ubd.ubdetect import _ord_values
 from ubd.x011 import build_catalog
 
 T = 300
@@ -61,6 +61,3 @@ def test_root_coefficients_follow_the_growth_law(index, e):
     mismatches = [m for m, b in enumerate(root, 1)
                   if {-v for v in _ord_values(b, n)} != {law(m)}]
     assert mismatches == []
-    # every law rises with m, so the running maximum is the law itself
-    assert growth_profile(f, n, n, T).entries == tuple(
-        (m, law(m)) for m in range(1, T + 1))

@@ -3,8 +3,8 @@
 _reference_root is the two-sum recursion n*f*Dg = g*Df that built the whole
 root before the scan; _unpacked_root is Miller's recurrence on unpacked
 integer coordinates, d^2 dot products per step; _reference_detect scans every
-coefficient of the reference root.  _unscreened_threshold, _unscreened_detect
-and _unscreened_growth take the exact valuation of every coefficient, where
+coefficient of the reference root.  _unscreened_threshold and
+_unscreened_detect take the exact valuation of every coefficient, where
 ubdetect first asks whether the content bound already decides it.  All of
 them value a coefficient by _reference_ord_values, the three rules that
 ubdetect's one polygon rule replaced.  The fast paths (the packed
@@ -38,7 +38,6 @@ from ubd.qseries import (
 )
 from ubd.ubdetect import (
     CONJUGATE,
-    RATIONAL,
     UNIQUE_PRIME,
     _content_bound,
     _ord_values,
@@ -46,7 +45,6 @@ from ubd.ubdetect import (
     analyze_catalog,
     choose_mode,
     detect,
-    growth_profile,
 )
 from ubd.x011 import build_catalog
 
@@ -184,17 +182,6 @@ def _unscreened_detect(f, n, p, T, vmin=0):
     if partial is not None:
         return ('Inconclusive', partial, None, tau, M)
     return ('BoundedSoFar', None, None, tau, M)
-
-
-def _unscreened_growth(f, n, p, T):
-    """growth_profile's entries, with the exact valuations of every b_m."""
-    mode, unit, _ = _scan_part(f, p, T)
-    best, entries = Fraction(0), []
-    for m, b in enumerate(root_coefficients(unit, n), 1):
-        if b:
-            best = max(best, -max(_reference_ord_values(b, p, mode)))
-        entries.append((m, best))
-    return tuple(entries)
 
 
 def _verdict(v):
@@ -446,8 +433,6 @@ def test_screened_scans_equal_the_unscreened_reference(catalog_series, index,
             _unscreened_detect(f, n, p, T, vmin), e.label
         assert _verdict(detect(f, n, p, T)) == \
             _unscreened_detect(f, n, p, T), e.label
-        assert growth_profile(f, n, p, T).entries == \
-            _unscreened_growth(f, n, p, T), e.label
 
 
 def test_span_floor_is_the_tau_of_a_300_term_scan(catalog_series):
@@ -537,19 +522,3 @@ def test_conjugate_straddle_is_inconclusive_on_both_paths():
     fast = _verdict(detect(f, 2, 5, 3))
     assert fast == _reference_detect(f, 2, 5, 3)
     assert fast[:2] == ('Inconclusive', 1)
-
-
-@SETTINGS
-@given(series(rationals()), st.integers(2, 5), st.sampled_from([2, 3, 5]),
-       st.integers(1, 12))
-def test_growth_profile_is_the_running_max_of_the_reference(f, n, p, T):
-    unit, _, _ = f.unit_normalized()
-    M = min(T, unit.prec - 1)
-    root = _reference_root(unit.truncate(M + 1), n)
-    best, want = Fraction(0), []
-    for m in range(1, M + 1):
-        b = root.coefficient(m)
-        if b:
-            best = max(best, -max(_reference_ord_values(b, p, RATIONAL)))
-        want.append((m, best))
-    assert growth_profile(f, n, p, T).entries == tuple(want)

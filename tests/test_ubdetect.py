@@ -9,22 +9,22 @@ from ubd.qseries import (
     LaurentSeries,
     eta_quotient_expand,
     nth_root_normalized,
+    root_coefficients,
 )
 from ubd.ubdetect import (
     CONJUGATE,
     RATIONAL,
     UNIQUE_PRIME,
+    _ord_values,
     _span_floor,
     analyze_catalog,
     choose_mode,
     detect,
-    growth_profile,
 )
-from ubd.x011 import (build_catalog, expand_on_curve, g5_series,
-                      torsion_point, x11_curve)
+from ubd.x011 import build_catalog, expand_on_curve, torsion_point, x11_curve
 from ubd.ellcurve import function_with_divisor, torsion_factors
 
-from helpers import series_pow
+from helpers import g5_series, series_pow
 
 
 def zeta13(T=60):
@@ -143,25 +143,28 @@ def test_detect_soundness_brute_force_scan():
         assert maxes[0] < maxes[1] < maxes[2]
 
 
+def neg_ords(f, n, p, T):
+    """{m: -ord(b_m/b_0)} over the nonzero root coefficients b_1..b_T, each
+    the least value over the primes above p."""
+    unit, _, _ = f.unit_normalized()
+    root = root_coefficients(unit.truncate(T + 1), n)
+    return {m: -max(_ord_values(b, p)) for m, b in enumerate(root, 1) if b}
+
+
 def test_growth_profile_certified_case_grows():
-    f = fp_series(420)
-    p200 = growth_profile(f, 5, 5, 200)
-    p400 = growth_profile(f, 5, 5, 400)
-    assert p400.final() > p200.final()
-    vals = [v for _, v in p400.entries]
-    assert vals == sorted(vals)  # running max is nondecreasing
+    ords = neg_ords(fp_series(420), 5, 5, 400)
+    assert max(v for m, v in ords.items() if m > 200) > \
+        max(v for m, v in ords.items() if m <= 200)
 
 
 def test_growth_profile_bounded_case_zero():
-    g5 = g5_series(150)
-    prof = growth_profile(g5, 12, 11, 150)
-    assert prof.final() == 0
-    assert all(v == 0 for _, v in prof.entries)
+    # G5's 12th root is eta(z/11)/eta(z): integral, with b_1 = -1
+    ords = neg_ords(g5_series(150), 12, 11, 150)
+    assert max(ords.values()) == 0 == ords[1]
 
 
 def test_growth_profile_zeta_first_entry():
-    prof = growth_profile(zeta13(), 3, 3, 30)
-    assert prof.entries[0] == (1, 1)
+    assert neg_ords(zeta13(), 3, 3, 30)[1] == 1
 
 
 def test_conjugate_profile_inconclusive_path():

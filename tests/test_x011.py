@@ -23,13 +23,11 @@ from ubd.x011 import (
     catalog_export,
     expand_on_curve,
     expand_xy,
-    g5_family,
-    g5_series,
     torsion_point,
     x11_curve,
 )
 
-from helpers import has_order, series_pow, unit_root_factors
+from helpers import g5_root, g5_series, has_order, series_pow, unit_root_factors
 
 X_HEAD = [1, 2, 4, 5, 8, 1, 7, -11, 10, -12, -18]   # w^-2 .. w^8
 Y_HEAD = [1, 3, 7, 12, 17, 26, 19, 37, -15, -16, -67]  # w^-3 .. w^7
@@ -259,7 +257,7 @@ def test_catalog_five_rejects_an_x_off_the_quartics(monkeypatch):
     without_unit = tuple(f for f in factors if f != (101, 41, 11, 1, 1))
     monkeypatch.setattr(x011, "torsion_factors", lambda n, curve: without_unit)
     with pytest.raises(RuntimeError, match="quartic factor of psi_5"):
-        build_catalog.__wrapped__(5)  # past the memo, which keeps its entries
+        build_catalog(5)
 
 
 def test_catalog_five_expansions_normalized():
@@ -307,21 +305,24 @@ def test_g5_golden():
 
 
 def test_g5_family_roots():
+    unit, _, _ = g5_series(40).unit_normalized()
     for n in (2, 3, 4, 6, 12):
-        g5, closed = g5_family(n, 40)
-        assert closed.lead == Fraction(-5, n)
-        unit, _, _ = g5.unit_normalized()
+        lead, closed = g5_root(n, 40)
+        assert lead == Fraction(-5, n)
         root = nth_root_normalized(unit, n)
-        assert root.agrees_with(closed.unit, 0, 38)
+        assert root.agrees_with(closed, 0, 38)
         assert all(Fraction(c).denominator == 1
                    for c in root.coefficients(0, 38))
         assert series_pow(root, n).agrees_with(unit)
 
 
 def test_g5_family_other_n():
-    g5, closed = g5_family(7, 20)
-    assert closed is None
+    # 7 does not divide 12: no eta quotient closes the root, and
+    # b_1 = a_1/7 = -12/7 is already not integral
+    g5 = g5_series(20)
     assert g5.lead == -5
+    unit, _, _ = g5.unit_normalized()
+    assert nth_root_normalized(unit, 7).coefficient(1) == Fraction(-12, 7)
 
 
 def test_catalog_export_format():
