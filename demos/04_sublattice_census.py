@@ -7,7 +7,6 @@ the quadratic lower bound behind the density of certified-unbounded groups.
 """
 
 import math
-from fractions import Fraction
 
 from ubd.census import (
     LatticeTriple,

@@ -89,45 +89,11 @@ class LaurentSeries:
         body = " + ".join(parts) if parts else "0"
         return f"LaurentSeries[N={self.width}]({body} + O(w^{self.prec}))"
 
-    def __eq__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return (self.width == other.width and self.lead == other.lead
-                and self.prec == other.prec and self.coeffs == other.coeffs
-                and self.field == other.field)
-
-    def __hash__(self):
-        return hash((self.width, self.lead, self.coeffs, self.prec))
-
-    def agrees_with(self, other, lo=None, hi=None):
-        """Coefficient-wise equality on the overlap of the known ranges."""
-        if self.width != other.width:
-            return False
-        lo = max(self.lead, other.lead) if lo is None else lo
-        hi = min(self.prec, other.prec) if hi is None else hi
-        return all(self.coefficient(k) == other.coefficient(k)
-                   for k in range(lo, hi))
-
     # -- ring operations ----------------------------------------------
     def _check_compat(self, other):
         if self.width != other.width:
             raise ValueError("width mismatch")
         return _common_field(self.field, other.field)
-
-    def __add__(self, other):
-        field = self._check_compat(other)
-        prec = min(self.prec, other.prec)
-        lead = min(self.lead, other.lead, prec)
-        a, b = self.coefficients(lead, prec), other.coefficients(lead, prec)
-        return LaurentSeries(self.width, lead, [x + y for x, y in zip(a, b)],
-                             field, prec)
-
-    def __neg__(self):
-        return LaurentSeries(self.width, self.lead, [-c for c in self.coeffs],
-                             self.field, self.prec)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         # a factor that is 0 to precision has lead = prec, so lead below is

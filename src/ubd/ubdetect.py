@@ -132,6 +132,11 @@ def detect(f, root_degree, prime_p, T=300, label="", span=None):
     coefficient of f (u and v of f = u(x) + v(x)*y with x, y integral); they
     then bound v_min for every m, not only for the scanned ones, and tau is
     read from that floor alone, whatever T is.
+
+    At tau = 0 with p not dividing root_degree no root is computed: the
+    unit part is then integral above p, and so is its root, since
+    binom(1/n, k) is a p-adic integer when p does not divide n (Koblitz,
+    p-adic Numbers, GTM 58, ch. IV); the verdict is BoundedSoFar.
     """
     if root_degree < 2:
         raise ValueError("root degree must be at least 2")
@@ -148,6 +153,9 @@ def detect(f, root_degree, prime_p, T=300, label="", span=None):
         note = ("a_m p-integral (after the v_min offset) for every m: "
                 "the coefficients are Z-combinations of those of u and v")
     tau = -floor / root_degree
+    if not tau and root_degree % prime_p:
+        return UbdVerdict('BoundedSoFar', None, None, tau, M, mode, note,
+                          label)
     partial = None
     for m, b in enumerate(root_coefficients(unit, root_degree), 1):
         if _content_bound(b, prime_p) >= -tau:

@@ -14,6 +14,7 @@ runs on Python ints.
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 
 from .exactnum import (
@@ -60,7 +61,6 @@ def x11_curve(field=None):
 #     14640*x*S^2 = -E_4(w) + 14641*E_4(w^11) - 15504*S^2 - 2904*S*E_2'.
 # ----------------------------------------------------------------------
 
-_XY_CACHE = {"T": -1, "xs": None, "ys": None, "S": None}
 KAPPA = Fraction(-1)
 # 14640, then the coefficients of E_4(w), E_4(w^11), S^2 and S*E_2'
 XS2_IDENTITY = (14640, -1, 14641, -15504, -2904)
@@ -122,13 +122,6 @@ def _compute_xy(T):
     return X, _exact_quotients(Z, 2, "y", -3), S
 
 
-def _xy_arrays(T):
-    if _XY_CACHE["T"] < T:
-        xs, ys, S = _compute_xy(T)
-        _XY_CACHE.update(T=T, xs=xs, ys=ys, S=S)
-    return _XY_CACHE["xs"], _XY_CACHE["ys"]
-
-
 def expand_xy(T):
     """w-expansions of x and y at width 11, with T terms beyond the lead;
     aborts if either defining relation fails at any computed order.
@@ -139,8 +132,7 @@ def expand_xy(T):
     order the truncations of x, y and S determine."""
     if T < 10:
         raise ValueError("T must be at least 10")
-    xs, ys = _xy_arrays(T)
-    X, Y = xs[:T + 1], ys[:T + 1]
+    X, Y, S = _compute_xy(T)
     n = T + 1
     X2 = kron_mul(X, X, n)   # X2[i] = (x^2)_(i-4)
     X3 = kron_mul(X2, X, n)  # X3[i] = (x^3)_(i-6)
@@ -158,7 +150,6 @@ def expand_xy(T):
             raise RuntimeError(
                 f"curve relation fails at order {k}: inconsistency between the "
                 "two defining relations (implementation bug)")
-    S = _XY_CACHE["S"][:n + 1]  # S[e] = S_e
     Z = [2 * c for c in Y]     # Z[i] = (2y+a3)_(i-3)
     Z[3] += a3
     P = kron_mul(Z, S, n + 1)  # P[i] = ((2y+a3)*S)_(i-3)
@@ -175,9 +166,11 @@ def expand_xy(T):
 # Expansion of curve functions.
 # ----------------------------------------------------------------------
 
-def expand_on_curve(F, T):
+def expand_on_curve(F, T, solve=None):
     """Substitute x(w), y(w) into a CurveFunction; exact coefficients from the
-    leading exponent -n (n the pole order at O) through w^(T-n).
+    leading exponent -n (n the pole order at O) through w^(T-n).  solve,
+    when given, is _compute_xy or a memo of it; without one, x and y are
+    solved afresh.
 
     x and y are integral, so u(x) + v(x)*y is a field-linear combination of
     the integer series x^i and x^i*y, summed in integer coordinates over one
@@ -185,7 +178,7 @@ def expand_on_curve(F, T):
     """
     # x^i * w^(2i) and x^i * y * w^(2i+3) through w^T need the first N of xs
     # and ys (_compute_xy takes T >= 3)
-    xs, ys = _xy_arrays(max(T, 3))
+    xs, ys, _ = (solve or _compute_xy)(max(T, 3))
     field, N = F.curve.field, T + 1
     powers = [[1] + [0] * T]
     while len(powers) < max(len(F.u), len(F.v)):
@@ -218,13 +211,14 @@ class GroupCatalogEntry(namedtuple('GroupCatalogEntry', [
         'root_degree',
         'coefficient_field',   # NumberField or None for rational entries
         'congruence_flag',     # 'known-congruence' | 'expected-noncongruence'
-        'point'])):            # the torsion point with div(f) = n(P) - n(O)
+        'point',               # the torsion point with div(f) = n(P) - n(O)
+        'solve_xy'])):         # its catalog's memo of _compute_xy
     """One cyclic character group of Gamma^0(11): the field of modular
     functions is generated by the root_degree-th root of generator_function."""
     __slots__ = ()
 
     def expansion(self, T):
-        return expand_on_curve(self.generator_function, T)
+        return expand_on_curve(self.generator_function, T, self.solve_xy)
 
     def coefficient_span(self):
         """The coefficients of u and v: x and y are integral, so every
@@ -318,13 +312,16 @@ def build_catalog(index):
                          f"{' and '.join(map(str, CATALOG_INDICES))} only")
     curve = x11_curve()
     factors = torsion_factors(index, curve)
+    # x and y are solved once per T for all the entries of this catalog
+    solve_xy = cache(_compute_xy)
 
     def entry(label, p, flag='expected-noncongruence'):
         f = function_with_divisor(index, p)
         chk = verify_divisor(f, index, p)
         if not chk.ok:
             raise RuntimeError(f"{label} failed verification: {chk.detail}")
-        return GroupCatalogEntry(label, index, f, index, p.curve.field, flag, p)
+        return GroupCatalogEntry(label, index, f, index, p.curve.field, flag,
+                                 p, solve_xy)
 
     if index == 2:
         e = entry("fP1", torsion_point(curve, factors[0], 'u'))

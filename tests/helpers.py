@@ -1,5 +1,6 @@
-"""Reference code that only the tests use: a series power by repeated
-squaring, G5 and the closed forms of its roots, the gcd and
+"""Reference code that only the tests use: equality, agreement, sum and
+difference of series, a series power by repeated squaring, G5 and the
+closed forms of its roots, the gcd and
 Smith-normal-form criteria for a full join, the unit-root test on a Newton
 polygon, and the order of a point by the group law."""
 
@@ -9,6 +10,34 @@ from math import gcd
 from ubd.exactnum import lower_hull_slopes, newton_polygon_points
 from ubd.qseries import (EtaQuotient, LaurentSeries, _eta_product_ints,
                          eta_quotient_expand)
+
+
+def series_key(f):
+    """Two series are equal when these agree."""
+    return (f.width, f.lead, f.prec, f.field, f.coeffs)
+
+
+def agrees(f, g, lo=None, hi=None):
+    """Coefficient-wise equality on lo..hi-1, by default on the overlap of
+    the known ranges."""
+    if f.width != g.width:
+        return False
+    lo = max(f.lead, g.lead) if lo is None else lo
+    hi = min(f.prec, g.prec) if hi is None else hi
+    return all(f.coefficient(k) == g.coefficient(k) for k in range(lo, hi))
+
+
+def series_add(f, g):
+    field = f._check_compat(g)
+    prec = min(f.prec, g.prec)
+    lead = min(f.lead, g.lead, prec)
+    return LaurentSeries(f.width, lead, [
+        a + b for a, b in zip(f.coefficients(lead, prec),
+                              g.coefficients(lead, prec))], field, prec)
+
+
+def series_sub(f, g):
+    return series_add(f, g.scalar_mul(-1))
 
 
 def series_pow(f, k):

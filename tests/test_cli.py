@@ -1,3 +1,4 @@
+from fractions import Fraction
 import hashlib
 import math
 import os
@@ -9,6 +10,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ubd import __version__
 from ubd.qseries import COEFF_DIGITS_CEILING, deserialize_series
+
+from helpers import series_key
 
 
 def run_cli(args, cache, check=True):
@@ -274,16 +277,22 @@ def test_a_coefficient_at_the_digit_ceiling_is_read(tmp_path, p):
         assert proc.returncode == 0, (name, proc.stderr.decode())
 
 
-def _inverse_q_record(terms, start=10 ** 20):
-    """1, then 1/q for distinct q > start prime to 5: every coefficient is
-    5-integral, so the square root at p = 5 stays BoundedSoFar, but the
-    root's common denominator grows at every step."""
-    qs = [q for q in range(start + 7, start + 14 * terms, 7) if q % 5]
-    return ("series 1\nwidth 1\nlead 0\ntruncation %d\nfield rational\n1/1\n"
-            % terms + "".join(f"1/{q}\n" for q in qs[:terms]))
+def _square_record(terms, start=10 ** 20):
+    """The square of g = 1 + sum w^k/q_k for distinct odd q_k > start: its
+    square root at p = 2 is g, which is 2-integral, so the scan finds no
+    witness and runs to the end, but the root's common denominator grows at
+    every step.  (At a prime that does not divide the root degree a
+    p-integral series is BoundedSoFar before any root is computed.)"""
+    g = [Fraction(1)] + [Fraction(1, (start | 1) + 14 * k)
+                         for k in range(1, terms + 1)]
+    square = [sum(g[i] * g[k - i] for i in range(k + 1))
+              for k in range(terms + 1)]
+    return ("series 1\nwidth 1\nlead 0\ntruncation %d\nfield rational\n"
+            % terms + "".join(f"{c.numerator}/{c.denominator}\n"
+                              for c in square))
 
 
-def _detect_argv(path, terms, prime=5, root=2):
+def _detect_argv(path, terms, prime=2, root=2):
     return ["--format", "records", "detect", "--series-file", str(path),
             "--prime", str(prime), "--root", str(root), "--terms", str(terms)]
 
@@ -296,36 +305,36 @@ def _budget_line(m, terms, budget):
 
 def test_root_work_budget_just_under_and_just_over(tmp_path, monkeypatch,
                                                    capsys):
-    """At budget B the root of a 1/q file stops before b_26; asked for 25
-    terms it spends just under B and prints its verdict, asked for 26 it
-    exits 2 with one error: line naming m and T, and nothing on stdout."""
+    """At budget B the root of a squared 1/q file stops before b_25; asked
+    for 24 terms it spends just under B and prints its verdict, asked for 25
+    it exits 2 with one error: line naming m and T, and nothing on stdout."""
     from ubd import cli, qseries
 
-    budget = 10 ** 9
+    budget = 10 ** 8
     monkeypatch.setattr(qseries, "ROOT_WORK_BUDGET", budget)
-    path = tmp_path / "inverse-q.series"
-    path.write_text(_inverse_q_record(40))
+    path = tmp_path / "square.series"
+    path.write_text(_square_record(40))
     assert cli.main(_detect_argv(path, 40)) == 2
-    assert capsys.readouterr() == ("", _budget_line(26, 40, budget))
-    assert cli.main(_detect_argv(path, 25)) == 0
+    assert capsys.readouterr() == ("", _budget_line(25, 40, budget))
+    assert cli.main(_detect_argv(path, 24)) == 0
     assert capsys.readouterr() == (
-        "entry=inverse-q.series status=BoundedSoFar witness_index=- "
-        "witness_valuation=- threshold=0/1 truncation=25 mode=rational\n", "")
-    assert cli.main(_detect_argv(path, 26)) == 2
-    assert capsys.readouterr() == ("", _budget_line(26, 26, budget))
+        "entry=square.series status=BoundedSoFar witness_index=- "
+        "witness_valuation=- threshold=0/1 truncation=24 mode=rational\n", "")
+    assert cli.main(_detect_argv(path, 25)) == 2
+    assert capsys.readouterr() == ("", _budget_line(25, 25, budget))
 
 
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(terms=st.integers(20, 40), start=st.integers(10 ** 19, 10 ** 21),
-       budget=st.integers(10 ** 6, 10 ** 8))
+       budget=st.integers(10 ** 6, 3 * 10 ** 7))
 def test_a_budget_stop_is_the_same_on_every_run(tmp_path, monkeypatch, capsys,
                                                 terms, start, budget):
     from ubd import cli, qseries
 
     monkeypatch.setattr(qseries, "ROOT_WORK_BUDGET", budget)
-    path = tmp_path / "inverse-q.series"
-    path.write_text(_inverse_q_record(terms, start))
+    path = tmp_path / "square.series"
+    path.write_text(_square_record(terms, start))
     runs = []
     for _ in range(2):
         rc = cli.main(_detect_argv(path, terms))
@@ -370,7 +379,6 @@ def test_a_3000_term_g5_record_certifies_at_m_1(tmp_path, capsys):
 def test_detect_inconclusive_exit_code(tmp_path):
     # a Q(i)-coefficient series whose conjugate valuations straddle the
     # threshold at the split prime 5: detection must exit 3
-    from fractions import Fraction
     from ubd.exactnum import NumberField
     from ubd.qseries import LaurentSeries, serialize_series
 
@@ -629,7 +637,7 @@ def test_cache_concurrent_writers_leave_one_whole_record(tmp_path):
     names = os.listdir(tmp_path)
     assert len(names) == 1 and names[0].endswith(".series")
     assert (tmp_path / names[0]).read_text() == record
-    assert deserialize_series(record) == series
+    assert series_key(deserialize_series(record)) == series_key(series)
 
 
 def test_no_command_imports_sympy(tmp_path):

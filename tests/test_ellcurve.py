@@ -1,10 +1,8 @@
-import random
 from fractions import Fraction
 
 import pytest
 
-from ubd.exactnum import (NumberField, dp_monic, dp_mul, dp_sub, lift,
-                          min_poly, trunc_mul)
+from ubd.exactnum import NumberField, dp_monic, dp_mul, dp_sub, lift, trunc_mul
 from ubd.ellcurve import (
     CurveFunction,
     WeierstrassCurve,

@@ -91,9 +91,10 @@ def test_an_inconclusive_probe_falls_through_to_the_full_scan():
 def test_index2_report_solves_x_and_y_only_to_the_probe(monkeypatch):
     # all three index-2 entries certify at m <= 2, inside the probe of
     # t = 18 terms, so x and y are solved to t + 2 = 20 terms, not 302
-    monkeypatch.setattr(x011, "_XY_CACHE",
-                        {"T": -1, "xs": None, "ys": None, "S": None})
+    solves, real = [], x011._compute_xy
+    monkeypatch.setattr(x011, "_compute_xy",
+                        lambda T: solves.append(T) or real(T))
     rep = analyze_catalog(build_catalog(2), 300)
     assert rep.certified == 3
     assert all(v.truncation_used == 300 for v in rep.verdicts)
-    assert x011._XY_CACHE["T"] <= math.isqrt(300) + 1 + 2
+    assert solves and max(solves) <= math.isqrt(300) + 1 + 2

@@ -13,8 +13,10 @@ replaced, and the index-2 report at T = 300 and the index-5 catalog at
 T = 300 from the double-and-add Miller loop that the addition chain
 replaced, and the index-2 report at --prime 3 (no probe certifies, so
 the full scan runs) from the report that scanned each of its three labels
-apart; a fault that changes any printed coefficient, verdict or count
-changes a hash.
+apart, and the index-5 report at --prime 3 and T = 300 from the detector
+that ran every root in full at a prime not dividing the root degree; a
+fault that changes any printed coefficient, verdict or count changes a
+hash.
 Each command runs on an empty cache and again on the cache it filled.
 """
 
@@ -67,6 +69,9 @@ GOLDEN = [
     (["--format", "records", "report", "--index", "2", "--terms", "100",
       "--prime", "3"],
      "e2f4d07f2918c325170f8cfef8ee8954aa2f589e2a2c7e6aba1d3315c5cfa125"),
+    (["--format", "records", "report", "--index", "5", "--terms", "300",
+      "--prime", "3"],
+     "fd103e80924380df6eed48e48a94f2efc63977bb210f93dcb112a6a83a7616bf"),
 ]
 
 
@@ -77,7 +82,8 @@ GOLDEN = [
                               "report-table-5", "report-5-300",
                               "report-5-prime-11", "detect-fQ-300",
                               "census-1e10", "census-b-1e9", "report-2-300",
-                              "catalog-5-300", "report-2-prime-3"])
+                              "catalog-5-300", "report-2-prime-3",
+                              "report-5-prime-3-300"])
 def test_golden_stdout(tmp_path, args, digest):
     for _ in ("cold", "warm"):
         proc = subprocess.run([sys.executable, "-m", "ubd", *args],

@@ -28,6 +28,7 @@ from ubd.exactnum import (
     lower_hull_slopes,
     min_poly,
     newton_polygon_points,
+    newton_polygon_valuations,
     ord_at_unique_prime,
     val_p,
 )
@@ -48,7 +49,7 @@ from ubd.ubdetect import (
 )
 from ubd.x011 import build_catalog
 
-from helpers import series_pow
+from helpers import agrees, series_key, series_pow
 
 QUARTIC = NumberField([869405, 19255, 1360, 20, 1], 's')  # index-5 catalog
 CUBIC = NumberField([-158, -40, -2, 1], 'u')              # index-2 catalog
@@ -218,6 +219,33 @@ def series(coeff, field=None, max_len=14):
         lambda t: LaurentSeries(1, t[2], [t[0]] + t[1], field))
 
 
+@st.composite
+def units_integral_above_p(draw):
+    """(f, n, p): a unit series over Q, the index-5 quartic field or the
+    index-2 cubic field whose coordinates have denominators prime to p, so
+    that every coefficient is integral at every prime above p (the field
+    generators are integral), and a root degree n that p does not divide."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    n = draw(st.integers(2, 7).filter(lambda n: n % p))
+    field = draw(st.sampled_from([None, QUARTIC, CUBIC]))
+    coords = rationals(tuple(d for d in (1, 2, 3, 5, 7, 9, 25) if d % p))
+    if field is None:
+        return draw(unit_series(coords, max_len=12)), n, p
+    return draw(unit_series(elements(field, coords=coords), field,
+                            max_len=5)), n, p
+
+
+@settings(max_examples=100, deadline=None)
+@given(units_integral_above_p())
+def test_a_root_of_degree_prime_to_p_is_integral_above_p(case):
+    # binom(1/n, k) lies in Z_p when p does not divide n (Koblitz, p-adic
+    # Numbers, GTM 58, ch. IV), so (1 + x)^(1/n) is integral above p when x
+    # is: no b_m can have -ord > 0 = tau, whatever Miller's division by n*k
+    f, n, p = case
+    for b in root_coefficients(f, n):
+        assert not b or all(v >= 0 for v, _ in newton_polygon_valuations(b, p))
+
+
 @SETTINGS
 @given(unit_series(st.one_of(rationals(), wide_rationals)), st.integers(1, 7))
 def test_root_coefficients_match_reference_over_q(f, n):
@@ -236,7 +264,8 @@ def test_root_coefficients_match_reference_over_q(f, n):
 def test_root_coefficients_match_reference_over_catalog_fields(f, n):
     # the examples are the one-term unit 1 + O(w^2), where no a_j enters
     # the sum and the slot width is a maximum over an empty sequence
-    assert nth_root_normalized(f, n) == _reference_root(f, n)
+    assert series_key(nth_root_normalized(f, n)) == \
+        series_key(_reference_root(f, n))
 
 
 negative_coords = st.builds(Fraction, st.integers(-2 ** 40, -1),
@@ -459,7 +488,7 @@ def test_index5_report_takes_few_norms(catalog_series, monkeypatch):
 @SETTINGS
 @given(unit_series(rationals()), st.integers(1, 6))
 def test_root_to_the_nth_power_is_f(f, n):
-    assert series_pow(nth_root_normalized(f, n), n).agrees_with(f)
+    assert agrees(series_pow(nth_root_normalized(f, n), n), f)
 
 
 @SETTINGS
@@ -467,7 +496,7 @@ def test_root_to_the_nth_power_is_f(f, n):
 def test_root_to_the_nth_power_is_f_over_a_number_field(f, n):
     root = nth_root_normalized(f, n)
     assert root.field == QUARTIC
-    assert series_pow(root, n).agrees_with(f)
+    assert agrees(series_pow(root, n), f)
 
 
 def test_detect_stops_at_the_first_witness(monkeypatch):

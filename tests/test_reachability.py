@@ -17,7 +17,7 @@ import io
 import sys
 from pathlib import Path
 
-from ubd import cli, exactnum, x011
+from ubd import cli, exactnum
 
 SRC = Path(cli.__file__).resolve().parent
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -28,14 +28,6 @@ ALLOWED = {
         "the callee of the traced LaurentSeries.invert",
     ("qseries", "LaurentSeries._check_compat"):
         "the callee of the traced LaurentSeries.__mul__",
-    ("qseries", "LaurentSeries.__eq__"): "a reference the tests compare by",
-    ("qseries", "LaurentSeries.agrees_with"):
-        "a reference the tests compare by",
-    ("qseries", "LaurentSeries.__add__"):
-        "a reference for the ring axioms and the product tests",
-    ("qseries", "LaurentSeries.__neg__"): "the half of __sub__",
-    ("qseries", "LaurentSeries.__sub__"):
-        "a reference for the ring axioms and the product tests",
     ("exactnum", "NumberField.zero"): "the field's 0, beside its 1",
     ("exactnum", "NumberField.one"): "the field's 1, beside its 0",
     ("census", "LatticeTriple.index"): "the index m*l of the sublattice",
@@ -121,12 +113,9 @@ def _commands(tmp):
     ]
 
 
-def test_every_function_in_src_is_reached_by_a_command(tmp_path,
-                                                       monkeypatch):
-    # start cold, as a fresh process does: no x and y kept in memory, no
-    # unique-prime certificate remembered from another test
-    monkeypatch.setattr(x011, "_XY_CACHE",
-                        {"T": -1, "xs": None, "ys": None, "S": None})
+def test_every_function_in_src_is_reached_by_a_command(tmp_path):
+    # start cold, as a fresh process does: no unique-prime certificate
+    # remembered from another test
     exactnum.field_has_unique_prime_above.cache_clear()
     seen = set()
 

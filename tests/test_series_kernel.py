@@ -25,6 +25,8 @@ from ubd.qseries import (EtaQuotient, LaurentSeries, _eta_product_ints,
 from ubd.x011 import (KAPPA, S_QUOTIENT, V_INV_QUOTIENT, XS2_IDENTITY,
                       _compute_xy)
 
+from helpers import series_key
+
 QUARTIC = NumberField([869405, 19255, 1360, 20, 1], 's')  # index-5 catalog
 CUBIC = NumberField([-158, -40, -2, 1], 'u')              # index-2 catalog
 FIELDS = {"Q": None, "quartic": QUARTIC, "cubic": CUBIC}
@@ -356,15 +358,15 @@ def test_series_product_matches_reference(data, name_f, name_g):
     if kf is not None and kg is not None and kf != kg:
         kg = kf  # two different number fields do not multiply
     f, g = data.draw(series(kf)), data.draw(series(kg))
-    assert f * g == _reference_mul(f, g)
-    assert g * f == _reference_mul(g, f)
+    assert series_key(f * g) == series_key(_reference_mul(f, g))
+    assert series_key(g * f) == series_key(_reference_mul(g, f))
 
 
 @SETTINGS
 @given(st.data(), field_names)
 def test_newton_invert_matches_reference(data, name):
     f = data.draw(unit_series(FIELDS[name]))
-    assert f.invert() == _reference_invert(f)
+    assert series_key(f.invert()) == series_key(_reference_invert(f))
 
 
 def test_dp_mul_matches_reference_with_mixed_entries():
@@ -433,7 +435,6 @@ def test_a_wrong_identity_constant_stops_the_solve(monkeypatch, tmp_path,
     wrong = list(XS2_IDENTITY)
     wrong[which] += delta
     monkeypatch.setattr(x011, "XS2_IDENTITY", tuple(wrong))
-    monkeypatch.setattr(x011, "_XY_CACHE", {"T": -1})
     with pytest.raises(RuntimeError):
         x011.expand_xy(20)
     assert cli.main(["--cache-dir", str(tmp_path), "expand-xy",

@@ -18,7 +18,7 @@ from ubd.x011 import (
     KAPPA,
     S_QUOTIENT,
     WIDTH,
-    _xy_arrays,
+    _compute_xy,
     build_catalog,
     catalog_export,
     expand_on_curve,
@@ -27,7 +27,8 @@ from ubd.x011 import (
     x11_curve,
 )
 
-from helpers import g5_root, g5_series, has_order, series_pow, unit_root_factors
+from helpers import (agrees, g5_root, g5_series, has_order, series_add,
+                     series_key, series_pow, series_sub, unit_root_factors)
 
 X_HEAD = [1, 2, 4, 5, 8, 1, 7, -11, 10, -12, -18]   # w^-2 .. w^8
 Y_HEAD = [1, 3, 7, 12, 17, 26, 19, 37, -15, -16, -67]  # w^-3 .. w^7
@@ -55,9 +56,9 @@ def test_expansion_report_kappa():
 def test_relations_hold_to_truncation():
     # expand_xy aborts unless both defining relations hold
     x, y = expand_xy(60)
-    lhs = y * y + y
-    rhs = x * x * x - x * x - x.scalar_mul(10)
-    diff = lhs - rhs
+    lhs = series_add(y * y, y)
+    rhs = series_sub(series_sub(x * x * x, x * x), x.scalar_mul(10))
+    diff = series_sub(lhs, rhs)
     assert all(diff.coefficient(k) == (-20 if k == 0 else 0)
                for k in range(diff.lead, diff.prec))
 
@@ -72,7 +73,7 @@ def test_expand_on_curve_reproduces_x():
     x, _ = expand_xy(30)
     fx = CurveFunction(x11_curve(), [0, 1], [])
     s = expand_on_curve(fx, 25)
-    assert s.agrees_with(x, -2, 20)
+    assert agrees(s, x, -2, 20)
 
 
 def test_expand_on_curve_fp_golden():
@@ -94,7 +95,7 @@ def _reference_expand_on_curve(F, T):
     field, then u + v*y, truncated to w^(T-n)."""
     degs = max(len(F.u), len(F.v) + 1)
     margin = 2 * degs + F.pole_order_at_O() + 10
-    xs, ys = _xy_arrays(T + margin)
+    xs, ys, _ = _compute_xy(T + margin)
     Tm = T + margin
     x = LaurentSeries(WIDTH, -2, xs[:Tm + 1], None, Tm - 1)
     y = LaurentSeries(WIDTH, -3, ys[:Tm + 1], None, Tm - 2)
@@ -106,12 +107,13 @@ def _reference_expand_on_curve(F, T):
         acc = LaurentSeries(WIDTH, 0, [coeffs[-1]], field, prec=x.prec - x.lead)
         for c in reversed(coeffs[:-1]):
             acc = acc * x
-            acc = acc + LaurentSeries(WIDTH, 0, [c], field, prec=acc.prec)
+            acc = series_add(acc, LaurentSeries(WIDTH, 0, [c], field,
+                                                prec=acc.prec))
         return acc
 
     result = poly_at_x(list(F.u))
     if F.v:
-        result = result + poly_at_x(list(F.v)) * y
+        result = series_add(result, poly_at_x(list(F.v)) * y)
     want = -F.pole_order_at_O() + T + 1
     assert result.prec >= want
     return result.truncate(want)
@@ -121,7 +123,8 @@ def test_expand_on_curve_matches_reference_on_the_catalogs():
     for e in build_catalog(5) + build_catalog(2):
         f = e.generator_function
         got = expand_on_curve(f, 302)
-        assert got == _reference_expand_on_curve(f, 302), e.label
+        assert series_key(got) == series_key(
+            _reference_expand_on_curve(f, 302)), e.label
         assert got.field == e.coefficient_field
         assert got.lead == -e.index and got.prec == 303 - e.index
 
@@ -155,7 +158,8 @@ def curve_functions(draw):
 @settings(max_examples=60, deadline=None)
 @given(curve_functions(), st.integers(0, 40))
 def test_expand_on_curve_matches_reference_with_a_denominator(f, T):
-    assert expand_on_curve(f, T) == _reference_expand_on_curve(f, T)
+    assert series_key(expand_on_curve(f, T)) == series_key(
+        _reference_expand_on_curve(f, T))
 
 
 def test_q_point_coordinates_match_nested_radical_form():
@@ -310,10 +314,10 @@ def test_g5_family_roots():
         lead, closed = g5_root(n, 40)
         assert lead == Fraction(-5, n)
         root = nth_root_normalized(unit, n)
-        assert root.agrees_with(closed, 0, 38)
+        assert agrees(root, closed, 0, 38)
         assert all(Fraction(c).denominator == 1
                    for c in root.coefficients(0, 38))
-        assert series_pow(root, n).agrees_with(unit)
+        assert agrees(series_pow(root, n), unit)
 
 
 def test_g5_family_other_n():
@@ -347,7 +351,6 @@ def test_xy_solve_stops_on_a_non_integral_order(monkeypatch, tmp_path):
     monkeypatch.setattr(x011, "_eta_product_ints", perturbed)
     with pytest.raises(RuntimeError, match="not integral at order 0"):
         x011._compute_xy(20)
-    monkeypatch.setattr(x011, "_XY_CACHE", {"T": -1})
     assert cli.main(["--cache-dir", str(tmp_path), "expand-xy",
                      "--terms", "20"]) == 4
 
@@ -363,9 +366,9 @@ def test_curve_check_fails_at_the_order_of_a_wrong_coefficient(
     # y^2 at w^k as 2*y_(-3)*y_(k+3); both sit at index k + 6 of their array
     from ubd import x011
 
-    xs, ys = (list(a) for a in _xy_arrays(XY_CHECK_T))
+    xs, ys, S = _compute_xy(XY_CHECK_T)
     (xs if which == "x" else ys)[order + 6] += 1
-    monkeypatch.setattr(x011, "_xy_arrays", lambda T: (xs, ys))
+    monkeypatch.setattr(x011, "_compute_xy", lambda T: (xs, ys, S))
     with pytest.raises(RuntimeError,
                        match=f"curve relation fails at order {order}:"):
         expand_xy(XY_CHECK_T)
@@ -379,10 +382,66 @@ def test_derivation_check_fails_at_the_order_of_a_wrong_coefficient(
     # enters (2y+1)*S at w^k as 2*y_(-3)*S_(k+3)
     from ubd import x011
 
-    _xy_arrays(XY_CHECK_T)
-    S = list(x011._XY_CACHE["S"])
+    xs, ys, S = _compute_xy(XY_CHECK_T)
     S[order + 3] += 1
-    monkeypatch.setitem(x011._XY_CACHE, "S", S)
+    monkeypatch.setattr(x011, "_compute_xy", lambda T: (xs, ys, S))
     with pytest.raises(RuntimeError,
                        match=f"derivation relation fails at order {order}:"):
         expand_xy(XY_CHECK_T)
+
+
+# the T of every x/y solve that each command makes from an empty disk cache
+SOLVES = [
+    (["report", "--index", "5", "--terms", "300"], [20, 302]),
+    (["report", "--index", "2", "--terms", "300"], [20]),
+    (["catalog", "--index", "5", "--terms", "20"], [20]),
+    (["detect", "--entry", "fQ", "--prime", "5", "--root", "5",
+      "--terms", "300"], [20, 302]),
+    (["expand-xy", "--terms", "30"], [30]),
+    (["report", "--index", "5", "--terms", "20"], [7, 22]),
+]
+
+
+def _run_counting_solves(monkeypatch, tmp_path, commands):
+    """Run the commands in this process, one after another; for each, its
+    exit code, stdout and the T of every _compute_xy call it made."""
+    import contextlib
+    import io
+
+    from ubd import cli, x011
+
+    real, calls = x011._compute_xy, []
+
+    def counted(T):
+        calls.append(T)
+        return real(T)
+
+    monkeypatch.setattr(x011, "_compute_xy", counted)
+    runs = []
+    for argv in commands:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(["--cache-dir", str(tmp_path), *argv])
+        runs.append((rc, out.getvalue(), calls[:]))
+        calls.clear()
+    return runs
+
+
+@pytest.mark.parametrize("argv,solves", SOLVES,
+                         ids=[" ".join(a) for a, _ in SOLVES])
+def test_each_command_solves_x_and_y_as_its_catalog_needs(
+        monkeypatch, tmp_path, argv, solves):
+    (rc, _, got), = _run_counting_solves(monkeypatch, tmp_path, [argv])
+    assert (rc, got) == (0, solves)
+
+
+def test_a_command_solves_the_same_after_any_other(monkeypatch, tmp_path):
+    # x and y live in the catalog that expands them, so no command finds
+    # them solved by the one before it
+    report, detect = SOLVES[5][0], SOLVES[3][0]
+    forward = _run_counting_solves(monkeypatch, tmp_path / "a",
+                                   [report, detect])
+    backward = _run_counting_solves(monkeypatch, tmp_path / "b",
+                                    [detect, report])
+    assert forward == backward[::-1]
+    assert [solves for _, _, solves in forward] == [[7, 22], [20, 302]]
