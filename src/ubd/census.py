@@ -72,7 +72,7 @@ def euler_phi(n):
 
 
 class LowerBoundExperiment(namedtuple(
-        'LowerBoundExperiment', 'X b full_count restricted_count phi_bound')):
+        'LowerBoundExperiment', 'X full_count restricted_count phi_bound')):
     __slots__ = ()
 
     @property
@@ -119,4 +119,4 @@ def ubd_lower_bound_experiment(b, X):
     if restricted < phi_bound:
         raise RuntimeError(f"restricted count {restricted} fell below the "
                            f"phi(s)/(2s) bound {phi_bound} at X={X}")
-    return LowerBoundExperiment(X, b, full, restricted, phi_bound)
+    return LowerBoundExperiment(X, full, restricted, phi_bound)

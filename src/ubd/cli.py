@@ -143,10 +143,9 @@ def _parse_eta_spec(text):
 
 
 def _fmt(v):
-    if isinstance(v, Fraction) or isinstance(v, int):
-        v = Fraction(v)
-        return f"{v.numerator}/{v.denominator}"
-    return str(v)
+    """An int or a Fraction as numerator/denominator."""
+    v = Fraction(v)
+    return f"{v.numerator}/{v.denominator}"
 
 
 def cmd_eta(args, out):
@@ -260,11 +259,11 @@ def cmd_report(args, out):
         for v in rep.verdicts:
             out.write(_verdict_line(v, "records") + "\n")
         confirmed = rep.hypothesis_confirmed if tested else "-"
-        out.write(f"summary index={rep.index} certified={rep.certified} "
+        out.write(f"summary index={args.index} certified={rep.certified} "
                   f"bounded={rep.bounded} inconclusive={rep.inconclusive} "
                   f"hypothesis_confirmed={confirmed}\n")
     else:
-        out.write(f"index-{rep.index} catalog at T={rep.truncation}\n")
+        out.write(f"index-{args.index} catalog at T={args.terms}\n")
         for v in rep.verdicts:
             out.write(_verdict_line(v, "table") + "\n")
         out.write(f"certified: {rep.certified}  bounded: {rep.bounded}  "

@@ -3,15 +3,16 @@
 Number fields are presented by a single monic irreducible integer polynomial,
 checked by the pure-Python factorization below.  Every field question reads
 one object, the integer characteristic polynomial chi_B of B = den*a, which
-comes from traces by Newton's identities: the minimal polynomial divides it
-out, the inverse is Cayley-Hamilton on it, and the valuations above a
-rational prime p are the negated slopes of its Newton polygon, less
-v_p(den).  Whether val_p extends uniquely to the field is certified on chi
-of t - a, the shifted defining polynomial f(x + a) for t the generator (one
-segment, totally ramified or with a residual polynomial that distinct-degree
-factorization shows irreducible mod p); every polygon then has one slope,
-which the resultant norm of ord_at_unique_prime reproduces.
-"""
+comes from traces by Newton's identities: the inverse is Cayley-Hamilton on
+it, and the valuations above a rational prime p are the negated slopes of
+its Newton polygon, less v_p(den).  newton_polygon_valuations is the one
+reader of that polygon.  Whether val_p extends uniquely to the field is
+certified from what it reads on chi of t - a, the shifted defining
+polynomial f(x + a) for t the generator (one segment, totally ramified or
+with a residual polynomial that distinct-degree factorization shows
+irreducible mod p); every polygon then has one slope, which the resultant
+norm of ord_at_unique_prime reproduces.  The minimal polynomial, chi_B over
+its repeated part, is a reference kept in the tests."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -864,7 +865,7 @@ def newton_inverse(f, n, inv0, mul):
 
 
 # ----------------------------------------------------------------------
-# The characteristic polynomial, minimal polynomials and Newton polygons.
+# The characteristic polynomial and its Newton polygons.
 # ----------------------------------------------------------------------
 
 def _integral_char_poly(a):
@@ -896,18 +897,6 @@ def _integral_char_poly(a):
             raise RuntimeError("Newton's identities left a fraction")
         e.append(q)
     return e[::-1], powers
-
-
-def min_poly(a):
-    """Monic minimal polynomial over Q of an algebraic number a = B/den: the
-    characteristic polynomial chi_B is a power of the minimal polynomial of
-    B, which is therefore chi_B / gcd(chi_B, chi_B'), rescaled to a."""
-    if isinstance(a, (int, Fraction)):
-        return [-Fraction(a), Fraction(1)]
-    chi = _integral_char_poly(a)[0]  # of B = den*a, monic over Z
-    m = _zx_exquo(chi, _zx_gcd(chi, _deriv(chi)))
-    k = len(m) - 1
-    return [Fraction(c, a.den ** (k - i)) for i, c in enumerate(m)]
 
 
 def lower_hull_slopes(points):
@@ -943,40 +932,28 @@ def _segment_residual(coeffs, p, v0, slope):
             for i in range(0, len(coeffs), slope.denominator)]
 
 
-def newton_polygon_points(coeffs, p):
-    return [(i, val_p(c, p)) for i, c in enumerate(dp_trim(coeffs))]
-
-
-def _polygon_certifies_unique(coeffs, p):
-    """True if the Newton polygon of this polynomial proves a single prime
-    above p in Q[x]/(f): one segment, and either totally ramified (slope
-    denominator = degree) or irreducible residual polynomial."""
-    coeffs = dp_trim(coeffs)
-    n = len(coeffs) - 1
-    pts = newton_polygon_points(coeffs, p)
-    segs = lower_hull_slopes(pts)
-    if len(segs) != 1 or segs[0][1] != n:
-        return False
-    slope = segs[0][0]
-    if slope.denominator == n:
-        return True
-    # the segment ends at the vertex (n, v_p(c_n)): the residual has degree
-    # n / denominator
-    return poly_is_irreducible_modp(
-        _segment_residual(coeffs, p, pts[0][1], slope), p)
-
-
 @lru_cache(maxsize=None)
 def field_has_unique_prime_above(field, p):
     """Certify that val_p extends uniquely to the field.
 
     Tries the polygons of f(x + a), chi of t - a for t the generator, at
-    a = 0, 1, ..., 15 (fewer when p < 16); a failure to certify returns
-    False (it never guesses).
+    a = 0, 1, ..., 15 (fewer when p < 16), as newton_polygon_valuations
+    reads them: one segment, either totally ramified (slope denominator =
+    degree) or with a residual polynomial irreducible mod p.  A failure to
+    certify returns False (it never guesses).
     """
-    t = field.gen()
-    return any(_polygon_certifies_unique(_integral_char_poly(t - a)[0], p)
-               for a in range(min(p, 16)))
+    t, n = field.gen(), field.degree
+    for a in range(min(p, 16)):
+        if t == a:
+            continue  # a degree-1 field: 0 has no polygon
+        segments = newton_polygon_valuations(t - a, p)
+        if len(segments) != 1:
+            continue
+        v = segments[0][0]  # the segment runs from (0, n*v) to (n, 0)
+        if v.denominator == n or poly_is_irreducible_modp(_segment_residual(
+                _integral_char_poly(t - a)[0], p, n * v, -v), p):
+            return True
+    return False
 
 
 def newton_polygon_valuations(a, p):
@@ -995,7 +972,7 @@ def newton_polygon_valuations(a, p):
         return [(Fraction(val_p(Fraction(a), p)), 1)]
     shift = val_p(a.den, p)  # the hull's slopes are distinct
     return sorted((-s - shift, length) for s, length in lower_hull_slopes(
-        newton_polygon_points(_integral_char_poly(a)[0], p)))
+        [(i, val_p(c, p)) for i, c in enumerate(_integral_char_poly(a)[0])]))
 
 
 def ord_at_unique_prime(a, p):

@@ -173,9 +173,8 @@ def detect(f, root_degree, prime_p, T=300, label="", span=None):
     return UbdVerdict('BoundedSoFar', None, None, tau, M, mode, note, label)
 
 
-CatalogReport = namedtuple('CatalogReport', 'index truncation verdicts '
-                           'certified bounded inconclusive '
-                           'hypothesis_confirmed')
+CatalogReport = namedtuple('CatalogReport', 'verdicts certified bounded '
+                           'inconclusive hypothesis_confirmed')
 
 
 def detect_entry(e, root_degree, prime_p, T=300):
@@ -199,7 +198,8 @@ def detect_entry(e, root_degree, prime_p, T=300):
 
 
 def analyze_catalog(entries, T=300, prime_p=None):
-    """Run detect_entry over catalog entries at their root degrees.
+    """Run detect_entry over catalog entries, each at its index as root
+    degree.
 
     The main theorem's index-p hypothesis is confirmed when every
     expected-noncongruence entry is certified and no known-congruence entry
@@ -208,10 +208,10 @@ def analyze_catalog(entries, T=300, prime_p=None):
     """
     verdicts, scanned = [], {}
     for e in entries:
-        p = prime_p if prime_p is not None else e.root_degree
-        key = (id(e.generator_function), e.root_degree, p)
+        p = prime_p if prime_p is not None else e.index
+        key = (id(e.generator_function), p)
         if key not in scanned:
-            scanned[key] = detect_entry(e, e.root_degree, p, T)
+            scanned[key] = detect_entry(e, e.index, p, T)
         verdicts.append(scanned[key]._replace(label=e.label))
     certified = sum(1 for v in verdicts if v.status == 'UnboundedCertified')
     bounded = sum(1 for v in verdicts if v.status == 'BoundedSoFar')
@@ -222,6 +222,5 @@ def analyze_catalog(entries, T=300, prime_p=None):
             ok = False
         if e.congruence_flag == 'known-congruence' and v.certified():
             ok = False
-    index = entries[0].index if entries else 0
-    return CatalogReport(index, T, verdicts, certified, bounded, inconclusive,
+    return CatalogReport(verdicts, certified, bounded, inconclusive,
                          ok and bool(entries))

@@ -7,9 +7,11 @@ y^2 + y = x^3 - x^2 - 10x - 20 and the derivation relation
 D(x) = kappa*(2y+1)*S(w), where D = w*d/dw, S is the weight-2 eta product
 eta(z)^2*eta(z/11)^2 expanded in w = e^(2*pi*i*z/11), and kappa is the
 constant KAPPA = -1.  x comes in closed form from weight-4 modular forms on
-Gamma_0(11), y from the derivation relation, and both relations are then
-checked at every determined order.  x, y and S are integral, so all of it
-runs on Python ints.
+Gamma_0(11), y from the derivation relation.  expand_xy (the expand-xy
+command) checks both relations at every determined order; the catalog
+expansions rely on _compute_xy's two exact divisions, each of which raises
+on a remainder.  x, y and S are integral, so all of it runs on Python
+ints.
 """
 
 from collections import namedtuple
@@ -31,7 +33,6 @@ from .exactnum import (
     integerize_monic,
     kron_mul,
     lift,
-    min_poly,
 )
 from .qseries import (EtaQuotient, LaurentSeries, _eta_product_ints,
                       _field_line, _fmt_coords, serialize_series)
@@ -207,14 +208,12 @@ def expand_on_curve(F, T, solve=None):
 class GroupCatalogEntry(namedtuple('GroupCatalogEntry', [
         'label',
         'index',
-        'generator_function',  # a CurveFunction
-        'root_degree',
-        'coefficient_field',   # NumberField or None for rational entries
+        'generator_function',  # a CurveFunction over the coefficient field
         'congruence_flag',     # 'known-congruence' | 'expected-noncongruence'
         'point',               # the torsion point with div(f) = n(P) - n(O)
         'solve_xy'])):         # its catalog's memo of _compute_xy
     """One cyclic character group of Gamma^0(11): the field of modular
-    functions is generated by the root_degree-th root of generator_function."""
+    functions is generated by the index-th root of generator_function."""
     __slots__ = ()
 
     def expansion(self, T):
@@ -320,8 +319,7 @@ def build_catalog(index):
         chk = verify_divisor(f, index, p)
         if not chk.ok:
             raise RuntimeError(f"{label} failed verification: {chk.detail}")
-        return GroupCatalogEntry(label, index, f, index, p.curve.field, flag,
-                                 p, solve_xy)
+        return GroupCatalogEntry(label, index, f, flag, p, solve_xy)
 
     if index == 2:
         e = entry("fP1", torsion_point(curve, factors[0], 'u'))
@@ -331,11 +329,12 @@ def build_catalog(index):
     q = torsion_point(curve, next(g for g in factors if len(g) == 3), 's')
     entries = [entry("fP", p), entry("fQ", q, 'known-congruence')]
     # Q + iP lies in neither <P> (the linear factors of psi_5) nor <Q>
-    # (its quadratic factor), so x is a root of one of its two quartics
-    quartics = [list(g) for g in factors if len(g) == 5]
+    # (its quadratic factor), so x is a root of one of its two quartics,
+    # which, irreducible, is then its minimal polynomial
+    quartics = [g for g in factors if len(g) == 5]
     for i in (1, 2, 3, 4):
         r = q + i * q.curve.point(p.x, p.y)
-        if min_poly(r.x) not in quartics:
+        if all(dp_eval(g, r.x) for g in quartics):
             raise RuntimeError("x(Q+iP) is not a root of a quartic factor "
                                "of psi_5")
         entries.append(entry(f"fQ+{i}P", r))
@@ -347,15 +346,15 @@ def catalog_export(entries, T=20):
     T expansion coefficients in the series serialization format."""
     blocks = []
     for e in entries:
+        g = e.generator_function
+        field = g.curve.field
         lines = [f"entry {e.label}",
                  f"index {e.index}",
-                 f"root_degree {e.root_degree}",
+                 f"root_degree {e.index}",
                  f"congruence {e.congruence_flag}",
-                 _field_line(e.coefficient_field)]
-        fmt = str if e.coefficient_field is None else _fmt_coords
-        g = e.generator_function
-        for name, cs in (("u", g.u), ("v", g.v),
-                         ("den", [lift(e.coefficient_field, 1)])):
+                 _field_line(field)]
+        fmt = str if field is None else _fmt_coords
+        for name, cs in (("u", g.u), ("v", g.v), ("den", [lift(field, 1)])):
             lines.append(f"{name} " + ";".join(map(fmt, cs)))
         series = e.expansion(T)
         lines.append(serialize_series(series).rstrip("\n"))

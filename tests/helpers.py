@@ -1,13 +1,17 @@
 """Reference code that only the tests use: equality, agreement, sum and
 difference of series, a series power by repeated squaring, G5 and the
 closed forms of its roots, the gcd and
-Smith-normal-form criteria for a full join, the unit-root test on a Newton
-polygon, and the order of a point by the group law."""
+Smith-normal-form criteria for a full join, the minimal polynomial, Newton
+polygon points and the unique-prime certificate read from them, the
+unit-root test on a Newton polygon, and the order of a point by the group
+law."""
 
 from fractions import Fraction
 from math import gcd
 
-from ubd.exactnum import lower_hull_slopes, newton_polygon_points
+from ubd.exactnum import (_deriv, _integral_char_poly, _segment_residual,
+                          _zx_exquo, _zx_gcd, dp_trim, lower_hull_slopes,
+                          poly_is_irreducible_modp, val_p)
 from ubd.qseries import (EtaQuotient, LaurentSeries, _eta_product_ints,
                          eta_quotient_expand)
 
@@ -87,6 +91,50 @@ def join_is_full_snf(gamma, b):
             minor = rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0]
             g = gcd(g, abs(minor))
     return g == 1
+
+
+def min_poly(a):
+    """Monic minimal polynomial over Q of an algebraic number a = B/den: the
+    characteristic polynomial chi_B is a power of the minimal polynomial of
+    B, which is therefore chi_B / gcd(chi_B, chi_B'), rescaled to a."""
+    if isinstance(a, (int, Fraction)):
+        return [-Fraction(a), Fraction(1)]
+    chi = _integral_char_poly(a)[0]  # of B = den*a, monic over Z
+    m = _zx_exquo(chi, _zx_gcd(chi, _deriv(chi)))
+    k = len(m) - 1
+    return [Fraction(c, a.den ** (k - i)) for i, c in enumerate(m)]
+
+
+def newton_polygon_points(coeffs, p):
+    return [(i, val_p(c, p)) for i, c in enumerate(dp_trim(coeffs))]
+
+
+def polygon_certifies_unique(coeffs, p):
+    """True if the Newton polygon of this polynomial proves a single prime
+    above p in Q[x]/(f): one segment, and either totally ramified (slope
+    denominator = degree) or irreducible residual polynomial."""
+    coeffs = dp_trim(coeffs)
+    n = len(coeffs) - 1
+    pts = newton_polygon_points(coeffs, p)
+    segs = lower_hull_slopes(pts)
+    if len(segs) != 1 or segs[0][1] != n:
+        return False
+    slope = segs[0][0]
+    if slope.denominator == n:
+        return True
+    # the segment ends at the vertex (n, v_p(c_n)): the residual has degree
+    # n / denominator
+    return poly_is_irreducible_modp(
+        _segment_residual(coeffs, p, pts[0][1], slope), p)
+
+
+def unique_prime_shifts(field, p):
+    """The shifts a = 0, 1, ..., min(p, 16) - 1 at which the polygon points
+    of chi of t - a, t the generator, certify a unique prime above p; the
+    field has one prime above p as certified when this is not empty."""
+    t = field.gen()
+    return [a for a in range(min(p, 16))
+            if polygon_certifies_unique(_integral_char_poly(t - a)[0], p)]
 
 
 def unit_root_factors(factors, p):

@@ -9,12 +9,17 @@ import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
-# each demo and one line it prints when its computation comes out right
+# each demo and the lines it prints when its computation comes out right;
+# demo 03 also prints the minimal polynomial of x(Q+iP), a quartic factor
+# of psi_5, for i = 1..4
 DEMOS = {
-    "01_coordinate_expansions": "kappa = -1",
-    "02_eta_quotients_and_roots": "agree to truncation: True",
-    "03_catalog_detection": "hypothesis confirmed: True",
-    "04_sublattice_census": "pi^2/12 = ",
+    "01_coordinate_expansions": ["kappa = -1"],
+    "02_eta_quotients_and_roots": ["agree to truncation: True"],
+    "03_catalog_detection": ["hypothesis confirmed: True"] + [
+        f"  fQ+{i}P: x-coordinate minimal polynomial {mp}"
+        for i, mp in ((1, [155, 200, 120, 15, 1]), (2, [101, 41, 11, 1, 1]),
+                      (3, [101, 41, 11, 1, 1]), (4, [155, 200, 120, 15, 1]))],
+    "04_sublattice_census": ["pi^2/12 = "],
 }
 
 
@@ -25,4 +30,6 @@ def test_demo_runs_and_prints_its_line(demo):
         capture_output=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")))
     assert proc.returncode == 0, proc.stderr.decode()
-    assert any(DEMOS[demo] in line for line in proc.stdout.decode().splitlines())
+    lines = proc.stdout.decode().splitlines()
+    assert [want for want in DEMOS[demo]
+            if not any(want in line for line in lines)] == []

@@ -39,7 +39,7 @@ def test_probe_equals_the_full_scan_on_the_catalogs(entries, p):
     assert len(entries) == 9
     for e, f in entries:
         for T in TERMS:
-            n = e.root_degree
+            n = e.index
             assert detect_entry(e, n, p, T) == _full_detect(e, f, n, p, T), \
                 (e.label, T)
 

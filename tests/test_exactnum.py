@@ -25,15 +25,16 @@ from ubd.exactnum import (
     integerize_monic,
     is_prime,
     lower_hull_slopes,
-    min_poly,
-    newton_polygon_points,
     newton_polygon_valuations,
     ord_at_unique_prime,
+    poly_is_irreducible_q,
     power,
     prime_factors,
     val_p,
 )
 from ubd.ellcurve import CurvePoint, WeierstrassCurve
+
+from helpers import min_poly, newton_polygon_points, unique_prime_shifts
 
 
 def test_prime_factors_by_trial_division():
@@ -434,6 +435,64 @@ def test_unique_prime_certificate_quartic_needs_shift():
     fld = NumberField([101, 41, 11, 1, 1])
     assert field_has_unique_prime_above(fld, 5)
     assert ord_at_unique_prime(fld.gen() - 1, 5) == Fraction(1, 4)
+
+
+# (defining polynomial, p) -> the first shift a at which the polygon of
+# f(x + a) certifies a unique prime above p, and the branch; None: no shift
+CERTIFICATE_CASES = {
+    (QUARTIC.defining_poly, 5): (0, "totally ramified"),
+    (QUARTIC.defining_poly, 2): (0, "irreducible residual"),
+    (QUARTIC.defining_poly, 3): (0, "irreducible residual"),
+    (QUARTIC.defining_poly, 7): (0, "irreducible residual"),
+    (QUARTIC.defining_poly, 13): (0, "irreducible residual"),
+    (QUARTIC.defining_poly, 11): None,
+    (CUBIC.defining_poly, 7): None,
+    (CUBIC.defining_poly, 11): None,
+    (CUBIC.defining_poly, 13): None,
+    ((1, 0, 1), 2): (1, "totally ramified"),
+    ((-5, 0, 1), 2): (1, "irreducible residual"),
+    ((-2, 0, 0, 1), 3): (2, "totally ramified"),
+    # Q as Q[x]/(x): t - 0 is 0, which has no polygon, so a = 1 certifies
+    ((0, 1), 2): (1, "totally ramified"),
+}
+
+
+def _examples(cases):
+    def decorate(test):
+        for f, p in cases:
+            test = example(list(f), p)(test)
+        return test
+    return decorate
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda d: st.lists(
+           st.integers(-40, 40), min_size=d, max_size=d).map(lambda c: c + [1])),
+       st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]))
+@_examples(CERTIFICATE_CASES)
+def test_unique_prime_certificate_matches_the_polygon_points_reference(f, p):
+    # the certificate read from newton_polygon_valuations is the one read
+    # from the polygon points of chi(t - a) at some shift a
+    assume(poly_is_irreducible_q(f))
+    field = NumberField(f)
+    assert field_has_unique_prime_above(field, p) == \
+        bool(unique_prime_shifts(field, p))
+
+
+def test_certificate_cases_reach_each_branch():
+    got = {}
+    for (f, p), want in CERTIFICATE_CASES.items():
+        field = NumberField(list(f))
+        shifts = unique_prime_shifts(field, p)
+        if not shifts:
+            got[f, p] = None
+            continue
+        chi = _integral_char_poly(field.gen() - shifts[0])[0]
+        [(slope, _)] = lower_hull_slopes(newton_polygon_points(chi, p))
+        got[f, p] = (shifts[0], "totally ramified"
+                     if slope.denominator == field.degree
+                     else "irreducible residual")
+    assert got == CERTIFICATE_CASES
 
 
 def test_field_norm_multiplicative(cbrt2):

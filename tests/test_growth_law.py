@@ -53,7 +53,7 @@ def test_the_laws_cover_the_eight_noncongruence_entries():
 
 @pytest.mark.parametrize("index,e", ENTRIES, ids=[e.label for _, e in ENTRIES])
 def test_root_coefficients_follow_the_growth_law(index, e):
-    law, n = LAWS[index], e.root_degree
+    law, n = LAWS[index], e.index
     assert n == index
     f = e.expansion(T + 2)
     unit, _, _ = f.unit_normalized()

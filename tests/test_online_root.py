@@ -26,8 +26,6 @@ from ubd.exactnum import (
     _operand,
     field_has_unique_prime_above,
     lower_hull_slopes,
-    min_poly,
-    newton_polygon_points,
     newton_polygon_valuations,
     ord_at_unique_prime,
     val_p,
@@ -49,7 +47,8 @@ from ubd.ubdetect import (
 )
 from ubd.x011 import build_catalog
 
-from helpers import agrees, series_key, series_pow
+from helpers import (agrees, min_poly, newton_polygon_points, series_key,
+                     series_pow)
 
 QUARTIC = NumberField([869405, 19255, 1360, 20, 1], 's')  # index-5 catalog
 CUBIC = NumberField([-158, -40, -2, 1], 'u')              # index-2 catalog
@@ -341,12 +340,12 @@ def test_packed_root_matches_the_unpacked_recurrence_on_the_catalogs(
     grows = {"fP": 300, "fP1": 150}
     for e, f in catalog_series[2] + catalog_series[5]:
         unit = _unit(f, 300 if e.label in grows else 150)
-        gen = root_coefficients(unit, e.root_degree)
+        gen = root_coefficients(unit, e.index)
         root, lcms = [], [1]
         for b in gen:
             root.append(b)
             lcms.append(gen.gi_frame.f_locals["M"])
-        assert root == _unpacked_root(unit, e.root_degree), e.label
+        assert root == _unpacked_root(unit, e.index), e.label
         if e.label in grows:
             assert sum(map(int.__ne__, lcms, lcms[1:])) == grows[e.label]
 
@@ -404,7 +403,7 @@ def test_full_root_of_fq_makes_no_field_products(index5, monkeypatch):
     unit, _, _ = e.expansion(302).unit_normalized()
     unit = unit.truncate(301)
     calls = _count_calls(monkeypatch, AlgebraicNumber, "__mul__")
-    root = list(root_coefficients(unit, e.root_degree))
+    root = list(root_coefficients(unit, e.index))
     assert len(root) == 300 and not calls
 
 
@@ -412,7 +411,7 @@ def test_detect_takes_no_resultant(index5, monkeypatch):
     e = index5["fQ+1P"]
     f = e.expansion(302)
     calls = _count_calls(monkeypatch, exactnum, "dp_resultant")
-    v = detect(f, e.root_degree, e.root_degree, 300)
+    v = detect(f, e.index, e.index, 300)
     assert v.certified() and v.valuation_mode == ubdetect.UNIQUE_PRIME
     assert not calls
 
@@ -455,7 +454,7 @@ def test_floor_of_the_scanned_range_is_the_unscreened_threshold(f, n, p):
 def test_screened_scans_equal_the_unscreened_reference(catalog_series, index,
                                                        T):
     for e, f in catalog_series[index]:
-        n = p = e.root_degree
+        n = p = e.index
         span = e.coefficient_span()
         vmin = _span_floor(span, f.coeffs[0], p)
         assert _verdict(detect(f, n, p, T, span=span)) == \
@@ -468,7 +467,7 @@ def test_span_floor_is_the_tau_of_a_300_term_scan(catalog_series):
     # the floor holds for every m, and on both catalogs a_1..a_300 already
     # reach it, so it moves no verdict at T = 300
     for e, f in catalog_series[2] + catalog_series[5]:
-        n = p = e.root_degree
+        n = p = e.index
         mode, unit, M = _scan_part(f, p, 300)
         floor = _span_floor(e.coefficient_span(), f.coeffs[0], p)
         assert -floor / n == _unscreened_threshold(unit, n, p, mode, M), \

@@ -82,7 +82,7 @@ def test_detect_algebraic_scalar_invariance():
     entry = next(e for e in build_catalog(5) if e.label == "fQ+1P")
     f = entry.expansion(30)
     base = detect(f, 5, 5, 25)
-    gen = entry.coefficient_field.gen()
+    gen = entry.generator_function.curve.field.gen()
     for s in (gen, gen / 5, 3 * gen * gen):
         v = detect(f.scalar_mul(s), 5, 5, 25)
         assert (v.status, v.witness_index, v.threshold) == \
@@ -94,7 +94,7 @@ def test_span_floor_is_scale_invariant():
     # v_min = min ord(a_m/a_0), and with it tau = 1/4 for fQ, stays put
     entry = next(e for e in build_catalog(5) if e.label == "fQ")
     f, span = entry.expansion(30), entry.coefficient_span()
-    gen = entry.coefficient_field.gen()
+    gen = entry.generator_function.curve.field.gen()
     for s in (1, Fraction(5), Fraction(1, 25), gen, gen / 5):
         v = detect(f.scalar_mul(s), 5, 5, 3, span=[c * s for c in span])
         assert (v.status, v.threshold) == ('BoundedSoFar', Fraction(1, 4)), s

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ubd.exactnum import dp_trim, min_poly
+from ubd.exactnum import dp_eval, dp_trim
 from ubd.ellcurve import (
     CurveFunction,
     WeierstrassCurve,
@@ -27,8 +27,9 @@ from ubd.x011 import (
     x11_curve,
 )
 
-from helpers import (agrees, g5_root, g5_series, has_order, series_add,
-                     series_key, series_pow, series_sub, unit_root_factors)
+from helpers import (agrees, g5_root, g5_series, has_order, min_poly,
+                     series_add, series_key, series_pow, series_sub,
+                     unit_root_factors)
 
 X_HEAD = [1, 2, 4, 5, 8, 1, 7, -11, 10, -12, -18]   # w^-2 .. w^8
 Y_HEAD = [1, 3, 7, 12, 17, 26, 19, 37, -15, -16, -67]  # w^-3 .. w^7
@@ -125,7 +126,7 @@ def test_expand_on_curve_matches_reference_on_the_catalogs():
         got = expand_on_curve(f, 302)
         assert series_key(got) == series_key(
             _reference_expand_on_curve(f, 302)), e.label
-        assert got.field == e.coefficient_field
+        assert got.field == e.generator_function.curve.field
         assert got.lead == -e.index and got.prec == 303 - e.index
 
 
@@ -138,8 +139,9 @@ def curve_functions(draw):
     field of the index-2 catalog."""
     over_cubic = draw(st.booleans())
     curve = x11_curve()
-    field = build_catalog(2)[0].coefficient_field if over_cubic else None
+    field = None
     if over_cubic:
+        field = build_catalog(2)[0].generator_function.curve.field
         curve = curve.base_change(field)
 
     def coeff():
@@ -210,7 +212,7 @@ def test_build_catalog_rejects_other_indices():
 def test_build_catalog_index_two():
     cat = build_catalog(2)
     assert len(cat) == 3
-    assert all(e.root_degree == 2 for e in cat)
+    assert all(e.index == 2 for e in cat)
     assert all(e.congruence_flag == 'expected-noncongruence' for e in cat)
     for e in cat:
         chk = verify_divisor(e.generator_function, 2, e.point)
@@ -245,13 +247,18 @@ def test_catalog_five_x_coordinates():
 
 def test_catalog_five_translates_pin_their_quartic():
     # x(Q+iP) is a root of psi_5's unit-reduction quartic for i = 2, 3 and of
-    # its other quartic factor for i = 1, 4
+    # its other quartic factor for i = 1, 4; the one quartic that vanishes
+    # there, as build_catalog checks, is x's minimal polynomial
     unit, other = (101, 41, 11, 1, 1), (155, 200, 120, 15, 1)
     quartics = [f for f in torsion_factors(5, x11_curve()) if len(f) == 5]
     assert unit_root_factors(quartics, 5) == [unit]
-    got = {e.label: tuple(min_poly(e.point.x)) for e in build_catalog(5)[2:]}
+    translates = build_catalog(5)[2:]
+    got = {e.label: tuple(min_poly(e.point.x)) for e in translates}
     assert got == {"fQ+1P": other, "fQ+2P": unit, "fQ+3P": unit,
                    "fQ+4P": other}
+    for e in translates:
+        assert [list(g) for g in quartics if not dp_eval(g, e.point.x)] == \
+            [min_poly(e.point.x)], e.label
 
 
 def test_catalog_five_rejects_an_x_off_the_quartics(monkeypatch):
@@ -261,6 +268,16 @@ def test_catalog_five_rejects_an_x_off_the_quartics(monkeypatch):
     without_unit = tuple(f for f in factors if f != (101, 41, 11, 1, 1))
     monkeypatch.setattr(x011, "torsion_factors", lambda n, curve: without_unit)
     with pytest.raises(RuntimeError, match="quartic factor of psi_5"):
+        build_catalog(5)
+    # the quartics' place taken by psi_5's quadratic factor, padded to five
+    # coefficients: it vanishes at no x(Q+iP)
+    quadratic = next(f for f in factors if len(f) == 3)
+    only_quadratic = tuple(f for f in factors if len(f) < 5) + (
+        quadratic + (0, 0),)
+    monkeypatch.setattr(x011, "torsion_factors",
+                        lambda n, curve: only_quadratic)
+    with pytest.raises(RuntimeError, match=r"^x\(Q\+iP\) is not a root of "
+                       "a quartic factor of psi_5$"):
         build_catalog(5)
 
 
