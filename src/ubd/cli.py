@@ -42,10 +42,10 @@ SV_CEILING = 10 ** 12
 # expansions, and qseries.ROOT_WORK_BUDGET bounds each formal root
 TERMS_CEILING = 3000
 # eta: the sum of |r| over all factors, ten times the 24 that the commands
-# and tests use.  Each factor multiplies the whole expansion, so at --terms
-# 3000 the slowest spec found, eta(z)^-180 times eta(dz)^-1 for d = 2..61 at
-# width 1, took 30 s on a 2-vCPU machine; at 1000, eta(z)^-500 times 500
-# such factors took 127 s
+# and tests use.  Each scale multiplies the whole expansion, so at --terms
+# 3000 the slowest spec found, eta(z)^-129 times eta(dz)^-1 for d = 2..112
+# at width 1, took 16 s in a fresh process on a 2-vCPU machine (eta(z)^-240
+# alone 0.15 s)
 ETA_EXPONENT_CEILING = 240
 
 

@@ -15,7 +15,6 @@ norm of ord_at_unique_prime reproduces.  The minimal polynomial, chi_B over
 its repeated part, is a reference kept in the tests."""
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 import math
 from operator import mul
@@ -492,6 +491,7 @@ class NumberField:
             cur = [ci + top * ri for ci, ri in zip(cur, rows[0])]
             rows.append(list(cur))
         self._red_rows = rows
+        self._unique_prime_above = {}  # p -> field_has_unique_prime_above
 
     def _reduce(self, conv):
         """Power-basis coordinates of sum conv[j]*t^j for j < 2*degree - 1:
@@ -932,7 +932,6 @@ def _segment_residual(coeffs, p, v0, slope):
             for i in range(0, len(coeffs), slope.denominator)]
 
 
-@lru_cache(maxsize=None)
 def field_has_unique_prime_above(field, p):
     """Certify that val_p extends uniquely to the field.
 
@@ -940,10 +939,12 @@ def field_has_unique_prime_above(field, p):
     a = 0, 1, ..., 15 (fewer when p < 16), as newton_polygon_valuations
     reads them: one segment, either totally ramified (slope denominator =
     degree) or with a residual polynomial irreducible mod p.  A failure to
-    certify returns False (it never guesses).
+    certify returns False (it never guesses).  The answer is kept on the
+    field object, keyed by p, so the entries of one catalog share it.
     """
-    t, n = field.gen(), field.degree
-    for a in range(min(p, 16)):
+    memo, t, n = field._unique_prime_above, field.gen(), field.degree
+    shifts = range(min(p, 16)) if p not in memo else ()  # once per p
+    for a in shifts:
         if t == a:
             continue  # a degree-1 field: 0 has no polygon
         segments = newton_polygon_valuations(t - a, p)
@@ -952,8 +953,9 @@ def field_has_unique_prime_above(field, p):
         v = segments[0][0]  # the segment runs from (0, n*v) to (n, 0)
         if v.denominator == n or poly_is_irreducible_modp(_segment_residual(
                 _integral_char_poly(t - a)[0], p, n * v, -v), p):
-            return True
-    return False
+            memo[p] = True
+            break
+    return memo.setdefault(p, False)
 
 
 def newton_polygon_valuations(a, p):

@@ -3,10 +3,11 @@ formal n-th roots of unit series (computed coefficient by coefficient on
 demand, by Miller's power recurrence, each b_m stored once as the packed
 integer coordinates of M*b_m over a running common denominator M, every
 coordinate inside its slot, within one deterministic work budget per root),
-Dedekind-eta quotient expansion via the pentagonal-number theorem and the
-partition numbers, and a text record of a series."""
+Dedekind-eta quotient expansion via the pentagonal-number theorem, and a
+text record of a series."""
 
 from fractions import Fraction
+from functools import partial
 import math
 from operator import mul
 import re
@@ -278,17 +279,12 @@ class EtaQuotient:
         return "EtaQuotient(%s)" % ", ".join(f"eta({d}z)^{r}" for d, r in self.terms)
 
     def minimal_width(self):
-        """Smallest N for which the expansion lives in integer powers of w."""
-        n = 1
-        for d, _ in self.terms:
-            # N*delta must be an integer
-            n = math.lcm(n, d.denominator)
-        while True:
-            tot = sum(Fraction(r) * d * n for d, r in self.terms) / 24
-            if tot.denominator == 1 and all((n * d).denominator == 1
-                                            for d, _ in self.terms):
-                return n
-            n += 1
+        """Smallest N for which the expansion lives in integer powers of w:
+        L | N for L the lcm of the delta denominators, and the lead
+        N*sum(r*delta)/24 is an integer iff N/L is a multiple of the
+        denominator of L*sum(r*delta)/24."""
+        n = math.lcm(*(d.denominator for d, _ in self.terms))
+        return n * (n * sum(r * d for d, r in self.terms) / 24).denominator
 
 
 def _pentagonal_coeffs(length):
@@ -314,24 +310,24 @@ def _jacobi_coeffs(length):
     return c
 
 
-def _partition_coeffs(length):
-    """The partition numbers p(0..length-1), the coefficients of
-    1/prod_{n>=1} (1 - x^n), by Euler's recurrence
-    p(n) = sum_{k>=1} (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)):
-    O(length^1.5) additions, no product and no inverse.  The signs are
-    those of the pentagonal series negated, since p*prod (1 - x^n) = 1."""
-    # the nonzero terms of prod (1 - x^n) past x^0, ascending
-    offsets = [(g, c) for g, c in enumerate(_pentagonal_coeffs(length))
-               if g and c]
-    p = [1] * length
-    for n in range(1, length):
+def _pentagonal_power(m, r):
+    """P^r up to x^(m-1) for r < 0, P = prod_{n>=1} (1 - x^n), by Miller's
+    power recurrence n*c_n = sum_j ((r+1)*j - n)*P_j*c_(n-j) (Knuth, TAOCP
+    vol. 2, 4.7) over the O(sqrt(n)) pentagonal j where P_j is nonzero; at
+    r = -1 it is Euler's recurrence for the partition numbers.  Every
+    division by n is exact, and checked."""
+    terms = [(j, s) for j, s in enumerate(_pentagonal_coeffs(m)) if j and s]
+    c = [1] * m
+    for n in range(1, m):
         t = 0
-        for g, c in offsets:
-            if g > n:
+        for j, s in terms:  # ascending j
+            if j > n:
                 break
-            t = t - p[n - g] if c > 0 else t + p[n - g]
-        p[n] = t
-    return p
+            t += ((r + 1) * j - n) * s * c[n - j]
+        c[n], rem = divmod(t, n)
+        if rem:
+            raise RuntimeError("Miller's recurrence left a fraction")
+    return c
 
 
 def _eta_steps(eq, width):
@@ -358,7 +354,7 @@ def _eta_product_ints(eq, width, T):
     class of exponents mod s at a time; the first factor is laid out on its
     residue class 0 as it is.  With P = prod (1 - u^n), a positive power
     r = 3q + t is J^q * P^t for Jacobi's J = P^3, and a negative one is
-    p^|r| for the partition numbers p = 1/P."""
+    read by _pentagonal_power."""
     if T < 0:
         raise ValueError("truncation must be nonnegative")
     steps, lead = _eta_steps(eq, width)
@@ -368,14 +364,14 @@ def _eta_product_ints(eq, width, T):
         if not r:
             continue
         m = -(-length // step)  # terms of the factor in u = w^step
-        if r > 0:
-            q, t = divmod(r, 3)
-            powers = ((_jacobi_coeffs(m), q), (_pentagonal_coeffs(m), t))
+        if r < 0:
+            f = _pentagonal_power(m, r)
         else:
-            powers = ((_partition_coeffs(m), -r),)
-        f = None
-        for base, e in powers:
-            f = power(base, e, lambda a, b: kron_mul(a, b, m), f)
+            q, t = divmod(r, 3)
+            f = None
+            for base, e in ((_jacobi_coeffs(m), q),
+                            (_pentagonal_coeffs(m), t)):
+                f = power(base, e, partial(kron_mul, n=m), f)
         if unit is None:  # the first factor is the whole product so far
             unit = [0] * length
             unit[::step] = f

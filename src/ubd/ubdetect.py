@@ -183,16 +183,17 @@ def detect_entry(e, root_degree, prime_p, T=300):
 
     With a span, tau does not depend on T, and the first witness among
     b_1..b_t is the first of b_1..b_T; so a probe on t = isqrt(T) + 1 terms
-    runs first, and a certificate there is the full scan's.  Any other
-    probe verdict (a partial witness may still be followed by a certificate)
-    falls through to the full expansion of T + 2 terms.  A failed probe
-    costs O(t^2) = O(T) root products.
+    runs first, and a certificate there is the full scan's, as is the
+    BoundedSoFar that detect gives without a root (tau = 0, p not dividing
+    root_degree).  Any other probe verdict (a partial witness may still be
+    followed by a certificate) falls through to the full expansion of T + 2
+    terms.  A failed probe costs O(t^2) = O(T) root products.
     """
     span = e.coefficient_span()
     t = math.isqrt(T) + 1
     if t < T:
         v = detect(e.expansion(t + 2), root_degree, prime_p, t, e.label, span)
-        if v.certified():
+        if v.certified() or not v.threshold and root_degree % prime_p:
             return v._replace(truncation_used=T)
     return detect(e.expansion(T + 2), root_degree, prime_p, T, e.label, span)
 

@@ -88,12 +88,11 @@ def _compute_xy(T):
     G = x*S^2 by the identity of this section, from sigma_1 and sigma_3 by
     one sieve, E_4 = 1 + 240*sum sigma_3(n) w^n, E_2 = 1 - 24*sum sigma_1(n)
     w^n; x = G*V^-2 with V = S/w, where V^-1 = w/S is the eta quotient
-    eta(z)^-2*eta(z/11)^-2, read from the partition numbers by the same
-    kernel as S.  y comes from D(x) = KAPPA*(2y + a3)*S with the same V^-1;
-    matching the leads gives -2 = 2*KAPPA*S_1, so S_1 must be 1.  A
-    remainder in the division by 14640 or by 2 raises RuntimeError;
-    expand_xy checks both relations, and the derivation relation, taken
-    with S itself, verifies V^-1*S = w at every order.
+    eta(z)^-2*eta(z/11)^-2, expanded by the same kernel as S.  y comes from
+    D(x) = KAPPA*(2y + a3)*S with the same V^-1; matching the leads gives
+    -2 = 2*KAPPA*S_1, so S_1 must be 1.  A remainder in the division by
+    14640 or by 2 raises RuntimeError; expand_xy checks both relations,
+    and the derivation relation with S verifies V^-1*S = w at every order.
     """
     n = T + 1
     lead, unit = _eta_product_ints(S_QUOTIENT, WIDTH, T)

@@ -1,19 +1,21 @@
 """Reference code that only the tests use: equality, agreement, sum and
-difference of series, a series power by repeated squaring, G5 and the
-closed forms of its roots, the gcd and
+difference of series, a series power by repeated squaring, negative powers
+of the pentagonal series from the partition numbers, the minimal width of
+an eta quotient by search, G5 and the closed forms of its roots, the gcd and
 Smith-normal-form criteria for a full join, the minimal polynomial, Newton
 polygon points and the unique-prime certificate read from them, the
 unit-root test on a Newton polygon, and the order of a point by the group
 law."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from ubd.exactnum import (_deriv, _integral_char_poly, _segment_residual,
-                          _zx_exquo, _zx_gcd, dp_trim, lower_hull_slopes,
-                          poly_is_irreducible_modp, val_p)
+                          _zx_exquo, _zx_gcd, dp_trim, kron_mul,
+                          lower_hull_slopes, poly_is_irreducible_modp, power,
+                          val_p)
 from ubd.qseries import (EtaQuotient, LaurentSeries, _eta_product_ints,
-                         eta_quotient_expand)
+                         _pentagonal_coeffs, eta_quotient_expand)
 
 
 def series_key(f):
@@ -55,6 +57,37 @@ def series_pow(f, k):
         base = base * base
         k >>= 1
     return acc
+
+
+def partition_numbers(m):
+    """p(0..m-1), the coefficients of 1/prod_{n>=1} (1 - x^n), by Euler's
+    recurrence p(n) = sum_{k>=1} (-1)^(k+1) (p(n - k(3k-1)/2) +
+    p(n - k(3k+1)/2)): the signs are those of the pentagonal series negated,
+    since p*prod (1 - x^n) = 1."""
+    offsets = [(g, c) for g, c in enumerate(_pentagonal_coeffs(m)) if g and c]
+    p = [1] * m
+    for n in range(1, m):
+        p[n] = -sum(c * p[n - g] for g, c in offsets if g <= n)
+    return p
+
+
+def pentagonal_power_by_partitions(m, r):
+    """prod (1 - x^n)^r up to x^(m-1) for r < 0: the partition numbers
+    raised to |r| by binary powering over kron_mul."""
+    return power(partition_numbers(m), -r, lambda a, b: kron_mul(a, b, m))
+
+
+def minimal_width_by_search(eq):
+    """The least N, from the lcm of the delta denominators up in unit
+    steps, at which every N*delta and the lead N*sum(r*delta)/24 are
+    integers."""
+    n = lcm(*(d.denominator for d, _ in eq.terms))
+    while True:
+        tot = sum(Fraction(r) * d * n for d, r in eq.terms) / 24
+        if tot.denominator == 1 and all((n * d).denominator == 1
+                                        for d, _ in eq.terms):
+            return n
+        n += 1
 
 
 def g5_series(T):

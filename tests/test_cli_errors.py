@@ -2,6 +2,8 @@
 command exits 2 with one `error:` line, and the stderr of every malformed
 input below is pinned byte for byte."""
 
+import time
+
 import pytest
 
 from ubd import cli, exactnum, qseries
@@ -258,6 +260,19 @@ def test_an_eta_spec_at_a_wrong_width_exits_2_before_expanding(
     monkeypatch.setattr(qseries, "_eta_product_ints", _never)
     assert cli.main(["eta", spec, "--width", "1", "--terms", "3000"]) == 2
     assert capsys.readouterr() == ("", err)
+
+
+def test_a_large_minimal_width_is_named_at_once(workdir, monkeypatch, capsys):
+    # L = 100003 and the lead L*sum(r*delta)/24 = 1/24: the least width is
+    # 24*L, 2.3 million unit steps past L
+    monkeypatch.setattr(qseries, "_eta_product_ints", _never)
+    start = time.perf_counter()
+    assert cli.main(["eta", "1/100003:1", "--width", "100003",
+                     "--terms", "5"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == (
+        "", "error: width 100003 incompatible: leading exponent 1/24 is not "
+        "an integer (minimal valid width is 2400072)\n")
 
 
 def test_an_eta_spec_at_the_exponent_ceiling_is_expanded(workdir, capsys):

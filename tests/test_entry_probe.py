@@ -88,6 +88,27 @@ def test_an_inconclusive_probe_falls_through_to_the_full_scan():
                        e.coefficient_span())
 
 
+@pytest.mark.parametrize("index, p", [(2, 3), (5, 3), (5, 7)])
+def test_a_bounded_probe_at_tau_0_and_p_prime_to_n_is_final(monkeypatch,
+                                                             index, p):
+    # detect returns BoundedSoFar at tau = 0 and p not dividing n without a
+    # root, on any range; the probe's verdict is the full scan's (pinned
+    # above), so no entry is expanded past the probe's t + 2 terms
+    T, t = 300, math.isqrt(300) + 1
+    real = x011.GroupCatalogEntry.expansion
+
+    def probe_only(self, terms):
+        if terms > t + 2:
+            raise AssertionError(f"{self.label} expanded to {terms} terms")
+        return real(self, terms)
+
+    monkeypatch.setattr(x011.GroupCatalogEntry, "expansion", probe_only)
+    for e in build_catalog(index):
+        v = detect_entry(e, e.index, p, T)
+        assert (v.status, v.threshold, v.truncation_used) == \
+            ("BoundedSoFar", 0, T), e.label
+
+
 def test_index2_report_solves_x_and_y_only_to_the_probe(monkeypatch):
     # all three index-2 entries certify at m <= 2, inside the probe of
     # t = 18 terms, so x and y are solved to t + 2 = 20 terms, not 302

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ubd.exactnum import NumberField
 from ubd.qseries import (
@@ -15,7 +15,8 @@ from ubd.qseries import (
     serialize_series,
 )
 
-from helpers import agrees, series_add, series_key, series_pow
+from helpers import (agrees, minimal_width_by_search, series_add, series_key,
+                     series_pow)
 
 
 def S(width, lead, coeffs, field=None, prec=None):
@@ -215,6 +216,18 @@ def test_eta_width_validation():
     assert EtaQuotient([(1, 1)]).minimal_width() == 24
     assert EtaQuotient([(1, 2), (13, -2)]).minimal_width() == 1
     assert EtaQuotient([(Fraction(1, 11), 12), (1, -12)]).minimal_width() == 11
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 60), st.integers(1, 6),
+                          st.integers(-30, 30)), min_size=1, max_size=4))
+# eta(z)^-180 * prod_{d=2..61} eta(dz)^-1, minimal width 4
+@example([(1, 1, -180)] + [(d, 1, -1) for d in range(2, 62)])
+# a zero exponent still asks for its denominator
+@example([(1, 1, 1), (1, 3, 0)])
+def test_minimal_width_is_the_least_width_found_by_search(terms):
+    eq = EtaQuotient([(Fraction(a, b), r) for a, b, r in terms])
+    assert eq.minimal_width() == minimal_width_by_search(eq)
 
 
 def test_serialization_roundtrip_rational():

@@ -17,7 +17,7 @@ import io
 import sys
 from pathlib import Path
 
-from ubd import cli, exactnum
+from ubd import cli
 
 SRC = Path(cli.__file__).resolve().parent
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -114,9 +114,6 @@ def _commands(tmp):
 
 
 def test_every_function_in_src_is_reached_by_a_command(tmp_path):
-    # start cold, as a fresh process does: no unique-prime certificate
-    # remembered from another test
-    exactnum.field_has_unique_prime_above.cache_clear()
     seen = set()
 
     def profile(frame, event, arg):

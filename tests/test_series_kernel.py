@@ -20,12 +20,14 @@ from ubd import exactnum
 from ubd.exactnum import (KS2_BITS, NumberField, dp_mul, kron_mul, lift,
                           newton_inverse)
 from ubd.qseries import (EtaQuotient, LaurentSeries, _eta_product_ints,
-                         _jacobi_coeffs, _partition_coeffs,
-                         _pentagonal_coeffs, eta_quotient_expand)
+                         _jacobi_coeffs, _pentagonal_coeffs,
+                         _pentagonal_power, deserialize_series,
+                         eta_quotient_expand)
 from ubd.x011 import (KAPPA, S_QUOTIENT, V_INV_QUOTIENT, XS2_IDENTITY,
                       _compute_xy)
 
-from helpers import series_key
+from helpers import (partition_numbers, pentagonal_power_by_partitions,
+                     series_key)
 
 QUARTIC = NumberField([869405, 19255, 1360, 20, 1], 's')  # index-5 catalog
 CUBIC = NumberField([-158, -40, -2, 1], 'u')              # index-2 catalog
@@ -501,16 +503,34 @@ def _reference_partitions(m):
 def test_partition_numbers_are_the_product_of_geometric_series():
     ref = _reference_partitions(201)
     for m in range(1, 202):
-        assert _partition_coeffs(m) == ref[:m]
+        assert _pentagonal_power(m, -1) == partition_numbers(m) == ref[:m]
     assert ref[100] == 190569292 and ref[200] == 3972999029388
+
+
+@SETTINGS
+@given(st.integers(1, 400), st.integers(-60, -1))
+@example(400, -60)
+@example(1, -1)
+def test_pentagonal_power_matches_the_partition_powers(m, r):
+    assert _pentagonal_power(m, r) == pentagonal_power_by_partitions(m, r)
+
+
+def test_eta_at_the_exponent_ceiling_matches_the_partition_powers(capsys):
+    from ubd import cli
+
+    assert cli.main(["eta", "1:-240", "--width", "1", "--terms", "600"]) == 0
+    f = deserialize_series(capsys.readouterr().out)
+    assert (f.lead, f.prec) == (-10, 591)
+    assert list(f.coeffs) == pentagonal_power_by_partitions(601, -240)
 
 
 @SETTINGS
 @given(eta_quotients())
 @example((EtaQuotient([(1, -24)]), 1, 80))
 def test_negative_eta_powers_are_the_newton_inverse_of_positive_ones(args):
-    """A negative exponent is read from the partition numbers; negating
-    every exponent must give the Newton inverse of the product part."""
+    """A negative exponent is read by Miller's recurrence on the pentagonal
+    series; negating every exponent must give the Newton inverse of the
+    product part."""
     eq, width, T = args
     _, unit = _eta_product_ints(eq, width, T)
     inverse = EtaQuotient([(d, -r) for d, r in eq.terms])
