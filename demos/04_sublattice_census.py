@@ -8,14 +8,9 @@ the quadratic lower bound behind the density of certified-unbounded groups.
 
 import math
 
-from ubd.census import (
-    LatticeTriple,
-    enumerate_triples,
-    s_count,
-    ubd_lower_bound_experiment,
-)
+from ubd.census import LatticeTriple, s_count, ubd_lower_bound_experiment
 
-print("triples with index < 3:", enumerate_triples(3))
+print("triples with index < 3:", s_count(3))
 print()
 print("     X      S(X)    S(X)/X^2")
 for X in (10, 100, 500, 1000, 2000, 4000):

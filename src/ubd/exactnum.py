@@ -703,14 +703,6 @@ def lift(field, v):
     return field.from_rational(v)
 
 
-def common_field(f1, f2):
-    if f1 is None:
-        return f2
-    if f2 is None or f1 == f2:
-        return f1
-    raise ValueError("mixed number fields")
-
-
 # ----------------------------------------------------------------------
 # The product kernel: truncated products of coefficient lists by Kronecker
 # substitution, at one point or, for two large operands, at the two points

@@ -13,12 +13,10 @@ from operator import mul
 import re
 
 from .exactnum import (
-    AlgebraicNumber,
     NumberField,
     _coefficients,
     _operand,
     _unpack,
-    common_field as _common_field,
     dp_trim,
     kron_mul,
     lift as _lift,
@@ -94,7 +92,11 @@ class LaurentSeries:
     def _check_compat(self, other):
         if self.width != other.width:
             raise ValueError("width mismatch")
-        return _common_field(self.field, other.field)
+        if self.field is None:
+            return other.field
+        if other.field is not None and other.field != self.field:
+            raise ValueError("mixed number fields")
+        return self.field
 
     def __mul__(self, other):
         # a factor that is 0 to precision has lead = prec, so lead below is
@@ -104,20 +106,6 @@ class LaurentSeries:
         prec = min(self.prec + other.lead, other.prec + self.lead)
         out = trunc_mul(self.coeffs, other.coeffs, prec - lead, field)
         return LaurentSeries(self.width, lead, out, field, prec)
-
-    def scalar_mul(self, s):
-        field = self.field
-        if isinstance(s, AlgebraicNumber):
-            field = _common_field(field, s.field)
-        s = _coeff(field, s)
-        return LaurentSeries(self.width, self.lead,
-                             [_coeff(field, c) * s for c in self.coeffs],
-                             field, self.prec)
-
-    def shift(self, k):
-        """Multiply by w^k."""
-        return LaurentSeries(self.width, self.lead + k, self.coeffs,
-                             self.field, self.prec + k)
 
     def truncate(self, prec):
         if prec > self.prec:
@@ -137,7 +125,8 @@ class LaurentSeries:
                              -self.lead + n)
 
     def unit_normalized(self):
-        """Strip to the form 1 + ... ; returns (unit, lead, leading_coeff).
+        """(unit, lead, a_0), unit = w^-lead*f/a_0 = 1 + ..., built in one
+        construction: each stored coefficient times 1/a_0.
 
         Ratios of root coefficients of the original series only depend on the
         unit part, so callers can account for the stripped monomial separately
@@ -146,7 +135,9 @@ class LaurentSeries:
         if self.is_zero():
             raise ValueError("zero series has no unit normalization")
         c0 = self.coeffs[0]
-        return (self.scalar_mul(Fraction(1) / c0).shift(-self.lead),
+        inv = Fraction(1) / c0
+        return (LaurentSeries(self.width, 0, [c * inv for c in self.coeffs],
+                              self.field, self.prec - self.lead),
                 self.lead, c0)
 
 

@@ -106,16 +106,17 @@ def _span_floor(span, lead, p):
 
 
 def _unit_part(f, prime_p, T):
-    """(valuation mode, unit part of f truncated to the scanned range, M):
-    the root coefficients b_1..b_M are scanned, M = min(T, what f knows)."""
+    """(valuation mode, unit part of f to w^M, M): the root coefficients
+    b_1..b_M are scanned, M = min(T, what f knows), so f is truncated
+    first and only its M + 1 scanned coefficients are divided by a_0."""
     if not is_prime(prime_p):
         raise ValueError(f"{prime_p} is not prime")
     if f.is_zero():
         raise ValueError("cannot analyze a series that is 0 to precision")
     mode = choose_mode(f.field, prime_p)
-    unit, _, _ = f.unit_normalized()
-    M = min(T, unit.prec - 1)
-    return mode, unit.truncate(M + 1), M
+    M = min(T, f.prec - f.lead - 1)
+    unit, _, _ = f.truncate(f.lead + M + 1).unit_normalized()
+    return mode, unit, M
 
 
 def detect(f, root_degree, prime_p, T=300, label="", span=None):

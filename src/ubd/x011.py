@@ -309,7 +309,6 @@ def build_catalog(index):
         raise ValueError("catalogs are built for index "
                          f"{' and '.join(map(str, CATALOG_INDICES))} only")
     curve = x11_curve()
-    factors = torsion_factors(index, curve)
     # x and y are solved once per T for all the entries of this catalog
     solve_xy = cache(_compute_xy)
 
@@ -321,8 +320,10 @@ def build_catalog(index):
         return GroupCatalogEntry(label, index, f, flag, p, solve_xy)
 
     if index == 2:
-        e = entry("fP1", torsion_point(curve, factors[0], 'u'))
+        g = division_polynomial(2, curve)  # irreducible: NumberField tests it
+        e = entry("fP1", torsion_point(curve, g, 'u'))
         return [e._replace(label=f"fP{i}") for i in (1, 2, 3)]
+    factors = torsion_factors(5, curve)
     p = torsion_point(curve, min((g for g in factors if len(g) == 2),
                                  key=lambda g: Fraction(-g[0], g[1])), 's')
     q = torsion_point(curve, next(g for g in factors if len(g) == 3), 's')

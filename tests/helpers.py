@@ -1,5 +1,6 @@
-"""Reference code that only the tests use: equality, agreement, sum and
-difference of series, a series power by repeated squaring, negative powers
+"""Reference code that only the tests use: equality, agreement, sum,
+difference, scalar multiple and shift of series, the unit part by scaling
+and shifting, a series power by repeated squaring, negative powers
 of the pentagonal series from the partition numbers, the minimal width of
 an eta quotient by search, G5 and the closed forms of its roots, the gcd and
 Smith-normal-form criteria for a full join, the minimal polynomial, Newton
@@ -14,8 +15,9 @@ from ubd.exactnum import (_deriv, _integral_char_poly, _segment_residual,
                           _zx_exquo, _zx_gcd, dp_trim, kron_mul,
                           lower_hull_slopes, poly_is_irreducible_modp, power,
                           val_p)
-from ubd.qseries import (EtaQuotient, LaurentSeries, _eta_product_ints,
-                         _pentagonal_coeffs, eta_quotient_expand)
+from ubd.qseries import (EtaQuotient, LaurentSeries, _coeff,
+                         _eta_product_ints, _pentagonal_coeffs,
+                         eta_quotient_expand)
 
 
 def series_key(f):
@@ -43,7 +45,26 @@ def series_add(f, g):
 
 
 def series_sub(f, g):
-    return series_add(f, g.scalar_mul(-1))
+    return series_add(f, series_scale(g, -1))
+
+
+def series_scale(f, s):
+    """s*f for s rational or in the field of f; over Q an int times an
+    integral series stays integral."""
+    s = _coeff(f.field, s)
+    return LaurentSeries(f.width, f.lead, [c * s for c in f.coeffs], f.field,
+                         f.prec)
+
+
+def series_shift(f, k):
+    """w^k*f."""
+    return LaurentSeries(f.width, f.lead + k, f.coeffs, f.field, f.prec + k)
+
+
+def unit_part_by_chain(f):
+    """The unit part of f, w^-lead*f/a_0, scaled and then shifted: the
+    reference for LaurentSeries.unit_normalized."""
+    return series_shift(series_scale(f, Fraction(1) / f.coeffs[0]), -f.lead)
 
 
 def series_pow(f, k):

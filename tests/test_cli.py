@@ -9,9 +9,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ubd import __version__
-from ubd.qseries import COEFF_DIGITS_CEILING, deserialize_series
+from ubd.qseries import (COEFF_DIGITS_CEILING, deserialize_series,
+                         serialize_series)
 
-from helpers import series_key
+from helpers import g5_series, series_key
 
 
 def run_cli(args, cache, check=True):
@@ -78,6 +79,49 @@ def test_detect_series_file(tmp_path):
                  "--prime", "3", "--root", "3", "--terms", "50"], tmp_path)
     assert b"status=UnboundedCertified" in p.stdout
     assert b"witness_index=1" in p.stdout
+
+
+# records whose leading coefficient is not 1: over Q(i) with lead 2, over Q
+# with lead -3, and G5 from `eta 1/11:12,1:-12 --width 11 --terms 3000`
+NON_UNIT_RECORDS = {
+    "qi": ("series 1\nwidth 1\nlead 2\ntruncation 3\nfield 1,0,1\n"
+           "3/1,1/1\n2/5,-1/5\n1/7,0/1\n0/1,3/25\n"),
+    "rat": ("series 1\nwidth 1\nlead -3\ntruncation 4\nfield rational\n"
+            "-6/1\n5/2\n1/3\n7/1\n5/4\n"),
+}
+
+
+def _short(kept):
+    return (f"warning: scanned {kept} of the 20 requested coefficients "
+            "(series too short)\n")
+
+
+@pytest.mark.parametrize("name,prime,root,terms,line,warning", [
+    ("qi", 5, 2, 20, "UnboundedCertified witness_index=2 witness_valuation=2/1"
+     " threshold=3/2 truncation=3 mode=conjugate-profile", _short(3)),
+    ("qi", 3, 3, 20, "UnboundedCertified witness_index=1 witness_valuation=1/1"
+     " threshold=0/1 truncation=3 mode=unique-prime-norm", _short(3)),
+    ("qi", 2, 2, 20, "UnboundedCertified witness_index=1 witness_valuation=3/2"
+     " threshold=1/4 truncation=3 mode=unique-prime-norm", _short(3)),
+    ("rat", 2, 2, 20, "UnboundedCertified witness_index=1 "
+     "witness_valuation=3/1 threshold=3/2 truncation=4 mode=rational",
+     _short(4)),
+    ("rat", 3, 3, 20, "UnboundedCertified witness_index=1 "
+     "witness_valuation=2/1 threshold=2/3 truncation=4 mode=rational",
+     _short(4)),
+    ("g5_3000", 7, 7, 50, "UnboundedCertified witness_index=1 "
+     "witness_valuation=1/1 threshold=0/1 truncation=50 mode=rational", ""),
+])
+def test_detect_records_whose_leading_coefficient_is_not_1(
+        tmp_path, name, prime, root, terms, line, warning):
+    """The exact record line and warning of each: the unit part divides out
+    a_0 and the monomial w^lead before the root is taken."""
+    f = tmp_path / f"{name}.series"
+    f.write_text(NON_UNIT_RECORDS[name] if name in NON_UNIT_RECORDS
+                 else serialize_series(g5_series(3000)))
+    p = run_cli(_detect_argv(f, terms, prime, root), tmp_path)
+    assert p.stdout.decode() == f"entry={f.name} status={line}\n"
+    assert p.stderr.decode() == warning
 
 
 def test_census_examples(tmp_path):

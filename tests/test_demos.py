@@ -1,5 +1,7 @@
-"""The demos run as scripts against the package source; demos 01-03 are the
-only callers of several public names."""
+"""The demos run as scripts against the package source.  They call only
+names that a command reaches: demo 02 reads the formal roots from
+root_coefficients and demo 04 the count from s_count, so no demo keeps a
+name in src."""
 
 import os
 import subprocess
@@ -14,12 +16,18 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 # of psi_5, for i = 1..4
 DEMOS = {
     "01_coordinate_expansions": ["kappa = -1"],
-    "02_eta_quotients_and_roots": ["agree to truncation: True"],
+    "02_eta_quotients_and_roots": [
+        "agree to truncation: True",
+        "cube root unit part: [Fraction(1, 1), Fraction(-2, 3), "
+        "Fraction(-7, 9), Fraction(-22, 81), Fraction(-70, 243)]",
+        "growth of -ord_3(b_m/b_0) for zeta^(1/3): [1, 6, 14, 28, 58]"],
     "03_catalog_detection": ["hypothesis confirmed: True"] + [
         f"  fQ+{i}P: x-coordinate minimal polynomial {mp}"
         for i, mp in ((1, [155, 200, 120, 15, 1]), (2, [101, 41, 11, 1, 1]),
                       (3, [101, 41, 11, 1, 1]), (4, [155, 200, 120, 15, 1]))],
-    "04_sublattice_census": ["pi^2/12 = "],
+    "04_sublattice_census": ["pi^2/12 = ",
+                             "triples with index < 3: CensusResult(X=3, "
+                             "count=4)"],
 }
 
 

@@ -14,9 +14,11 @@ from ubd.qseries import (
     nth_root_normalized,
     serialize_series,
 )
+from ubd.ubdetect import _unit_part
 
 from helpers import (agrees, minimal_width_by_search, series_add, series_key,
-                     series_pow)
+                     series_pow, series_scale, series_shift,
+                     unit_part_by_chain)
 
 
 def S(width, lead, coeffs, field=None, prec=None):
@@ -311,11 +313,46 @@ def test_unit_normalized_scales_back_to_f(f):
     unit, lead, c0 = f.unit_normalized()
     assert (lead, c0) == (f.lead, f.coeffs[0])
     assert unit.lead == 0 and unit.coefficient(0) == 1
-    back = unit.scalar_mul(c0).shift(lead)
+    back = series_shift(series_scale(unit, c0), lead)
     assert back.prec == f.prec and agrees(back, f)
     # the scalar 0 leaves the series 0 to its precision
-    assert series_key(f.scalar_mul(0)) == series_key(
+    assert series_key(series_scale(f, 0)) == series_key(
         S(f.width, f.prec, [], f.field, f.prec))
+
+
+@st.composite
+def unit_part_inputs(draw):
+    """A series over Q or a catalog field with a_0 != 1 and lead != 0,
+    whose coefficient list ends in zeros that only prec keeps, and a scan
+    length T below its truncation."""
+    f = draw(scaled_series())
+    lead = draw(st.integers(-8, 8).filter(bool))
+    coeffs = [*f.coeffs, *[0] * draw(st.integers(1, 3))]
+    g = S(f.width, lead, coeffs, f.field,
+          lead + len(coeffs) + draw(st.integers(0, 2)))
+    return g, draw(st.integers(0, g.truncation - 1))
+
+
+QUARTIC = ROUNDTRIP_FIELDS[2]
+
+
+@settings(max_examples=80, deadline=None)
+@given(unit_part_inputs(), st.sampled_from([2, 3, 5, 7, 11]))
+@example((S(11, -5, [2 * QUARTIC.gen(), QUARTIC.one(), 0, 0], QUARTIC, 0),
+          2), 5)
+@example((S(1, 3, [Fraction(-6), Fraction(5, 2), 0], None, 7), 1), 2)
+def test_unit_part_is_the_scaled_and_shifted_series(args, p):
+    """unit_normalized builds w^-lead*f/a_0 in one construction, equal key
+    for key to scaling and then shifting; _unit_part normalises only the
+    scanned terms, which is the truncation of the full unit part."""
+    f, T = args
+    unit, _, _ = f.unit_normalized()
+    assert series_key(unit) == series_key(unit_part_by_chain(f))
+    _, scanned, M = _unit_part(f, p, T)
+    assert M == T
+    assert series_key(scanned) == series_key(unit.truncate(T + 1))
+    _, whole, M = _unit_part(f, p, f.truncation + 3)
+    assert M == f.truncation and series_key(whole) == series_key(unit)
 
 
 def _int_or_fraction(f):
@@ -337,16 +374,18 @@ def test_integral_series_over_q_never_get_float_coefficients():
     back = deserialize_series(serialize_series(g5))
     assert series_key(back) == series_key(g5)
     assert all(type(c) is int for c in back.coeffs)
-    third = g5.scalar_mul(Fraction(1, 3))
+    third = series_scale(g5, Fraction(1, 3))
     assert series_key(deserialize_series(serialize_series(third))) == \
         series_key(third)
-    three_g5 = g5.scalar_mul(3)
+    three_g5 = series_scale(g5, 3)
     assert all(type(c) is int for c in three_g5.coeffs)
     for f in (g5, three_g5, S(1, 0, [-2, 7, 0, 5])):
         unit, lead, c0 = f.unit_normalized()
         inv = f.invert()
-        for s in (unit, inv, f.scalar_mul(Fraction(2, 7)), f * f, f * inv):
+        for s in (unit, inv, series_scale(f, Fraction(2, 7)), f * f,
+                  f * inv):
             assert _int_or_fraction(s)
-        assert series_key(unit.scalar_mul(c0).shift(lead)) == series_key(f)
+        assert series_key(series_shift(series_scale(unit, c0), lead)) == \
+            series_key(f)
         one = f * inv
         assert one.coefficients(0, one.prec) == [1] + [0] * (one.prec - 1)

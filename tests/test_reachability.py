@@ -2,7 +2,8 @@
 
 A fixed set of commands runs in process under sys.setprofile: `report` at
 both indices, at p = index and at p != index; `catalog`; `detect` on an
-entry, on a rational record and on a field record; a 3000-term `eta`;
+entry, on a rational record and on two field records, the second with
+a_0 != 1 and lead 2; a 3000-term `eta`;
 `expand-xy` cold, then warm; both `census` forms; and one malformed input
 per command.  Every module-level function and every method defined in
 src/ubd must be called by one of them, except the names in ALLOWED, each
@@ -82,6 +83,9 @@ def _commands(tmp):
     field = tmp / "field.series"  # Q(i), where 5 splits
     field.write_text("series 1\nwidth 1\nlead 0\ntruncation 2\n"
                      "field 1,0,1\n1/1,0/1\n2/5,-1/5\n0/1,0/1\n")
+    scaled = tmp / "scaled.series"  # Q(i) again, a_0 = 3 + i at w^2
+    scaled.write_text("series 1\nwidth 1\nlead 2\ntruncation 3\n"
+                      "field 1,0,1\n3/1,1/1\n2/5,-1/5\n1/7,0/1\n0/1,3/25\n")
     (tmp / "bad.series").write_text("series 1\nwidth 1\nwidth 2\n")
     cache = ["--cache-dir", tmp / "cache"]
     detect = ["--prime", "5", "--root", "2", "--terms", "20"]
@@ -97,6 +101,7 @@ def _commands(tmp):
           "--terms", "20"], 0),
         (["detect", "--series-file", tmp / "g5.series", *detect], 0),
         (["detect", "--series-file", field, *detect], 3),
+        (["detect", "--series-file", scaled, *detect], 0),
         ([*cache, "expand-xy", "--terms", "20"], 0),
         ([*cache, "expand-xy", "--terms", "20"], 0),
         (["census", "--xmax", "100"], 0),

@@ -24,7 +24,8 @@ from ubd.ubdetect import (
 from ubd.x011 import build_catalog, expand_on_curve, torsion_point, x11_curve
 from ubd.ellcurve import function_with_divisor, torsion_factors
 
-from helpers import g5_series, series_add, series_pow
+from helpers import (g5_series, series_add, series_pow, series_scale,
+                     series_shift)
 
 
 def zeta13(T=60):
@@ -67,8 +68,8 @@ def test_detect_g5_controls():
 def test_detect_scaling_and_shift_invariance():
     f = fp_series(50)
     base = detect(f, 5, 5, 40)
-    for g in (f.scalar_mul(Fraction(-7, 3)), f.shift(4),
-              f.scalar_mul(Fraction(125)).shift(-2)):
+    for g in (series_scale(f, Fraction(-7, 3)), series_shift(f, 4),
+              series_shift(series_scale(f, Fraction(125)), -2)):
         v = detect(g, 5, 5, 40)
         assert v.status == base.status
         assert v.witness_index == base.witness_index
@@ -84,7 +85,7 @@ def test_detect_algebraic_scalar_invariance():
     base = detect(f, 5, 5, 25)
     gen = entry.generator_function.curve.field.gen()
     for s in (gen, gen / 5, 3 * gen * gen):
-        v = detect(f.scalar_mul(s), 5, 5, 25)
+        v = detect(series_scale(f, s), 5, 5, 25)
         assert (v.status, v.witness_index, v.threshold) == \
             (base.status, base.witness_index, base.threshold)
 
@@ -96,7 +97,8 @@ def test_span_floor_is_scale_invariant():
     f, span = entry.expansion(30), entry.coefficient_span()
     gen = entry.generator_function.curve.field.gen()
     for s in (1, Fraction(5), Fraction(1, 25), gen, gen / 5):
-        v = detect(f.scalar_mul(s), 5, 5, 3, span=[c * s for c in span])
+        v = detect(series_scale(f, s), 5, 5, 3,
+                   span=[c * s for c in span])
         assert (v.status, v.threshold) == ('BoundedSoFar', Fraction(1, 4)), s
 
 
