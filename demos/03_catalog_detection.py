@@ -5,7 +5,8 @@ Index 5 has six cyclic extensions: one for each order-5 subgroup of the
 torsion of the curve.  The subgroup generated by the rational point [5,5]
 gives f_P; the five others come from the point Q with x-coordinate
 -1/2 + (11/10)sqrt(5), flattened into a single quartic field.  Exactly one
-entry (fQ, the congruence one) survives the scan with bounded denominators.
+entry (fQ, the congruence one) is not certified: its root has bounded
+denominators by theorem, so its scan ends at the probe.
 The x-coordinate of each translate Q + iP is a root of one of psi_5's two
 irreducible quartic factors, its minimal polynomial.
 """

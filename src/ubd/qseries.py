@@ -43,11 +43,10 @@ class LaurentSeries:
     def __init__(self, width, lead, coeffs, field=None, prec=None):
         if width < 1:
             raise ValueError("width must be a positive integer")
-        coeffs = [_coeff(field, c) for c in coeffs]
         if prec is None:
             prec = lead + len(coeffs)
-        if prec < lead + len(coeffs):
-            coeffs = coeffs[:max(0, prec - lead)]
+        # cut to prec before lifting, so a short truncate lifts what it keeps
+        coeffs = [_coeff(field, c) for c in coeffs[:max(0, prec - lead)]]
         i = next((i for i, c in enumerate(coeffs) if c), len(coeffs))
         if i:
             coeffs, lead = coeffs[i:], lead + i
@@ -126,7 +125,9 @@ class LaurentSeries:
 
     def unit_normalized(self):
         """(unit, lead, a_0), unit = w^-lead*f/a_0 = 1 + ..., built in one
-        construction: each stored coefficient times 1/a_0.
+        construction: each stored coefficient times 1/a_0, a Fraction when
+        a_0 is rational (as it is for every catalog entry), so a field
+        coefficient is scaled, not multiplied degree by degree.
 
         Ratios of root coefficients of the original series only depend on the
         unit part, so callers can account for the stripped monomial separately
@@ -135,7 +136,9 @@ class LaurentSeries:
         if self.is_zero():
             raise ValueError("zero series has no unit normalization")
         c0 = self.coeffs[0]
-        inv = Fraction(1) / c0
+        r = c0 if self.field is None or not c0.is_rational() else \
+            c0.as_fraction()
+        inv = Fraction(1) / r
         return (LaurentSeries(self.width, 0, [c * inv for c in self.coeffs],
                               self.field, self.prec - self.lead),
                 self.lead, c0)
@@ -145,8 +148,9 @@ class LaurentSeries:
 # terms of d coordinates, M the running denominator and L the bits of the
 # packed M*b_(k-1), costs 64*d*m*(L + 64) units for its dot products and
 # (bits(M) + L)^2 for the normalisation of b_k.  A 2-vCPU machine did
-# 1.2*10^11 to 10^12 units/s, so a root stops after 10-85 s; report
-# --index 5 at T = 300 spends 7.3*10^9 units on its costliest root.
+# 1.2*10^11 to 10^12 units/s, so a root stops after 10-85 s; detect on
+# fQ's expansion at p = n = 5 and T = 300, the costliest catalog root,
+# spends 7.8*10^9 units (report answers fQ by theorem, without it).
 ROOT_WORK_BUDGET = 10 ** 13
 
 

@@ -3,15 +3,23 @@
 The criterion: strip f to a unit series 1 + sum (a_m/a_0) w^m, rescale
 valuations by v_min = min_m ord(a_m) so the integrality precondition holds
 formally, and certify unboundedness as soon as some root-coefficient ratio
-satisfies -ord(b_m/b_0) > tau = (ord(a_0) - v_min)/n.  A bounded root forces
--ord(b_m/b_0) <= tau for every m (the diagonal term of the n-th-power
-convolution dominates), so a certificate is sound; BoundedSoFar never claims
-boundedness beyond the scanned range.  v_min is read by one floor,
-_span_floor: the worst ord over a span less the best ord(a_0).  The span is
-what the caller gives, coefficients whose Z-combinations give every a_m (u
-and v of a catalog function u(x) + v(x)*y, x and y integral), so that the
-floor holds for every m and tau is read from it alone; without one it is
-a_1..a_M, the scanned range of the unit part, with a_0 = 1.
+satisfies -ord(b_m/b_0) > tau = (ord(a_0) - v_min)/n.  The lemma, at each
+prime P above p, ord_P(p) = 1: if the b_m/b_0 have bounded denominators,
+then -ord_P(b_m/b_0) <= tau_P = -min(0, min_m ord_P(a_m/a_0))/n for every
+m.  For if mu, the least ord_P(b_m/b_0), is negative, write the unit part
+as (1 + h)^n, h = sum (b_m/b_0) w^m: the Gauss valuation (the least ord_P
+of a coefficient) is additive, so binom(n, j)*h^j has it at least
+j*mu > n*mu for j < n, and h^n exactly n*mu, whence n*mu is the least
+ord_P(a_m/a_0).  Each tau_P is at most the worst-prime tau below, so a
+certificate is sound and a bounded root admits neither a witness nor a
+partial one; BoundedSoFar claims no boundedness beyond the scanned range
+but where a theorem gives it (detect_entry).
+v_min is read by one floor, _span_floor: the worst ord over a span less the
+best ord(a_0).  The span is what the caller gives, coefficients whose
+Z-combinations give every a_m (u and v of a catalog function u(x) + v(x)*y,
+x and y integral), so that the floor holds for every m and tau is read from
+it alone; without one it is a_1..a_M, the scanned range of the unit part,
+with a_0 = 1.
 
 The scan is online: the root coefficients b_1, b_2, ... come one at a time
 from qseries.root_coefficients (Miller's one-sum power recurrence on packed
@@ -19,7 +27,10 @@ integer coordinates, one normalised coefficient per step), and detect stops
 at the first witness, so a certificate at m costs O(m^2) integer products,
 not the O(T^2) of the whole root.  A catalog entry (detect_entry) is first
 expanded and scanned to isqrt(T) + 1 terms only, so a certificate there
-costs no O(T) expansion or normalisation either.
+costs no O(T) expansion or normalisation either.  fQ, the known-congruence
+entry, gets no full root: a congruence group's modular functions that are
+holomorphic on H and have algebraic coefficients have bounded denominators
+(Shimura 1971, ch. 6), so by the lemma its scan can find nothing.
 
 One valuation rule: val_p on Q, and on a number field the slopes of the
 Newton polygon of the integer characteristic polynomial of den*b, less
@@ -189,11 +200,29 @@ def detect_entry(e, root_degree, prime_p, T=300):
     root_degree).  Any other probe verdict (a partial witness may still be
     followed by a certificate) falls through to the full expansion of T + 2
     terms.  A failed probe costs O(t^2) = O(T) root products.
+
+    A known-congruence entry at its index as root degree is answered by
+    theorem: the probe's tau, mode and note with BoundedSoFar over b_1..b_T.
+    Its root is a modular function for a congruence group (Gamma^1(11) for
+    fQ), holomorphic on H (its one pole is at a cusp) and with algebraic
+    coefficients, so its denominators are bounded (Shimura, Introduction
+    to the Arithmetic Theory of Automorphic Functions, 1971, ch. 6), and
+    the lemma of the module docstring bounds
+    -ord_P(b_m/b_0) by tau_P at each prime P above p.  Every a_m is a
+    Z-combination of the span, so min_m ord_P(a_m/a_0) is at least the
+    floor detect reads and tau_P <= tau: no b_m is a witness or a partial
+    one, and the full scan's verdict is this one.  The flag alone is
+    trusted (a wrong one would hide a certificate); fQ's is proved by the
+    congruence oracle of the tests.  Another root degree, and a series
+    file, which knows nothing of its origin, get the full scan.
     """
     span = e.coefficient_span()
     t = math.isqrt(T) + 1
     if t < T:
         v = detect(e.expansion(t + 2), root_degree, prime_p, t, e.label, span)
+        if e.congruence_flag == 'known-congruence' and root_degree == e.index:
+            return v._replace(status='BoundedSoFar', witness_index=None,
+                              witness_valuation=None, truncation_used=T)
         if v.certified() or not v.threshold and root_degree % prime_p:
             return v._replace(truncation_used=T)
     return detect(e.expansion(T + 2), root_degree, prime_p, T, e.label, span)

@@ -301,8 +301,11 @@ def build_catalog(index):
     is a root of psi_5's quadratic factor, and the translates f_{Q+iP}.
     fQ is flagged known-congruence: its group is Gamma^1(11), normal in
     Gamma^0(11) with cyclic quotient (Z/11)^*/{+-1} of order 5, an argument
-    for index 5 only.  Every other entry is flagged expected-noncongruence:
-    no congruence group is known among them, and a certified unbounded
+    for index 5 only, which detect_entry trusts and
+    tests/test_congruence.py::test_fQ_is_on_the_one_congruence_line proves:
+    one line of six is congruence by Hsu's test, and the other entries
+    certify.  Every other entry is flagged expected-noncongruence: no
+    congruence group is known among them, and a certified unbounded
     denominator proves the group noncongruence.
     """
     if index not in CATALOG_INDICES:

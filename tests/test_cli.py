@@ -404,6 +404,21 @@ def test_catalog_reports_keep_a_hundredfold_budget_margin(monkeypatch, capsys,
         (tuple(a), d) for a, d in GOLDEN)[tuple(argv)]
 
 
+def test_the_full_scan_of_fQ_keeps_a_hundredfold_budget_margin(monkeypatch):
+    # report answers fQ at p = n = 5 by theorem, without its root; the full
+    # scan it replaced, the costliest catalog root at T = 300, keeps the
+    # same margin
+    from ubd import qseries
+    from ubd.ubdetect import detect
+    from ubd.x011 import build_catalog
+
+    monkeypatch.setattr(qseries, "ROOT_WORK_BUDGET",
+                        qseries.ROOT_WORK_BUDGET // 100)
+    (fq,) = [e for e in build_catalog(5) if e.label == "fQ"]
+    v = detect(fq.expansion(302), 5, 5, 300, fq.label, fq.coefficient_span())
+    assert (v.status, v.truncation_used) == ("BoundedSoFar", 300)
+
+
 def test_a_3000_term_g5_record_certifies_at_m_1(tmp_path, capsys):
     # 118240 digits of coefficients, but the root is spent at b_1
     from ubd import cli

@@ -3,7 +3,10 @@ against the plain detect on the full T + 2 term expansion that it replaced.
 
 A probe certificate is the full scan's: with a span, tau comes from the span
 floor alone, and the first witness of a prefix is the first witness of the
-whole range.  Every other probe verdict must fall through to the full scan.
+whole range.  Every other probe verdict must fall through to the full scan,
+except for a known-congruence entry at its index as root degree (fQ at
+n = 5), which ends at its probe by theorem; its full scan stays here as
+the reference.
 """
 
 from collections import namedtuple
@@ -11,9 +14,9 @@ import math
 
 import pytest
 
-from ubd import x011
+from ubd import cli, ubdetect, x011
 from ubd.exactnum import NumberField
-from ubd.qseries import LaurentSeries
+from ubd.qseries import LaurentSeries, serialize_series
 from ubd.ubdetect import _span_floor, analyze_catalog, detect, detect_entry
 from ubd.x011 import build_catalog
 
@@ -59,9 +62,11 @@ def test_no_coefficient_lowers_the_span_floor(entries, p):
 GAUSS = NumberField([1, 0, 1])  # 5 = (2 + i)(2 - i) splits
 
 
-class SyntheticEntry(namedtuple("SyntheticEntry", "label coeffs")):
+class SyntheticEntry(namedtuple("SyntheticEntry", "label coeffs "
+                                "congruence_flag",
+                                defaults=("expected-noncongruence",))):
     """A polynomial over GAUSS posing as a catalog entry: its coefficients
-    are their own span."""
+    are their own span, and no theorem bounds its root."""
 
     def expansion(self, T):
         return LaurentSeries(1, 0, self.coeffs[:T + 1], GAUSS, T + 1)
@@ -119,3 +124,77 @@ def test_index2_report_solves_x_and_y_only_to_the_probe(monkeypatch):
     assert rep.certified == 3
     assert all(v.truncation_used == 300 for v in rep.verdicts)
     assert solves and max(solves) <= math.isqrt(300) + 1 + 2
+
+
+@pytest.fixture
+def root_steps(monkeypatch):
+    """The root degree of every b_m that detect takes from
+    root_coefficients, one list item per step."""
+    steps, real = [], ubdetect.root_coefficients
+
+    def counted(f, n):
+        for b in real(f, n):
+            steps.append(n)
+            yield b
+
+    monkeypatch.setattr(ubdetect, "root_coefficients", counted)
+    return steps
+
+
+@pytest.fixture(scope="module")
+def fq():
+    (e,) = [e for e in build_catalog(5) if e.label == "fQ"]
+    assert (e.index, e.congruence_flag) == (5, "known-congruence")
+    return e
+
+
+@pytest.mark.parametrize("T", [300, 1000])
+def test_the_full_scan_of_fQ_at_p_n_5_stays_bounded(fq, root_steps, T):
+    # the reference the shortcut replaced: every b_1..b_T is scanned
+    v = detect(fq.expansion(T + 2), 5, 5, T, fq.label, fq.coefficient_span())
+    assert (v.status, v.witness_index, v.truncation_used) == \
+        ("BoundedSoFar", None, T)
+    assert len(root_steps) == T
+    root_steps.clear()
+    assert detect_entry(fq, 5, 5, T) == v
+    assert len(root_steps) <= math.isqrt(T) + 1  # the probe's root only
+
+
+def test_the_shortcut_trusts_only_the_flag(root_steps):
+    # fP marked known-congruence: detect_entry answers by theorem, though
+    # the full scan certifies fP at m = 1; so only a proved flag may read
+    # known-congruence
+    (fp,) = [e for e in build_catalog(5) if e.label == "fP"]
+    wrong = fp._replace(congruence_flag="known-congruence")
+    v = detect_entry(wrong, 5, 5, 300)
+    assert (v.status, v.witness_index, v.truncation_used) == \
+        ("BoundedSoFar", None, 300)
+    full = detect(fp.expansion(302), 5, 5, 300, fp.label,
+                  fp.coefficient_span())
+    assert (full.status, full.witness_index) == ("UnboundedCertified", 1)
+    assert detect_entry(fp, 5, 5, 300) == full
+
+
+def test_no_shortcut_at_a_root_degree_other_than_the_index(fq, root_steps):
+    # fQ^(1/2) need not be modular for a congruence group: it certifies
+    v = detect_entry(fq, 2, 5, 300)
+    assert (v.status, v.witness_index) == ("UnboundedCertified", 5)
+    # fQ posing as index 10, scanned at root degree 5: all 300 steps run
+    root_steps.clear()
+    v = detect_entry(fq._replace(index=10), 5, 5, 300)
+    assert (v.status, v.truncation_used) == ("BoundedSoFar", 300)
+    assert len(root_steps) == math.isqrt(300) + 1 + 300  # probe, full scan
+
+
+def test_no_shortcut_for_an_exported_fQ_record(fq, root_steps, tmp_path,
+                                               capsys):
+    # a series file knows nothing of its origin: the scan runs in full
+    path = tmp_path / "fQ.series"
+    path.write_text(serialize_series(fq.expansion(302)))
+    assert cli.main(["--format", "records", "detect", "--series-file",
+                     str(path), "--prime", "5", "--root", "5", "--terms",
+                     "300"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith("entry=fQ.series status=BoundedSoFar ")
+    assert len(root_steps) == 300

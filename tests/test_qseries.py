@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ubd.exactnum import NumberField
+from ubd.exactnum import AlgebraicNumber, NumberField
 from ubd.qseries import (
     EtaQuotient,
     LaurentSeries,
     COEFF_DIGITS_CEILING,
+    _coeff,
     deserialize_series,
     eta_quotient_expand,
     nth_root_normalized,
@@ -353,6 +354,72 @@ def test_unit_part_is_the_scaled_and_shifted_series(args, p):
     assert series_key(scanned) == series_key(unit.truncate(T + 1))
     _, whole, M = _unit_part(f, p, f.truncation + 3)
     assert M == f.truncation and series_key(whole) == series_key(unit)
+
+
+def _lift_then_cut(width, lead, coeffs, field, prec):
+    """The constructor's old order: every coefficient lifted, then the list
+    cut to prec."""
+    coeffs = [_coeff(field, c) for c in coeffs]
+    if prec is None:
+        prec = lead + len(coeffs)
+    return S(width, lead, coeffs[:max(0, prec - lead)], field, prec)
+
+
+@st.composite
+def constructor_inputs(draw):
+    """(width, lead, coefficients, field, prec) as callers pass them: ints
+    and Fractions, and field elements over a field, with prec absent, below
+    lead, inside the list or past it."""
+    field = draw(st.sampled_from(ROUNDTRIP_FIELDS))
+    q = st.one_of(st.integers(-50, 50),
+                  st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9),
+                            st.integers(1, 999)))
+    c = q if field is None else st.one_of(q, st.lists(
+        q, min_size=field.degree, max_size=field.degree).map(field.from_coords))
+    coeffs = draw(st.lists(c, max_size=12))
+    lead = draw(st.integers(-8, 8))
+    prec = draw(st.one_of(st.none(), st.integers(lead - 3,
+                                                 lead + len(coeffs) + 3)))
+    return draw(st.integers(1, 24)), lead, coeffs, field, prec
+
+
+@settings(max_examples=150, deadline=None)
+@given(constructor_inputs(), st.sampled_from([list, tuple]))
+def test_the_constructor_cuts_before_it_lifts(args, container):
+    width, lead, coeffs, field, prec = args
+    f = S(width, lead, container(coeffs), field, prec)
+    g = _lift_then_cut(width, lead, coeffs, field, prec)
+    assert series_key(f) == series_key(g)
+    assert [type(c) for c in f.coeffs] == [type(c) for c in g.coeffs]
+
+
+@st.composite
+def rational_lead_series(draw):
+    """A series over a number field whose a_0 is rational (1 on every
+    catalog entry)."""
+    field = draw(st.sampled_from(ROUNDTRIP_FIELDS[1:]))
+    q = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 999))
+    c = st.lists(q, min_size=field.degree,
+                 max_size=field.degree).map(field.from_coords)
+    c0 = field.from_rational(draw(q.filter(bool)))
+    coeffs = [c0] + draw(st.lists(c, max_size=10))
+    lead = draw(st.integers(-8, 8))
+    return S(draw(st.integers(1, 24)), lead, coeffs, field,
+             lead + len(coeffs) + draw(st.integers(0, 3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_lead_series())
+@example(S(11, -5, [QUARTIC.one(), QUARTIC.gen(), 0, 0], QUARTIC, 0))
+def test_a_rational_a0_scales_as_the_field_inverse_multiplies(f):
+    # unit_normalized scales by the Fraction 1/a_0; the reference multiplies
+    # by 1/a_0 as a field element, degree by degree
+    unit, lead, c0 = f.unit_normalized()
+    inv = Fraction(1) / f.coeffs[0]
+    assert isinstance(inv, AlgebraicNumber)
+    ref = S(f.width, 0, [c * inv for c in f.coeffs], f.field, f.prec - f.lead)
+    assert series_key(unit) == series_key(ref)
+    assert (lead, c0) == (f.lead, f.coeffs[0])
 
 
 def _int_or_fraction(f):
