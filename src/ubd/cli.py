@@ -9,7 +9,8 @@ Exit codes: 0 success, 2 malformed arguments (usage: and error: lines),
 an argument past a ceiling, any ValueError a command raises (main is the
 one boundary that prints it as an error: line; a formal root past
 qseries.ROOT_WORK_BUDGET is one) or out of memory, 3 detection ran but was
-Inconclusive only, 4 internal inconsistency (a defining relation failed).
+Inconclusive only, 4 internal inconsistency (a defining relation failed,
+or a known-congruence entry's scan was not BoundedSoFar).
 """
 
 import os

@@ -140,35 +140,36 @@ def dp_mul(a, b):
     return dp_trim(trunc_mul(a, b, len(a) + len(b) - 1, _poly_field(a, b)))
 
 
-def dp_divmod(a, b):
+def dp_divmod(a, b, m=None):
     """Division with remainder by a trimmed nonzero b, with one inverse of
-    its leading coefficient."""
+    its leading coefficient: over Q or the number field of the coefficients,
+    or, for an int m, over Z/m, lc(b) a unit mod m and q and r in [0, m)."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    inv, nb = Fraction(1) / b[-1], len(b)
-    a, q = list(a), [0] * max(0, len(a) - nb + 1)
+    inv = Fraction(1) / b[-1] if m is None else pow(b[-1], -1, m)
+    a, q, nb = list(a), [0] * max(0, len(a) - len(b) + 1), len(b)
     for k in range(len(a) - nb, -1, -1):
         f = q[k] = a[k + nb - 1] * inv
         if f:
             for i, bi in enumerate(b[:-1]):
                 a[k + i] = a[k + i] - f * bi
-    return dp_trim(q), dp_trim(a[:nb - 1])
+    if m is None:
+        return dp_trim(q), dp_trim(a[:nb - 1])
+    return _zm(q, m), _zm(a[:nb - 1], m)
 
 
-def dp_monic(c):
-    c = dp_trim(c)
-    if not c:
-        return c
-    inv = Fraction(1) / c[-1]
-    return [x * inv for x in c]
+def dp_monic(c, m=None):
+    """c over its leading coefficient ([] for 0); over Z/m for an int m."""
+    c = dp_trim(c) if m is None else _zm(c, m)
+    return dp_divmod(c, c[-1:], m)[0] if c else c
 
 
-def dp_gcd(a, b):
-    """The monic gcd ([] when both are zero)."""
-    a, b = dp_trim(a), dp_trim(b)
+def dp_gcd(a, b, m=None):
+    """The monic gcd ([] when both are zero); over Z/m for a prime m."""
+    b = dp_monic(b, m)
     while b:
-        a, b = b, dp_divmod(a, b)[1]
-    return dp_monic(a)
+        a, b = b, dp_divmod(a, b, m)[1]
+    return dp_monic(a, m)
 
 
 def dp_eval(c, x):
@@ -253,9 +254,8 @@ def poly_is_irreducible_q(c):
 def poly_is_irreducible_modp(c, p):
     """f is irreducible over F_p iff it is squarefree and its distinct-degree
     factorization is f itself."""
-    f = _fp_monic([int(x) for x in c], p)
-    return (len(f) > 1 and len(_fp_gcd(f, _deriv(f), p)) == 1
-            and _fp_ddf(f, p) == [(f, len(f) - 1)])
+    f = dp_monic([int(x) for x in c], p)
+    return len(f) > 1 and _fp_ddf(f, p) == [(f, len(f) - 1)]
 
 
 # ----------------------------------------------------------------------
@@ -264,7 +264,9 @@ def poly_is_irreducible_modp(c, p):
 # equal-degree factorization modulo a small prime, Hensel lifting and
 # recombination.  Polynomials over Z are int lists, low degree first,
 # trimmed; polynomials modulo m are int lists in [0, m), and a divisor's
-# leading coefficient is a unit mod m.
+# leading coefficient is a unit mod m.  Division, gcd and monic
+# normalisation mod m are dp_divmod, dp_gcd and dp_monic with the modulus
+# m as their last argument.
 # ----------------------------------------------------------------------
 
 def _zm(a, m):
@@ -286,31 +288,9 @@ def _zm_sub(a, b, m):
     return _zm(dp_sub(a, b), m)
 
 
-def _zm_divmod(a, b, m):
-    inv, nb = pow(b[-1], -1, m), len(b)
-    a, q = list(a), [0] * max(0, len(a) - nb + 1)
-    for k in range(len(a) - nb, -1, -1):
-        q[k] = a[k + nb - 1] * inv % m
-        for i, bi in enumerate(b):
-            a[k + i] -= q[k] * bi
-    return _zm(q, m), _zm(a[:nb - 1], m)
-
-
 def _zm_powmod(a, e, f, m):
-    return power(a, e, lambda u, v: _zm_divmod(_zm_mul(u, v, m), f, m)[1],
+    return power(a, e, lambda u, v: dp_divmod(_zm_mul(u, v, m), f, m)[1],
                  [1])
-
-
-def _fp_monic(a, p):
-    a = _zm(a, p)
-    return _zm_prod(pow(a[-1], -1, p), [a], p) if a else a
-
-
-def _fp_gcd(a, b, p):
-    a, b = _zm(a, p), _zm(b, p)
-    while b:
-        a, b = b, _zm_divmod(a, b, p)[1]
-    return _fp_monic(a, p)
 
 
 def _fp_xgcd(a, b, p):
@@ -318,26 +298,28 @@ def _fp_xgcd(a, b, p):
     for coprime a and b of positive degree."""
     r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
     while r1:
-        q, r = _zm_divmod(r0, r1, p)
+        q, r = dp_divmod(r0, r1, p)
         r0, r1 = r1, r
         s0, s1 = s1, _zm_sub(s0, _zm_mul(q, s1, p), p)
         t0, t1 = t1, _zm_sub(t0, _zm_mul(q, t1, p), p)
-    inv = pow(r0[0], -1, p)
-    return _zm_prod(inv, [s0], p), _zm_prod(inv, [t0], p)
+    return dp_divmod(s0, r0, p)[0], dp_divmod(t0, r0, p)[0]
 
 
 def _fp_ddf(f, p):
-    """Distinct-degree factorization of a monic squarefree f over F_p:
-    [(g, d)], g the product of the irreducible factors of f of degree d."""
+    """Distinct-degree factorization of a monic f over F_p: [(g, d)], g the
+    product of the irreducible factors of f of degree d; None when f has a
+    repeated factor."""
+    if len(dp_gcd(f, _deriv(f), p)) > 1:
+        return None
     out, h, d = [], [0, 1], 0
     while 2 * (d + 1) < len(f):
         d += 1
         h = _zm_powmod(h, p, f, p)  # x^(p^d) mod f
-        g = _fp_gcd(f, _zm_sub(h, [0, 1], p), p)
+        g = dp_gcd(f, _zm_sub(h, [0, 1], p), p)
         if len(g) > 1:
             out.append((g, d))
-            f = _zm_divmod(f, g, p)[0]
-            h = _zm_divmod(h, f, p)[1]
+            f = dp_divmod(f, g, p)[0]
+            h = dp_divmod(h, f, p)[1]
     return out + [(f, len(f) - 1)] if len(f) > 1 else out
 
 
@@ -349,9 +331,9 @@ def _fp_edf(g, d, p):
     while len(g) - 1 > d:
         a = [i // p ** j % p for j in range(len(g)) if p ** j <= i]
         b = _zm_powmod(a, (p ** d - 1) // 2, g, p)
-        s = _fp_gcd(g, _zm_sub(b, [1], p), p)
+        s = dp_gcd(g, _zm_sub(b, [1], p), p)
         if 1 < len(s) < len(g):
-            return _fp_edf(s, d, p) + _fp_edf(_zm_divmod(g, s, p)[0], d, p)
+            return _fp_edf(s, d, p) + _fp_edf(dp_divmod(g, s, p)[0], d, p)
         i += 1
     return [g]
 
@@ -362,8 +344,7 @@ def _hensel(f, mods, p, steps):
     by quadratic Hensel steps (GG, Alg. 15.10), then each lifted half is split
     the same way, so each node of the factor tree is lifted once."""
     if len(mods) == 1:
-        M = p ** (2 ** steps)
-        return [_zm_prod(pow(f[-1], -1, M), [f], M)]
+        return [dp_monic(f, p ** (2 ** steps))]
     k = len(mods) // 2
     g, h = _zm_prod(f[-1], mods[k:], p), _zm_prod(1, mods[:k], p)
     s, t = _fp_xgcd(g, h, p)
@@ -371,12 +352,12 @@ def _hensel(f, mods, p, steps):
     for step in range(steps):
         m *= m
         e = _zm_sub(f, _zm_mul(g, h, m), m)
-        q, r = _zm_divmod(_zm_mul(s, e, m), h, m)
+        q, r = dp_divmod(_zm_mul(s, e, m), h, m)
         g = _zm(dp_add(g, dp_add(_zm_mul(t, e, m), _zm_mul(q, g, m))), m)
         h = _zm(dp_add(h, r), m)
         if step < steps - 1:
             b = _zm_sub(dp_add(_zm_mul(s, g, m), _zm_mul(t, h, m)), [1], m)
-            c, d = _zm_divmod(_zm_mul(s, b, m), h, m)
+            c, d = dp_divmod(_zm_mul(s, b, m), h, m)
             s = _zm_sub(s, d, m)
             t = _zm_sub(t, dp_add(_zm_mul(t, b, m), _zm_mul(c, g, m)), m)
     return _hensel(h, mods[:k], p, steps) + _hensel(g, mods[k:], p, steps)
@@ -425,11 +406,10 @@ def _factor_squarefree(f):
         p += 1
         if not is_prime(p) or lc % p == 0:
             continue
-        fp = _fp_monic(f, p)
-        if len(_fp_gcd(fp, _deriv(fp), p)) > 1:
+        ddf = _fp_ddf(dp_monic(f, p), p)
+        if ddf is None:
             continue  # p divides the discriminant
         tried += 1
-        ddf = _fp_ddf(fp, p)
         r = sum((len(g) - 1) // d for g, d in ddf)
         if r == 1:
             return [f]  # irreducible modulo p

@@ -30,7 +30,8 @@ expanded and scanned to isqrt(T) + 1 terms only, so a certificate there
 costs no O(T) expansion or normalisation either.  fQ, the known-congruence
 entry, gets no full root: a congruence group's modular functions that are
 holomorphic on H and have algebraic coefficients have bounded denominators
-(Shimura 1971, ch. 6), so by the lemma its scan can find nothing.
+(Shimura 1971, ch. 6), so by the lemma its scan can find nothing; its probe
+checks that, and any verdict there but BoundedSoFar raises RuntimeError.
 
 One valuation rule: val_p on Q, and on a number field the slopes of the
 Newton polygon of the integer characteristic polynomial of den*b, less
@@ -195,7 +196,8 @@ def detect_entry(e, root_degree, prime_p, T=300):
 
     With a span, tau does not depend on T, and the first witness among
     b_1..b_t is the first of b_1..b_T; so a probe on t = isqrt(T) + 1 terms
-    runs first, and a certificate there is the full scan's, as is the
+    runs first (t = T when isqrt(T) + 1 >= T, the probe then being the full
+    scan), and a certificate there is the full scan's, as is the
     BoundedSoFar that detect gives without a root (tau = 0, p not dividing
     root_degree).  Any other probe verdict (a partial witness may still be
     followed by a certificate) falls through to the full expansion of T + 2
@@ -211,20 +213,26 @@ def detect_entry(e, root_degree, prime_p, T=300):
     -ord_P(b_m/b_0) by tau_P at each prime P above p.  Every a_m is a
     Z-combination of the span, so min_m ord_P(a_m/a_0) is at least the
     floor detect reads and tau_P <= tau: no b_m is a witness or a partial
-    one, and the full scan's verdict is this one.  The flag alone is
-    trusted (a wrong one would hide a certificate); fQ's is proved by the
-    congruence oracle of the tests.  Another root degree, and a series
-    file, which knows nothing of its origin, get the full scan.
+    one, and the full scan's verdict is this one.  The shortcut is checked
+    against the scan it replaces, on the probe's range (all of it when
+    t = T): any verdict but BoundedSoFar there contradicts the flag and
+    raises RuntimeError, naming the entry, the status and m.  fQ's flag is
+    proved by the congruence oracle of the tests.  Another root degree,
+    and a series file, which knows nothing of its origin, get the full
+    scan.  So a catalog entry leaves at its probe certified, or bounded
+    for every m by the binomial theorem or by the congruence theorem.
     """
     span = e.coefficient_span()
-    t = math.isqrt(T) + 1
-    if t < T:
-        v = detect(e.expansion(t + 2), root_degree, prime_p, t, e.label, span)
-        if e.congruence_flag == 'known-congruence' and root_degree == e.index:
-            return v._replace(status='BoundedSoFar', witness_index=None,
-                              witness_valuation=None, truncation_used=T)
-        if v.certified() or not v.threshold and root_degree % prime_p:
-            return v._replace(truncation_used=T)
+    t = min(T, math.isqrt(T) + 1)
+    v = detect(e.expansion(t + 2), root_degree, prime_p, t, e.label, span)
+    if e.congruence_flag == 'known-congruence' and root_degree == e.index:
+        if v.status != 'BoundedSoFar':
+            raise RuntimeError(f"{e.label} is flagged known-congruence, but "
+                               f"its scan is {v.status} at m = "
+                               f"{v.witness_index}")
+        return v._replace(truncation_used=T)
+    if t == T or v.certified() or not v.threshold and root_degree % prime_p:
+        return v._replace(truncation_used=T)
     return detect(e.expansion(T + 2), root_degree, prime_p, T, e.label, span)
 
 
@@ -233,9 +241,10 @@ def analyze_catalog(entries, T=300, prime_p=None):
     degree.
 
     The main theorem's index-p hypothesis is confirmed when every
-    expected-noncongruence entry is certified and no known-congruence entry
-    is (falsely) certified.  Entries that share one generator function (the
-    three embeddings at index 2) are scanned once and relabelled.
+    expected-noncongruence entry is certified; a known-congruence entry
+    that is not BoundedSoFar stops detect_entry.  Entries that share one
+    generator function (the three embeddings at index 2) are scanned once
+    and relabelled.
     """
     verdicts, scanned = [], {}
     for e in entries:
@@ -247,11 +256,7 @@ def analyze_catalog(entries, T=300, prime_p=None):
     certified = sum(1 for v in verdicts if v.status == 'UnboundedCertified')
     bounded = sum(1 for v in verdicts if v.status == 'BoundedSoFar')
     inconclusive = sum(1 for v in verdicts if v.status == 'Inconclusive')
-    ok = True
-    for e, v in zip(entries, verdicts):
-        if e.congruence_flag == 'expected-noncongruence' and not v.certified():
-            ok = False
-        if e.congruence_flag == 'known-congruence' and v.certified():
-            ok = False
+    ok = all(v.certified() for e, v in zip(entries, verdicts)
+             if e.congruence_flag == 'expected-noncongruence')
     return CatalogReport(verdicts, certified, bounded, inconclusive,
                          ok and bool(entries))

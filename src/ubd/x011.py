@@ -301,7 +301,7 @@ def build_catalog(index):
     is a root of psi_5's quadratic factor, and the translates f_{Q+iP}.
     fQ is flagged known-congruence: its group is Gamma^1(11), normal in
     Gamma^0(11) with cyclic quotient (Z/11)^*/{+-1} of order 5, an argument
-    for index 5 only, which detect_entry trusts and
+    for index 5 only, which detect_entry checks against its probe and
     tests/test_congruence.py::test_fQ_is_on_the_one_congruence_line proves:
     one line of six is congruence by Hsu's test, and the other entries
     certify.  Every other entry is flagged expected-noncongruence: no

@@ -5,7 +5,7 @@ Hsu's test must pass on the known congruence groups Gamma^0(11), Gamma^1(11)
 and Gamma(11).  Of the character groups it finds one congruence group at
 index 5, Gamma^1(11), and none at index 2, 3 and 7.  With the detector's
 certificates it proves fQ's known-congruence flag, the flag that
-detect_entry trusts.  Two mutations of the oracle are checked to break it.
+detect_entry checks against its probe.  Two mutations of the oracle are checked to break it.
 """
 
 import pytest

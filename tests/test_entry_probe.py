@@ -5,8 +5,8 @@ A probe certificate is the full scan's: with a span, tau comes from the span
 floor alone, and the first witness of a prefix is the first witness of the
 whole range.  Every other probe verdict must fall through to the full scan,
 except for a known-congruence entry at its index as root degree (fQ at
-n = 5), which ends at its probe by theorem; its full scan stays here as
-the reference.
+n = 5), which ends at its probe by theorem once the probe agrees; its full
+scan stays here as the reference.
 """
 
 from collections import namedtuple
@@ -160,19 +160,34 @@ def test_the_full_scan_of_fQ_at_p_n_5_stays_bounded(fq, root_steps, T):
     assert len(root_steps) <= math.isqrt(T) + 1  # the probe's root only
 
 
-def test_the_shortcut_trusts_only_the_flag(root_steps):
-    # fP marked known-congruence: detect_entry answers by theorem, though
-    # the full scan certifies fP at m = 1; so only a proved flag may read
-    # known-congruence
+def test_a_wrong_flag_stops_at_its_probe():
+    # fP marked known-congruence: the full scan certifies fP at m = 1, so
+    # the theorem's answer is checked against the probe (T = 300) or the
+    # full scan (T = 2, where isqrt(T) + 1 >= T) and the flag is refused
     (fp,) = [e for e in build_catalog(5) if e.label == "fP"]
     wrong = fp._replace(congruence_flag="known-congruence")
-    v = detect_entry(wrong, 5, 5, 300)
-    assert (v.status, v.witness_index, v.truncation_used) == \
-        ("BoundedSoFar", None, 300)
+    for T in (300, 2):
+        with pytest.raises(RuntimeError, match="^fP is flagged known-"
+                           "congruence, but its scan is UnboundedCertified "
+                           "at m = 1$"):
+            detect_entry(wrong, 5, 5, T)
     full = detect(fp.expansion(302), 5, 5, 300, fp.label,
                   fp.coefficient_span())
     assert (full.status, full.witness_index) == ("UnboundedCertified", 1)
     assert detect_entry(fp, 5, 5, 300) == full
+
+
+def test_report_on_a_wrong_flag_exits_4(monkeypatch, capsys):
+    def relabelled(index):
+        return [e._replace(congruence_flag="known-congruence")
+                if e.label == "fP" else e for e in build_catalog(index)]
+
+    monkeypatch.setattr(cli, "build_catalog", relabelled)
+    assert cli.main(["report", "--index", "5", "--terms", "300"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("internal inconsistency: fP is flagged known-congruence, "
+                   "but its scan is UnboundedCertified at m = 1\n")
 
 
 def test_no_shortcut_at_a_root_degree_other_than_the_index(fq, root_steps):

@@ -1,7 +1,9 @@
 """The pure-Python factorization over Z[x] of squarefree polynomials and the
 irreducibility tests against sympy, which the tests keep as an oracle only;
 the refusal of a repeated factor; the exact quotient in Z[x] and the
-primitive part that the factorizer shares with the rational code."""
+primitive part that the factorizer shares with the rational code; and the
+division, gcd and monic normalisation modulo m, the dp_* helpers with
+their modulus argument."""
 
 import math
 from fractions import Fraction
@@ -13,9 +15,15 @@ from hypothesis import assume, given, settings, strategies as st
 from ubd.ellcurve import division_polynomial
 from ubd.exactnum import (
     NumberField,
+    _deriv,
+    _fp_ddf,
+    _zm,
     _zx_exquo,
     content_primitive,
     dp_add,
+    dp_divmod,
+    dp_gcd,
+    dp_monic,
     dp_mul,
     dp_trim,
     factor_poly_q,
@@ -183,3 +191,76 @@ def test_content_primitive_reads_ints_and_fractions_alike(c):
     assert (cont, prim) == content_primitive([Fraction(x) for x in c])
     assert all(type(x) is int for x in prim) and prim[-1] > 0
     assert math.gcd(*prim) == 1 and [cont * x for x in prim] == c
+
+
+MODULI = (2, 3, 5, 7, 9, 25, 3 ** 8, 5 ** 4)
+big_ints = st.lists(st.integers(-10 ** 5, 10 ** 5), max_size=7)
+
+
+def unit_lead(m):
+    """Integer polynomials of degree 0..5 whose leading coefficient is a unit
+    mod m (m a prime power), the others in no particular range."""
+    return st.tuples(st.lists(st.integers(-10 ** 5, 10 ** 5), max_size=5),
+                     st.integers(-10 ** 5, 10 ** 5).filter(
+                         lambda c: math.gcd(c, m) == 1)).map(
+        lambda t: t[0] + [t[1]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(MODULI).flatmap(
+    lambda m: st.tuples(st.just(m), big_ints, unit_lead(m))))
+def test_divmod_mod_m_reconstructs_the_dividend(mab):
+    m, a, b = mab
+    q, r = dp_divmod(a, b, m)
+    assert all(type(x) is int and 0 <= x < m for x in q + r)
+    assert len(r) < len(b)
+    assert _zm(dp_add(dp_mul(q, b), r), m) == _zm(a, m)
+    monic = b[:-1] + [1]  # over Z the quotient is integral: reduce it
+    assert dp_divmod(a, monic, m) == tuple(
+        _zm(x, m) for x in dp_divmod(a, monic))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(MODULI).flatmap(
+    lambda m: st.tuples(st.just(m), unit_lead(m))))
+def test_monic_mod_m_is_a_unit_multiple(mc):
+    m, c = mc
+    g = dp_monic(c, m)
+    assert all(type(x) is int and 0 <= x < m for x in g)
+    assert len(g) == len(c) and g[-1] == 1
+    assert _zm([x * c[-1] for x in g], m) == _zm(c, m)
+    assert dp_monic([x * m for x in c], m) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), big_ints, big_ints, big_ints)
+def test_gcd_mod_p_is_monic_and_divides_both(p, a, b, c):
+    a, b = dp_mul(a, c), dp_mul(b, c)
+    g = dp_gcd(a, b, p)
+    if not _zm(a, p) and not _zm(b, p):
+        assert g == []
+        return
+    assert g[-1] == 1 and all(0 <= x < p for x in g)
+    assert not dp_divmod(a, g, p)[1] and not dp_divmod(b, g, p)[1]
+    if _zm(c, p):  # c divides a and b, so it divides g
+        assert not dp_divmod(g, dp_monic(c, p), p)[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)),
+       st.lists(st.integers(0, 6), min_size=1, max_size=8),
+       st.lists(st.integers(0, 6), max_size=3))
+def test_ddf_mod_p_refuses_exactly_a_repeated_factor(p, f, g):
+    # f*g^2, g monic, is not squarefree whenever g has positive degree
+    f = dp_monic(dp_mul(f + [1], dp_mul(g + [1], g + [1])), p)
+    repeated = sympy.Poly(list(reversed(f)), X, modulus=p).gcd(
+        sympy.Poly(list(reversed(_deriv(f))) or [0], X, modulus=p)).degree()
+    ddf = _fp_ddf(f, p)
+    assert (ddf is None) == (repeated > 0)
+    if ddf is not None:
+        assert [d for _, d in ddf] == sorted({d for _, d in ddf})
+        assert all(h[-1] == 1 and (len(h) - 1) % d == 0 for h, d in ddf)
+        prod = [1]
+        for h, _ in ddf:
+            prod = _zm(dp_mul(prod, h), p)
+        assert prod == f
