@@ -251,11 +251,6 @@ class CurveFunction:
                       dp_add(dp_mul(dp_mul(u, v), self._a13()),
                              dp_mul(dp_mul(v, v), self._g_poly())))
 
-    def scalar_mul(self, s):
-        s = lift(self.curve.field, s)
-        return CurveFunction(self.curve, [c * s for c in self.u],
-                             [c * s for c in self.v])
-
     def evaluate(self, point):
         """Exact value at an affine point."""
         if point.is_infinity():
@@ -282,7 +277,12 @@ class CurveFunction:
 
     def normalized(self):
         """Scale so the w-expansion at O has leading coefficient 1."""
-        return self.scalar_mul(1 / self.leading_coeff_at_O())
+        lc = self.leading_coeff_at_O()
+        if lc == 1:
+            return self
+        s = 1 / lc
+        return CurveFunction(self.curve, [c * s for c in self.u],
+                             [c * s for c in self.v])
 
 
 def line_through(curve, a, b):

@@ -5,14 +5,15 @@ of the pentagonal series from the partition numbers, the minimal width of
 an eta quotient by search, G5 and the closed forms of its roots, the gcd and
 Smith-normal-form criteria for a full join, the minimal polynomial, Newton
 polygon points and the unique-prime certificate read from them, the
-unit-root test on a Newton polygon, and the order of a point by the group
-law."""
+unit-root test on a Newton polygon, the order of a point by the group
+law, and a scalar multiple of a curve function."""
 
 from fractions import Fraction
 from math import gcd, lcm
 
+from ubd.ellcurve import CurveFunction
 from ubd.exactnum import (_deriv, _integral_char_poly, _segment_residual,
-                          _zx_exquo, _zx_gcd, dp_trim, kron_mul,
+                          _zx_exquo, _zx_gcd, dp_trim, kron_mul, lift,
                           lower_hull_slopes, poly_is_irreducible_modp, power,
                           val_p)
 from ubd.qseries import (EtaQuotient, LaurentSeries, _coeff,
@@ -203,3 +204,9 @@ def has_order(p, n):
     """n*P = O by the group law, and P, 2P, ..., (n-1)P are not O."""
     return (n * p).is_infinity() and not any(
         (k * p).is_infinity() for k in range(1, n))
+
+
+def scalar_mul(f, s):
+    """s*f for a curve function f and s rational or in its field."""
+    s = lift(f.curve.field, s)
+    return CurveFunction(f.curve, [c * s for c in f.u], [c * s for c in f.v])

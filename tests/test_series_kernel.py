@@ -1,7 +1,8 @@
 """The product kernel against the element-wise loops it replaced.
 
-kron_mul multiplies two integer operands by Kronecker substitution, at one
-point or, for two large distinct operands, at two;
+kron_mul multiplies two integer operands by a direct convolution of their
+nonzero coordinates or by Kronecker substitution, at one point or, for
+large one-coordinate operands, at two;
 LaurentSeries.__mul__, LaurentSeries.invert (Newton), dp_mul, the eta
 products and the integer x/y solve are built on it.  The references below
 are the element-wise loops those call sites used before, kept here only:
@@ -17,8 +18,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ubd import exactnum
-from ubd.exactnum import (KS2_BITS, NumberField, dp_mul, kron_mul, lift,
-                          newton_inverse)
+from ubd.exactnum import (DIRECT_RATIO, KS2_BITS, KS_FIXED_SLOTS,
+                          NumberField, dp_mul, kron_mul, lift, newton_inverse)
 from ubd.qseries import (EtaQuotient, LaurentSeries, _eta_product_ints,
                          _jacobi_coeffs, _pentagonal_coeffs,
                          _pentagonal_power, deserialize_series,
@@ -280,67 +281,175 @@ field_names = st.sampled_from(sorted(FIELDS))
 # Tests.
 # ----------------------------------------------------------------------
 
+def _path(*args):
+    """(path, result) of kron_mul(*args): the path is read from the slot
+    counts of its _unpack calls, [] for a direct convolution, [n*D] for
+    one-point and [ceil(n/2), floor(n/2)] for two-point KS."""
+    calls = []
+    unpack = exactnum._unpack
+    exactnum._unpack = lambda x, k, w: calls.append(k) or unpack(x, k, w)
+    try:
+        return calls, kron_mul(*args)
+    finally:
+        exactnum._unpack = unpack
+
+
+# 2^300 in an operand makes a slot of 608 bits, so 14 or more coefficients
+# on each side pack past the two-point crossover, and 13 stay below it
+BIG = 2 ** 300
+ENTRIES = st.one_of(st.integers(-9, 9), st.just(0),
+                    st.integers(-BIG, BIG), st.sampled_from([BIG, -BIG]))
+TOPS = st.sampled_from([9, 2 ** 40, BIG])  # entries in [-top, top]
+
+
+def _signed(m, d, top=9, support=None):
+    """A fixed operand of m coefficients of d coordinates, nonzero on the
+    coefficients in support (all by default), with signs alternating."""
+    v = [0] * (m * d)
+    for k in range(m) if support is None else _support(support, m):
+        v[k * d:(k + 1) * d] = [(-1) ** (k + i) * (top - (k + i) % 5)
+                                for i in range(d)]
+    return v
+
+
+@st.composite
+def kron_args(draw):
+    d, top = draw(st.integers(1, 4)), draw(TOPS)
+    a, b = (draw(st.lists(st.integers(-top, top), min_size=m * d,
+                          max_size=m * d))
+            for m in (draw(st.integers(0, 30)), draw(st.integers(0, 30))))
+    return a, b, draw(st.integers(0, (len(a) + len(b)) // d + 2)), d
+
+
+# dense L x L operands with L on each side of the direct crossover (12, 7, 4
+# and 3 coefficients at d = 1..4), and of the two-point one at d = 1
 @SETTINGS
-@given(st.data())
-def test_kron_mul_matches_the_convolution(data):
-    d = data.draw(st.integers(1, 4))
-    ints = st.one_of(st.integers(-9, 9), st.integers(-2 ** 300, 2 ** 300))
-    la, lb = data.draw(st.integers(0, 9)), data.draw(st.integers(0, 9))
-    a = data.draw(st.lists(ints, min_size=la * d, max_size=la * d))
-    b = data.draw(st.lists(ints, min_size=lb * d, max_size=lb * d))
-    n = data.draw(st.integers(0, la + lb + 2))
+@given(kron_args())
+@example((_signed(12, 1), _signed(12, 1), 23, 1))    # direct
+@example((_signed(13, 1), _signed(13, 1), 20, 1))    # one point
+@example((_signed(13, 1, BIG), _signed(14, 1, BIG), 27, 1))  # still one
+@example((_signed(14, 1, BIG), _signed(14, 1, BIG), 22, 1))  # two points
+@example((_signed(7, 2), _signed(7, 2), 13, 2))
+@example((_signed(8, 2), _signed(8, 2), 15, 2))
+@example((_signed(4, 3), _signed(4, 3), 7, 3))
+@example((_signed(5, 3), _signed(5, 3), 9, 3))
+@example((_signed(3, 4), _signed(3, 4), 5, 4))
+@example((_signed(4, 4, BIG), _signed(4, 4, BIG), 8, 4))
+def test_kron_mul_matches_the_convolution(args):
+    """d = 1..4 and up to 30 coefficients a side, so dense operands fall on
+    both sides of DIRECT_RATIO (and of KS2_BITS at d = 1 with 300-bit
+    entries); signed, zero and 300-bit entries; n below and above
+    la + lb - 1; each operand also squared as a is b."""
+    a, b, n, d = args
     assert kron_mul(a, b, n, d) == _reference_kron(a, b, n, d, d)
-    # one operand twice takes the squaring path
     assert kron_mul(a, a, n, d) == _reference_kron(a, a, n, d, d)
+    assert kron_mul(b, b, n, d) == _reference_kron(b, b, n, d, d)
 
 
-# 2^400 in an operand makes a slot of more than 800 bits, so 11 or more
-# coefficients on each side pack past the two-point crossover
-BIG = 2 ** 400
+def _support(kind, m):
+    """Coefficient indices below m: the generalized pentagonal numbers
+    k(3k -+ 1)/2, the triangular numbers k(k + 1)/2, or all of them."""
+    if kind == "dense":
+        return range(m)
+    k, out = 0, set()
+    while k * (k - 1) // 2 < m:
+        out |= ({k * (3 * k - 1) // 2, k * (3 * k + 1) // 2}
+                if kind == "pentagonal" else {k * (k + 1) // 2})
+        k += 1
+    return sorted(i for i in out if i < m)
+
+
+@st.composite
+def sparse_args(draw):
+    d, top = draw(st.integers(1, 4)), draw(TOPS)
+    kinds = st.sampled_from(["pentagonal", "triangular", "dense"])
+    ops = []
+    for kind in (draw(kinds), draw(kinds)):
+        m = draw(st.integers(1, 240 // d))
+        v = [0] * (m * d)
+        for k in _support(kind, m):
+            v[k * d:(k + 1) * d] = draw(st.lists(
+                st.integers(-top, top), min_size=d, max_size=d))
+        ops.append(v)
+    return (*ops, draw(st.integers(0, (len(ops[0]) + len(ops[1])) // d + 1)),
+            d)
+
+
+PENT, TRI = "pentagonal", "triangular"
+
+
+@SETTINGS
+@given(sparse_args())
+@example((_signed(400, 1, 9, PENT), _signed(400, 1, 9, TRI), 400, 1))
+@example((_signed(300, 1, 9, TRI), _signed(300, 1, 9), 599, 1))
+@example((_signed(400, 1, BIG, PENT), _signed(400, 1, 9), 799, 1))
+@example((_signed(100, 4, 9, PENT), _signed(100, 4, 9, TRI), 150, 4))
+@example((_signed(100, 4, 9, TRI), _signed(100, 4), 100, 4))
+def test_sparse_kron_mul_matches_the_convolution(args):
+    """Operands on the supports of the pentagonal series P and of Jacobi's
+    J = P^3, against each other (direct) and against dense ones (KS);
+    d = 1..4, squares as a is b, n below and above la + lb - 1."""
+    a, b, n, d = args
+    assert kron_mul(a, b, n, d) == _reference_kron(a, b, n, d, d)
+    assert kron_mul(a, a, n, d) == _reference_kron(a, a, n, d, d)
 
 
 @SETTINGS
 @given(st.data())
 def test_two_point_kron_mul_matches_the_convolution(data):
-    """Two distinct operands past KS2_BITS, multiplied at +-2^h: odd and
-    even n, n below and above la + lb - 1, signed and zero entries and
-    unequal lengths; the square of one of them stays on one-point KS."""
-    ints = st.one_of(st.integers(-9, 9), st.just(0),
-                     st.integers(-BIG, BIG))
-    la, lb = data.draw(st.integers(11, 40)), data.draw(st.integers(11, 40))
-    a = data.draw(st.lists(ints, min_size=la, max_size=la))
-    b = data.draw(st.lists(ints, min_size=lb, max_size=lb))
-    for v in (a, b):
-        v[data.draw(st.integers(0, len(v) - 1))] = data.draw(
-            st.sampled_from([BIG, -BIG]))
-    assert 8 * 100 * min(la, lb) > KS2_BITS
-    n = data.draw(st.integers(1, la + lb + 1))
-    assert kron_mul(a, b, n) == _reference_kron(a, b, n, 1, 1)
-    assert kron_mul(b, a, n) == _reference_kron(b, a, n, 1, 1)
-    assert kron_mul(a, a, n) == _reference_kron(a, a, n, 1, 1)
+    """Dense one-coordinate operands past KS2_BITS, multiplied and squared
+    at +-2^h: odd and even n, n below and above la + lb - 1, signed and
+    zero entries and unequal lengths.  The path taken is checked too."""
+    la, lb = data.draw(st.integers(24, 48)), data.draw(st.integers(24, 48))
+    nonzero = st.one_of(st.integers(-9, 9),
+                        st.integers(-BIG, BIG)).filter(bool)
+    a, b = (data.draw(st.lists(nonzero, min_size=m, max_size=m))
+            for m in (la, lb))
+    for v in (a, b):  # a quarter of zeros at most, and one 300-bit entry
+        for i in data.draw(st.lists(st.integers(0, len(v) - 1),
+                                    max_size=len(v) // 4)):
+            v[i] = 0
+        v[data.draw(st.integers(0, len(v) - 1))] = BIG
+    # n cuts neither operand: a cut one may fall below a crossover
+    n = data.draw(st.integers(max(la, lb), la + lb + 1))
+    for x, y in ((a, b), (b, a), (a, a), (b, b)):
+        calls, out = _path(x, y, n)
+        assert out == _reference_kron(x, y, n, 1, 1)
+        assert calls == [(n + 1) // 2, n // 2]
     assert kron_mul(a, [0] * lb, n) == [0] * n
 
 
-def _unpacks(monkeypatch, *args):
-    """The slot counts of the _unpack calls of one kron_mul(*args)."""
-    calls = []
-    unpack = exactnum._unpack
-    monkeypatch.setattr(exactnum, "_unpack",
-                        lambda x, k, w: calls.append(k) or unpack(x, k, w))
-    kron_mul(*args)
-    monkeypatch.setattr(exactnum, "_unpack", unpack)
-    return calls
-
-
-def test_kron_mul_takes_two_points_only_for_large_distinct_operands(
-        monkeypatch):
-    a, b = [BIG] * 11, [-BIG] * 11
-    assert _unpacks(monkeypatch, a, b, 21) == [11, 10]    # even, odd
-    assert _unpacks(monkeypatch, a, b[:10], 20) == [20]   # 10 slots: below
-    assert _unpacks(monkeypatch, a, a, 21) == [21]        # a square
-    assert _unpacks(monkeypatch, [3] * 400, [-5] * 400, 799) == [799]
+def test_kron_mul_picks_its_path_by_operand_shape():
+    """One case on each side of each constant: a direct convolution while
+    nnz(a)*nnz(b) <= DIRECT_RATIO*(D*(la + lb) + KS_FIXED_SLOTS), then
+    one-point KS, then two-point KS past KS2_BITS, squares included; several
+    coordinates per coefficient never take two points."""
+    # dense L x L at d = 1..4: (d*L)^2 products against 3*(D*2L + 24)
+    assert (DIRECT_RATIO, KS_FIXED_SLOTS) == (3, 24)
+    for d, L in ((1, 12), (2, 7), (3, 4), (4, 3)):
+        D = 2 * d - 1
+        for m, path in ((L, []), (L + 1, [(2 * L + 1) * D])):
+            a, b = [3] * (m * d), [-5] * (m * d)
+            assert _path(a, b, 2 * m - 1, d)[0] == path
+            assert _path(a, a, 2 * m - 1, d)[0] == path
+    # 25 or 26 nonzeros in 100 coefficients on each side: 625 or 676
+    # products against 3*(200 + 24) = 672
+    for nnz, path in ((25, []), (26, [199])):
+        a = [7] * nnz + [0] * (100 - nnz)
+        assert _path(a, a[::-1], 199)[0] == path
+    # 608-bit slots: 13 coefficients pack into 7904 bits, 14 into 8512
+    assert 13 * 608 <= KS2_BITS < 14 * 608
+    a, b = [BIG] * 13, [-BIG] * 13
+    assert _path(a, b, 25)[0] == [25]
+    assert _path(a, a, 25)[0] == [25]
+    a, b = [BIG] * 14, [-BIG] * 14
+    assert _path(a, b, 27)[0] == [14, 13]     # even, odd
+    assert _path(a, a, 27)[0] == [14, 13]     # a square
+    assert _path(a, b[:13], 26)[0] == [26]    # the shorter one is below
+    assert _path([3] * 400, [-5] * 400, 799)[0] == [799]  # 16-bit slots
     # several coordinates per coefficient stay on one-point KS
-    assert _unpacks(monkeypatch, a * 2, b * 2, 11, 2) == [33]
+    assert _path(a * 2, b * 2, 14, 2)[0] == [42]
+    assert _path(a * 2, a * 2, 14, 2)[0] == [42]
 
 
 def test_kron_mul_drops_negative_high_slots():
