@@ -15,6 +15,7 @@ norm of ord_at_unique_prime reproduces.  The minimal polynomial, chi_B over
 its repeated part, is a reference kept in the tests."""
 
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import combinations, compress
 import math
 from operator import mul
@@ -106,29 +107,31 @@ def val_p(r, p):
 
 # ----------------------------------------------------------------------
 # Dense univariate polynomials, coefficient lists low degree first.  The
-# domain is read from the coefficients: ints and Fractions mean Q, and any
-# AlgebraicNumber means its number field.  Division turns ints into
-# Fractions, never floats.
+# domain is read from the coefficients unless a modulus is given: ints and
+# Fractions mean Q, and any AlgebraicNumber means its number field.  An int
+# m as the last argument means Z/m: int coefficients, reduced into [0, m) on
+# the way out, and a divisor's leading coefficient a unit mod m.  Division
+# over Q turns ints into Fractions, never floats.
 # ----------------------------------------------------------------------
 
-def dp_trim(c):
-    c = list(c)
+def dp_trim(c, m=None):
+    c = list(c) if m is None else [x % m for x in c]
     while c and not c[-1]:
         c.pop()
     return c
 
 
-def dp_add(a, b):
+def dp_add(a, b, m=None):
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
     for i, y in enumerate(b):
         out[i] = out[i] + y
-    return dp_trim(out)
+    return dp_trim(out, m)
 
 
-def dp_sub(a, b):
-    return dp_add(a, [-x for x in b])
+def dp_sub(a, b, m=None):
+    return dp_add(a, [-x for x in b], m)
 
 
 def _poly_field(*polys):
@@ -136,15 +139,17 @@ def _poly_field(*polys):
                  if isinstance(c, AlgebraicNumber)), None)
 
 
-def dp_mul(a, b):
-    return dp_trim(trunc_mul(a, b, len(a) + len(b) - 1, _poly_field(a, b)))
+def dp_mul(a, b, m=None):
+    n = len(a) + len(b) - 1
+    if m is not None:  # int operands: no denominators to clear
+        return dp_trim(kron_mul(a, b, n), m)
+    return dp_trim(trunc_mul(a, b, n, _poly_field(a, b)))
 
 
 def dp_divmod(a, b, m=None):
     """Division with remainder by a trimmed nonzero b, with one inverse of
-    its leading coefficient: over Q or the number field of the coefficients,
-    or, for an int m, over Z/m, lc(b) a unit mod m and q and r in [0, m).
-    A monic b takes no inverse and no product per quotient term."""
+    its leading coefficient, in the domain of the coefficients or Z/m.  A
+    monic b takes no inverse and no product per quotient term."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     inv = (None if b[-1] == 1 else Fraction(1) / b[-1] if m is None
@@ -155,23 +160,26 @@ def dp_divmod(a, b, m=None):
         if f:
             for i, bi in enumerate(b[:-1]):
                 a[k + i] = a[k + i] - f * bi
-    if m is None:
-        return dp_trim(q), dp_trim(a[:nb - 1])
-    return _zm(q, m), _zm(a[:nb - 1], m)
+    return dp_trim(q, m), dp_trim(a[:nb - 1], m)
 
 
 def dp_monic(c, m=None):
-    """c over its leading coefficient ([] for 0); over Z/m for an int m."""
-    c = dp_trim(c) if m is None else _zm(c, m)
+    """c over its leading coefficient ([] for 0)."""
+    c = dp_trim(c, m)
     return dp_divmod(c, c[-1:], m)[0] if c else c
 
 
 def dp_gcd(a, b, m=None):
-    """The monic gcd ([] when both are zero); over Z/m for a prime m."""
+    """The monic gcd ([] when both are zero); m, if given, a prime."""
     b = dp_monic(b, m)
     while b:
         a, b = b, dp_divmod(a, b, m)[1]
     return dp_monic(a, m)
+
+
+def dp_powmod(a, e, f, m):
+    """a^e mod f over Z/m, for an int e >= 0 and f of positive degree."""
+    return power(a, e, lambda u, v: dp_divmod(dp_mul(u, v, m), f, m)[1], [1])
 
 
 def dp_eval(c, x):
@@ -264,36 +272,8 @@ def poly_is_irreducible_modp(c, p):
 # Factorization over Q (von zur Gathen & Gerhard, Modern Computer Algebra,
 # ch. 14-15): a squarefree check by gcd(f, f') over Z, distinct- and
 # equal-degree factorization modulo a small prime, Hensel lifting and
-# recombination.  Polynomials over Z are int lists, low degree first,
-# trimmed; polynomials modulo m are int lists in [0, m), and a divisor's
-# leading coefficient is a unit mod m.  Division, gcd and monic
-# normalisation mod m are dp_divmod, dp_gcd and dp_monic with the modulus
-# m as their last argument.
+# recombination, on trimmed int lists over Z and the dp_* helpers modulo m.
 # ----------------------------------------------------------------------
-
-def _zm(a, m):
-    return dp_trim([x % m for x in a])
-
-
-def _zm_mul(a, b, m):
-    return _zm(kron_mul(a, b, len(a) + len(b) - 1), m) if a and b else []
-
-
-def _zm_prod(c, polys, m):
-    out = [c % m]
-    for a in polys:
-        out = _zm_mul(out, a, m)
-    return out
-
-
-def _zm_sub(a, b, m):
-    return _zm(dp_sub(a, b), m)
-
-
-def _zm_powmod(a, e, f, m):
-    return power(a, e, lambda u, v: dp_divmod(_zm_mul(u, v, m), f, m)[1],
-                 [1])
-
 
 def _fp_xgcd(a, b, p):
     """(s, t) with s*a + t*b = 1 over F_p, deg s < deg b and deg t < deg a,
@@ -302,8 +282,8 @@ def _fp_xgcd(a, b, p):
     while r1:
         q, r = dp_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _zm_sub(s0, _zm_mul(q, s1, p), p)
-        t0, t1 = t1, _zm_sub(t0, _zm_mul(q, t1, p), p)
+        s0, s1 = s1, dp_sub(s0, dp_mul(q, s1, p), p)
+        t0, t1 = t1, dp_sub(t0, dp_mul(q, t1, p), p)
     return dp_divmod(s0, r0, p)[0], dp_divmod(t0, r0, p)[0]
 
 
@@ -316,8 +296,8 @@ def _fp_ddf(f, p):
     out, h, d = [], [0, 1], 0
     while 2 * (d + 1) < len(f):
         d += 1
-        h = _zm_powmod(h, p, f, p)  # x^(p^d) mod f
-        g = dp_gcd(f, _zm_sub(h, [0, 1], p), p)
+        h = dp_powmod(h, p, f, p)  # x^(p^d) mod f
+        g = dp_gcd(f, dp_sub(h, [0, 1], p), p)
         if len(g) > 1:
             out.append((g, d))
             f = dp_divmod(f, g, p)[0]
@@ -332,8 +312,8 @@ def _fp_edf(g, d, p):
     i = p
     while len(g) - 1 > d:
         a = [i // p ** j % p for j in range(len(g)) if p ** j <= i]
-        b = _zm_powmod(a, (p ** d - 1) // 2, g, p)
-        s = dp_gcd(g, _zm_sub(b, [1], p), p)
+        b = dp_powmod(a, (p ** d - 1) // 2, g, p)
+        s = dp_gcd(g, dp_sub(b, [1], p), p)
         if 1 < len(s) < len(g):
             return _fp_edf(s, d, p) + _fp_edf(dp_divmod(g, s, p)[0], d, p)
         i += 1
@@ -348,20 +328,21 @@ def _hensel(f, mods, p, steps):
     if len(mods) == 1:
         return [dp_monic(f, p ** (2 ** steps))]
     k = len(mods) // 2
-    g, h = _zm_prod(f[-1], mods[k:], p), _zm_prod(1, mods[:k], p)
+    g = reduce(partial(dp_mul, m=p), mods[k:], [f[-1] % p])
+    h = reduce(partial(dp_mul, m=p), mods[:k], [1])
     s, t = _fp_xgcd(g, h, p)
     m = p
     for step in range(steps):
         m *= m
-        e = _zm_sub(f, _zm_mul(g, h, m), m)
-        q, r = dp_divmod(_zm_mul(s, e, m), h, m)
-        g = _zm(dp_add(g, dp_add(_zm_mul(t, e, m), _zm_mul(q, g, m))), m)
-        h = _zm(dp_add(h, r), m)
+        e = dp_sub(f, dp_mul(g, h, m), m)
+        q, r = dp_divmod(dp_mul(s, e, m), h, m)
+        g = dp_add(g, dp_add(dp_mul(t, e, m), dp_mul(q, g, m)), m)
+        h = dp_add(h, r, m)
         if step < steps - 1:
-            b = _zm_sub(dp_add(_zm_mul(s, g, m), _zm_mul(t, h, m)), [1], m)
-            c, d = dp_divmod(_zm_mul(s, b, m), h, m)
-            s = _zm_sub(s, d, m)
-            t = _zm_sub(t, dp_add(_zm_mul(t, b, m), _zm_mul(c, g, m)), m)
+            b = dp_sub(dp_add(dp_mul(s, g, m), dp_mul(t, h, m)), [1], m)
+            c, d = dp_divmod(dp_mul(s, b, m), h, m)
+            s = dp_sub(s, d, m)
+            t = dp_sub(t, dp_add(dp_mul(t, b, m), dp_mul(c, g, m)), m)
     return _hensel(h, mods[:k], p, steps) + _hensel(g, mods[k:], p, steps)
 
 
@@ -426,7 +407,8 @@ def _factor_squarefree(f):
     out, size = [], 1
     while 2 * size <= len(lifted):
         for subset in combinations(range(len(lifted)), size):
-            g = _zm_prod(f[-1], [lifted[i] for i in subset], M)
+            g = reduce(partial(dp_mul, m=M), [lifted[i] for i in subset],
+                       [f[-1] % M])
             g = content_primitive([x - M if 2 * x > M else x for x in g])[1]
             if g[0] and f[0] % g[0]:
                 continue  # the constant terms rule g out

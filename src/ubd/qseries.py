@@ -448,10 +448,13 @@ _COORD = re.compile(r"\s*([+-]?)(\d+)(?:/(\d+))?\s*")
 # detect on one coefficient of this many digits, at p = 2 or 5, over Q or a
 # quartic field, took at most 0.7 s on a 2-vCPU machine
 COEFF_DIGITS_CEILING = 4000
-# the commands write fields of degree 3 and 4; NumberField's irreducibility
-# test recombines modular factors subset by subset: it validated degree-16
-# fields in at most 0.05 s but a degree-32 one in 5.7 s on a 2-vCPU machine
+# the commands write fields of degree 3 and 4 with coefficients of at most 6
+# digits.  NumberField's squarefree test and Zassenhaus factorization grow
+# with both: a degree-32 field took 5.7 s, and the slowest degree-16 fields
+# found, dense random ones, took 0.38-0.52 s at 500 digits and 1.6 s at
+# 1,000 (one CPU of a 2-vCPU machine)
 FIELD_DEGREE_CEILING = 16
+FIELD_DIGITS_CEILING = 500
 
 
 def _read_rational(text):
@@ -491,6 +494,9 @@ def _parse_series(text):
         if len(poly) > FIELD_DEGREE_CEILING + 1:
             raise ValueError(
                 f"field has degree more than {FIELD_DEGREE_CEILING}")
+        if max(map(abs, poly), default=0) >= 10 ** FIELD_DIGITS_CEILING:
+            raise ValueError("field coefficient has more than "
+                             f"{FIELD_DIGITS_CEILING} digits")
         field = NumberField(poly)
     coeffs = []
     for ln in lines[i:]:

@@ -236,6 +236,25 @@ def test_a_record_field_at_the_degree_ceiling_is_read():
     assert series.field.degree == qseries.FIELD_DEGREE_CEILING == 16
 
 
+def test_a_record_field_past_the_digit_ceiling_exits_2_before_factoring(
+        workdir, monkeypatch, capsys):
+    monkeypatch.setattr(exactnum, "poly_is_irreducible_q", _never)
+    for big in (10 ** 500, -10 ** 500):  # 501 digits either way
+        (workdir / "big.series").write_text(_field_record([big, 0, 1]))
+        assert cli.main(["detect", "--series-file", "big.series",
+                         *DETECT]) == 2
+        assert capsys.readouterr() == (
+            "", "error: cannot read series file: field coefficient has more "
+            "than 500 digits\n")
+
+
+def test_a_record_field_at_the_digit_ceiling_is_read():
+    # t^2 - (10^500 - 1): 10^500 - 1 is 3 mod 4, so not a square
+    top = 10 ** qseries.FIELD_DIGITS_CEILING - 1
+    series = qseries.deserialize_series(_field_record([-top, 0, 1]))
+    assert series.field.defining_poly == (-top, 0, 1)
+
+
 def test_an_eta_spec_past_the_exponent_ceiling_exits_2_before_expanding(
         workdir, monkeypatch, capsys):
     # 120 + 121: the ceiling bounds the sum of |r|, not |sum of r|

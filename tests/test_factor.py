@@ -2,22 +2,23 @@
 irreducibility tests against sympy, which the tests keep as an oracle only;
 the refusal of a repeated factor; the exact quotient in Z[x] and the
 primitive part that the factorizer shares with the rational code; and the
-division, gcd and monic normalisation modulo m, the dp_* helpers with
-their modulus argument."""
+dp_* helpers with their modulus argument: sums, differences, products and
+powers modulo f against exact arithmetic over Z reduced mod m, and the
+division, gcd and monic normalisation modulo m."""
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ubd.ellcurve import division_polynomial
 from ubd.exactnum import (
     NumberField,
     _deriv,
     _fp_ddf,
-    _zm,
     _zx_exquo,
     content_primitive,
     dp_add,
@@ -25,6 +26,8 @@ from ubd.exactnum import (
     dp_gcd,
     dp_monic,
     dp_mul,
+    dp_powmod,
+    dp_sub,
     dp_trim,
     factor_poly_q,
     poly_is_irreducible_modp,
@@ -197,6 +200,64 @@ MODULI = (2, 3, 5, 7, 9, 25, 3 ** 8, 5 ** 4)
 big_ints = st.lists(st.integers(-10 ** 5, 10 ** 5), max_size=7)
 
 
+def reduced(c, m):
+    """The integer polynomial c reduced mod m, written out: each coefficient
+    taken into [0, m), then the zeros on top dropped."""
+    out = [x % m for x in c]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def z_add(a, b):
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def z_mul(a, b):
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# operands past kron_mul's direct rule as well as below it, negative and
+# unreduced, and empty; moduli prime and prime powers, small and large
+long_ints = st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=24)
+RING_MODULI = MODULI + (10 ** 18 + 3, 3 ** 40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(RING_MODULI), long_ints, long_ints)
+@example(7, [], [])
+@example(9, [-3, 12, 9], [])
+@example(5, [4, 0, 5], [1, 0, -5])
+@example(3 ** 40, list(range(-20, 20)), list(range(30, -10, -1)))
+def test_add_sub_mul_mod_m_are_the_z_results_reduced(m, a, b):
+    assert dp_add(a, b, m) == reduced(z_add(a, b), m)
+    assert dp_sub(a, b, m) == reduced(z_add(a, [-y for y in b]), m)
+    assert dp_mul(a, b, m) == reduced(z_mul(a, b), m)
+    assert dp_mul(a, a, m) == reduced(z_mul(a, a), m)  # a square
+    assert dp_trim(a, m) == reduced(a, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RING_MODULI), big_ints, st.integers(0, 12),
+       st.lists(st.integers(-10 ** 5, 10 ** 5), min_size=1, max_size=4))
+@example(5, [], 0, [3])
+@example(5, [], 3, [3])
+@example(9, [-1, 10], 7, [-4, 0])
+def test_powmod_mod_m_is_the_z_power_reduced(m, a, e, f):
+    f = f + [1]  # monic, so the remainder over Z is integral
+    rem = [1]
+    for _ in range(e):
+        rem = z_mul(rem, a)
+    for k in range(len(rem) - len(f), -1, -1):  # rem mod f over Z
+        rem[k:k + len(f)] = [x - rem[k + len(f) - 1] * y
+                             for x, y in zip(rem[k:k + len(f)], f)]
+    assert dp_powmod(a, e, f, m) == reduced(rem[:len(f) - 1], m)
+
+
 def unit_lead(m):
     """Integer polynomials of degree 0..5 whose leading coefficient is a unit
     mod m (m a prime power), the others in no particular range."""
@@ -214,10 +275,10 @@ def test_divmod_mod_m_reconstructs_the_dividend(mab):
     q, r = dp_divmod(a, b, m)
     assert all(type(x) is int and 0 <= x < m for x in q + r)
     assert len(r) < len(b)
-    assert _zm(dp_add(dp_mul(q, b), r), m) == _zm(a, m)
+    assert dp_trim(dp_add(dp_mul(q, b), r), m) == dp_trim(a, m)
     monic = b[:-1] + [1]  # over Z the quotient is integral: reduce it
     assert dp_divmod(a, monic, m) == tuple(
-        _zm(x, m) for x in dp_divmod(a, monic))
+        dp_trim(x, m) for x in dp_divmod(a, monic))
 
 
 @settings(max_examples=150, deadline=None)
@@ -228,7 +289,7 @@ def test_monic_mod_m_is_a_unit_multiple(mc):
     g = dp_monic(c, m)
     assert all(type(x) is int and 0 <= x < m for x in g)
     assert len(g) == len(c) and g[-1] == 1
-    assert _zm([x * c[-1] for x in g], m) == _zm(c, m)
+    assert dp_trim([x * c[-1] for x in g], m) == dp_trim(c, m)
     assert dp_monic([x * m for x in c], m) == []
 
 
@@ -237,12 +298,12 @@ def test_monic_mod_m_is_a_unit_multiple(mc):
 def test_gcd_mod_p_is_monic_and_divides_both(p, a, b, c):
     a, b = dp_mul(a, c), dp_mul(b, c)
     g = dp_gcd(a, b, p)
-    if not _zm(a, p) and not _zm(b, p):
+    if not dp_trim(a, p) and not dp_trim(b, p):
         assert g == []
         return
     assert g[-1] == 1 and all(0 <= x < p for x in g)
     assert not dp_divmod(a, g, p)[1] and not dp_divmod(b, g, p)[1]
-    if _zm(c, p):  # c divides a and b, so it divides g
+    if dp_trim(c, p):  # c divides a and b, so it divides g
         assert not dp_divmod(g, dp_monic(c, p), p)[1]
 
 
@@ -262,5 +323,5 @@ def test_ddf_mod_p_refuses_exactly_a_repeated_factor(p, f, g):
         assert all(h[-1] == 1 and (len(h) - 1) % d == 0 for h, d in ddf)
         prod = [1]
         for h, _ in ddf:
-            prod = _zm(dp_mul(prod, h), p)
+            prod = dp_trim(dp_mul(prod, h), p)
         assert prod == f
